@@ -3,8 +3,7 @@
 Runs one Monte Carlo uniform-noise campaign (tiny CO2/LSTM task,
 ``n_runs=32``) on the serial and batched backends, asserts the per-chip
 values are bit-identical, and reports wall-clock throughput for each.
-Unlike the process-pool benchmark (``test_parallel_speedup.py``), the
-batched backend needs no parallel hardware: it replaces ``C``
+The batched backend needs no parallel hardware: it replaces ``C``
 Python-dispatched forwards by one stacked tensor pass, so the speedup
 materializes even on a 1-core container — the ≥3× assertion is
 unconditional.  The LSTM task is the engine's best case (hundreds of tiny
@@ -38,12 +37,12 @@ def _campaign(executor: str) -> MonteCarloCampaign:
     method = proposed()
     model = trained_model(task, method, "tiny", seed=0)
     evaluator = make_evaluator(task.name, task.test_set, method, mc_samples=4)
-    # Pin the PR 4 scenario axis off: this benchmark measures the PR 2
-    # chip-batching win in isolation (its sweep would otherwise stack the
-    # two nonzero levels and inflate the ratio).
+    # One scenario per pass: this benchmark measures the chip-batching win
+    # in isolation (its sweep would otherwise stack the two nonzero levels
+    # and inflate the ratio).
     return MonteCarloCampaign(
         model, evaluator, n_runs=N_RUNS, base_seed=0, executor=executor,
-        scenario_batched=False if executor == "batched" else None,
+        scenario_limit=1 if executor == "batched" else None,
         # Pin PR 5's plan axis off: this benchmark isolates chip batching.
         plan=False,
     )

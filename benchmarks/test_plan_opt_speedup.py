@@ -86,7 +86,6 @@ def _campaign(model, evaluator, plan_opt: bool) -> MonteCarloCampaign:
         n_runs=N_RUNS,
         base_seed=0,
         executor="batched",
-        scenario_batched=True,
         plan=True,
         plan_opt=plan_opt,
     )

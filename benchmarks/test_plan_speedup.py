@@ -69,7 +69,6 @@ def _campaign(plan: bool) -> MonteCarloCampaign:
         n_runs=N_RUNS,
         base_seed=0,
         executor="batched",
-        scenario_batched=True,
         plan=plan,
     )
 

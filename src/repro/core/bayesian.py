@@ -15,11 +15,11 @@ Each of the ``num_samples`` passes draws its stochasticity from its own
 ``SeedSequence`` child of the active generator (one ``Generator.spawn``
 per :func:`mc_forward` call), so sample ``s`` is a pure function of
 ``(parent stream, s)`` rather than of how many draws earlier samples made.
-That indexing is what allows the *MC-batched* path — enabled via
-:func:`repro.tensor.chipbatch.mc_batching`, the campaign engine's
-``--mc-batched`` switch — to stack all samples (times any active chip
-batch) along one leading instance axis and run a single vectorized
-forward whose per-sample slices are bit-identical to the looped passes.
+That indexing is what allows the *stacked* path — taken whenever a chip
+batch is active (:func:`repro.tensor.chipbatch.chip_batch`, entered by the
+campaign engine's ``batched`` backend) — to stack all samples times all
+chips along one leading instance axis and run a single vectorized forward
+whose per-sample slices are bit-identical to the looped passes.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from ..tensor import Tensor, no_grad, ops
 from ..tensor.chipbatch import (
     ChipBatchRng,
     active_chip_count,
-    mc_batching_active,
     mc_sample_axis,
     mc_sample_scope,
     spawn_sample_streams,
@@ -72,17 +71,18 @@ def mc_forward(
 
     Pass ``s`` draws from the ``s``-th ``SeedSequence`` child of the active
     generator (see :func:`~repro.tensor.chipbatch.spawn_sample_streams`).
-    Under :func:`~repro.tensor.chipbatch.mc_batching` the loop is replaced
-    by ONE forward over a leading instance axis of ``chips * num_samples``
+    Outside a chip batch the passes run one by one.  Inside a
+    :func:`~repro.tensor.chipbatch.chip_batch` the loop is replaced by ONE
+    forward over a leading instance axis of ``chips * num_samples``
     stacked instances, reduced back to the looped layout — the returned
-    array is bit-identical either way.
+    array is bit-identical to looping each chip's passes.
     """
     if num_samples < 1:
         raise ValueError(f"num_samples must be >= 1, got {num_samples}")
     model.eval()
     forward = forward or (lambda inp: model(inp))
     with no_grad(), stochastic_inference(model):
-        if mc_batching_active() and num_samples > 1:
+        if active_chip_count() is not None and num_samples > 1:
             return _mc_forward_batched(forward, x, num_samples)
         per_sample, _ = spawn_sample_streams(get_rng(), num_samples)
         outputs = []
@@ -98,23 +98,18 @@ def mc_forward(
 def _mc_forward_batched(forward, x: Tensor, num_samples: int) -> np.ndarray:
     """One stacked forward over the ``chips x samples`` instance axis.
 
-    The input — already chip-stacked if a chip batch is active — is
-    repeated per MC sample in chip-major order, each instance draws from
-    its own per-sample ``SeedSequence`` child, and the stacked output is
-    reshaped back to the looped layout ``(samples, [chips,] *out)``.
+    The chip-stacked input is repeated per MC sample in chip-major order,
+    each instance draws from its own per-sample ``SeedSequence`` child,
+    and the stacked output is reshaped back to the looped layout
+    ``(samples, chips, *out)``.
     """
     n_chips = active_chip_count()  # instance count BEFORE the sample axis
     _, per_instance = spawn_sample_streams(get_rng(), num_samples)
     data = x.data if isinstance(x, Tensor) else np.asarray(x)
-    if n_chips is None:
-        stacked_in = np.broadcast_to(data[None], (num_samples,) + data.shape).copy()
-    else:
-        stacked_in = np.repeat(data, num_samples, axis=0)
+    stacked_in = np.repeat(data, num_samples, axis=0)
     with mc_sample_axis(num_samples), scoped_rng(ChipBatchRng(per_instance)):
         out = forward(Tensor(stacked_in))
     arr = out.data if isinstance(out, Tensor) else np.asarray(out)
-    if n_chips is None:
-        return arr
     # (chips * samples, ...) chip-major → (samples, chips, ...)
     return np.moveaxis(
         arr.reshape(n_chips, num_samples, *arr.shape[1:]), 1, 0
@@ -136,10 +131,9 @@ class BayesianClassifier:
     * predictive NLL — the paper's uncertainty score for OOD detection,
     * predictive entropy and mutual information (BALD) for completeness.
 
-    Under an active chip batch every result gains a leading chip axis, and
-    under :func:`~repro.tensor.chipbatch.mc_batching` the Monte Carlo loop
-    inside :func:`mc_forward` collapses into one stacked forward with
-    bit-identical results.
+    Under an active chip batch every result gains a leading chip axis and
+    the Monte Carlo loop inside :func:`mc_forward` collapses into one
+    stacked forward with bit-identical results.
 
     Parameters
     ----------
@@ -207,8 +201,7 @@ class BayesianRegressor:
     The prediction is the MC mean; predictive variance decomposes into the
     epistemic part (variance of MC means) reported here.  Like the
     classifier, it rides :func:`mc_forward` and therefore inherits the
-    MC-batched single-pass path under
-    :func:`~repro.tensor.chipbatch.mc_batching`.
+    stacked single-pass path under an active chip batch.
     """
 
     def __init__(self, model: Module, num_samples: int = 8, forward=None):

@@ -1,14 +1,14 @@
 """Experiment harness: tasks, evaluators, caches, campaigns, reporting.
 
 Campaign drivers (:func:`run_robustness_sweep`, :func:`baseline_metrics`)
-ride the parallel engine in :mod:`repro.faults.executor`; pass
+ride the campaign engine in :mod:`repro.faults.executor`; pass
 ``executor="batched"`` to evaluate each scenario's chip instances in one
-vectorized forward (the fastest backend on a single core — every evaluator
-built by :func:`make_evaluator` is chip-aware and returns a per-chip metric
-vector under an active chip batch).  Results are bit-identical across all
-backends and are cached per scenario by :func:`campaign_key` in the
-content-addressed :class:`ResultStore` shared across workers, sessions,
-and the campaign service (:mod:`repro.serve`).
+vectorized forward (every evaluator built by :func:`make_evaluator` is
+chip-aware and returns a per-chip metric vector under an active chip
+batch).  Results are bit-identical on both backends and are cached per
+scenario by :func:`campaign_key` in the content-addressed
+:class:`ResultStore` shared across workers, sessions, and the campaign
+service (:mod:`repro.serve`).
 """
 
 from .activations import (

@@ -180,20 +180,14 @@ class ResultStore:
     surfacing engine nondeterminism instead of hiding it).  Counters are
     lock-protected and monotonic; services snapshot them around a
     request to prove zero-redundant-cell accounting.
-
-    ``legacy_dir`` (the pre-PR8 ``campaigns/<key>.npy`` layout) is
-    consulted on a store miss and hits are promoted into the store, so
-    existing on-disk caches keep serving across the layout change.
     """
 
     def __init__(
         self,
         root: Optional[os.PathLike] = None,
-        legacy_dir: Optional[os.PathLike] = None,
         max_entries: Optional[int] = None,
     ):
         self._root = pathlib.Path(root) if root is not None else None
-        self._legacy = pathlib.Path(legacy_dir) if legacy_dir is not None else None
         self.max_entries = max_entries
         self._memory: Dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
@@ -210,15 +204,6 @@ class ResultStore:
     def root(self) -> pathlib.Path:
         """Store root; the default store tracks ``REPRO_CACHE_DIR`` live."""
         return self._root if self._root is not None else cache_dir() / "store"
-
-    @property
-    def legacy_dir(self) -> Optional[pathlib.Path]:
-        """Pre-store ``campaigns/`` directory consulted on a miss."""
-        if self._legacy is not None:
-            return self._legacy
-        if self._root is not None:
-            return None  # explicit roots opt out of the default legacy dir
-        return cache_dir() / "campaigns"
 
     def address(self, key: str) -> pathlib.Path:
         """Filesystem address of ``key``'s entry (may not exist yet)."""
@@ -254,10 +239,9 @@ class ResultStore:
 
         Serving order: in-process memory, then the content-addressed
         entry (verified against the full key and the current RNG
-        contract), then the legacy per-key layout (promoted into the
-        store on a hit).  Corrupt, colliding, or stale-contract entries
-        are unlinked and counted (``recovered`` / ``retired``) so the
-        store self-heals.
+        contract).  Corrupt, colliding, or stale-contract entries are
+        unlinked and counted (``recovered`` / ``retired``) so the store
+        self-heals.
         """
         with self._lock:
             cached = self._memory.get(key)
@@ -265,10 +249,6 @@ class ResultStore:
                 self.hits += 1
                 return cached.copy()
         values = self._read_entry(key)
-        if values is None:
-            values = self._read_legacy(key)
-            if values is not None:
-                self.put(key, values)  # promote into the store
         if values is None:
             self._count("misses")
             return None
@@ -301,20 +281,6 @@ class ResultStore:
             return None
         self._touch(path)
         return values
-
-    def _read_legacy(self, key: str) -> Optional[np.ndarray]:
-        legacy = self.legacy_dir
-        if legacy is None:
-            return None
-        path = legacy / f"{key}.npy"
-        if not path.exists():
-            return None
-        try:
-            return np.asarray(np.load(path, allow_pickle=False), dtype=np.float64)
-        except (OSError, ValueError):
-            self._unlink(path)  # truncated/corrupt file from an interrupted run
-            self._count("recovered")
-            return None
 
     # -- write path ----------------------------------------------------
     def put(self, key: str, values: np.ndarray) -> bool:

@@ -6,36 +6,33 @@ fault campaign per fault level and collect mean ± std of the task metric.
 
 Execution architecture
 ----------------------
-:func:`run_robustness_sweep` is a thin driver over the parallel campaign
-engine (:mod:`repro.faults.executor`):
+:func:`run_robustness_sweep` is a thin driver over the campaign engine
+(:mod:`repro.faults.executor`):
 
-1. per method, the trained model is fetched (warming the model cache so
-   process workers never retrain);
-2. completed scenarios are served from the campaign-result cache
+1. completed scenarios are served from the campaign-result cache
    (:func:`repro.eval.cache.load_campaign_values`) and skipped;
+2. per method with uncached scenarios, the trained model is fetched;
 3. the remaining scenarios — with their *original* scenario indices, so
    per-cell seeds are unaffected by what was cached — are flattened into
    one (scenario × chip-run) grid and executed on the requested backend
-   (``serial`` / ``thread`` / ``process`` / ``batched``, see
-   ``executor=``/``workers=``); process workers rebuild the (model,
-   evaluator) pair from a pickled :class:`TaskEvalHandle`, while the
-   ``batched`` backend evaluates each scenario's chips — and, with
-   scenario batching (default), every same-kind severity level at once —
-   in one vectorized forward (the evaluators built here are chip-aware);
+   (``serial`` or ``batched``, see ``executor=``); the ``batched``
+   backend evaluates each scenario's chips — and every same-kind
+   severity level at once — in one vectorized forward (the evaluators
+   built here are chip-aware);
 4. fresh results are written back to the cache.
 
-Results are bit-identical for every backend, worker count, and cache state.
+Results are bit-identical for both backends and every cache state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..faults import CampaignResult, FaultSpec, MonteCarloCampaign
-from ..faults.executor import EvalHandle, Evaluator
+from ..faults.executor import Evaluator
 from ..tensor import plan as _plan
 from ..models import MethodConfig
 from ..nn.module import Module
@@ -91,17 +88,17 @@ class RobustnessSweep:
 
 
 @dataclass(frozen=True)
-class TaskEvalHandle(EvalHandle):
-    """Picklable recipe rebuilding a task's (model, evaluator) in a worker.
+class TaskEvalHandle:
+    """Hashable recipe rebuilding a task's (model, evaluator) pair.
 
-    The worker re-derives the task (datasets are a pure function of
-    ``(task_name, preset, task_seed)``), fetches the trained model from the
-    shared cache — the driver trains it *before* dispatch, so workers only
-    load weights (or inherit the in-memory cache via fork) — and rebinds
-    the metric evaluator.  ``task_seed`` is the seed the *driver's* task
-    was built with (``Task.seed``), which may differ from the campaign
-    ``seed``; using the campaign seed here would make workers evaluate a
-    different synthesized test set than the serial path.
+    The campaign service keys its warm per-worker replicas on it and
+    builds each replica from it.  :meth:`build` re-derives the task
+    (datasets are a pure function of ``(task_name, preset, task_seed)``),
+    fetches the trained model from the shared cache and rebinds the
+    metric evaluator.  ``task_seed`` is the seed the *driver's* task was
+    built with (``Task.seed``), which may differ from the campaign
+    ``seed``; using the campaign seed here would evaluate a different
+    synthesized test set than the in-process path.
     """
 
     task_name: str
@@ -111,9 +108,6 @@ class TaskEvalHandle(EvalHandle):
     samples: int
     max_eval_samples: Optional[int]
     task_seed: int
-
-    def key(self) -> Hashable:
-        return self
 
     def build(self) -> Tuple[Module, Evaluator]:
         task = build_task(self.task_name, preset=self.preset, seed=self.task_seed)
@@ -144,53 +138,31 @@ def run_robustness_sweep(
     max_eval_samples: Optional[int] = -1,
     progress=None,
     executor: str = "serial",
-    workers: Optional[int] = None,
     use_cache: bool = True,
     on_cell_done: Optional[Callable[[int, int], None]] = None,
     chip_limit: Optional[int] = None,
-    mc_batched: Optional[bool] = None,
-    scenario_batched: Optional[bool] = None,
     scenario_limit: Optional[int] = None,
     plan: Optional[bool] = None,
     plan_opt: Optional[bool] = None,
-    attach_amortize: Optional[bool] = None,
 ) -> RobustnessSweep:
     """Train/fetch each method's model and sweep the fault levels.
 
     Returns mean ± std of the task metric per method per level — the data
     behind one panel of Fig. 5 or Fig. 6.
 
-    ``executor``/``workers`` select the campaign backend (results are
-    bit-identical to serial); ``chip_limit`` caps the chips stacked per
-    pass by the ``batched`` backend, ``mc_batched`` toggles its MC-sample
-    stacking and ``scenario_batched`` its cross-severity stacking (both
-    default on — a sweep's same-kind levels run as ONE stacked pass per
-    method, capped by ``scenario_limit``); ``use_cache=False`` bypasses
-    the campaign-result cache (it is still written); ``on_cell_done(done,
-    total)`` observes per-method cell completion for throughput reporting.
-    ``plan`` toggles trace-compiled forward plans (None = on for every
-    backend, bit-identical; ``plan=False`` is the CLI's ``--no-plan``),
-    and ``plan_opt`` the trace-time IR optimizer passes over those plans
+    ``executor`` selects the campaign backend (``"batched"`` is
+    bit-identical to ``"serial"``); ``chip_limit`` and ``scenario_limit``
+    cap the chips and severity levels the ``batched`` backend stacks per
+    pass; ``use_cache=False`` bypasses the campaign-result cache (it is
+    still written); ``on_cell_done(done, total)`` observes per-method
+    cell completion for throughput reporting.  ``plan`` toggles
+    trace-compiled forward plans (None = on for both backends,
+    bit-identical; ``plan=False`` is the CLI's ``--no-plan``), and
+    ``plan_opt`` the trace-time IR optimizer passes over those plans
     (None = the ambient default, on unless ``REPRO_PLAN_OPT=0``;
     ``plan_opt=False`` is the CLI's ``--no-plan-opt`` — bit-identical
-    either way).  ``attach_amortize`` toggles the campaign-level fault
-    program registry that lets repeated identical cells skip re-attach
-    (None = the ambient default, on unless ``REPRO_ATTACH_AMORTIZE=0``;
-    ``attach_amortize=False`` is the CLI's ``--no-attach-amortize`` —
-    bit-identical either way).
+    either way).
     """
-    if mc_batched and executor != "batched":
-        # Fail before the (potentially long) training phase — and even on a
-        # fully cache-served sweep, where run_cells would never see the flag.
-        raise ValueError(
-            "mc_batched requires executor='batched' (the other backends "
-            "evaluate Monte Carlo samples with the looped reference path)"
-        )
-    if scenario_batched and executor != "batched":
-        raise ValueError(
-            "scenario_batched requires executor='batched' (the other "
-            "backends evaluate scenarios cell by cell)"
-        )
     n_runs = n_runs if n_runs is not None else mc_runs(preset)
     samples = samples if samples is not None else mc_samples(preset)
     if max_eval_samples == -1:
@@ -230,25 +202,16 @@ def run_robustness_sweep(
                 mc_samples=samples,
                 max_samples=max_eval_samples,
             )
-            handle = TaskEvalHandle(
-                task.name, preset, seed, method, samples, max_eval_samples,
-                task.seed,
-            )
             campaign = MonteCarloCampaign(
                 model,
                 evaluator,
                 n_runs=n_runs,
                 base_seed=seed,
                 executor=executor,
-                workers=workers,
-                handle=handle,
                 chip_limit=chip_limit,
-                mc_batched=mc_batched,
-                scenario_batched=scenario_batched,
                 scenario_limit=scenario_limit,
                 plan=plan,
                 plan_opt=plan_opt,
-                attach_amortize=attach_amortize,
             )
             fresh = campaign.sweep(
                 [specs[i] for i in pending],

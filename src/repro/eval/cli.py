@@ -7,17 +7,13 @@ Regenerate any paper artifact without pytest::
     python -m repro.eval fig6 --task co2 --fault multiplicative
     python -m repro.eval fig7 --shift rotation
     python -m repro.eval campaign --task audio --fault additive \
-        --levels 0 0.1 0.2 --runs 10 --executor process --workers 4
+        --levels 0 0.1 0.2 --runs 10 --executor batched
 
-Monte Carlo campaigns run on the parallel engine: ``--executor
-{serial,thread,process,batched}`` selects the backend and ``--workers N``
-the worker count — results are bit-identical to serial in any
-configuration.  ``batched`` evaluates all chips of a scenario in one
-vectorized forward — by default including the Monte Carlo sample axis of
-Bayesian methods (``--mc-batched``, disable with ``--no-mc-batched``)
-and all same-kind severity levels of the sweep (``--scenario-batched``,
-disable with ``--no-scenario-batched``; cap with ``--scenario-limit``) —
-and is the fastest backend on a single core.  A live throughput line
+Monte Carlo campaigns run on one of two backends, bit-identical to each
+other: ``--executor serial`` (default, the reference) or ``--executor
+batched``, which evaluates all chips, Monte Carlo samples and same-kind
+severity levels of a sweep in one vectorized forward (cap the stack with
+``--chip-limit`` / ``--scenario-limit``).  A live throughput line
 (cells/s, ETA) is printed to stderr while a sweep is running.
 
 Trained models and completed campaign scenarios are cached under
@@ -42,6 +38,7 @@ from typing import List
 from ..core.bayesian import BayesianClassifier
 from ..data import noise_stages, rotation_stages
 from ..faults import (
+    EXECUTORS,
     FaultSpec,
     additive_sweep,
     bitflip_sweep,
@@ -127,16 +124,12 @@ def _cmd_sweep_local(args, specs) -> None:
             n_runs=args.runs,
             progress=print if args.verbose else None,
             executor=args.executor,
-            workers=args.workers,
             use_cache=not args.no_cache,
             on_cell_done=meter,
             chip_limit=args.chip_limit,
-            mc_batched=args.mc_batched,
-            scenario_batched=args.scenario_batched,
             scenario_limit=args.scenario_limit,
             plan=args.plan,
             plan_opt=args.plan_opt,
-            attach_amortize=args.attach_amortize,
         )
     if meter.total:
         meter.finish()
@@ -253,6 +246,19 @@ def cmd_fig7(args) -> None:
     print(f"overall OOD detection rate: {result.overall_detection_rate():.1%}")
 
 
+class _DistinctLevels(argparse.Action):
+    """``--levels`` store action that rejects repeated levels.
+
+    The result store keys a scenario on its level while its fault seeds
+    come from its position, so a repeated level would collide there.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if len(set(values)) != len(values):
+            parser.error(f"{option_string} must be distinct, got {values}")
+        setattr(namespace, self.dest, values)
+
+
 def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     """Global options, accepted before *or* after the subcommand.
 
@@ -290,18 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--task", required=True,
                        choices=("image", "audio", "co2", "vessels"))
         p.add_argument("--fault", default="bitflip", choices=tuple(_SWEEP_BUILDERS))
-        p.add_argument("--levels", type=float, nargs="*", default=None)
+        p.add_argument("--levels", type=float, nargs="*", default=None,
+                       action=_DistinctLevels)
         p.add_argument("--runs", type=int, default=None)
         p.add_argument("--verbose", action="store_true")
         p.add_argument(
-            "--executor", default="serial",
-            choices=("serial", "thread", "process", "batched"),
+            "--executor", default="serial", choices=EXECUTORS,
             help="campaign backend; results are bit-identical to serial "
-                 "(batched = all chips of a scenario in one vectorized pass)",
-        )
-        p.add_argument(
-            "--workers", type=int, default=None,
-            help="worker count for --executor thread/process (default 4)",
+                 "(batched = all chips and same-kind severity levels of a "
+                 "sweep in one vectorized pass)",
         )
         p.add_argument(
             "--chip-limit", type=int, default=None,
@@ -310,26 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
                  "memory without changing results)",
         )
         p.add_argument(
-            "--mc-batched", action=argparse.BooleanOptionalAction, default=None,
-            help="stack the Monte Carlo sample axis into the vectorized "
-                 "pass (--executor batched only; on by default there, "
-                 "bit-identical to the looped reference either way; "
-                 "--no-mc-batched falls back to looping MC samples)",
-        )
-        p.add_argument(
-            "--scenario-batched", action=argparse.BooleanOptionalAction,
-            default=None,
-            help="stack all same-kind severity levels of the sweep into "
-                 "one vectorized pass (--executor batched only; on by "
-                 "default there, bit-identical to the looped reference "
-                 "either way; --no-scenario-batched falls back to one "
-                 "pass per scenario)",
-        )
-        p.add_argument(
             "--scenario-limit", type=int, default=None,
-            help="max severity levels stacked per pass for "
-                 "--scenario-batched (default: the whole same-kind group; "
-                 "smaller caps bound memory without changing results)",
+            help="max severity levels stacked per pass for --executor "
+                 "batched (default: the whole same-kind group; smaller "
+                 "caps bound memory without changing results)",
         )
         p.add_argument(
             "--plan", action=argparse.BooleanOptionalAction, default=None,
@@ -349,18 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
                  "list, e.g. to isolate an optimizer pass)",
         )
         p.add_argument(
-            "--attach-amortize", action=argparse.BooleanOptionalAction,
-            default=None,
-            help="serve repeated identical cells from the campaign-level "
-                 "fault program registry instead of re-attaching their "
-                 "hooks (on by default; bit-identical either way; "
-                 "--no-attach-amortize forces a full attach per cell, "
-                 "e.g. to measure the amortization win itself)",
-        )
-        p.add_argument(
             "--profile", action="store_true",
             help="print a per-stage wall-time breakdown "
-                 "(attach/program/trace/replay/metric) after the sweep, plus the "
+                 "(attach/trace/replay/metric) after the sweep, plus the "
                  "plan optimizer's per-pass step counters, for locating "
                  "hot paths without external tooling",
         )
@@ -380,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--connect", default=None, metavar="HOST:PORT",
             help="run the sweep through a running campaign service "
-                 "daemon (python -m repro.serve); keeps models, plans, "
-                 "and fault programs warm across invocations",
+                 "daemon (python -m repro.serve); keeps models and plans "
+                 "warm across invocations",
         )
         p.add_argument(
             "--connect-timeout", type=float, default=5.0, metavar="SECONDS",

@@ -12,12 +12,11 @@ engine's ``batched`` executor) the test inputs are broadcast to a leading
 chip axis, predictions come back chip-stacked, and the metric is computed
 **per chip** in exactly the arithmetic order of the serial path — so the
 evaluator returns a ``(n_chips,)`` vector whose entry ``i`` is bit-identical
-to the float a serial evaluation of chip ``i`` would produce.  When the
-engine additionally enables MC batching
-(:func:`repro.tensor.chipbatch.mc_batching`), the Monte Carlo loop inside
-these evaluators collapses into one stacked ``chips x samples`` forward —
-invisibly, because :func:`~repro.core.bayesian.mc_forward` restores the
-looped ``(samples, chips, ...)`` layout before any metric arithmetic runs.
+to the float a serial evaluation of chip ``i`` would produce.  Under the
+chip batch, the Monte Carlo loop inside these evaluators collapses into
+one stacked ``chips x samples`` forward — invisibly, because
+:func:`~repro.core.bayesian.mc_forward` restores the looped
+``(samples, chips, ...)`` layout before any metric arithmetic runs.
 """
 
 from __future__ import annotations

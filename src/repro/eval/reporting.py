@@ -84,15 +84,11 @@ def format_profile(stages: Dict[str, float]) -> str:
 
     ``stages`` is the ``{stage: seconds}`` dict collected by
     :func:`repro.tensor.plan.profiled`: ``attach`` (fault-pattern seed
-    draws + hook installation), ``program`` (fault-program registry
-    lookups, stored-hook re-installs, and registry stores on the
-    attach-amortized path), ``trace`` (interpreted forwards recorded
+    draws + hook installation), ``trace`` (interpreted forwards recorded
     into plans), ``replay`` (flat kernel replays), and ``metric`` (the
     whole evaluator call).  Trace and replay run *inside* the evaluator,
     so the table reports the evaluator's remaining self-time as
     ``metric (other)`` — batch slicing, MC averaging, metric arithmetic.
-    Cells served from the program registry skip attach entirely, so
-    their cost lands under ``program``, never inflating ``attach``.
     ``store`` is content-addressed result-store traffic (lookups and
     atomic writes of campaign values) and ``transport`` the campaign
     service's wire time (framing, pickling, socket I/O) — both outside
@@ -106,17 +102,15 @@ def format_profile(stages: Dict[str, float]) -> str:
     as a single summary line after the table when present.
     """
     attach = stages.get("attach", 0.0)
-    program = stages.get("program", 0.0)
     trace = stages.get("trace", 0.0)
     replay = stages.get("replay", 0.0)
     metric = stages.get("metric", 0.0)
     store = stages.get("store", 0.0)
     transport = stages.get("transport", 0.0)
     other = max(metric - trace - replay, 0.0)
-    total = attach + program + metric + store + transport
+    total = attach + metric + store + transport
     rows = [
         ("attach", attach, "attach" in stages),
-        ("program", program, "program" in stages),
         ("trace", trace, "trace" in stages),
         ("replay", replay, "replay" in stages),
         ("metric (other)", other, "metric" in stages),

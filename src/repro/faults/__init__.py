@@ -1,11 +1,10 @@
 """NVM non-ideality models and Monte Carlo fault campaigns.
 
-Campaigns execute on the pluggable engine in :mod:`repro.faults.executor`
-(:data:`EXECUTORS` = ``serial`` / ``thread`` / ``process`` / ``batched``).
-The ``batched`` backend evaluates all chip instances of a scenario — and,
-with MC batching (default), all Monte Carlo samples of a Bayesian
-evaluator, and, with scenario batching (also default), all same-kind
-fault-severity levels of a sweep — in one vectorized forward:
+Campaigns execute on the engine in :mod:`repro.faults.executor`
+(:data:`EXECUTORS` = ``serial`` / ``batched``).  The ``batched`` backend
+evaluates all chip instances of a scenario — together with all Monte
+Carlo samples of a Bayesian evaluator and all same-kind fault-severity
+levels of a sweep — in one vectorized forward:
 :func:`evaluate_cells_batched` / :func:`evaluate_cells_scenario_batched`
 stack per-chip frozen fault patterns (:class:`ChipBatchedWeightFault`,
 :class:`ScenarioBatchedWeightFault`, :class:`ChipBatchedActivationNoise`)
@@ -18,19 +17,13 @@ from .campaign import (
     FaultInjector,
     MonteCarloCampaign,
     additive_sweep,
-    attach_amortize_default,
     bitflip_sweep,
-    clear_programs,
     multiplicative_sweep,
-    program_stats,
     uniform_sweep,
 )
 from .executor import (
     EXECUTORS,
-    EvalHandle,
-    FactoryHandle,
     WorkCell,
-    cell_eval_rng,
     cell_rngs,
     evaluate_cell,
     evaluate_cells_batched,
@@ -69,18 +62,12 @@ __all__ = [
     "MonteCarloCampaign",
     "CampaignResult",
     "EXECUTORS",
-    "EvalHandle",
-    "FactoryHandle",
     "WorkCell",
     "cell_rngs",
-    "cell_eval_rng",
     "evaluate_cell",
     "evaluate_cells_batched",
     "evaluate_cells_scenario_batched",
     "run_cells",
-    "attach_amortize_default",
-    "program_stats",
-    "clear_programs",
     "bitflip_sweep",
     "additive_sweep",
     "multiplicative_sweep",

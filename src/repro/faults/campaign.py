@@ -12,151 +12,36 @@ dedicated, independently-seeded weight-fault model, and — for conductance
 chip instances (the paper uses 100) with independent fault realizations and
 reports mean and standard deviation — the shaded bands of Figs. 5 and 6.
 
-Attach amortization
--------------------
-Fault patterns are a pure function of the cell coordinates: every hook an
-attach installs derives from seeds drawn from ``SeedSequence(base_seed,
-spawn_key=(scenario, run))``.  The campaign-level *program registry*
-exploits that purity: the first time a (task, fault-kind) group's cells
-are attached, the built hook set is **programmed** into a per-model LRU
-registry keyed by the cell coordinates and fault configs, and any later
-identical attach — e.g. the steady-state sweeps of a benchmark loop, or a
-re-entered severity sweep — *skips* seed drawing and hook construction
-entirely and re-installs the stored hooks (:meth:`FaultInjector.program`,
-:meth:`~FaultInjector.program_batched`,
-:meth:`~FaultInjector.program_scenario_batched`).  Because the frozen
-weight-fault hooks keep their identity (stable ``fault_token`` /
-value-based ``plan_signature``), the forward-plan cache hits the same key
-and replays — a steady-state severity sweep does no Python work besides
-RNG source steps and metric reduction.  Stateful activation-noise hooks
-are *rebuilt* from their stored seeds on every install, so their streams
-restart exactly as a fresh serial attach would.  ``REPRO_ATTACH_AMORTIZE=0``
-(environment) or ``attach_amortize=False`` (API; CLI
-``--no-attach-amortize``) disables the registry — bit-identical either
-way.
-
-Since the campaign-engine refactor, the campaign itself is a thin
-*scheduler*: it flattens the (scenario × chip-run) grid into
-:class:`~repro.faults.executor.WorkCell` units and hands them to
-:func:`~repro.faults.executor.run_cells`, which executes them on a
-``serial``, ``thread``, ``process``, or ``batched`` backend.  Every cell
-derives all of its randomness from ``SeedSequence(base_seed,
-spawn_key=(scenario, run))`` and evaluates under a scoped generator, so
-campaign results are bit-identical across backends, worker counts, and
-scheduling orders.  :meth:`MonteCarloCampaign.sweep` submits *all*
-scenarios' cells as one grid, so parallel workers stay busy across
-scenario boundaries and the ``batched`` backend can vectorize each
-scenario's chips — and, with scenario batching (default), all severity
-levels of the same fault kind at once — into a single stacked forward
-(:meth:`FaultInjector.attach_batched`,
+The campaign itself is a thin *scheduler*: it flattens the (scenario ×
+chip-run) grid into :class:`~repro.faults.executor.WorkCell` units and
+hands them to :func:`~repro.faults.executor.run_cells`, which executes
+them on the ``serial`` or ``batched`` backend.  Every cell derives all
+of its randomness from ``SeedSequence(base_seed, spawn_key=(scenario,
+run))`` and evaluates under a scoped generator, so campaign results are
+bit-identical across backends and scheduling orders.
+:meth:`MonteCarloCampaign.sweep` submits *all* scenarios' cells as one
+grid, so the ``batched`` backend can vectorize each scenario's chips —
+and all severity levels of the same fault kind at once — into a single
+stacked forward (:meth:`FaultInjector.attach_batched`,
 :meth:`FaultInjector.attach_scenario_batched`).
 """
 
 from __future__ import annotations
 
-import os
-import weakref
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from ..nn.module import Module
 from ..quant.layers import QuantLSTMCell, QuantizedComputeLayer, SignActivation
-from ..tensor import plan as _plan
-from .executor import EvalHandle, WorkCell, cell_rngs, run_cells
+from .executor import WorkCell, run_cells
 from .models import (
     ChipBatchedActivationNoise,
     ChipBatchedWeightFault,
     FaultSpec,
     ScenarioBatchedWeightFault,
 )
-
-#: Process-wide default for attach amortization (the program registry).
-#: CI's third batched-identity run sets ``REPRO_ATTACH_AMORTIZE=0`` to
-#: exercise every cell through the full attach path.
-_AMORTIZE_DEFAULT = os.environ.get("REPRO_ATTACH_AMORTIZE", "1") != "0"
-
-#: Programmed hook sets kept per model (LRU).  Entries rotate with the
-#: (base_seed, coordinates, fault config) key, so the registry is bounded
-#: to keep frozen fault patterns from accumulating across long campaigns.
-MAX_PROGRAMS_PER_MODULE = 16
-
-
-def attach_amortize_default() -> bool:
-    """Ambient attach-amortization default (off under ``REPRO_ATTACH_AMORTIZE=0``)."""
-    return _AMORTIZE_DEFAULT
-
-
-@dataclass
-class _FaultProgram:
-    """One programmed hook set: the result of a full attach, stored for reuse.
-
-    ``weight_hooks`` / ``hh_hooks`` are aligned with the injector's weight
-    sites and hold the *same* frozen hook objects a full attach built —
-    they are pure functions of their seeds (patterns frozen per shape), so
-    re-installing the identical objects keeps their ``fault_token`` /
-    value-based ``plan_signature`` stable and lets forward plans replay.
-    ``act_factories`` is aligned with the sign-activation sites and holds
-    rebuild closures instead: activation-noise hooks are *stateful* (their
-    generators advance per forward, their MC children are spawned lazily),
-    so every install rebuilds them from the stored seeds, restarting the
-    streams exactly as a fresh serial attach would.
-    """
-
-    weight_hooks: List[Optional[object]]
-    hh_hooks: List[Optional[object]]
-    act_factories: List[Optional[Callable[[], object]]]
-
-
-@dataclass
-class ProgramStats:
-    """Per-model program registry: stored hook sets + attach accounting.
-
-    ``attached`` counts cells whose fault patterns were programmed by a
-    full attach (seeds drawn, hooks built); ``skipped`` counts cells
-    served from the registry with no attach work at all.  A steady-state
-    amortized sweep increments only ``skipped``.
-    """
-
-    programs: "OrderedDict[tuple, _FaultProgram]" = field(
-        default_factory=OrderedDict
-    )
-    max_programs: int = MAX_PROGRAMS_PER_MODULE
-    attached: int = 0
-    skipped: int = 0
-
-    def fetch(self, key: tuple) -> Optional[_FaultProgram]:
-        entry = self.programs.get(key)
-        if entry is not None:
-            self.programs.move_to_end(key)
-        return entry
-
-    def store(self, key: tuple, entry: _FaultProgram) -> None:
-        self.programs[key] = entry
-        while len(self.programs) > self.max_programs:
-            self.programs.popitem(last=False)
-
-
-_PROGRAMS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def program_stats(model) -> ProgramStats:
-    """The model's program registry (counters + stored hook sets), lazily."""
-    stats = _PROGRAMS.get(model)
-    if stats is None:
-        stats = ProgramStats()
-        _PROGRAMS[model] = stats
-    return stats
-
-
-def clear_programs(model=None) -> None:
-    """Drop programmed hook sets for ``model`` (or every model when ``None``)."""
-    if model is not None:
-        _PROGRAMS.pop(model, None)
-    else:
-        _PROGRAMS.clear()
 
 
 class FaultInjector:
@@ -227,51 +112,28 @@ class FaultInjector:
         self.detach()
         if spec.kind == "none" or spec.level == 0.0:
             return
-        self._attach_serial(spec, rng)
-
-    def _attach_serial(
-        self, spec: FaultSpec, rng: np.random.Generator
-    ) -> _FaultProgram:
-        """The serial attach body; returns the installed hook set."""
         weight_sites = self._weight_sites()
         act_sites = self._activation_sites()
         has_sign_sites = bool(act_sites)
         seeds = iter(
             self._draw_seeds(rng, self._stream_draws(spec, weight_sites, act_sites))
         )
-        weight_hooks: List[Optional[object]] = []
-        hh_hooks: List[Optional[object]] = []
         for layer in weight_sites:
             layer_seed = next(seeds)
             if spec.is_variation and layer.weight_bits == 1 and has_sign_sites:
-                weight_hooks.append(None)
-                hh_hooks.append(None)
                 continue  # binary layers receive variation at activations
-            hook = spec.build_weight_model(np.random.default_rng(layer_seed))
-            layer.weight_fault = hook
-            weight_hooks.append(hook)
-            hh_hook = None
+            layer.weight_fault = spec.build_weight_model(
+                np.random.default_rng(layer_seed)
+            )
             if isinstance(layer, QuantLSTMCell):
-                hh_hook = spec.build_weight_model(
+                layer.weight_fault_hh = spec.build_weight_model(
                     np.random.default_rng(next(seeds))
                 )
-                layer.weight_fault_hh = hh_hook
-            hh_hooks.append(hh_hook)
-        act_factories: List[Optional[Callable[[], object]]] = []
         if spec.is_variation:
             for act in act_sites:
-                act_seed = next(seeds)
-
-                def factory(seed=act_seed, spec=spec):
-                    return spec.build_activation_model(
-                        np.random.default_rng(seed)
-                    )
-
-                act.pre_fault = factory()
-                act_factories.append(factory)
-        else:
-            act_factories = [None] * len(act_sites)
-        return _FaultProgram(weight_hooks, hh_hooks, act_factories)
+                act.pre_fault = spec.build_activation_model(
+                    np.random.default_rng(next(seeds))
+                )
 
     def attach_batched(
         self, spec: FaultSpec, rngs: Sequence[np.random.Generator]
@@ -289,12 +151,6 @@ class FaultInjector:
         self.detach()
         if spec.kind == "none" or spec.level == 0.0:
             return
-        self._attach_chips(spec, rngs)
-
-    def _attach_chips(
-        self, spec: FaultSpec, rngs: Sequence[np.random.Generator]
-    ) -> _FaultProgram:
-        """The chip-batched attach body; returns the installed hook set."""
         weight_sites = self._weight_sites()
         act_sites = self._activation_sites()
         has_sign_sites = bool(act_sites)
@@ -304,46 +160,25 @@ class FaultInjector:
         # per-layer loop never changes a value.
         rows = [self._draw_seeds(rng, n_draws) for rng in rngs]
         cursor = 0
-        weight_hooks: List[Optional[object]] = []
-        hh_hooks: List[Optional[object]] = []
         for layer in weight_sites:
             seeds = [row[cursor] for row in rows]
             cursor += 1
             if spec.is_variation and layer.weight_bits == 1 and has_sign_sites:
-                weight_hooks.append(None)
-                hh_hooks.append(None)
                 continue  # binary layers receive variation at activations
-            hook = ChipBatchedWeightFault(spec, seeds)
-            layer.weight_fault = hook
-            weight_hooks.append(hook)
-            hh_hook = None
+            layer.weight_fault = ChipBatchedWeightFault(spec, seeds)
             if isinstance(layer, QuantLSTMCell):
                 hh_seeds = [row[cursor] for row in rows]
                 cursor += 1
-                hh_hook = ChipBatchedWeightFault(spec, hh_seeds)
-                layer.weight_fault_hh = hh_hook
-            hh_hooks.append(hh_hook)
-        act_factories: List[Optional[Callable[[], object]]] = []
+                layer.weight_fault_hh = ChipBatchedWeightFault(spec, hh_seeds)
         if spec.is_variation:
             for act in act_sites:
-                act_seeds = [row[cursor] for row in rows]
+                act.pre_fault = ChipBatchedActivationNoise(
+                    [
+                        spec.build_activation_model(np.random.default_rng(row[cursor]))
+                        for row in rows
+                    ]
+                )
                 cursor += 1
-
-                def factory(seeds=act_seeds, spec=spec):
-                    return ChipBatchedActivationNoise(
-                        [
-                            spec.build_activation_model(
-                                np.random.default_rng(seed)
-                            )
-                            for seed in seeds
-                        ]
-                    )
-
-                act.pre_fault = factory()
-                act_factories.append(factory)
-        else:
-            act_factories = [None] * len(act_sites)
-        return _FaultProgram(weight_hooks, hh_hooks, act_factories)
 
     def attach_scenario_batched(
         self,
@@ -363,17 +198,10 @@ class FaultInjector:
         scenario-major along the instance axis.
         """
         self.detach()
-        self._validate_scenarios(specs, rng_groups)
-        self._attach_scenarios(specs, rng_groups)
-
-    @staticmethod
-    def _validate_scenarios(
-        specs: Sequence[FaultSpec], groups: Sequence[Sequence]
-    ) -> None:
-        if len(specs) != len(groups):
+        if len(specs) != len(rng_groups):
             raise ValueError(
                 f"need one rng group per spec, got {len(specs)} specs and "
-                f"{len(groups)} groups"
+                f"{len(rng_groups)} groups"
             )
         kinds = {spec.kind for spec in specs}
         if len(kinds) > 1:
@@ -385,13 +213,6 @@ class FaultInjector:
                 "scenario batching needs non-degenerate scenarios "
                 "(fault-free cells evaluate serially)"
             )
-
-    def _attach_scenarios(
-        self,
-        specs: Sequence[FaultSpec],
-        rng_groups: Sequence[Sequence[np.random.Generator]],
-    ) -> _FaultProgram:
-        """The scenario-batched attach body; returns the installed hook set."""
         weight_sites = self._weight_sites()
         act_sites = self._activation_sites()
         is_variation = specs[0].is_variation
@@ -403,187 +224,37 @@ class FaultInjector:
             for rngs in rng_groups
         ]
         cursor = 0
-        weight_hooks: List[Optional[object]] = []
-        hh_hooks: List[Optional[object]] = []
         for layer in weight_sites:
             seed_groups = [
                 [row[cursor] for row in rows] for rows in row_groups
             ]
             cursor += 1
             if is_variation and layer.weight_bits == 1 and has_sign_sites:
-                weight_hooks.append(None)
-                hh_hooks.append(None)
                 continue  # binary layers receive variation at activations
-            hook = ScenarioBatchedWeightFault(specs, seed_groups)
-            layer.weight_fault = hook
-            weight_hooks.append(hook)
-            hh_hook = None
+            layer.weight_fault = ScenarioBatchedWeightFault(specs, seed_groups)
             if isinstance(layer, QuantLSTMCell):
                 hh_groups = [
                     [row[cursor] for row in rows] for rows in row_groups
                 ]
                 cursor += 1
-                hh_hook = ScenarioBatchedWeightFault(specs, hh_groups)
-                layer.weight_fault_hh = hh_hook
-            hh_hooks.append(hh_hook)
-        act_factories: List[Optional[Callable[[], object]]] = []
+                layer.weight_fault_hh = ScenarioBatchedWeightFault(
+                    specs, hh_groups
+                )
         if is_variation:
-            frozen_specs = list(specs)
             for act in act_sites:
-                act_groups = [
-                    [row[cursor] for row in rows] for rows in row_groups
-                ]
-                cursor += 1
-
-                def factory(groups=act_groups, specs=frozen_specs):
-                    # ChipBatchedActivationNoise is already per-instance:
-                    # each (scenario, chip) gets its own serial model
-                    # carrying that scenario's severity, scenario-major.
-                    return ChipBatchedActivationNoise(
-                        [
-                            spec.build_activation_model(
-                                np.random.default_rng(seed)
-                            )
-                            for spec, seeds in zip(specs, groups)
-                            for seed in seeds
-                        ]
-                    )
-
-                act.pre_fault = factory()
-                act_factories.append(factory)
-        else:
-            act_factories = [None] * len(act_sites)
-        return _FaultProgram(weight_hooks, hh_hooks, act_factories)
-
-    # ------------------------------------------------------------------
-    # Attach amortization: the campaign-level program registry
-    # ------------------------------------------------------------------
-    def _install_program(self, program: _FaultProgram) -> bool:
-        """Re-install a programmed hook set; False if the model changed shape."""
-        weight_sites = self._weight_sites()
-        act_sites = self._activation_sites()
-        if len(program.weight_hooks) != len(weight_sites) or len(
-            program.act_factories
-        ) != len(act_sites):
-            return False  # structural change since programming: re-attach
-        for layer, hook, hh_hook in zip(
-            weight_sites, program.weight_hooks, program.hh_hooks
-        ):
-            layer.weight_fault = hook
-            if isinstance(layer, QuantLSTMCell):
-                layer.weight_fault_hh = hh_hook
-        for act, factory in zip(act_sites, program.act_factories):
-            # Stateful activation-noise hooks restart from their seeds.
-            act.pre_fault = factory() if factory is not None else None
-        return True
-
-    def _programmed(self, key: tuple, attach_body) -> bool:
-        """Serve ``key`` from the registry, or run ``attach_body`` and store.
-
-        Registry bookkeeping and skip-installs are profiled under the
-        ``program`` stage; a miss runs the full attach under the usual
-        ``attach`` stage, so ``--profile`` attributes skipped cells to
-        programming rather than inflating attach.
-        """
-        stats = program_stats(self.model)
-        with _plan.stage("program"):
-            entry = stats.fetch(key)
-            if entry is not None and self._install_program(entry):
-                stats.skipped += 1
-                return True
-        with _plan.stage("attach"):
-            self.detach()
-            entry = attach_body()
-        with _plan.stage("program"):
-            stats.store(key, entry)
-            stats.attached += 1
-        return False
-
-    def program(
-        self,
-        spec: FaultSpec,
-        base_seed: int,
-        scenario_index: int,
-        run_index: int,
-    ) -> bool:
-        """Serial :meth:`attach` through the program registry.
-
-        Fault patterns are a pure function of the cell coordinates, so the
-        registry keys on ``(base_seed, scenario, run, fault config)``: the
-        first visit derives the cell's fault stream and runs a full attach
-        (programming the built hooks), later identical visits re-install
-        the stored hooks without drawing a single seed.  Returns ``True``
-        when the attach was skipped.
-        """
-        if spec.kind == "none" or spec.level == 0.0:
-            self.detach()
-            return False
-        key = (
-            "cell", base_seed, scenario_index, run_index,
-            spec.kind, spec.level, spec.stuck_to,
-        )
-        return self._programmed(
-            key,
-            lambda: self._attach_serial(
-                spec, cell_rngs(base_seed, scenario_index, run_index)[0]
-            ),
-        )
-
-    def program_batched(
-        self,
-        spec: FaultSpec,
-        base_seed: int,
-        scenario_index: int,
-        run_indices: Sequence[int],
-    ) -> bool:
-        """:meth:`attach_batched` through the program registry."""
-        if spec.kind == "none" or spec.level == 0.0:
-            self.detach()
-            return False
-        key = (
-            "chips", base_seed, scenario_index, tuple(run_indices),
-            spec.kind, spec.level, spec.stuck_to,
-        )
-        return self._programmed(
-            key,
-            lambda: self._attach_chips(
-                spec,
-                [
-                    cell_rngs(base_seed, scenario_index, run)[0]
-                    for run in run_indices
-                ],
-            ),
-        )
-
-    def program_scenario_batched(
-        self,
-        specs: Sequence[FaultSpec],
-        base_seed: int,
-        scenario_indices: Sequence[int],
-        run_index_groups: Sequence[Sequence[int]],
-    ) -> bool:
-        """:meth:`attach_scenario_batched` through the program registry."""
-        self._validate_scenarios(specs, run_index_groups)
-        key = (
-            "scen", base_seed, tuple(scenario_indices),
-            tuple(tuple(runs) for runs in run_index_groups),
-            tuple((s.kind, s.level, s.stuck_to) for s in specs),
-        )
-        return self._programmed(
-            key,
-            lambda: self._attach_scenarios(
-                specs,
-                [
+                # ChipBatchedActivationNoise is already per-instance: each
+                # (scenario, chip) gets its own serial model carrying that
+                # scenario's severity, scenario-major.
+                act.pre_fault = ChipBatchedActivationNoise(
                     [
-                        cell_rngs(base_seed, scenario, run)[0]
-                        for run in runs
+                        spec.build_activation_model(
+                            np.random.default_rng(row[cursor])
+                        )
+                        for spec, rows in zip(specs, row_groups)
+                        for row in rows
                     ]
-                    for scenario, runs in zip(
-                        scenario_indices, run_index_groups
-                    )
-                ],
-            ),
-        )
+                )
+                cursor += 1
 
     def detach(self) -> None:
         """Remove all fault hooks (restore the ideal chip)."""
@@ -645,27 +316,14 @@ class MonteCarloCampaign:
         randomness from ``(base_seed, s, i)`` so campaigns are reproducible
         and scenarios are independent.
     executor:
-        Execution backend: ``"serial"`` (default), ``"thread"``,
-        ``"process"``, or ``"batched"`` (all chips of a scenario in one
-        vectorized forward).  All backends produce bit-identical results.
-    workers:
-        Worker count for the parallel backends.
-    handle:
-        Picklable :class:`~repro.faults.executor.EvalHandle` recreating
-        ``(model, evaluator)`` in workers; required for ``"process"``.
+        Execution backend: ``"serial"`` (default, the reference) or
+        ``"batched"`` (all chips — and all same-kind severity levels — of
+        a sweep in one vectorized forward).  Both produce bit-identical
+        results.
     chip_limit:
         ``"batched"`` only: maximum chips stacked per vectorized pass
         (None = a scenario's full chip count); caps the activation
         working set without changing results.
-    mc_batched:
-        ``"batched"`` only: also stack the Monte Carlo sample axis of
-        Bayesian evaluators into the same pass (None = on).  Bit-identical
-        to the looped reference either way.
-    scenario_batched:
-        ``"batched"`` only: also stack consecutive same-kind fault-severity
-        scenarios of a sweep along a scenario-major sub-axis, so the whole
-        severity sweep runs in one pass per (task, fault-kind) group
-        (None = on).  Bit-identical to the looped reference either way.
     scenario_limit:
         ``"batched"`` only: maximum scenarios stacked per vectorized pass
         (None = the whole same-kind group); the scenario-axis counterpart
@@ -673,7 +331,7 @@ class MonteCarloCampaign:
         results.
     plan:
         Route gradient-free evaluation forwards through trace-compiled
-        plans (None = on, every backend; see :mod:`repro.tensor.plan`):
+        plans (None = on, both backends; see :mod:`repro.tensor.plan`):
         the first forward per (shape, layout, weights, hooks) key traces
         the flat numpy kernel sequence, later ones replay it with reused
         buffers.  Bit-identical either way; ``plan=False`` (CLI
@@ -685,48 +343,29 @@ class MonteCarloCampaign:
         ambient default (on unless ``REPRO_PLAN_OPT=0``); ``False`` (CLI
         ``--no-plan-opt``) replays the raw traced step list.
         Bit-identical either way.
-    attach_amortize:
-        Serve repeated identical cells from the campaign-level program
-        registry: each (cell coordinates, fault config) group programs
-        its fault patterns ONCE and later visits skip attach entirely,
-        re-installing the stored hooks (see :meth:`FaultInjector.program`).
-        ``None`` inherits the ambient default (on unless
-        ``REPRO_ATTACH_AMORTIZE=0``); ``False`` (CLI
-        ``--no-attach-amortize``) runs a full attach per cell.
-        Bit-identical either way.
     """
 
     def __init__(
         self,
-        model: Optional[Module],
-        evaluator: Optional[Callable[[Module], float]],
+        model: Module,
+        evaluator: Callable[[Module], float],
         n_runs: int = 100,
         base_seed: int = 0,
         executor: str = "serial",
-        workers: Optional[int] = None,
-        handle: Optional[EvalHandle] = None,
         chip_limit: Optional[int] = None,
-        mc_batched: Optional[bool] = None,
-        scenario_batched: Optional[bool] = None,
         scenario_limit: Optional[int] = None,
         plan: Optional[bool] = None,
         plan_opt: Optional[bool] = None,
-        attach_amortize: Optional[bool] = None,
     ):
         self.model = model
         self.evaluator = evaluator
         self.n_runs = n_runs
         self.base_seed = base_seed
         self.executor = executor
-        self.workers = workers
-        self.handle = handle
         self.chip_limit = chip_limit
-        self.mc_batched = mc_batched
-        self.scenario_batched = scenario_batched
         self.scenario_limit = scenario_limit
         self.plan = plan
         self.plan_opt = plan_opt
-        self.attach_amortize = attach_amortize
 
     def _cells(self, spec: FaultSpec, scenario_index: int) -> List[WorkCell]:
         """Flatten one scenario into work cells (fault-free → one cell)."""
@@ -743,17 +382,12 @@ class MonteCarloCampaign:
             self.base_seed,
             model=self.model,
             evaluator=self.evaluator,
-            handle=self.handle,
             executor=self.executor,
-            workers=self.workers,
             on_cell_done=on_cell_done,
             chip_limit=self.chip_limit,
-            mc_batched=self.mc_batched,
-            scenario_batched=self.scenario_batched,
             scenario_limit=self.scenario_limit,
             plan=self.plan,
             plan_opt=self.plan_opt,
-            attach_amortize=self.attach_amortize,
         )
 
     def _package(self, spec: FaultSpec, values: np.ndarray) -> CampaignResult:
@@ -777,7 +411,7 @@ class MonteCarloCampaign:
         """Run a list of scenarios (e.g. increasing fault levels).
 
         All scenarios' cells are submitted as a single flat grid so that
-        parallel workers never idle at scenario boundaries.
+        the batched backend can stack severity levels into one pass.
         ``scenario_indices`` pins each spec's seed-deriving index (used by
         resumed sweeps where some scenarios were served from cache, so the
         remaining ones must keep their original coordinates).

@@ -1,40 +1,37 @@
-"""Parallel execution engine for Monte Carlo fault campaigns.
+"""Execution engine for Monte Carlo fault campaigns.
 
 A fault campaign is an embarrassingly parallel grid: every
 (scenario, chip-run) pair — a :class:`WorkCell` — is an independent
 evaluation of the model under one frozen fault realization.  This module
-flattens that grid and executes it on a pluggable backend:
+flattens that grid and executes it on one of two backends:
 
-* ``"serial"`` — the reference implementation, a plain loop;
-* ``"thread"`` — a pool of worker threads, each owning its own model
-  replica (fault hooks are per-model mutable state, so replicas are
-  mandatory);
-* ``"process"`` — a :class:`concurrent.futures.ProcessPoolExecutor`;
-  workers receive a pickled :class:`EvalHandle` and rebuild the
-  (model, evaluator) pair once per worker, caching it for subsequent cells.
+* ``"serial"`` — the reference implementation (the oracle every other
+  path is pinned against), a plain loop of :func:`evaluate_cell`;
 * ``"batched"`` — groups the grid by scenario and evaluates each group's
   chips as *one* stacked tensor pass: fault patterns are generated per
   chip from the same per-cell streams and stacked along a leading chip
   axis (:meth:`~repro.faults.campaign.FaultInjector.attach_batched`), and
   evaluation randomness is routed through a
   :class:`~repro.tensor.chipbatch.ChipBatchRng` over the per-cell
-  evaluation streams.  With ``mc_batched`` (the default) the Monte Carlo
-  sample loop of Bayesian evaluators folds into the same pass, and with
-  ``scenario_batched`` (also the default) consecutive same-kind severity
+  evaluation streams.  The Monte Carlo sample loop of Bayesian
+  evaluators folds into the same pass (``mc_forward`` stacks its samples
+  whenever a chip batch is active), and consecutive same-kind severity
   levels fold into it too, so one forward carries a
   ``scenarios x chips x mc_samples`` instance axis (scenario-major; see
-  :func:`evaluate_cells_scenario_batched`).  This is the backend that
-  actually wins on a single core — one vectorized forward replaces
-  ``K x C x S`` Python-dispatched ones.
+  :func:`evaluate_cells_scenario_batched`).  One vectorized forward
+  replaces ``K x C x S`` Python-dispatched ones.
   It requires a *chip-aware* evaluator (everything built by
   :func:`repro.eval.evaluators.make_evaluator` qualifies): under an
   active chip batch the evaluator must return a ``(n_chips,)`` metric
   vector instead of a float.
 
+Multi-worker execution lives in the campaign service
+(:mod:`repro.serve`), which runs the ``batched`` backend per shard worker.
+
 Determinism
 -----------
-Results are bit-identical across backends, worker counts, and scheduling
-orders.  Each cell derives every random stream it touches from
+Results are bit-identical across backends and scheduling orders.  Each
+cell derives every random stream it touches from
 ``SeedSequence(base_seed, spawn_key=(scenario_index, run_index))``:
 
 * the first spawned child seeds the fault-injection RNG handed to
@@ -45,28 +42,24 @@ orders.  Each cell derives every random stream it touches from
   drawn through ``get_rng()`` are a pure function of the cell coordinates
   rather than of whatever ran before.
 
-Cell values are written back by submission index, never completion order.
+Cell values are written back by submission index.
 """
 
 from __future__ import annotations
 
-import copy
-import queue
-import threading
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..nn.dropout import resample_masks
 from ..nn.module import Module
 from ..tensor import plan as _plan
-from ..tensor.chipbatch import ChipBatchRng, chip_batch, mc_batching, scenario_axis
+from ..tensor.chipbatch import ChipBatchRng, chip_batch, scenario_axis
 from ..tensor.random import scoped_rng
 from .models import FaultSpec
 
-EXECUTORS = ("serial", "thread", "process", "batched")
+EXECUTORS = ("serial", "batched")
 
 Evaluator = Callable[[Module], float]
 
@@ -96,41 +89,6 @@ def cell_rngs(
     return np.random.default_rng(fault_seq), np.random.default_rng(eval_seq)
 
 
-def cell_eval_rng(
-    base_seed: int, scenario_index: int, run_index: int
-) -> np.random.Generator:
-    """Only the evaluation generator of one cell's stream pair.
-
-    The amortized attach path (see
-    :meth:`repro.faults.campaign.FaultInjector.program`) serves fault
-    hooks from the program registry without consuming the fault stream,
-    so steady-state cells skip instantiating the fault generator
-    entirely; the derivation of the evaluation stream is identical to
-    :func:`cell_rngs`.
-
-    The child sequence is constructed directly — ``spawn(n)`` extends
-    the parent's ``spawn_key`` with the child index, so
-    ``SeedSequence(base_seed, spawn_key=(scenario, run, 1))`` is the
-    same stream ``cell_rngs`` returns, without hashing the parent's
-    entropy or materializing the unused fault child (this derivation
-    runs once per cell per sweep on the hot skip path).
-    """
-    eval_seq = np.random.SeedSequence(
-        entropy=base_seed, spawn_key=(scenario_index, run_index, 1)
-    )
-    return np.random.default_rng(eval_seq)
-
-
-def _resolve_amortize(attach_amortize: Optional[bool]) -> bool:
-    from .campaign import attach_amortize_default  # local import breaks the cycle
-
-    return (
-        attach_amortize_default()
-        if attach_amortize is None
-        else bool(attach_amortize)
-    )
-
-
 def evaluate_cell(
     model: Module,
     evaluator: Evaluator,
@@ -138,7 +96,6 @@ def evaluate_cell(
     base_seed: int,
     plan: bool = True,
     plan_opt: Optional[bool] = None,
-    attach_amortize: Optional[bool] = None,
 ) -> float:
     """Evaluate one cell hermetically: attach faults, score, detach.
 
@@ -158,33 +115,15 @@ def evaluate_cell(
     traced by this cell: ``None`` inherits the ambient default (on unless
     ``REPRO_PLAN_OPT=0``), ``False`` (the ``--no-plan-opt`` switch)
     replays the raw traced step list — bit-identical either way.
-
-    ``attach_amortize`` routes the attach through the campaign-level
-    program registry (:meth:`FaultInjector.program
-    <repro.faults.campaign.FaultInjector.program>`): a repeat of an
-    already-programmed cell re-installs its stored hooks without drawing
-    a seed.  ``None`` inherits the ambient default (on unless
-    ``REPRO_ATTACH_AMORTIZE=0``) — bit-identical either way.
     """
     from .campaign import FaultInjector  # local import breaks the cycle
 
-    amortize = _resolve_amortize(attach_amortize)
-    if amortize:
-        eval_rng = cell_eval_rng(base_seed, cell.scenario_index, cell.run_index)
-    else:
-        fault_rng, eval_rng = cell_rngs(
-            base_seed, cell.scenario_index, cell.run_index
-        )
+    fault_rng, eval_rng = cell_rngs(base_seed, cell.scenario_index, cell.run_index)
     injector = FaultInjector(model)
     with scoped_rng(eval_rng):
         resample_masks(model)
-        if amortize:
-            injector.program(
-                cell.spec, base_seed, cell.scenario_index, cell.run_index
-            )
-        else:
-            with _plan.stage("attach"):
-                injector.attach(cell.spec, fault_rng)
+        with _plan.stage("attach"):
+            injector.attach(cell.spec, fault_rng)
         try:
             with _plan.plan_execution(plan, optimize=plan_opt), _plan.stage("metric"):
                 return float(evaluator(model))
@@ -197,10 +136,8 @@ def evaluate_cells_batched(
     evaluator: Evaluator,
     cells: Sequence[WorkCell],
     base_seed: int,
-    mc_batched: bool = True,
     plan: bool = True,
     plan_opt: Optional[bool] = None,
-    attach_amortize: Optional[bool] = None,
 ) -> np.ndarray:
     """Evaluate one scenario's chip instances as a single stacked pass.
 
@@ -211,13 +148,10 @@ def evaluate_cells_batched(
     frozen patterns, one per chip) and the evaluation streams back a
     :class:`~repro.tensor.chipbatch.ChipBatchRng`, so chip ``i``'s slice
     of every mask, noise draw, and fault pattern is bit-identical to a
-    serial evaluation of ``cells[i]``.
-
-    ``mc_batched`` (default on) additionally folds the Monte Carlo sample
-    loop of Bayesian evaluators into the same stacked pass: one forward
+    serial evaluation of ``cells[i]``.  The Monte Carlo sample loop of
+    Bayesian evaluators folds into the same stacked pass: one forward
     carries a ``chips x mc_samples`` instance axis (see
-    :func:`repro.core.bayesian.mc_forward`), with per-chip metrics still
-    bit-identical to the looped reference.
+    :func:`repro.core.bayesian.mc_forward`).
 
     ``evaluator`` must be chip-aware: under the active chip batch it
     receives chip-stacked activations and returns a ``(n_chips,)`` metric
@@ -234,31 +168,16 @@ def evaluate_cells_batched(
             raise ValueError("batched evaluation needs a single-scenario group")
         if cell.scenario_index != scenario:
             raise ValueError("batched evaluation needs a single-scenario group")
-    amortize = _resolve_amortize(attach_amortize)
-    if amortize:
-        eval_rngs = [
-            cell_eval_rng(base_seed, cell.scenario_index, cell.run_index)
-            for cell in cells
-        ]
-    else:
-        pairs = [
-            cell_rngs(base_seed, cell.scenario_index, cell.run_index)
-            for cell in cells
-        ]
-        fault_rngs = [fault for fault, _ in pairs]
-        eval_rngs = [ev for _, ev in pairs]
+    pairs = [
+        cell_rngs(base_seed, cell.scenario_index, cell.run_index) for cell in cells
+    ]
+    fault_rngs = [fault for fault, _ in pairs]
+    eval_rngs = [ev for _, ev in pairs]
     injector = FaultInjector(model)
-    with chip_batch(len(cells)), scoped_rng(ChipBatchRng(eval_rngs)), mc_batching(
-        mc_batched
-    ):
+    with chip_batch(len(cells)), scoped_rng(ChipBatchRng(eval_rngs)):
         resample_masks(model)
-        if amortize:
-            injector.program_batched(
-                spec, base_seed, scenario, [cell.run_index for cell in cells]
-            )
-        else:
-            with _plan.stage("attach"):
-                injector.attach_batched(spec, fault_rngs)
+        with _plan.stage("attach"):
+            injector.attach_batched(spec, fault_rngs)
         try:
             with _plan.plan_execution(plan, optimize=plan_opt), _plan.stage("metric"):
                 values = np.asarray(evaluator(model), dtype=np.float64)
@@ -278,20 +197,18 @@ def evaluate_cells_scenario_batched(
     evaluator: Evaluator,
     cell_groups: Sequence[Sequence[WorkCell]],
     base_seed: int,
-    mc_batched: bool = True,
     plan: bool = True,
     plan_opt: Optional[bool] = None,
-    attach_amortize: Optional[bool] = None,
 ) -> np.ndarray:
     """Evaluate several scenarios' chip instances as ONE stacked pass.
 
     ``cell_groups[k]`` holds scenario ``k``'s cells (one spec per group,
     every group the same fault kind and the same chip count), and the
     stacked pass carries a scenario-major instance axis of
-    ``n_scenarios * n_chips`` — times ``mc_samples`` under ``mc_batched``.
-    Per-cell (fault, evaluation) streams are derived exactly as
-    :func:`evaluate_cell` derives them, fault patterns are generated per
-    (scenario, chip) from each cell's own fault stream
+    ``n_scenarios * n_chips`` (times ``mc_samples`` for Bayesian
+    evaluators).  Per-cell (fault, evaluation) streams are derived
+    exactly as :func:`evaluate_cell` derives them, fault patterns are
+    generated per (scenario, chip) from each cell's own fault stream
     (:meth:`~repro.faults.campaign.FaultInjector.attach_scenario_batched`,
     heterogeneous severities stacked by
     :class:`~repro.faults.models.ScenarioBatchedWeightFault`), and
@@ -329,16 +246,9 @@ def evaluate_cells_scenario_batched(
                     "each scenario group needs a single-scenario cell list"
                 )
         specs.append(spec)
-    amortize = _resolve_amortize(attach_amortize)
     fault_rng_groups: List[List[np.random.Generator]] = []
     eval_rngs: List[np.random.Generator] = []
     for group in cell_groups:
-        if amortize:
-            eval_rngs.extend(
-                cell_eval_rng(base_seed, cell.scenario_index, cell.run_index)
-                for cell in group
-            )
-            continue
         pairs = [
             cell_rngs(base_seed, cell.scenario_index, cell.run_index)
             for cell in group
@@ -350,18 +260,10 @@ def evaluate_cells_scenario_batched(
     injector = FaultInjector(model)
     with scenario_axis(n_scenarios), chip_batch(n_chips), scoped_rng(
         ChipBatchRng(eval_rngs)
-    ), mc_batching(mc_batched):
+    ):
         resample_masks(model)
-        if amortize:
-            injector.program_scenario_batched(
-                specs,
-                base_seed,
-                [group[0].scenario_index for group in cell_groups],
-                [[cell.run_index for cell in group] for group in cell_groups],
-            )
-        else:
-            with _plan.stage("attach"):
-                injector.attach_scenario_batched(specs, fault_rng_groups)
+        with _plan.stage("attach"):
+            injector.attach_scenario_batched(specs, fault_rng_groups)
         try:
             with _plan.plan_execution(plan, optimize=plan_opt), _plan.stage("metric"):
                 values = np.asarray(evaluator(model), dtype=np.float64)
@@ -431,20 +333,16 @@ def _run_batched(
     evaluator: Evaluator,
     on_cell_done: Optional[Callable[[int, int], None]],
     chip_limit: Optional[int] = None,
-    mc_batched: bool = True,
-    scenario_batched: bool = True,
     scenario_limit: Optional[int] = None,
     plan: bool = True,
     plan_opt: Optional[bool] = None,
-    attach_amortize: Optional[bool] = None,
 ) -> np.ndarray:
     """Chip-batched backend: one vectorized pass per (stacked) group.
 
-    With ``scenario_batched`` (default on) consecutive multi-chip
-    scenarios of the same fault kind stack into ONE pass carrying a
-    scenario-major instance axis — a severity sweep pays one stacked
-    forward per (task, fault-kind) group instead of one per level.
-    ``scenario_limit`` caps the scenarios stacked per pass and
+    Consecutive multi-chip scenarios of the same fault kind stack into
+    ONE pass carrying a scenario-major instance axis — a severity sweep
+    pays one stacked forward per (task, fault-kind) group instead of one
+    per level.  ``scenario_limit`` caps the scenarios stacked per pass and
     ``chip_limit`` the chips per scenario per pass; both only bound the
     working set — every sub-batch derives the same per-cell streams, so
     results never change.  Fault-free scenarios (single-cell groups by
@@ -467,150 +365,57 @@ def _run_batched(
             on_cell_done(done, total)
 
     for ranges in _kind_groups(cells):
-        if (
-            scenario_batched
-            and len(ranges) > 1
-            and _stackable(cells, *ranges[0])
-        ):
-            n_chips = ranges[0][1] - ranges[0][0]
-            chip_step = chip_limit if chip_limit else n_chips
-            scen_step = scenario_limit if scenario_limit else len(ranges)
-            for scen_sub in range(0, len(ranges), scen_step):
-                sub_ranges = ranges[scen_sub : scen_sub + scen_step]
-                for chip_sub in range(0, n_chips, chip_step):
-                    chip_stop = min(chip_sub + chip_step, n_chips)
-                    groups = [
-                        cells[start + chip_sub : start + chip_stop]
-                        for start, _ in sub_ranges
-                    ]
-                    if len(groups) == 1:
-                        stacked = evaluate_cells_batched(
-                            model, evaluator, groups[0], base_seed,
-                            mc_batched=mc_batched, plan=plan,
-                            plan_opt=plan_opt,
-                            attach_amortize=attach_amortize,
-                        )
-                    else:
-                        stacked = evaluate_cells_scenario_batched(
-                            model, evaluator, groups, base_seed,
-                            mc_batched=mc_batched, plan=plan,
-                            plan_opt=plan_opt,
-                            attach_amortize=attach_amortize,
-                        )
-                    width = chip_stop - chip_sub
-                    for g, (start, _) in enumerate(sub_ranges):
-                        values[start + chip_sub : start + chip_stop] = stacked[
-                            g * width : (g + 1) * width
-                        ]
-                    _report(width * len(sub_ranges))
-            continue
-        for start, stop in ranges:
-            spec = cells[start].spec
-            if stop - start == 1 or spec.kind == "none" or spec.level == 0.0:
-                for index in range(start, stop):
-                    values[index] = evaluate_cell(
-                        model, evaluator, cells[index], base_seed, plan=plan,
-                        plan_opt=plan_opt, attach_amortize=attach_amortize,
-                    )
-            else:
-                step = chip_limit if chip_limit else stop - start
-                for sub in range(start, stop, step):
-                    sub_stop = min(sub + step, stop)
-                    values[sub:sub_stop] = evaluate_cells_batched(
-                        model,
-                        evaluator,
-                        cells[sub:sub_stop],
-                        base_seed,
-                        mc_batched=mc_batched,
-                        plan=plan,
-                        plan_opt=plan_opt,
-                        attach_amortize=attach_amortize,
-                    )
+        start, stop = ranges[0]
+        if not _stackable(cells, start, stop):
+            for index in range(start, stop):
+                values[index] = evaluate_cell(
+                    model, evaluator, cells[index], base_seed, plan=plan,
+                    plan_opt=plan_opt,
+                )
             _report(stop - start)
+            continue
+        n_chips = stop - start
+        chip_step = chip_limit if chip_limit else n_chips
+        scen_step = scenario_limit if scenario_limit else len(ranges)
+        for scen_sub in range(0, len(ranges), scen_step):
+            sub_ranges = ranges[scen_sub : scen_sub + scen_step]
+            for chip_sub in range(0, n_chips, chip_step):
+                chip_stop = min(chip_sub + chip_step, n_chips)
+                groups = [
+                    cells[first + chip_sub : first + chip_stop]
+                    for first, _ in sub_ranges
+                ]
+                if len(groups) == 1:
+                    stacked = evaluate_cells_batched(
+                        model, evaluator, groups[0], base_seed, plan=plan,
+                        plan_opt=plan_opt,
+                    )
+                else:
+                    stacked = evaluate_cells_scenario_batched(
+                        model, evaluator, groups, base_seed, plan=plan,
+                        plan_opt=plan_opt,
+                    )
+                width = chip_stop - chip_sub
+                for g, (first, _) in enumerate(sub_ranges):
+                    values[first + chip_sub : first + chip_stop] = stacked[
+                        g * width : (g + 1) * width
+                    ]
+                _report(width * len(sub_ranges))
     return values
 
 
-# ----------------------------------------------------------------------
-# Evaluation handles: picklable recipes for (model, evaluator)
-# ----------------------------------------------------------------------
-class EvalHandle:
-    """Recipe that (re)creates a ``(model, evaluator)`` pair in a worker.
-
-    Process workers cannot receive live models (fault hooks, closures and
-    autograd state do not ship well), so they receive a handle instead and
-    build the pair locally, once, keyed by :meth:`key`.
-    """
-
-    def key(self) -> Hashable:
-        raise NotImplementedError
-
-    def build(self) -> Tuple[Module, Evaluator]:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class FactoryHandle(EvalHandle):
-    """Handle around a top-level factory function.
-
-    ``factory(*args)`` must return ``(model, evaluator)`` and must be a
-    module-level callable (picklable by reference) whose result is
-    deterministic — typically it seeds model construction internally.
-    """
-
-    factory: Callable[..., Tuple[Module, Evaluator]]
-    args: Tuple = ()
-
-    def key(self) -> Hashable:
-        return (self.factory.__module__, self.factory.__qualname__, self.args)
-
-    def build(self) -> Tuple[Module, Evaluator]:
-        return self.factory(*self.args)
-
-
-# Per-process build cache: a forked/spawned worker builds each distinct
-# handle once and reuses the pair for every subsequent cell it executes.
-_WORKER_PAIRS: Dict[Hashable, Tuple[Module, Evaluator]] = {}
-
-
-def _worker_pair(handle: EvalHandle) -> Tuple[Module, Evaluator]:
-    key = handle.key()
-    if key not in _WORKER_PAIRS:
-        _WORKER_PAIRS[key] = handle.build()
-    return _WORKER_PAIRS[key]
-
-
-def _run_cell_from_handle(
-    handle: EvalHandle, index: int, cell: WorkCell, base_seed: int,
-    plan: bool = True, plan_opt: Optional[bool] = None,
-    attach_amortize: Optional[bool] = None,
-) -> Tuple[int, float]:
-    model, evaluator = _worker_pair(handle)
-    return index, evaluate_cell(
-        model, evaluator, cell, base_seed, plan=plan, plan_opt=plan_opt,
-        attach_amortize=attach_amortize,
-    )
-
-
-# ----------------------------------------------------------------------
-# Grid execution
-# ----------------------------------------------------------------------
 def run_cells(
     cells: Sequence[WorkCell],
     base_seed: int,
     *,
-    model: Optional[Module] = None,
-    evaluator: Optional[Evaluator] = None,
-    handle: Optional[EvalHandle] = None,
+    model: Module,
+    evaluator: Evaluator,
     executor: str = "serial",
-    workers: Optional[int] = None,
     on_cell_done: Optional[Callable[[int, int], None]] = None,
     chip_limit: Optional[int] = None,
-    mc_batched: Optional[bool] = None,
-    scenario_batched: Optional[bool] = None,
     scenario_limit: Optional[int] = None,
     plan: Optional[bool] = None,
     plan_opt: Optional[bool] = None,
-    attach_amortize: Optional[bool] = None,
 ) -> np.ndarray:
     """Execute a flat cell grid and return values aligned with ``cells``.
 
@@ -621,16 +426,11 @@ def run_cells(
     base_seed:
         Campaign seed from which every cell derives its streams.
     model, evaluator:
-        A live pair, sufficient for ``serial`` and ``thread`` execution
-        (thread workers evaluate deep copies of ``model``).
-    handle:
-        Picklable :class:`EvalHandle`; required for ``process`` execution
-        and preferred for ``thread`` (each worker builds its own pair).
+        The deployed network and its metric.  ``"batched"`` needs a
+        chip-aware ``evaluator``.
     executor:
-        One of :data:`EXECUTORS`.  ``"batched"`` evaluates each scenario's
-        chips in one stacked pass and needs a chip-aware ``evaluator``.
-    workers:
-        Worker count for the parallel backends (default: 4).
+        One of :data:`EXECUTORS`.  ``"batched"`` evaluates each
+        same-kind run of scenarios in one stacked pass.
     on_cell_done:
         Callback ``(done, total)`` fired after each completed cell —
         throughput/ETA reporting hooks onto this.  The batched backend
@@ -639,15 +439,6 @@ def run_cells(
         ``"batched"`` only: maximum chips stacked per vectorized pass
         (default: a scenario's full chip count).  Smaller caps bound the
         activation working set without changing results.
-    mc_batched:
-        ``"batched"`` only: stack the Monte Carlo sample axis of Bayesian
-        evaluators into the same pass (default on; results are
-        bit-identical to the looped reference either way).
-    scenario_batched:
-        ``"batched"`` only: stack consecutive same-kind severity levels
-        along a scenario-major sub-axis above the chip axis, so a sweep
-        pays one pass per (task, fault-kind) group (default on; results
-        are bit-identical to the looped reference either way).
     scenario_limit:
         ``"batched"`` only: maximum scenarios stacked per pass (default:
         the whole same-kind group).  Smaller caps bound the activation /
@@ -655,7 +446,7 @@ def run_cells(
         scenario-axis counterpart of ``chip_limit``.
     plan:
         Route gradient-free evaluation forwards through trace-compiled
-        plans (default on for every backend; see
+        plans (default on for both backends; see
         :mod:`repro.tensor.plan`).  The first forward per (input shape,
         instance layout, parameter versions, fault-hook signatures) key
         runs interpreted while a tracer records the flat numpy kernel
@@ -669,226 +460,26 @@ def run_cells(
         inherits the ambient setting — on unless ``REPRO_PLAN_OPT=0`` —
         and ``False`` (CLI ``--no-plan-opt``) replays the raw traced
         step list.  Results are bit-identical either way.
-    attach_amortize:
-        Serve repeated identical cells from the campaign-level program
-        registry (:meth:`FaultInjector.program
-        <repro.faults.campaign.FaultInjector.program>`): a cell whose
-        (coordinates, fault config) were already programmed re-installs
-        its stored hooks and skips attach entirely.  ``None`` (default)
-        inherits the ambient setting — on unless
-        ``REPRO_ATTACH_AMORTIZE=0`` — and ``False`` (CLI
-        ``--no-attach-amortize``) runs a full attach per cell.  Results
-        are bit-identical either way.
     """
     if executor not in EXECUTORS:
         raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
-    if handle is None and (model is None or evaluator is None):
-        raise ValueError("run_cells needs either (model, evaluator) or a handle")
-    if mc_batched and executor != "batched":
-        raise ValueError(
-            "mc_batched requires the 'batched' executor (the other backends "
-            "evaluate Monte Carlo samples with the looped reference path)"
-        )
-    if scenario_batched and executor != "batched":
-        raise ValueError(
-            "scenario_batched requires the 'batched' executor (the other "
-            "backends evaluate scenarios cell by cell)"
-        )
     total = len(cells)
     if total == 0:
         return np.empty(0)
-    workers = max(1, int(workers) if workers is not None else 4)
     plan = True if plan is None else bool(plan)
     plan_opt = None if plan_opt is None else bool(plan_opt)
-    attach_amortize = _resolve_amortize(attach_amortize)
 
     if executor == "batched":
-        if model is None or evaluator is None:
-            model, evaluator = handle.build()
         return _run_batched(
-            cells,
-            base_seed,
-            model,
-            evaluator,
-            on_cell_done,
-            chip_limit,
-            mc_batched=True if mc_batched is None else bool(mc_batched),
-            scenario_batched=(
-                True if scenario_batched is None else bool(scenario_batched)
-            ),
-            scenario_limit=scenario_limit,
-            plan=plan,
+            cells, base_seed, model, evaluator, on_cell_done,
+            chip_limit=chip_limit, scenario_limit=scenario_limit, plan=plan,
             plan_opt=plan_opt,
-            attach_amortize=attach_amortize,
         )
-
-    if executor == "serial" or workers == 1 or total == 1:
-        if model is None or evaluator is None:
-            model, evaluator = handle.build()
-        values = np.empty(total)
-        for i, cell in enumerate(cells):
-            values[i] = evaluate_cell(
-                model, evaluator, cell, base_seed, plan=plan,
-                plan_opt=plan_opt, attach_amortize=attach_amortize,
-            )
-            if on_cell_done is not None:
-                on_cell_done(i + 1, total)
-        return values
-
-    if executor == "thread":
-        return _run_threaded(
-            cells, base_seed, model, evaluator, handle, workers, on_cell_done,
-            plan=plan, plan_opt=plan_opt, attach_amortize=attach_amortize,
+    values = np.empty(total)
+    for i, cell in enumerate(cells):
+        values[i] = evaluate_cell(
+            model, evaluator, cell, base_seed, plan=plan, plan_opt=plan_opt
         )
-    return _run_process(
-        cells, base_seed, model, evaluator, handle, workers, on_cell_done,
-        plan=plan, plan_opt=plan_opt, attach_amortize=attach_amortize,
-    )
-
-
-def _run_threaded(
-    cells: Sequence[WorkCell],
-    base_seed: int,
-    model: Optional[Module],
-    evaluator: Optional[Evaluator],
-    handle: Optional[EvalHandle],
-    workers: int,
-    on_cell_done: Optional[Callable[[int, int], None]],
-    plan: bool = True,
-    plan_opt: Optional[bool] = None,
-    attach_amortize: Optional[bool] = None,
-) -> np.ndarray:
-    """Thread-pool backend: one model replica per worker thread.
-
-    Replicas are built up front on the calling thread (handle builds may
-    seed the process-global generator, which must not race), then worker
-    threads only evaluate — and evaluation randomness is thread-local via
-    :func:`scoped_rng`.
-    """
-    workers = min(workers, len(cells))
-    pairs: List[Tuple[Module, Evaluator]] = []
-    seen_models: set = set()
-
-    def _replica(source: Module) -> Module:
-        replica = copy.deepcopy(source)
-        # Warmed quantization caches (codes + dequantized weight stacks)
-        # would otherwise be duplicated per worker; each replica rebuilds
-        # its own on first gradient-free forward for the cost of one
-        # requantization.
-        for module in replica.modules():
-            if hasattr(module, "invalidate_quant_cache"):
-                module.invalidate_quant_cache()
-        return replica
-
-    for _ in range(workers):
-        if model is not None and evaluator is not None:
-            # Deep-copying the live pair is strictly cheaper than
-            # handle.build() (which may re-synthesize datasets).
-            pairs.append((_replica(model), evaluator))
-            continue
-        worker_model, worker_evaluator = handle.build()
-        # Handles backed by an in-process cache (e.g. TaskEvalHandle →
-        # trained_model's memory cache) return the SAME model object on
-        # every build; fault hooks are per-model state, so aliased
-        # replicas would race.  Copy any repeat.
-        if id(worker_model) in seen_models:
-            worker_model = _replica(worker_model)
-        seen_models.add(id(worker_model))
-        pairs.append((worker_model, worker_evaluator))
-
-    values = np.empty(len(cells))
-    work: "queue.SimpleQueue[Optional[Tuple[int, WorkCell]]]" = queue.SimpleQueue()
-    for item in enumerate(cells):
-        work.put(item)
-    for _ in range(workers):
-        work.put(None)
-
-    lock = threading.Lock()
-    done = 0
-    errors: List[BaseException] = []
-    abort = threading.Event()
-
-    def drain(pair: Tuple[Module, Evaluator]) -> None:
-        nonlocal done
-        worker_model, worker_evaluator = pair
-        while True:
-            item = work.get()
-            if item is None:
-                return
-            if abort.is_set():  # fail fast: discard remaining cells
-                continue
-            index, cell = item
-            try:
-                value = evaluate_cell(
-                    worker_model, worker_evaluator, cell, base_seed,
-                    plan=plan, plan_opt=plan_opt,
-                    attach_amortize=attach_amortize,
-                )
-            except BaseException as exc:  # surface on the caller's thread
-                with lock:
-                    errors.append(exc)
-                abort.set()
-                continue
-            values[index] = value
-            with lock:
-                done += 1
-                if on_cell_done is not None:
-                    on_cell_done(done, len(cells))
-
-    threads = [
-        threading.Thread(target=drain, args=(pair,), daemon=True) for pair in pairs
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    if errors:
-        raise errors[0]
-    return values
-
-
-def _run_process(
-    cells: Sequence[WorkCell],
-    base_seed: int,
-    model: Optional[Module],
-    evaluator: Optional[Evaluator],
-    handle: Optional[EvalHandle],
-    workers: int,
-    on_cell_done: Optional[Callable[[int, int], None]],
-    plan: bool = True,
-    plan_opt: Optional[bool] = None,
-    attach_amortize: Optional[bool] = None,
-) -> np.ndarray:
-    """Process-pool backend: workers rebuild (model, evaluator) from a handle."""
-    if handle is None:
-        raise ValueError(
-            "process execution needs a picklable EvalHandle; live models and "
-            "evaluator closures do not survive pickling — wrap construction "
-            "in a FactoryHandle (or use run_robustness_sweep, which builds a "
-            "handle automatically)"
-        )
-    workers = min(workers, len(cells))
-    values = np.empty(len(cells))
-    done = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = {
-            pool.submit(
-                _run_cell_from_handle, handle, i, cell, base_seed, plan,
-                plan_opt, attach_amortize,
-            )
-            for i, cell in enumerate(cells)
-        }
-        try:
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_EXCEPTION)
-                for future in finished:
-                    index, value = future.result()  # re-raises worker exceptions
-                    values[index] = value
-                    done += 1
-                    if on_cell_done is not None:
-                        on_cell_done(done, len(cells))
-        except BaseException:
-            for future in pending:  # fail fast: drop unstarted cells
-                future.cancel()
-            raise
+        if on_cell_done is not None:
+            on_cell_done(i + 1, total)
     return values

@@ -516,8 +516,7 @@ class ChipBatchedWeightFault:
         self.fault_token = next(_FAULT_TOKENS)
         self._cache: Dict[Tuple[int, ...], np.ndarray] = {}
         # Seeds and config are frozen for the hook's lifetime, so the plan
-        # signature is too; the attach-amortized path re-installs one hook
-        # across many replays, making per-call tuple rebuilds measurable.
+        # signature is too; it is built once rather than per plan lookup.
         self._signature = ("cbwf", prototype.config_key(), tuple(self.seeds))
 
     @property

@@ -1,11 +1,10 @@
 """Long-lived campaign service: daemon, sharding scheduler, and client.
 
 The service keeps the expensive per-process state — trained models,
-frozen deployment quantization, traced plans, registered fault
-programs — warm across requests, shards each sweep's ``(task,
-fault-kind)`` groups across N workers, and serves every
-already-computed cell from the content-addressed result store
-(:mod:`repro.eval.cache`) so overlapping robustness grids never
+frozen deployment quantization, traced plans — warm across requests,
+shards each sweep's ``(task, fault-kind)`` groups across N workers, and
+serves every already-computed cell from the content-addressed result
+store (:mod:`repro.eval.cache`) so overlapping robustness grids never
 recompute a cell.  Results are bit-identical to the serial engine in
 every configuration.
 

@@ -1,9 +1,10 @@
 """Run a campaign service daemon: ``python -m repro.serve``.
 
 The daemon binds the loopback interface (``--port 0`` picks a free
-port, printed on startup so wrappers can parse it), keeps models /
-plans / fault programs warm across requests, and serves sweeps until a
-client sends ``shutdown`` or the process receives SIGINT.
+port, printed on startup so wrappers can parse it), keeps models and
+plans warm across requests, and serves sweeps until a client sends
+``shutdown`` or the process receives SIGINT.  A non-loopback ``--host``
+is refused: the daemon unpickles every frame it receives.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ def main(argv: Optional[List[str]] = None) -> None:
         description="Long-lived sharded campaign service.",
     )
     parser.add_argument("--host", default="127.0.0.1",
-                        help="interface to bind (loopback only by design)")
+                        help="loopback address to bind (default 127.0.0.1; "
+                             "other addresses are refused)")
     parser.add_argument("--port", type=int, default=0,
                         help="TCP port (0 = pick a free one, printed below)")
     parser.add_argument("--workers", type=int, default=2,
@@ -35,11 +37,15 @@ def main(argv: Optional[List[str]] = None) -> None:
     parser.add_argument("--verbose", action="store_true",
                         help="log requests and worker events to stderr")
     args = parser.parse_args(argv)
-    service = CampaignService(
-        host=args.host, port=args.port, workers=args.workers,
-        verbose=args.verbose, unit_deadline=args.unit_deadline,
-        max_respawns=args.max_respawns,
-    ).start()
+    try:
+        service = CampaignService(
+            host=args.host, port=args.port, workers=args.workers,
+            verbose=args.verbose, unit_deadline=args.unit_deadline,
+            max_respawns=args.max_respawns,
+        )
+    except ValueError as exc:  # a non-loopback --host
+        parser.error(str(exc))
+    service.start()
     print(f"repro campaign service listening on "
           f"{service.host}:{service.port}", flush=True)
     try:

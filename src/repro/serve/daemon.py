@@ -2,12 +2,13 @@
 
 One :class:`CampaignService` process keeps everything a cold campaign
 run pays for — trained models, frozen deployment quantization, traced
-plans, registered fault programs — warm across requests.  The warm
-state lives on per-worker model replicas (fault hooks, plan caches,
-and program registries are per-model state, exactly as in the thread
-backend of :mod:`repro.faults.executor`), so the first request per
-(worker, task, method) pays trace/program cost once and every later
-request replays.
+plans — warm across requests.  The warm state lives on per-worker model
+replicas (fault hooks and plan caches are per-model state), so the
+first request per (worker, task, method) pays trace cost once and every
+later request replays.
+
+The daemon binds loopback addresses only: it unpickles every frame it
+receives, so a non-loopback ``host`` is refused at construction.
 
 A sweep request is served in rounds:
 
@@ -28,10 +29,9 @@ A sweep request is served in rounds:
    ``unit_deadline`` seconds) — returns its unfinished units to the
    pool; survivors get a deterministic re-shard, dead workers with
    respawn budget left (``max_respawns`` per worker per sweep) are
-   revived with a **fresh replica** (re-warmed plans and fault programs
-   on first use), and the round counter advances.  Assignments of every
-   round are recorded in the reply stats so re-shard determinism is
-   directly assertable.
+   revived with a **fresh replica** (re-warmed plans on first use), and
+   the round counter advances.  Assignments of every round are recorded
+   in the reply stats so re-shard determinism is directly assertable.
 
 Fault recovery is supervised from the sweep's connection thread: it
 drains worker events with a watchdog tick, declares hung workers dead
@@ -53,6 +53,7 @@ attempts of one idempotent ``request_id``), and per-worker
 
 from __future__ import annotations
 
+import ipaddress
 import socket
 import sys
 import threading
@@ -91,7 +92,7 @@ MAX_REMEMBERED_REQUESTS = 256
 
 
 def _replicate(model):
-    """Worker-private model copy (hooks/plans/programs are per-model)."""
+    """Worker-private model copy (hooks and plans are per-model)."""
     import copy
 
     replica = copy.deepcopy(model)
@@ -99,6 +100,25 @@ def _replicate(model):
         if hasattr(module, "invalidate_quant_cache"):
             module.invalidate_quant_cache()
     return replica
+
+
+def _check_loopback(host: str) -> None:
+    """Refuse any bind address that is not loopback.
+
+    Frames are pickled, and unpickling runs code, so the daemon must
+    never listen where another host can reach it.
+    """
+    if host != "localhost":
+        try:
+            loopback = ipaddress.ip_address(host).is_loopback
+        except ValueError:
+            loopback = False
+        if not loopback:
+            raise ValueError(
+                f"refusing to bind {host!r}: the campaign service unpickles "
+                "every frame, so it listens on loopback addresses only "
+                "(e.g. 127.0.0.1)"
+            )
 
 
 def _broadcast(values: np.ndarray, n_runs: int) -> np.ndarray:
@@ -138,6 +158,7 @@ class CampaignService:
         max_respawns: int = 1,
         watchdog_tick: float = 0.05,
     ):
+        _check_loopback(host)
         self.host = host
         self.port = port
         self.workers = max(1, int(workers))
@@ -153,7 +174,7 @@ class CampaignService:
         self._state_lock = threading.Lock()
         self._conns: Set[socket.socket] = set()
         # Warm (worker, handle) → (model replica, evaluator); the replica
-        # carries traced plans and programmed faults across requests.
+        # carries traced plans across requests.
         self._pairs: Dict[Tuple[int, Hashable], Tuple[object, object]] = {}
         self.requests = 0
         self.retried_requests = 0

@@ -14,8 +14,6 @@ from .chipbatch import (
     chip_axes,
     chip_batch,
     instance_layout,
-    mc_batching,
-    mc_batching_active,
     mc_sample_axis,
     scenario_axis,
     spawn_sample_streams,
@@ -88,8 +86,6 @@ __all__ = [
     "chip_axes",
     "chip_batch",
     "instance_layout",
-    "mc_batching",
-    "mc_batching_active",
     "mc_sample_axis",
     "scenario_axis",
     "spawn_sample_streams",

@@ -45,12 +45,10 @@ This module provides the thread-local state that makes a batched pass
   every mask is the very array the serial engine would have drawn.
 * :func:`spawn_sample_streams` — the one canonical derivation of
   per-MC-sample streams from a cell stream (``Generator.spawn``, i.e.
-  ``SeedSequence`` children).  Both the looped and the batched MC paths
-  call it exactly once per :func:`~repro.core.bayesian.mc_forward`
-  invocation, which is what makes them bit-identical to each other.
-* :func:`mc_batching` / :func:`mc_batching_active` — the thread-local
-  switch (CLI ``--mc-batched``) with which the ``batched`` executor asks
-  ``mc_forward`` to stack the sample axis instead of looping it.
+  ``SeedSequence`` children).  Both the looped MC path (outside a chip
+  batch) and the stacked one (inside a chip batch) call it exactly once
+  per :func:`~repro.core.bayesian.mc_forward` invocation, which is what
+  makes them bit-identical to each other.
 * :func:`mc_sample_scope` / :func:`current_mc_sample` — the looped path's
   per-pass sample coordinates, consulted by components that keep their own
   streams (activation-noise fault hooks) to select the matching
@@ -191,24 +189,8 @@ def mc_sample_axis(n_samples: int) -> Iterator[int]:
 
 
 # ----------------------------------------------------------------------
-# MC batching switch + looped-pass sample scope
+# Looped-pass sample scope
 # ----------------------------------------------------------------------
-def mc_batching_active() -> bool:
-    """True when MC inference should stack the sample axis (``--mc-batched``)."""
-    return bool(getattr(_STATE, "mc_batched", False))
-
-
-@contextlib.contextmanager
-def mc_batching(enabled: bool = True) -> Iterator[bool]:
-    """Switch sample-axis stacking on/off for this thread's MC inference."""
-    previous = getattr(_STATE, "mc_batched", False)
-    _STATE.mc_batched = bool(enabled)
-    try:
-        yield bool(enabled)
-    finally:
-        _STATE.mc_batched = previous
-
-
 def current_mc_sample() -> Optional[Tuple[int, int]]:
     """``(sample_index, num_samples)`` of the looped MC pass, or ``None``.
 

@@ -197,7 +197,7 @@ def active_trace() -> Optional["_Trace"]:
 # ----------------------------------------------------------------------
 @contextlib.contextmanager
 def profiled() -> Iterator[Dict[str, float]]:
-    """Collect per-stage wall time (attach / program / trace / replay / metric).
+    """Collect per-stage wall time (attach / trace / replay / metric).
 
     Yields the accumulating ``{stage: seconds}`` dict; :func:`stage`
     blocks anywhere below (the executor's attach and evaluator calls, the

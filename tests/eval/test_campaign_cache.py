@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.eval import (
+    TaskEvalHandle,
     build_task,
     campaign_key,
     clear_memory_cache,
@@ -12,7 +13,8 @@ from repro.eval import (
     run_robustness_sweep,
     store_campaign_values,
 )
-from repro.faults import FaultSpec, bitflip_sweep
+from repro.eval.campaigns import campaign_eval_cap
+from repro.faults import FaultSpec, MonteCarloCampaign, bitflip_sweep
 from repro.models import proposed
 
 
@@ -75,17 +77,15 @@ class TestCampaignValueCache:
         assert load_campaign_values(key) is None
         assert not path.exists()  # corrupt entry evicted
 
-    def test_legacy_campaign_layout_is_promoted(self, isolated_cache):
-        """Pre-store ``campaigns/<key>.npy`` entries keep serving."""
+    def test_stray_legacy_campaign_file_is_ignored(self, isolated_cache):
+        """A ``campaigns/<key>.npy`` under the cache dir is not a hit."""
         key = self._key()
         legacy = isolated_cache / "campaigns"
         legacy.mkdir()
         np.save(legacy / f"{key}.npy", np.array([2.5]))
         clear_memory_cache()
-        values = load_campaign_values(key)
-        assert values is not None and values[0] == 2.5
-        # ... and the hit landed in the content-addressed store.
-        assert result_store().address(key).exists()
+        assert load_campaign_values(key) is None
+        assert not result_store().address(key).exists()
 
 
 class TestSweepCaching:
@@ -142,66 +142,31 @@ class TestSweepCaching:
 
 
 class TestSweepBackendEquivalence:
-    """run_robustness_sweep must be bit-identical on every backend.
-
-    This is the sweep-level determinism guarantee: TaskEvalHandle rebuilds
-    (model, evaluator) in workers, and thread workers must get de-aliased
-    model replicas even though the in-process trained-model cache returns
-    one shared object.  The co2 task exercises the QuantLSTMCell replica
-    path (frozen dropout masks, two fault hooks per cell).
-    """
-
-    @pytest.mark.parametrize("task_name", ["audio", "co2"])
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_parallel_sweep_matches_serial(self, task_name, executor,
-                                           isolated_cache):
-        def sweep_with(backend):
-            clear_memory_cache()
-            task = build_task(task_name, preset="tiny")
-            return run_robustness_sweep(
-                task,
-                [proposed()],
-                bitflip_sweep([0.0, 0.1, 0.2]),
-                preset="tiny",
-                n_runs=3,
-                samples=2,
-                executor=backend,
-                workers=4,
-                use_cache=False,
-            )
-
-        serial = sweep_with("serial")
-        parallel = sweep_with(executor)
-        np.testing.assert_array_equal(
-            serial.curves["proposed"].means, parallel.curves["proposed"].means
-        )
-        np.testing.assert_array_equal(
-            serial.curves["proposed"].stds, parallel.curves["proposed"].stds
-        )
-
     def test_campaign_seed_differs_from_task_seed(self, isolated_cache):
-        # Regression: workers must rebuild the task with the seed the
-        # driver's datasets were synthesized with (Task.seed), not the
-        # campaign seed — otherwise process workers score a different
-        # test set than the serial path.
-        def sweep_with(backend):
-            clear_memory_cache()
-            task = build_task("audio", preset="tiny", seed=0)
-            return run_robustness_sweep(
-                task,
-                [proposed()],
-                bitflip_sweep([0.0, 0.2]),
-                preset="tiny",
-                seed=5,  # campaign/model seed != task seed
-                n_runs=2,
-                samples=2,
-                executor=backend,
-                workers=2,
-                use_cache=False,
-            )
-
-        serial = sweep_with("serial")
-        parallel = sweep_with("process")
+        # Regression: TaskEvalHandle (the service's replica recipe) must
+        # rebuild the task with the seed the driver's datasets were
+        # synthesized with (Task.seed), not the campaign seed — otherwise
+        # service workers score a different test set than the local path.
+        task = build_task("audio", preset="tiny", seed=0)
+        specs = bitflip_sweep([0.0, 0.2])
+        local = run_robustness_sweep(
+            task,
+            [proposed()],
+            specs,
+            preset="tiny",
+            seed=5,  # campaign/model seed != task seed
+            n_runs=2,
+            samples=2,
+            use_cache=False,
+        )
+        clear_memory_cache()
+        handle = TaskEvalHandle(
+            "audio", "tiny", 5, proposed(), 2, campaign_eval_cap("tiny"),
+            task.seed,
+        )
+        rebuilt = MonteCarloCampaign(
+            *handle.build(), n_runs=2, base_seed=5, executor="batched"
+        ).sweep(specs)
         np.testing.assert_array_equal(
-            serial.curves["proposed"].means, parallel.curves["proposed"].means
+            local.curves["proposed"].means, [r.mean for r in rebuilt]
         )

@@ -41,33 +41,23 @@ class TestParser:
             ["campaign", "--task", "co2", "--no-plan-opt"]
         ).plan_opt is False
 
-    def test_attach_amortize_flag_tristate(self):
-        parser = build_parser()
-        assert parser.parse_args(
-            ["campaign", "--task", "co2"]
-        ).attach_amortize is None
-        assert parser.parse_args(
-            ["campaign", "--task", "co2", "--attach-amortize"]
-        ).attach_amortize is True
-        assert parser.parse_args(
-            ["campaign", "--task", "co2", "--no-attach-amortize"]
-        ).attach_amortize is False
+    def test_duplicate_levels_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["fig6", "--task", "co2", "--levels", "0.1", "0.1"]
+            )
+        assert exc.value.code == 2
+        assert "--levels must be distinct" in capsys.readouterr().err
 
-    def test_attach_amortize_with_globals_in_either_order(self):
-        """--no-attach-amortize composes with globals before or after the
-        subcommand (PR 2 allows both orders for --preset/--seed)."""
-        parser = build_parser()
-        before = parser.parse_args(
-            ["--preset", "tiny", "--seed", "3",
-             "campaign", "--task", "co2", "--no-attach-amortize"]
-        )
-        after = parser.parse_args(
-            ["campaign", "--task", "co2",
-             "--preset", "tiny", "--seed", "3", "--no-attach-amortize"]
-        )
-        assert before.attach_amortize is False and after.attach_amortize is False
-        assert before.preset == after.preset == "tiny"
-        assert before.seed == after.seed == 3
+    @pytest.mark.parametrize("flag", [
+        "--workers=2", "--mc-batched", "--no-mc-batched",
+        "--scenario-batched", "--no-scenario-batched",
+        "--attach-amortize", "--no-attach-amortize",
+        "--executor=thread", "--executor=process",
+    ])
+    def test_removed_engine_options_rejected(self, flag):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["campaign", "--task", "co2", flag])
 
 
 class TestExecution:
@@ -139,26 +129,6 @@ class TestExecution:
         assert "attach" in labels and "metric (other)" in labels
         assert "trace" not in labels and "replay" not in labels
 
-    def test_profile_attributes_amortized_skips_to_program_stage(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        """With amortization on (default), registry work shows up as a
-        dedicated ``program`` row — skipped cells never inflate ``attach``."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_ATTACH_AMORTIZE", raising=False)
-        from repro.eval import clear_memory_cache
-
-        clear_memory_cache()
-        main([
-            "--preset", "tiny",
-            "campaign", "--task", "audio", "--fault", "bitflip",
-            "--levels", "0", "0.2", "--runs", "2",
-            "--profile",
-        ])
-        out = capsys.readouterr().out
-        labels = self._profile_stage_labels(out)
-        assert "program" in labels and "attach" in labels
-
     def test_profile_without_amortization_has_no_program_stage(
         self, tmp_path, monkeypatch, capsys
     ):
@@ -170,7 +140,7 @@ class TestExecution:
             "--preset", "tiny",
             "campaign", "--task", "audio", "--fault", "bitflip",
             "--levels", "0", "0.2", "--runs", "2",
-            "--profile", "--no-attach-amortize",
+            "--profile",
         ])
         out = capsys.readouterr().out
         labels = self._profile_stage_labels(out)

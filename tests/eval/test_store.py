@@ -190,13 +190,16 @@ class TestCrossSession:
         np.testing.assert_array_equal(ResultStore(root=root).get(KEY), [7.0])
 
 
-class TestLegacyPromotion:
-    def test_legacy_npy_promoted_into_store(self, tmp_path):
+class TestStrayLegacyLayout:
+    def test_stray_campaigns_npy_is_ignored(self, tmp_path, monkeypatch):
+        """Only content-addressed entries serve; ``campaigns/<key>.npy``
+        files left beside the default store are never read."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         legacy = tmp_path / "campaigns"
         legacy.mkdir()
         np.save(legacy / f"{KEY}.npy", np.array([3.0, 4.0]))
-        store = ResultStore(root=tmp_path / "store", legacy_dir=legacy)
-        np.testing.assert_array_equal(store.get(KEY), [3.0, 4.0])
-        assert store.address(KEY).exists()
-        store.clear_memory()
-        np.testing.assert_array_equal(store.get(KEY), [3.0, 4.0])
+        store = ResultStore()
+        assert store.root == tmp_path / "store"
+        assert store.get(KEY) is None
+        assert store.misses == 1
+        assert not store.address(KEY).exists()

@@ -1,11 +1,11 @@
-"""Tests for the parallel campaign execution engine.
+"""Tests for the campaign execution engine.
 
 The engine's contract is that campaign values are bit-identical across
-backends (serial / thread / process), worker counts, and cell scheduling
-orders.  The model used here includes a Dropout module evaluated with
-Monte Carlo sampling, so the tests exercise the scoped-RNG machinery that
-makes stochastic evaluation hermetic per cell — not just the frozen fault
-patterns.
+cell scheduling orders (serial vs batched identity is pinned in
+``test_batched.py``).  The model used here includes a Dropout module
+evaluated with Monte Carlo sampling, so the tests exercise the scoped-RNG
+machinery that makes stochastic evaluation hermetic per cell — not just
+the frozen fault patterns.
 """
 
 import numpy as np
@@ -14,11 +14,10 @@ import pytest
 from repro import nn
 from repro.core.bayesian import mc_forward
 from repro.faults import (
-    FactoryHandle,
+    EXECUTORS,
     FaultSpec,
     MonteCarloCampaign,
     WorkCell,
-    additive_sweep,
     bitflip_sweep,
     cell_rngs,
     evaluate_cell,
@@ -31,7 +30,7 @@ _DATA_RNG_SEED = 7
 
 
 def build_pair(seed=0):
-    """Module-level factory so FactoryHandle can pickle it by reference."""
+    """Small mixed binary/multi-bit model with an MC evaluator."""
     manual_seed(seed)
     model = nn.Sequential(
         QuantConv2d(1, 3, 3, padding=1, weight_bits=1),
@@ -52,58 +51,21 @@ def build_pair(seed=0):
     return model, evaluator
 
 
-HANDLE = FactoryHandle(build_pair)
-
-
 def _campaign(**kwargs):
     kwargs.setdefault("n_runs", 4)
     kwargs.setdefault("base_seed", 3)
-    kwargs.setdefault("handle", HANDLE)
-    return MonteCarloCampaign(None, None, **kwargs)
-
-
-class TestBackendEquivalence:
-    @pytest.mark.parametrize("sweep_builder", [bitflip_sweep, additive_sweep])
-    def test_process_pool_matches_serial(self, sweep_builder):
-        specs = sweep_builder([0.0, 0.1, 0.2])
-        serial = _campaign().sweep(specs)
-        parallel = _campaign(executor="process", workers=4).sweep(specs)
-        for s, p in zip(serial, parallel):
-            np.testing.assert_array_equal(s.values, p.values)
-
-    @pytest.mark.parametrize("sweep_builder", [bitflip_sweep, additive_sweep])
-    def test_thread_pool_matches_serial(self, sweep_builder):
-        specs = sweep_builder([0.0, 0.1, 0.2])
-        serial = _campaign().sweep(specs)
-        threaded = _campaign(executor="thread", workers=4).sweep(specs)
-        for s, t in zip(serial, threaded):
-            np.testing.assert_array_equal(s.values, t.values)
-
-    def test_thread_pool_with_live_model_matches_serial(self):
-        # The deepcopy-replica path: no handle, a live (model, evaluator).
-        model, evaluator = build_pair()
-        specs = bitflip_sweep([0.0, 0.15])
-        serial = MonteCarloCampaign(model, evaluator, n_runs=4, base_seed=5).sweep(specs)
-        threaded = MonteCarloCampaign(
-            model, evaluator, n_runs=4, base_seed=5, executor="thread", workers=3
-        ).sweep(specs)
-        for s, t in zip(serial, threaded):
-            np.testing.assert_array_equal(s.values, t.values)
-
-    def test_worker_count_does_not_change_values(self):
-        specs = bitflip_sweep([0.0, 0.2])
-        one = _campaign(executor="thread", workers=1).sweep(specs)
-        many = _campaign(executor="thread", workers=5).sweep(specs)
-        for a, b in zip(one, many):
-            np.testing.assert_array_equal(a.values, b.values)
+    return MonteCarloCampaign(*build_pair(), **kwargs)
 
 
 class TestCellSemantics:
     def test_submission_order_is_irrelevant(self):
         spec = FaultSpec(kind="bitflip", level=0.2)
         cells = [WorkCell(0, run, spec) for run in range(5)]
-        forward = run_cells(cells, 3, handle=HANDLE)
-        backward = run_cells(list(reversed(cells)), 3, handle=HANDLE)
+        model, evaluator = build_pair()
+        forward = run_cells(cells, 3, model=model, evaluator=evaluator)
+        backward = run_cells(
+            list(reversed(cells)), 3, model=model, evaluator=evaluator
+        )
         np.testing.assert_array_equal(forward, backward[::-1])
 
     def test_evaluate_cell_is_hermetic(self):
@@ -124,27 +86,20 @@ class TestCellSemantics:
         assert fault_a.integers(0, 2**63) != fault_b.integers(0, 2**63)
 
     def test_empty_grid(self):
-        assert run_cells([], 0, handle=HANDLE).size == 0
+        model, evaluator = build_pair()
+        assert run_cells([], 0, model=model, evaluator=evaluator).size == 0
 
 
 class TestValidation:
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            run_cells([WorkCell(0, 0, FaultSpec("none", 0.0))], 0,
-                      handle=HANDLE, executor="gpu")
-
-    def test_process_requires_picklable_handle(self):
         model, evaluator = build_pair()
-        cells = [WorkCell(0, run, FaultSpec("bitflip", 0.1)) for run in range(3)]
-        with pytest.raises(ValueError, match="EvalHandle"):
-            run_cells(cells, 0, model=model, evaluator=evaluator,
-                      executor="process", workers=2)
+        for removed in ("gpu", "thread", "process"):
+            with pytest.raises(ValueError, match="executor"):
+                run_cells([WorkCell(0, 0, FaultSpec("none", 0.0))], 0,
+                          model=model, evaluator=evaluator, executor=removed)
 
-    def test_missing_model_and_handle_rejected(self):
-        with pytest.raises(ValueError, match="handle"):
-            run_cells([WorkCell(0, 0, FaultSpec("none", 0.0))], 0)
-
-    def test_worker_exception_propagates(self):
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_evaluator_exception_propagates(self, executor):
         def broken(_model):
             raise RuntimeError("evaluator exploded")
 
@@ -152,7 +107,7 @@ class TestValidation:
         cells = [WorkCell(0, run, FaultSpec("bitflip", 0.1)) for run in range(3)]
         with pytest.raises(RuntimeError, match="exploded"):
             run_cells(cells, 0, model=model, evaluator=broken,
-                      executor="thread", workers=2)
+                      executor=executor)
 
 
 class TestProgressCallback:

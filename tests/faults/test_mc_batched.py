@@ -1,14 +1,15 @@
 """Tests for MC-sample-batched Bayesian evaluation (the instance axis).
 
-The ``batched`` executor's MC mode stacks the Monte Carlo sample loop of a
-Bayesian evaluator into the chip-batched pass, so one forward carries a
-``chips x mc_samples`` instance axis.  Its contract is the chip-batched
-contract extended one axis: per-chip metrics must be **bit-identical** to
-the serial looped reference (same ``SeedSequence``-derived per-sample
-streams, drawn in the serial order).  These tests pin that contract across
-all four task topologies, the Bayesian methods, and every fault kind, plus
-the instance-axis primitives and edge cases (no chip batch, ``chip_limit``
-sub-batching, single sample).
+Under an active chip batch, ``mc_forward`` stacks the Monte Carlo sample
+loop of a Bayesian evaluator into the chip-batched pass, so one forward
+carries a ``chips x mc_samples`` instance axis; outside a chip batch it
+loops the samples.  The contract is the chip-batched contract extended
+one axis: per-chip metrics of the ``batched`` engine must be
+**bit-identical** to the serial oracle, which loops the samples (same
+``SeedSequence``-derived per-sample streams, drawn in the serial order).
+These tests pin that contract across all four task topologies, the
+Bayesian methods, and every fault kind, plus the instance-axis
+primitives and edge cases (``chip_limit`` sub-batching, single sample).
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ import pytest
 from repro import nn
 from repro.core import InvertedNorm
 from repro.core.bayesian import BayesianClassifier, mc_forward
-from repro.eval import build_task, make_evaluator, run_robustness_sweep, trained_model
+from repro.eval import build_task, make_evaluator, trained_model
 from repro.faults import (
     FaultSpec,
     MonteCarloCampaign,
@@ -38,8 +39,7 @@ from repro.tensor.chipbatch import (
     active_chip_count,
     active_sample_count,
     chip_batch,
-    mc_batching,
-    mc_batching_active,
+    current_mc_sample,
     mc_sample_axis,
     spawn_sample_streams,
 )
@@ -102,15 +102,6 @@ class TestInstanceAxisPrimitives:
             with mc_sample_axis(0):
                 pass
 
-    def test_mc_batching_flag_scopes(self):
-        assert not mc_batching_active()
-        with mc_batching(True):
-            assert mc_batching_active()
-            with mc_batching(False):
-                assert not mc_batching_active()
-            assert mc_batching_active()
-        assert not mc_batching_active()
-
     def test_spawn_sample_streams_plain_generator(self):
         a = np.random.default_rng(3)
         b = np.random.default_rng(3)
@@ -149,36 +140,70 @@ class TestMcForwardBatched:
             nn.Linear(16, 3),
         )
 
+    @staticmethod
+    def _per_chip_looped(model, x, chip_seeds, num_samples, fn=None):
+        """Each chip's samples looped outside any chip batch, stacked."""
+        fn = fn or (lambda inp: mc_forward(model, inp, num_samples))
+        outs = []
+        for seed in chip_seeds:
+            with scoped_rng(np.random.default_rng(seed)):
+                outs.append(fn(Tensor(x.copy())))
+        return outs
+
+    @staticmethod
+    def _chip_batched(model, x, chip_seeds, fn):
+        gens = [np.random.default_rng(seed) for seed in chip_seeds]
+        n_chips = len(chip_seeds)
+        xb = np.broadcast_to(x[None], (n_chips,) + x.shape).copy()
+        with chip_batch(n_chips), scoped_rng(ChipBatchRng(gens)):
+            return fn(Tensor(xb))
+
     def test_batched_matches_looped_under_chip_batch(self):
         model = self._model()
         x = np.random.default_rng(1).normal(size=(5, 6))
-        outs = {}
-        for flag in (False, True):
-            gens = [np.random.default_rng((c + 1) * 13) for c in range(3)]
-            xb = np.broadcast_to(x[None], (3,) + x.shape).copy()
-            with chip_batch(3), scoped_rng(ChipBatchRng(gens)), mc_batching(flag):
-                outs[flag] = mc_forward(model, Tensor(xb), 4)
-        assert outs[True].shape == (4, 3, 5, 3)
-        np.testing.assert_array_equal(outs[False], outs[True])
+        seeds = [(c + 1) * 13 for c in range(3)]
+        stacked = self._chip_batched(
+            model, x, seeds, lambda inp: mc_forward(model, inp, 4)
+        )
+        looped = self._per_chip_looped(model, x, seeds, 4)
+        assert stacked.shape == (4, 3, 5, 3)
+        np.testing.assert_array_equal(stacked, np.stack(looped, axis=1))
 
-    def test_batched_matches_looped_without_chip_batch(self):
+    def test_loops_outside_chip_batch_and_stacks_inside(self):
+        """The chip batch alone decides: loop outside, one pass inside."""
         model = self._model()
         x = np.random.default_rng(2).normal(size=(5, 6))
-        outs = {}
-        for flag in (False, True):
-            with scoped_rng(np.random.default_rng(5)), mc_batching(flag):
-                outs[flag] = mc_forward(model, Tensor(x.copy()), 4)
-        assert outs[True].shape == (4, 5, 3)
-        np.testing.assert_array_equal(outs[False], outs[True])
+        passes = []
+
+        def forward(inp):
+            passes.append((inp.shape[0], active_sample_count(), current_mc_sample()))
+            return model(inp)
+
+        with scoped_rng(np.random.default_rng(5)):
+            mc_forward(model, Tensor(x.copy()), 4, forward=forward)
+        assert passes == [(5, None, (s, 4)) for s in range(4)]
+        passes.clear()
+        self._chip_batched(
+            model, x, [3, 4], lambda inp: mc_forward(model, inp, 4, forward=forward)
+        )
+        assert passes == [(2 * 4, 4, None)]
 
     def test_single_sample_uses_looped_path(self):
         model = self._model()
         x = np.random.default_rng(3).normal(size=(2, 6))
-        outs = {}
-        for flag in (False, True):
-            with scoped_rng(np.random.default_rng(9)), mc_batching(flag):
-                outs[flag] = mc_forward(model, Tensor(x.copy()), 1)
-        np.testing.assert_array_equal(outs[False], outs[True])
+        seeds = [9, 10]
+        samples = []
+
+        def forward(inp):
+            samples.append(current_mc_sample())
+            return model(inp)
+
+        inside = self._chip_batched(
+            model, x, seeds, lambda inp: mc_forward(model, inp, 1, forward=forward)
+        )
+        assert samples == [(0, 1)]
+        looped = self._per_chip_looped(model, x, seeds, 1)
+        np.testing.assert_array_equal(inside, np.stack(looped, axis=1))
 
     def test_rejects_nonpositive_samples(self):
         model = self._model()
@@ -187,18 +212,22 @@ class TestMcForwardBatched:
 
     def test_classifier_rides_batched_path(self):
         model = self._model()
-        x = Tensor(np.random.default_rng(4).normal(size=(6, 6)))
-        probs = {}
-        for flag in (False, True):
-            with scoped_rng(np.random.default_rng(21)), mc_batching(flag):
-                probs[flag] = BayesianClassifier(model, num_samples=5).predict_proba(x)
-        np.testing.assert_array_equal(probs[False], probs[True])
+        x = np.random.default_rng(4).normal(size=(6, 6))
+        seeds = [21, 22]
+
+        def proba(inp):
+            return BayesianClassifier(model, num_samples=5).predict_proba(inp)
+
+        stacked = self._chip_batched(model, x, seeds, proba)
+        looped = self._per_chip_looped(model, x, seeds, 5, fn=proba)
+        np.testing.assert_array_equal(stacked, np.stack(looped, axis=0))
 
     def test_context_restored_after_batched_forward(self):
         model = self._model()
-        with scoped_rng(np.random.default_rng(0)), mc_batching(True):
-            mc_forward(model, Tensor(np.zeros((2, 6))), 3)
-            assert active_chip_count() is None
+        gens = [np.random.default_rng(0), np.random.default_rng(1)]
+        with chip_batch(2), scoped_rng(ChipBatchRng(gens)):
+            mc_forward(model, Tensor(np.zeros((2, 2, 6))), 3)
+            assert active_chip_count() == 2
             assert active_sample_count() is None
 
 
@@ -210,14 +239,8 @@ class TestEvaluateCellsMcBatched:
         serial = np.array(
             [evaluate_cell(model, evaluator, cell, base_seed=5) for cell in cells]
         )
-        mc = evaluate_cells_batched(
-            model, evaluator, cells, base_seed=5, mc_batched=True
-        )
-        looped = evaluate_cells_batched(
-            model, evaluator, cells, base_seed=5, mc_batched=False
-        )
-        np.testing.assert_array_equal(serial, mc)
-        np.testing.assert_array_equal(serial, looped)
+        batched = evaluate_cells_batched(model, evaluator, cells, base_seed=5)
+        np.testing.assert_array_equal(serial, batched)
 
     def test_identical_with_cache_disabled(self):
         # Cached-code forwards must be bit-identical to recomputation.
@@ -230,14 +253,6 @@ class TestEvaluateCellsMcBatched:
                 model, evaluator, cells, base_seed=3
             )
         np.testing.assert_array_equal(cached, recomputed)
-
-    def test_mc_batched_requires_batched_executor(self):
-        model, evaluator = build_pair()
-        campaign = MonteCarloCampaign(
-            model, evaluator, n_runs=2, executor="serial", mc_batched=True
-        )
-        with pytest.raises(ValueError, match="batched"):
-            campaign.run(FaultSpec(kind="bitflip", level=0.1))
 
     @pytest.mark.parametrize("chip_limit", [1, 2, 3])
     def test_chip_limit_subbatching_is_invisible(self, chip_limit):
@@ -253,14 +268,13 @@ class TestEvaluateCellsMcBatched:
             base_seed=3,
             executor="batched",
             chip_limit=chip_limit,
-            mc_batched=True,
         ).sweep(specs)
         for s, b in zip(serial, limited):
             np.testing.assert_array_equal(s.values, b.values)
 
 
 class TestTaskTopologyIdentity:
-    """MC-batched == serial looped on all four real tiny-task topologies."""
+    """Batched engine == serial oracle on all four tiny-task topologies."""
 
     def _compare(self, task_name, method, specs, samples=3, n_runs=3):
         task = build_task(task_name, preset="tiny")
@@ -268,19 +282,14 @@ class TestTaskTopologyIdentity:
         evaluator = make_evaluator(
             task.name, task.test_set, method, mc_samples=samples
         )
-        results = {}
-        for label, kwargs in (
-            ("serial", dict(executor="serial")),
-            ("mc", dict(executor="batched", mc_batched=True)),
-            ("looped", dict(executor="batched", mc_batched=False)),
-        ):
-            campaign = MonteCarloCampaign(
-                model, evaluator, n_runs=n_runs, base_seed=0, **kwargs
-            )
-            results[label] = campaign.sweep(specs)
-        for s, m, l in zip(results["serial"], results["mc"], results["looped"]):
-            np.testing.assert_array_equal(s.values, m.values)
-            np.testing.assert_array_equal(s.values, l.values)
+        serial, batched = (
+            MonteCarloCampaign(
+                model, evaluator, n_runs=n_runs, base_seed=0, executor=executor
+            ).sweep(specs)
+            for executor in ("serial", "batched")
+        )
+        for s, b in zip(serial, batched):
+            np.testing.assert_array_equal(s.values, b.values)
 
     # image / ResNet-18: binary weights, variation routes to activations
     def test_image_binary_bitflip_proposed(self):
@@ -322,23 +331,3 @@ class TestTaskTopologyIdentity:
     def test_unet_additive_proposed(self):
         self._compare("vessels", proposed(), additive_sweep([0.0, 0.3]), n_runs=2)
 
-
-class TestSweepPlumbing:
-    def test_run_robustness_sweep_accepts_mc_flag(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.eval import clear_memory_cache
-
-        clear_memory_cache()
-        task = build_task("audio", preset="tiny")
-        specs = bitflip_sweep([0.0, 0.1])
-        kwargs = dict(preset="tiny", n_runs=3, use_cache=False)
-        serial = run_robustness_sweep(
-            task, [proposed()], specs, executor="serial", **kwargs
-        )
-        mc = run_robustness_sweep(
-            task, [proposed()], specs, executor="batched", mc_batched=True, **kwargs
-        )
-        np.testing.assert_array_equal(
-            serial.curves["proposed"].means, mc.curves["proposed"].means
-        )
-        clear_memory_cache()

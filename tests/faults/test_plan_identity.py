@@ -24,14 +24,6 @@ the passes actually fired, so the identity matrix cannot pass against a
 no-op optimizer.  Optimizer state is always pinned explicitly
 (``plan_opt=True`` / ``False``) so the suite holds under either ambient
 ``REPRO_PLAN_OPT`` setting.
-
-PR 7 extends the matrix to campaign-level attach amortization: serving a
-repeated cell from the fault-program registry (``attach_amortize=True``)
-must be bit-identical to a full re-attach, and the skip path must
-actually fire (``program_stats(model).skipped > 0``) so the identity
-checks cannot pass against a registry that never hits.  Amortization
-state is likewise pinned explicitly so the suite holds under either
-ambient ``REPRO_ATTACH_AMORTIZE`` setting.
 """
 
 import numpy as np
@@ -52,7 +44,6 @@ from repro.faults import (
     multiplicative_sweep,
     uniform_sweep,
 )
-from repro.faults.campaign import clear_programs, program_stats
 from repro.models import proposed, spatial_spindrop, spindrop
 from repro.quant import QuantConv2d, QuantLinear, SignActivation
 from repro.tensor import Tensor, manual_seed
@@ -194,20 +185,6 @@ class TestCampaignIdentity:
         for a, b in zip(off, on):
             np.testing.assert_array_equal(a.values, b.values)
 
-    def test_thread_sweep_bit_identical(self):
-        model, evaluator = build_pair()
-        specs = additive_sweep([0.0, 0.2])
-        off = MonteCarloCampaign(
-            model, evaluator, n_runs=3, base_seed=4, executor="thread",
-            workers=2, plan=False,
-        ).sweep(specs)
-        on = MonteCarloCampaign(
-            model, evaluator, n_runs=3, base_seed=4, executor="thread",
-            workers=2, plan=True,
-        ).sweep(specs)
-        for a, b in zip(off, on):
-            np.testing.assert_array_equal(a.values, b.values)
-
 
 class TestOptimizerIdentity:
     """plan_opt=True == plan_opt=False for every fault kind (micro-model)."""
@@ -257,103 +234,32 @@ class TestOptimizerIdentity:
         np.testing.assert_array_equal(raw, optimized)
 
 
-class TestAmortizeIdentity:
-    """attach_amortize=True == False for every fault kind, skips proven."""
-
-    @pytest.mark.parametrize("kind", sorted(SWEEPS_BY_KIND), ids=str)
-    def test_serial_cells_bit_identical_with_skips(self, kind):
-        model, evaluator = build_pair()
-        clear_programs(model)
-        specs = SWEEPS_BY_KIND[kind]
-        cells = [
-            WorkCell(idx, run, spec)
-            for idx, spec in enumerate(specs)
-            for run in range(2)
-        ]
-        full = np.array(
-            [
-                evaluate_cell(model, evaluator, c, 5, attach_amortize=False)
-                for c in cells
-            ]
-        )
-        amortized = np.array(
-            [
-                evaluate_cell(model, evaluator, c, 5, attach_amortize=True)
-                for c in cells
-            ]
-        )
-        repeated = np.array(
-            [
-                evaluate_cell(model, evaluator, c, 5, attach_amortize=True)
-                for c in cells
-            ]
-        )
-        np.testing.assert_array_equal(full, amortized)
-        np.testing.assert_array_equal(full, repeated)
-        stats = program_stats(model)
-        assert stats.attached == len(cells)  # first amortized pass: all misses
-        assert stats.skipped == len(cells)  # second pass: all registry hits
-
-    @pytest.mark.parametrize("kind", ("additive", "stuck"), ids=str)
-    def test_scenario_batched_bit_identical_with_skips(self, kind):
-        model, evaluator = build_pair()
-        clear_programs(model)
-        specs = SWEEPS_BY_KIND[kind]
-        cell_groups = [
-            [WorkCell(idx, run, spec) for run in range(2)]
-            for idx, spec in enumerate(specs)
-        ]
-        full = evaluate_cells_scenario_batched(
-            model, evaluator, cell_groups, base_seed=5, attach_amortize=False
-        )
-        amortized = evaluate_cells_scenario_batched(
-            model, evaluator, cell_groups, base_seed=5, attach_amortize=True
-        )
-        repeated = evaluate_cells_scenario_batched(
-            model, evaluator, cell_groups, base_seed=5, attach_amortize=True
-        )
-        np.testing.assert_array_equal(full, amortized)
-        np.testing.assert_array_equal(full, repeated)
-        assert program_stats(model).skipped > 0
-
-
 class TestTaskTopologyIdentity:
     """interpreted == raw-trace replay == optimized replay, all topologies."""
 
     def _compare(self, task_name, method, specs, samples=3, n_runs=3):
         task = build_task(task_name, preset="tiny")
         model = trained_model(task, method, "tiny", seed=0)
-        clear_programs(model)
         evaluator = make_evaluator(
             task.name, task.test_set, method, mc_samples=samples
         )
         results = {}
-        for label, plan, plan_opt, amortize in (
-            ("interpreted", False, None, False),
-            ("planned-raw", True, False, False),
-            ("planned-opt", True, True, False),
-            ("planned-amortized", True, True, True),
+        for label, plan, plan_opt in (
+            ("interpreted", False, None),
+            ("planned-raw", True, False),
+            ("planned-opt", True, True),
         ):
             campaign = MonteCarloCampaign(
                 model, evaluator, n_runs=n_runs, base_seed=0,
                 executor="batched", plan=plan, plan_opt=plan_opt,
-                attach_amortize=amortize,
             )
             results[label] = campaign.sweep(specs)
-            if amortize:
-                # A second identical sweep is served from the program
-                # registry — the skip path must fire *and* stay identical.
-                results["planned-amortized-repeat"] = campaign.sweep(specs)
-        for label in (
-            "planned-raw", "planned-opt",
-            "planned-amortized", "planned-amortized-repeat",
-        ):
+        for label in ("planned-raw", "planned-opt"):
             for a, b in zip(results["interpreted"], results[label]):
                 np.testing.assert_array_equal(a.values, b.values)
         stats = plan_mod.plan_stats(model)
         assert stats.traces > 0 and stats.replays > 0
         assert sum(stats.opt_counters.values()) > 0  # passes really fired
-        assert program_stats(model).skipped > 0  # registry hits really served
 
     # image / ResNet-18: binary weights, variation routes to activations
     def test_image_binary_bitflip_proposed(self):

@@ -1,11 +1,11 @@
 """Tests for scenario-batched severity sweeps (the scenario sub-axis).
 
-The ``batched`` executor's scenario mode stacks all severity levels of a
-sweep that share a fault kind along a scenario-major sub-axis above chips
-and MC samples, so one forward carries ``scenarios x chips x mc_samples``
+The ``batched`` executor stacks all severity levels of a sweep that
+share a fault kind along a scenario-major sub-axis above chips and MC
+samples, so one forward carries ``scenarios x chips x mc_samples``
 instances.  Its contract is the chip/MC-batched contract extended one
 axis up: per-(scenario, chip) metrics must be **bit-identical** to the
-serial looped reference (the same per-cell ``SeedSequence`` streams,
+serial oracle (the same per-cell ``SeedSequence`` streams,
 consumed in the serial draw order), and — because the draw order is
 unchanged — the campaign-result cache must keep serving entries written
 under the ``mc2`` RNG contract.  These tests pin that contract across all
@@ -245,11 +245,7 @@ class TestEvaluateCellsScenarioBatched:
         stacked = evaluate_cells_scenario_batched(
             model, evaluator, cell_groups, base_seed=5
         )
-        looped = evaluate_cells_scenario_batched(
-            model, evaluator, cell_groups, base_seed=5, mc_batched=False
-        )
         np.testing.assert_array_equal(serial, stacked)
-        np.testing.assert_array_equal(serial, looped)
 
     def test_matches_per_scenario_batched_passes(self):
         model, evaluator = build_pair()
@@ -354,31 +350,6 @@ class TestCampaignPlumbing:
         for s, b in zip(serial, limited):
             np.testing.assert_array_equal(s.values, b.values)
 
-    def test_scenario_batched_off_matches_on(self):
-        model, evaluator = build_pair()
-        specs = uniform_sweep([0.0, 0.1, 0.2])
-        on = MonteCarloCampaign(
-            model, evaluator, n_runs=3, base_seed=1, executor="batched"
-        ).sweep(specs)
-        off = MonteCarloCampaign(
-            model,
-            evaluator,
-            n_runs=3,
-            base_seed=1,
-            executor="batched",
-            scenario_batched=False,
-        ).sweep(specs)
-        for a, b in zip(on, off):
-            np.testing.assert_array_equal(a.values, b.values)
-
-    def test_scenario_batched_requires_batched_executor(self):
-        model, evaluator = build_pair()
-        campaign = MonteCarloCampaign(
-            model, evaluator, n_runs=2, executor="serial", scenario_batched=True
-        )
-        with pytest.raises(ValueError, match="batched"):
-            campaign.run(FaultSpec(kind="bitflip", level=0.1))
-
     def test_rejects_nonpositive_scenario_limit(self):
         model, evaluator = build_pair()
         campaign = MonteCarloCampaign(
@@ -399,7 +370,7 @@ class TestCampaignPlumbing:
 
 
 class TestTaskTopologyIdentity:
-    """Scenario-batched == serial looped on all four tiny-task topologies."""
+    """Scenario-batched == serial oracle on all four tiny-task topologies."""
 
     def _compare(self, task_name, method, specs, samples=3, n_runs=3):
         task = build_task(task_name, preset="tiny")
@@ -407,21 +378,14 @@ class TestTaskTopologyIdentity:
         evaluator = make_evaluator(
             task.name, task.test_set, method, mc_samples=samples
         )
-        results = {}
-        for label, kwargs in (
-            ("serial", dict(executor="serial")),
-            ("scenario", dict(executor="batched", scenario_batched=True)),
-            ("per-level", dict(executor="batched", scenario_batched=False)),
-        ):
-            campaign = MonteCarloCampaign(
-                model, evaluator, n_runs=n_runs, base_seed=0, **kwargs
-            )
-            results[label] = campaign.sweep(specs)
-        for s, m, l in zip(
-            results["serial"], results["scenario"], results["per-level"]
-        ):
-            np.testing.assert_array_equal(s.values, m.values)
-            np.testing.assert_array_equal(s.values, l.values)
+        serial, batched = (
+            MonteCarloCampaign(
+                model, evaluator, n_runs=n_runs, base_seed=0, executor=executor
+            ).sweep(specs)
+            for executor in ("serial", "batched")
+        )
+        for s, b in zip(serial, batched):
+            np.testing.assert_array_equal(s.values, b.values)
 
     # image / ResNet-18: binary weights, variation routes to activations
     def test_image_binary_bitflip_proposed(self):
@@ -496,8 +460,7 @@ class TestCacheContract:
         campaign_files = sorted((tmp_path / "store").rglob("*.npz"))
         assert campaign_files  # serial run populated the store
         scenario = run_robustness_sweep(
-            task, [proposed()], specs, executor="batched",
-            scenario_batched=True, **kwargs
+            task, [proposed()], specs, executor="batched", **kwargs
         )
         np.testing.assert_array_equal(
             serial.curves["proposed"].means, scenario.curves["proposed"].means
@@ -520,23 +483,9 @@ class TestCacheContract:
             task, [proposed()], specs, executor="serial", **kwargs
         )
         scenario = run_robustness_sweep(
-            task, [proposed()], specs, executor="batched",
-            scenario_batched=True, **kwargs
+            task, [proposed()], specs, executor="batched", **kwargs
         )
         np.testing.assert_array_equal(
             serial.curves["proposed"].means, scenario.curves["proposed"].means
         )
         clear_memory_cache()
-
-    def test_scenario_batched_rejected_off_batched_executor(self):
-        task = build_task("audio", preset="tiny")
-        with pytest.raises(ValueError, match="batched"):
-            run_robustness_sweep(
-                task,
-                [proposed()],
-                bitflip_sweep([0.0, 0.1]),
-                preset="tiny",
-                n_runs=2,
-                executor="serial",
-                scenario_batched=True,
-            )

@@ -14,9 +14,8 @@ that
   ``integers(size=n)`` call must not shift the stream),
 * :meth:`attach_batched` and :meth:`attach_scenario_batched` consume
   each chip's stream identically to a serial attach of that cell, and
-* the programmed path (:meth:`FaultInjector.program`) consumes the
-  serial stream on a miss and consumes **nothing** on a registry hit —
-  the amortized skip draws zero seeds and derives zero generators.
+* :func:`~repro.faults.executor.evaluate_cell` hands the attach exactly
+  the cell's fault stream, once.
 
 A transcript mismatch here means cached campaign results under the mc2
 contract would silently change — treat any edit that moves these
@@ -26,9 +25,8 @@ transcripts as a cache-contract bump, not a test fix.
 import numpy as np
 
 from repro import nn
-from repro.faults import FaultInjector, FaultSpec, cell_rngs, clear_programs
-from repro.faults import campaign as campaign_mod
-from repro.faults.models import ActivationNoise, ChipBatchedActivationNoise
+from repro.faults import FaultInjector, FaultSpec, WorkCell, cell_rngs, evaluate_cell
+from repro.faults import executor as executor_mod
 from repro.quant import (
     QuantConv2d,
     QuantLinear,
@@ -206,9 +204,8 @@ class TestBatchedTranscripts:
                     )
 
 
-class TestProgrammedTranscript:
-    def _patched_cell_rngs(self, monkeypatch):
-        """Route campaign.cell_rngs through transcript wrappers, counting calls."""
+class TestCellTranscript:
+    def test_evaluate_cell_consumes_the_serial_stream(self, monkeypatch):
         calls = []
 
         def wrapped(base_seed, scenario_index, run_index):
@@ -217,59 +214,14 @@ class TestProgrammedTranscript:
             calls.append(((base_seed, scenario_index, run_index), transcript))
             return transcript, ev
 
-        monkeypatch.setattr(campaign_mod, "cell_rngs", wrapped)
-        return calls
-
-    def test_miss_consumes_the_serial_stream(self, monkeypatch):
+        monkeypatch.setattr(executor_mod, "cell_rngs", wrapped)
         model = build_model()
-        injector = FaultInjector(model)
-        clear_programs(model)
-        calls = self._patched_cell_rngs(monkeypatch)
         for kind, spec in SPEC_BY_KIND.items():
             calls.clear()
-            installed = not injector.program(spec, 13, 2, 1)
-            assert installed  # first sight of this cell: a registry miss
+            # The transcript net has no forward; the metric never runs it.
+            evaluate_cell(model, lambda m: 0.0, WorkCell(2, 1, spec), 13)
             assert len(calls) == 1
             coords, transcript = calls[0]
             assert coords == (13, 2, 1)
-            golden = golden_transcript(
-                model, spec, cell_rngs(13, 2, 1)[0]
-            )
+            golden = golden_transcript(model, spec, cell_rngs(13, 2, 1)[0])
             assert transcript.draws == golden, f"kind={kind}"
-
-    def test_hit_draws_nothing_and_derives_no_stream(self, monkeypatch):
-        model = build_model()
-        injector = FaultInjector(model)
-        clear_programs(model)
-        spec = SPEC_BY_KIND["uniform"]
-        injector.program(spec, 13, 0, 0)
-        calls = self._patched_cell_rngs(monkeypatch)
-        assert injector.program(spec, 13, 0, 0)  # registry hit
-        assert calls == []  # the skip path never touches the fault stream
-
-    def test_hit_reinstalls_weight_hooks_but_restarts_activation_hooks(self):
-        """Frozen-pattern hooks are reused; stateful noise hooks restart."""
-        model = build_model()
-        injector = FaultInjector(model)
-        clear_programs(model)
-        spec = SPEC_BY_KIND["additive"]
-        injector.program(spec, 29, 0, 0)
-        lstm_hook = model.lstm.weight_fault
-        act_hook = model.sign.pre_fault
-        assert isinstance(act_hook, ActivationNoise)
-        assert injector.program(spec, 29, 0, 0)
-        assert model.lstm.weight_fault is lstm_hook  # same frozen hook
-        assert model.sign.pre_fault is not act_hook  # fresh stream state
-        assert isinstance(model.sign.pre_fault, ActivationNoise)
-
-    def test_batched_hit_restarts_chipbatched_activation_hooks(self):
-        model = build_model()
-        injector = FaultInjector(model)
-        clear_programs(model)
-        spec = SPEC_BY_KIND["uniform"]
-        injector.program_batched(spec, 31, 0, [0, 1, 2])
-        first = model.sign.pre_fault
-        assert isinstance(first, ChipBatchedActivationNoise)
-        assert injector.program_batched(spec, 31, 0, [0, 1, 2])
-        assert model.sign.pre_fault is not first
-        assert isinstance(model.sign.pre_fault, ChipBatchedActivationNoise)

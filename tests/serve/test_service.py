@@ -244,6 +244,27 @@ class TestServiceMisc:
             # The daemon survives the bad request.
             assert client.ping()["pong"]
 
+    @pytest.mark.parametrize("host", ["0.0.0.0", "10.1.2.3", "example.org"])
+    def test_non_loopback_host_refused(self, tmp_path, host):
+        # The daemon unpickles every frame: it must never be reachable
+        # from another machine.
+        with pytest.raises(ValueError, match="loopback"):
+            _service_pair(tmp_path, host=host)
+
+    def test_non_loopback_host_refused_by_cli(self, capsys):
+        from repro.serve.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--host", "0.0.0.0"])
+        assert exc.value.code == 2
+        assert "loopback" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("host", ["127.0.0.1", "localhost"])
+    def test_loopback_host_binds(self, tmp_path, host):
+        service, _ = _service_pair(tmp_path, host=host)
+        with service, ServiceClient(service.address) as client:
+            assert client.ping()["pong"]
+
     def test_shutdown_stops_service(self, shared_cache, tmp_path):
         service, _ = _service_pair(tmp_path)
         service.start()

@@ -120,7 +120,7 @@ class TestCliCheck:
         doc = _doc(
             tmp_path,
             "Run `python -m repro.eval campaign --task co2 --fault uniform "
-            "--executor batched --scenario-batched --scenario-limit 2`.",
+            "--executor batched --scenario-limit 2`.",
         )
         assert check_docs._check_cli_commands(doc, doc.read_text()) == []
 
