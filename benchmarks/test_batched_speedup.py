@@ -43,8 +43,6 @@ def _campaign(executor: str) -> MonteCarloCampaign:
     return MonteCarloCampaign(
         model, evaluator, n_runs=N_RUNS, base_seed=0, executor=executor,
         scenario_limit=1 if executor == "batched" else None,
-        # Pin PR 5's plan axis off: this benchmark isolates chip batching.
-        plan=False,
     )
 
 

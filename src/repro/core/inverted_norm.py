@@ -180,9 +180,8 @@ class InvertedNorm(StochasticModule):
     def _sample_affine_masks(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Draw ``(m_gamma, 1 - m_gamma, m_beta)`` in one sampling thunk.
 
-        The complement is computed inside the thunk so forward plans can
-        record the whole draw as one source step whose outputs feed the
-        affine kernels directly (see :mod:`repro.tensor.plan`).
+        The complement is cached with the masks, so a frozen mask scope
+        reuses it across forwards.
         """
         m_g, m_b = self.dropout.sample(self.num_features)
         return m_g, 1.0 - m_g, m_b

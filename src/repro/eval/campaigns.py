@@ -33,9 +33,9 @@ import numpy as np
 
 from ..faults import CampaignResult, FaultSpec, MonteCarloCampaign
 from ..faults.executor import Evaluator
-from ..tensor import plan as _plan
 from ..models import MethodConfig
 from ..nn.module import Module
+from ..profiling import stage
 from .cache import campaign_key, load_campaign_values, store_campaign_values, trained_model
 from .evaluators import make_evaluator
 from .tasks import Task, build_task, mc_runs, mc_samples
@@ -142,8 +142,6 @@ def run_robustness_sweep(
     on_cell_done: Optional[Callable[[int, int], None]] = None,
     chip_limit: Optional[int] = None,
     scenario_limit: Optional[int] = None,
-    plan: Optional[bool] = None,
-    plan_opt: Optional[bool] = None,
 ) -> RobustnessSweep:
     """Train/fetch each method's model and sweep the fault levels.
 
@@ -155,13 +153,7 @@ def run_robustness_sweep(
     cap the chips and severity levels the ``batched`` backend stacks per
     pass; ``use_cache=False`` bypasses the campaign-result cache (it is
     still written); ``on_cell_done(done, total)`` observes per-method
-    cell completion for throughput reporting.  ``plan`` toggles
-    trace-compiled forward plans (None = on for both backends,
-    bit-identical; ``plan=False`` is the CLI's ``--no-plan``), and
-    ``plan_opt`` the trace-time IR optimizer passes over those plans
-    (None = the ambient default, on unless ``REPRO_PLAN_OPT=0``;
-    ``plan_opt=False`` is the CLI's ``--no-plan-opt`` — bit-identical
-    either way).
+    cell completion for throughput reporting.
     """
     n_runs = n_runs if n_runs is not None else mc_runs(preset)
     samples = samples if samples is not None else mc_samples(preset)
@@ -183,7 +175,7 @@ def run_robustness_sweep(
         pending: List[int] = []
         for idx, (spec, key) in enumerate(zip(specs, keys)):
             if use_cache:
-                with _plan.stage("store"):
+                with stage("store"):
                     values = load_campaign_values(key)
             else:
                 values = None
@@ -210,8 +202,6 @@ def run_robustness_sweep(
                 executor=executor,
                 chip_limit=chip_limit,
                 scenario_limit=scenario_limit,
-                plan=plan,
-                plan_opt=plan_opt,
             )
             fresh = campaign.sweep(
                 [specs[i] for i in pending],
@@ -220,7 +210,7 @@ def run_robustness_sweep(
             )
             for idx, result in zip(pending, fresh):
                 results[idx] = result
-                with _plan.stage("store"):
+                with stage("store"):
                     store_campaign_values(keys[idx], result.values)
         if progress is not None:
             for spec, result in zip(specs, results):
@@ -257,7 +247,7 @@ def baseline_metrics(
     for method in methods:
         key = campaign_key(task, method, clean, 1, samples, seed, None)
         if use_cache:
-            with _plan.stage("store"):
+            with stage("store"):
                 values = load_campaign_values(key)
         else:
             values = None
@@ -270,7 +260,7 @@ def baseline_metrics(
                 model, evaluator, n_runs=1, base_seed=seed
             )
             values = campaign.run(clean).values
-            with _plan.stage("store"):
+            with stage("store"):
                 store_campaign_values(key, values)
         row[method.name] = float(values[0])
     return row

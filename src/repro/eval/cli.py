@@ -14,7 +14,9 @@ other: ``--executor serial`` (default, the reference) or ``--executor
 batched``, which evaluates all chips, Monte Carlo samples and same-kind
 severity levels of a sweep in one vectorized forward (cap the stack with
 ``--chip-limit`` / ``--scenario-limit``).  A live throughput line
-(cells/s, ETA) is printed to stderr while a sweep is running.
+(cells/s, ETA) is printed to stderr while a sweep is running, and
+``--profile`` prints where the sweep's wall time went (fault attach,
+metric evaluation, result-store and service-transport time).
 
 Trained models and completed campaign scenarios are cached under
 ``.repro_cache`` exactly as the benchmarks do, so repeated and resumed
@@ -46,8 +48,8 @@ from ..faults import (
     uniform_sweep,
 )
 from ..models import all_methods, proposed
+from ..profiling import profiled
 from ..tensor import manual_seed
-from ..tensor import plan as _plan
 from ..uncertainty import evaluate_shift_sweep
 from .campaigns import baseline_metrics, run_robustness_sweep
 from .cache import trained_model
@@ -114,7 +116,7 @@ def _cmd_sweep_local(args, specs) -> None:
     task = build_task(args.task, preset=args.preset, seed=args.seed)
     meter = ProgressMeter(label=f"{args.task}/{args.fault}")
     with contextlib.ExitStack() as stack:
-        stages = stack.enter_context(_plan.profiled()) if args.profile else None
+        stages = stack.enter_context(profiled()) if args.profile else None
         sweep = run_robustness_sweep(
             task,
             _methods_for(args.task),
@@ -128,8 +130,6 @@ def _cmd_sweep_local(args, specs) -> None:
             on_cell_done=meter,
             chip_limit=args.chip_limit,
             scenario_limit=args.scenario_limit,
-            plan=args.plan,
-            plan_opt=args.plan_opt,
         )
     if meter.total:
         meter.finish()
@@ -158,9 +158,7 @@ def _cmd_sweep_service(args, specs) -> None:
     methods = _methods_for(args.task)
     try:
         with contextlib.ExitStack() as stack:
-            stages = (
-                stack.enter_context(_plan.profiled()) if args.profile else None
-            )
+            stages = stack.enter_context(profiled()) if args.profile else None
             client_options = {
                 "connect_timeout": args.connect_timeout,
                 "request_timeout": args.request_timeout,
@@ -319,28 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
                  "caps bound memory without changing results)",
         )
         p.add_argument(
-            "--plan", action=argparse.BooleanOptionalAction, default=None,
-            help="route gradient-free campaign forwards through "
-                 "trace-compiled plans (on by default for every backend; "
-                 "the first forward per configuration traces a flat numpy "
-                 "kernel sequence, later ones replay it with reused "
-                 "buffers, bit-identical to the interpreted path; "
-                 "--no-plan forces full interpretation)",
-        )
-        p.add_argument(
-            "--plan-opt", action=argparse.BooleanOptionalAction, default=None,
-            help="run the trace-time plan-IR optimizer (constant folding, "
-                 "kernel fusion, dead-step elimination) over every traced "
-                 "plan (on by default; bit-identical to the raw trace "
-                 "either way; --no-plan-opt replays the unoptimized step "
-                 "list, e.g. to isolate an optimizer pass)",
-        )
-        p.add_argument(
             "--profile", action="store_true",
-            help="print a per-stage wall-time breakdown "
-                 "(attach/trace/replay/metric) after the sweep, plus the "
-                 "plan optimizer's per-pass step counters, for locating "
-                 "hot paths without external tooling",
+            help="print a per-stage wall-time breakdown after the sweep "
+                 "(fault attach, metric evaluation, result-store and "
+                 "service-transport time), for locating hot paths "
+                 "without external tooling",
         )
         p.add_argument(
             "--no-cache", action="store_true",
@@ -358,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--connect", default=None, metavar="HOST:PORT",
             help="run the sweep through a running campaign service "
-                 "daemon (python -m repro.serve); keeps models and plans "
-                 "warm across invocations",
+                 "daemon (python -m repro.serve); keeps models and their "
+                 "deployment caches warm across invocations",
         )
         p.add_argument(
             "--connect-timeout", type=float, default=5.0, metavar="SECONDS",

@@ -83,60 +83,27 @@ def format_profile(stages: Dict[str, float]) -> str:
     """Render the ``--profile`` per-stage wall-time breakdown.
 
     ``stages`` is the ``{stage: seconds}`` dict collected by
-    :func:`repro.tensor.plan.profiled`: ``attach`` (fault-pattern seed
-    draws + hook installation), ``trace`` (interpreted forwards recorded
-    into plans), ``replay`` (flat kernel replays), and ``metric`` (the
-    whole evaluator call).  Trace and replay run *inside* the evaluator,
-    so the table reports the evaluator's remaining self-time as
-    ``metric (other)`` — batch slicing, MC averaging, metric arithmetic.
-    ``store`` is content-addressed result-store traffic (lookups and
-    atomic writes of campaign values) and ``transport`` the campaign
-    service's wire time (framing, pickling, socket I/O) — both outside
-    the evaluator, so service overhead is never silently attributed to
-    ``attach``/``trace``/``replay``.
+    :func:`repro.profiling.profiled`: ``attach`` (fault-pattern seed
+    draws + hook installation), ``metric`` (the whole evaluator call:
+    forwards, batch slicing, MC averaging, metric arithmetic), ``store``
+    (content-addressed result-store lookups and atomic writes of campaign
+    values) and ``transport`` (the campaign service's wire time: framing,
+    pickling, socket I/O).  Store and transport run outside the
+    evaluator, so service overhead is never attributed to ``metric``.
 
-    Only stages that were actually recorded get a row: with
-    ``--no-plan`` no forward is traced or replayed, so those rows are
-    omitted rather than printed as misleading zeros.  ``opt.*`` keys are
-    the plan optimizer's per-pass step counters (not times); they render
-    as a single summary line after the table when present.
+    Only stages that were actually recorded get a row, so a local sweep
+    prints no ``transport`` zero.
     """
-    attach = stages.get("attach", 0.0)
-    trace = stages.get("trace", 0.0)
-    replay = stages.get("replay", 0.0)
-    metric = stages.get("metric", 0.0)
-    store = stages.get("store", 0.0)
-    transport = stages.get("transport", 0.0)
-    other = max(metric - trace - replay, 0.0)
-    total = attach + metric + store + transport
-    rows = [
-        ("attach", attach, "attach" in stages),
-        ("trace", trace, "trace" in stages),
-        ("replay", replay, "replay" in stages),
-        ("metric (other)", other, "metric" in stages),
-        ("store", store, "store" in stages),
-        ("transport", transport, "transport" in stages),
-    ]
-    present = [(label, seconds) for label, seconds, here in rows if here]
+    labels = ("attach", "metric", "store", "transport")
+    present = [(label, stages[label]) for label in labels if label in stages]
     if not present:
         return "per-stage wall time: (no stages recorded)"
+    total = sum(seconds for _, seconds in present)
     lines = ["per-stage wall time:"]
     for label, seconds in present:
         share = 100.0 * seconds / total if total > 0 else 0.0
         lines.append(f"  {label:<14} {seconds * 1000:9.1f}ms  {share:5.1f}%")
     lines.append(f"  {'total':<14} {total * 1000:9.1f}ms")
-    if "opt.steps_before" in stages:
-        lines.append(
-            "plan optimizer: "
-            f"{int(stages.get('opt.deduped', 0))} deduped, "
-            f"{int(stages.get('opt.folded', 0))} folded, "
-            f"{int(stages.get('opt.fused', 0))} fused, "
-            f"{int(stages.get('opt.eliminated', 0))} eliminated, "
-            f"{int(stages.get('opt.densified', 0))} densified, "
-            f"{int(stages.get('opt.prefixed', 0))} prefixed "
-            f"({int(stages['opt.steps_before'])} -> "
-            f"{int(stages.get('opt.steps_after', 0))} steps)"
-        )
     return "\n".join(lines)
 
 

@@ -329,20 +329,6 @@ class MonteCarloCampaign:
         (None = the whole same-kind group); the scenario-axis counterpart
         of ``chip_limit``, capping the working set without changing
         results.
-    plan:
-        Route gradient-free evaluation forwards through trace-compiled
-        plans (None = on, both backends; see :mod:`repro.tensor.plan`):
-        the first forward per (shape, layout, weights, hooks) key traces
-        the flat numpy kernel sequence, later ones replay it with reused
-        buffers.  Bit-identical either way; ``plan=False`` (CLI
-        ``--no-plan``) forces the interpreted path.
-    plan_opt:
-        Run the trace-time IR optimizer over every plan this campaign
-        traces (:mod:`repro.tensor.plan_passes`: constant folding,
-        dead-step elimination, kernel fusion).  ``None`` inherits the
-        ambient default (on unless ``REPRO_PLAN_OPT=0``); ``False`` (CLI
-        ``--no-plan-opt``) replays the raw traced step list.
-        Bit-identical either way.
     """
 
     def __init__(
@@ -354,8 +340,6 @@ class MonteCarloCampaign:
         executor: str = "serial",
         chip_limit: Optional[int] = None,
         scenario_limit: Optional[int] = None,
-        plan: Optional[bool] = None,
-        plan_opt: Optional[bool] = None,
     ):
         self.model = model
         self.evaluator = evaluator
@@ -364,8 +348,6 @@ class MonteCarloCampaign:
         self.executor = executor
         self.chip_limit = chip_limit
         self.scenario_limit = scenario_limit
-        self.plan = plan
-        self.plan_opt = plan_opt
 
     def _cells(self, spec: FaultSpec, scenario_index: int) -> List[WorkCell]:
         """Flatten one scenario into work cells (fault-free → one cell)."""
@@ -386,8 +368,6 @@ class MonteCarloCampaign:
             on_cell_done=on_cell_done,
             chip_limit=self.chip_limit,
             scenario_limit=self.scenario_limit,
-            plan=self.plan,
-            plan_opt=self.plan_opt,
         )
 
     def _package(self, spec: FaultSpec, values: np.ndarray) -> CampaignResult:

@@ -54,7 +54,7 @@ import numpy as np
 
 from ..nn.dropout import resample_masks
 from ..nn.module import Module
-from ..tensor import plan as _plan
+from ..profiling import stage
 from ..tensor.chipbatch import ChipBatchRng, chip_batch, scenario_axis
 from ..tensor.random import scoped_rng
 from .models import FaultSpec
@@ -94,8 +94,6 @@ def evaluate_cell(
     evaluator: Evaluator,
     cell: WorkCell,
     base_seed: int,
-    plan: bool = True,
-    plan_opt: Optional[bool] = None,
 ) -> float:
     """Evaluate one cell hermetically: attach faults, score, detach.
 
@@ -103,18 +101,6 @@ def evaluate_cell(
     scoped to generators derived from the cell coordinates, and frozen
     dropout masks are invalidated first, so the returned value does not
     depend on prior use of ``model``.
-
-    ``plan`` routes the cell's gradient-free forwards through
-    trace-compiled plans (:mod:`repro.tensor.plan`): the first forward per
-    (shape, layout, weights, hooks) key traces, subsequent ones replay a
-    flat numpy kernel sequence — bit-identical either way.  ``plan=False``
-    (the ``--no-plan`` switch) keeps the fully interpreted path.
-
-    ``plan_opt`` toggles the trace-time IR optimizer
-    (:mod:`repro.tensor.plan_passes`; fold/eliminate/fuse) for plans
-    traced by this cell: ``None`` inherits the ambient default (on unless
-    ``REPRO_PLAN_OPT=0``), ``False`` (the ``--no-plan-opt`` switch)
-    replays the raw traced step list — bit-identical either way.
     """
     from .campaign import FaultInjector  # local import breaks the cycle
 
@@ -122,10 +108,10 @@ def evaluate_cell(
     injector = FaultInjector(model)
     with scoped_rng(eval_rng):
         resample_masks(model)
-        with _plan.stage("attach"):
+        with stage("attach"):
             injector.attach(cell.spec, fault_rng)
         try:
-            with _plan.plan_execution(plan, optimize=plan_opt), _plan.stage("metric"):
+            with stage("metric"):
                 return float(evaluator(model))
         finally:
             injector.detach()
@@ -136,8 +122,6 @@ def evaluate_cells_batched(
     evaluator: Evaluator,
     cells: Sequence[WorkCell],
     base_seed: int,
-    plan: bool = True,
-    plan_opt: Optional[bool] = None,
 ) -> np.ndarray:
     """Evaluate one scenario's chip instances as a single stacked pass.
 
@@ -176,10 +160,10 @@ def evaluate_cells_batched(
     injector = FaultInjector(model)
     with chip_batch(len(cells)), scoped_rng(ChipBatchRng(eval_rngs)):
         resample_masks(model)
-        with _plan.stage("attach"):
+        with stage("attach"):
             injector.attach_batched(spec, fault_rngs)
         try:
-            with _plan.plan_execution(plan, optimize=plan_opt), _plan.stage("metric"):
+            with stage("metric"):
                 values = np.asarray(evaluator(model), dtype=np.float64)
         finally:
             injector.detach()
@@ -197,8 +181,6 @@ def evaluate_cells_scenario_batched(
     evaluator: Evaluator,
     cell_groups: Sequence[Sequence[WorkCell]],
     base_seed: int,
-    plan: bool = True,
-    plan_opt: Optional[bool] = None,
 ) -> np.ndarray:
     """Evaluate several scenarios' chip instances as ONE stacked pass.
 
@@ -262,10 +244,10 @@ def evaluate_cells_scenario_batched(
         ChipBatchRng(eval_rngs)
     ):
         resample_masks(model)
-        with _plan.stage("attach"):
+        with stage("attach"):
             injector.attach_scenario_batched(specs, fault_rng_groups)
         try:
-            with _plan.plan_execution(plan, optimize=plan_opt), _plan.stage("metric"):
+            with stage("metric"):
                 values = np.asarray(evaluator(model), dtype=np.float64)
         finally:
             injector.detach()
@@ -334,8 +316,6 @@ def _run_batched(
     on_cell_done: Optional[Callable[[int, int], None]],
     chip_limit: Optional[int] = None,
     scenario_limit: Optional[int] = None,
-    plan: bool = True,
-    plan_opt: Optional[bool] = None,
 ) -> np.ndarray:
     """Chip-batched backend: one vectorized pass per (stacked) group.
 
@@ -369,8 +349,7 @@ def _run_batched(
         if not _stackable(cells, start, stop):
             for index in range(start, stop):
                 values[index] = evaluate_cell(
-                    model, evaluator, cells[index], base_seed, plan=plan,
-                    plan_opt=plan_opt,
+                    model, evaluator, cells[index], base_seed
                 )
             _report(stop - start)
             continue
@@ -387,13 +366,11 @@ def _run_batched(
                 ]
                 if len(groups) == 1:
                     stacked = evaluate_cells_batched(
-                        model, evaluator, groups[0], base_seed, plan=plan,
-                        plan_opt=plan_opt,
+                        model, evaluator, groups[0], base_seed
                     )
                 else:
                     stacked = evaluate_cells_scenario_batched(
-                        model, evaluator, groups, base_seed, plan=plan,
-                        plan_opt=plan_opt,
+                        model, evaluator, groups, base_seed
                     )
                 width = chip_stop - chip_sub
                 for g, (first, _) in enumerate(sub_ranges):
@@ -414,8 +391,6 @@ def run_cells(
     on_cell_done: Optional[Callable[[int, int], None]] = None,
     chip_limit: Optional[int] = None,
     scenario_limit: Optional[int] = None,
-    plan: Optional[bool] = None,
-    plan_opt: Optional[bool] = None,
 ) -> np.ndarray:
     """Execute a flat cell grid and return values aligned with ``cells``.
 
@@ -444,42 +419,21 @@ def run_cells(
         the whole same-kind group).  Smaller caps bound the activation /
         stacked-weight working set without changing results — the
         scenario-axis counterpart of ``chip_limit``.
-    plan:
-        Route gradient-free evaluation forwards through trace-compiled
-        plans (default on for both backends; see
-        :mod:`repro.tensor.plan`).  The first forward per (input shape,
-        instance layout, parameter versions, fault-hook signatures) key
-        runs interpreted while a tracer records the flat numpy kernel
-        sequence; subsequent forwards replay it with reused buffers.
-        Results are bit-identical either way; ``plan=False`` (CLI
-        ``--no-plan``) forces the interpreted path throughout.
-    plan_opt:
-        Run the trace-time IR optimizer over every plan traced by this
-        grid (:mod:`repro.tensor.plan_passes`: constant folding,
-        dead-step elimination, kernel fusion).  ``None`` (default)
-        inherits the ambient setting — on unless ``REPRO_PLAN_OPT=0`` —
-        and ``False`` (CLI ``--no-plan-opt``) replays the raw traced
-        step list.  Results are bit-identical either way.
     """
     if executor not in EXECUTORS:
         raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
     total = len(cells)
     if total == 0:
         return np.empty(0)
-    plan = True if plan is None else bool(plan)
-    plan_opt = None if plan_opt is None else bool(plan_opt)
 
     if executor == "batched":
         return _run_batched(
             cells, base_seed, model, evaluator, on_cell_done,
-            chip_limit=chip_limit, scenario_limit=scenario_limit, plan=plan,
-            plan_opt=plan_opt,
+            chip_limit=chip_limit, scenario_limit=scenario_limit,
         )
     values = np.empty(total)
     for i, cell in enumerate(cells):
-        values[i] = evaluate_cell(
-            model, evaluator, cell, base_seed, plan=plan, plan_opt=plan_opt
-        )
+        values[i] = evaluate_cell(model, evaluator, cell, base_seed)
         if on_cell_done is not None:
             on_cell_done(i + 1, total)
     return values

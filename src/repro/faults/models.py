@@ -59,26 +59,6 @@ class WeightFaultModel:
             self._cache[key] = self._generate(qw)
         return self._apply(qw, self._cache[key])
 
-    def config_key(self) -> tuple:
-        """Value-determining configuration (class + severity scalars).
-
-        Subclasses append their severity parameters; together with a seed
-        this fully determines the frozen pattern, which is what lets the
-        forward-plan cache key seed-frozen batched hooks by value (see
-        :meth:`ChipBatchedWeightFault.plan_signature`).
-        """
-        return (type(self).__name__,)
-
-    def plan_signature(self) -> tuple:
-        """Forward-plan cache signature of this hook.
-
-        A serial hook owns a live generator whose state the planner cannot
-        fingerprint, so its identity is the unique ``fault_token`` — every
-        newly attached hook forces a re-trace, and the frozen pattern it
-        generates is safely captured as a plan constant for that key.
-        """
-        return ("wf", self.fault_token)
-
     def _cache_key(self, qw: QuantizedWeight) -> Tuple[int, ...]:
         # One frozen pattern per weight shape+bits.  The injector attaches a
         # dedicated model instance to every layer hook, so a cache never
@@ -140,9 +120,6 @@ class BitFlipFault(WeightFaultModel):
             raise ValueError(f"bit-flip rate must be in [0, 1], got {rate}")
         self.rate = rate
 
-    def config_key(self) -> tuple:
-        return (type(self).__name__, self.rate)
-
     def _generate(self, qw: QuantizedWeight) -> np.ndarray:
         if qw.bits == 1:
             return self.rng.random(qw.codes.shape) < self.rate
@@ -193,9 +170,6 @@ class AdditiveVariation(WeightFaultModel):
             raise ValueError(f"sigma must be >= 0, got {sigma}")
         self.sigma = sigma
 
-    def config_key(self) -> tuple:
-        return (type(self).__name__, self.sigma)
-
     def _generate(self, qw: QuantizedWeight) -> np.ndarray:
         return self.rng.normal(0.0, 1.0, size=qw.codes.shape)
 
@@ -214,9 +188,6 @@ class MultiplicativeVariation(WeightFaultModel):
             raise ValueError(f"sigma must be >= 0, got {sigma}")
         self.sigma = sigma
 
-    def config_key(self) -> tuple:
-        return (type(self).__name__, self.sigma)
-
     def _generate(self, qw: QuantizedWeight) -> np.ndarray:
         return self.rng.normal(0.0, 1.0, size=qw.codes.shape)
 
@@ -234,9 +205,6 @@ class UniformNoiseFault(WeightFaultModel):
         if strength < 0:
             raise ValueError(f"strength must be >= 0, got {strength}")
         self.strength = strength
-
-    def config_key(self) -> tuple:
-        return (type(self).__name__, self.strength)
 
     def _generate(self, qw: QuantizedWeight) -> np.ndarray:
         return self.rng.uniform(-1.0, 1.0, size=qw.codes.shape)
@@ -263,9 +231,6 @@ class StuckAtFault(WeightFaultModel):
             raise ValueError(f"stuck_to must be low/high/zero, got {stuck_to!r}")
         self.rate = rate
         self.stuck_to = stuck_to
-
-    def config_key(self) -> tuple:
-        return (type(self).__name__, self.rate, self.stuck_to)
 
     def _generate(self, qw: QuantizedWeight) -> np.ndarray:
         return self.rng.random(qw.codes.shape) < self.rate
@@ -346,16 +311,6 @@ class ActivationNoise:
             )
             for child in self._sample_children(num_samples)
         ]
-
-    def plan_signature(self) -> tuple:
-        """Forward-plan signature: structural only.
-
-        Activation noise is re-drawn on every pass, and forward plans
-        invoke the *live* hook at its site on each replay, so the values
-        never enter the plan — only the (shape-preserving) presence of the
-        hook matters.
-        """
-        return ("an",)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         out = x
@@ -481,9 +436,6 @@ class RetentionDriftFault(WeightFaultModel):
         self.nu = nu
         self.sigma_nu = sigma_nu
 
-    def config_key(self) -> tuple:
-        return (type(self).__name__, self.t_hours, self.nu, self.sigma_nu)
-
     def _generate(self, qw: QuantizedWeight) -> np.ndarray:
         exponents = self.nu + self.rng.normal(0.0, self.sigma_nu, qw.codes.shape)
         return self.t_hours ** (-np.clip(exponents, 0.0, None))
@@ -515,23 +467,10 @@ class ChipBatchedWeightFault:
         self.prototype = prototype
         self.fault_token = next(_FAULT_TOKENS)
         self._cache: Dict[Tuple[int, ...], np.ndarray] = {}
-        # Seeds and config are frozen for the hook's lifetime, so the plan
-        # signature is too; it is built once rather than per plan lookup.
-        self._signature = ("cbwf", prototype.config_key(), tuple(self.seeds))
 
     @property
     def n_chips(self) -> int:
         return len(self.seeds)
-
-    def plan_signature(self) -> tuple:
-        """Forward-plan signature: severity config + frozen seeds.
-
-        The stacked faulty codes are a pure function of (weight record,
-        spec, seeds), so an *identical* re-attach — e.g. a repeated sweep
-        deriving the same per-cell streams — hits the same plan key and
-        replays, while any new seed set or severity re-traces.
-        """
-        return self._signature
 
     def __call__(self, qw: QuantizedWeight) -> np.ndarray:
         key = (qw.bits,) + tuple(qw.codes.shape)
@@ -592,12 +531,6 @@ class ScenarioBatchedWeightFault:
         self.seed_groups = [[int(s) for s in seeds] for seeds in seed_groups]
         self.fault_token = next(_FAULT_TOKENS)
         self._cache: Dict[Tuple[int, ...], List[np.ndarray]] = {}
-        # Frozen for the hook's lifetime, like ChipBatchedWeightFault.
-        self._signature = (
-            "sbwf",
-            tuple(p.config_key() for p in self.prototypes),
-            tuple(tuple(seeds) for seeds in self.seed_groups),
-        )
 
     @property
     def n_scenarios(self) -> int:
@@ -607,14 +540,6 @@ class ScenarioBatchedWeightFault:
     def n_chips(self) -> int:
         """Total (scenario, chip) instances along the leading axis."""
         return sum(len(seeds) for seeds in self.seed_groups)
-
-    def plan_signature(self) -> tuple:
-        """Forward-plan signature: per-scenario configs + frozen seeds.
-
-        Like :meth:`ChipBatchedWeightFault.plan_signature`, value-based:
-        identical stacked sweeps replay, anything else re-traces.
-        """
-        return self._signature
 
     def __call__(self, qw: QuantizedWeight) -> np.ndarray:
         key = (qw.bits,) + tuple(qw.codes.shape)
@@ -665,15 +590,6 @@ class ChipBatchedActivationNoise:
     @property
     def n_chips(self) -> int:
         return len(self.models)
-
-    def plan_signature(self) -> tuple:
-        """Forward-plan signature: structural (instance count only).
-
-        Replays invoke the live hook, which draws per-pass noise from its
-        own streams; only the instance-axis width it stacks to matters for
-        the traced shapes.
-        """
-        return ("anb", len(self.models))
 
     def _active_models(self) -> List[ActivationNoise]:
         samples = active_sample_count() or 1

@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..tensor import Tensor, ops
-from ..tensor import plan as _plan
 from ..tensor.chipbatch import active_chip_count, chip_axes
 from ..tensor.random import get_rng
 from .module import Module
@@ -55,21 +54,11 @@ class StochasticModule(Module):
         self._mask_cache = None
 
     def _scoped_mask(self, sample_fn, shape_key):
-        """Sample via ``sample_fn`` honouring the mask scope.
-
-        Under an active forward-plan trace the draw is recorded as a
-        *source step*, so every replay re-runs ``sample_fn`` against the
-        engine's scoped generator — one fresh draw per replayed forward,
-        exactly the interpreted cadence.  A frozen mask that was drawn
-        *before* the trace began cannot be re-derived and poisons the
-        trace (the key falls back to interpretation).
-        """
+        """Sample via ``sample_fn`` honouring the mask scope."""
         if self.mask_scope != "frozen":
-            return _plan.traced_source(sample_fn)
+            return sample_fn()
         if self._mask_cache is None or self._mask_cache[0] != shape_key:
-            self._mask_cache = (shape_key, _plan.traced_source(sample_fn))
-        else:
-            _plan.ensure_known(self._mask_cache[1])
+            self._mask_cache = (shape_key, sample_fn())
         return self._mask_cache[1]
 
 
@@ -103,7 +92,7 @@ class Dropout(StochasticModule):
         if not self.sampling or self.p == 0.0:
             return x
         keep = 1.0 - self.p
-        shape = x.shape  # bind the shape, not the tensor: plans keep the thunk
+        shape = x.shape
         mask = self._scoped_mask(
             lambda: (get_rng().random(shape) < keep).astype(np.float64), shape
         )
@@ -157,10 +146,7 @@ class GaussianDropout(StochasticModule):
     def forward(self, x: Tensor) -> Tensor:
         if not self.sampling:
             return x
-        shape = x.shape
-        noise = _plan.traced_source(
-            lambda: get_rng().normal(1.0, self._std, size=shape)
-        )
+        noise = get_rng().normal(1.0, self._std, size=x.shape)
         return ops.dropout_mask_apply(x, noise, scale=1.0)
 
     def extra_repr(self) -> str:
@@ -192,9 +178,7 @@ class DropConnect(StochasticModule):
         keep = 1.0 - self.p
         n_chips = active_chip_count()
         mask_shape = ((n_chips,) if n_chips else ()) + weight.shape
-        mask = _plan.traced_source(
-            lambda: (get_rng().random(mask_shape) < keep).astype(np.float64)
-        )
+        mask = (get_rng().random(mask_shape) < keep).astype(np.float64)
         masked = ops.dropout_mask_apply(weight, mask, scale=1.0 / keep)
         out = x @ masked.swapaxes(-1, -2)
         if getattr(self.linear, "bias", None) is not None:

@@ -15,7 +15,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..tensor import Tensor
-from ..tensor import plan as _plan
 
 # Process-wide monotonic ids for Parameter identity in deployment caches.
 # Never recycled (unlike ``id()``), so a (uid, version) pair uniquely names
@@ -205,14 +204,6 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
-        # Root calls under active plan routing (the campaign engine's
-        # trace-compiled execution, see repro.tensor.plan) go through the
-        # plan cache: first gradient-free forward per key traces, later
-        # ones replay a flat numpy kernel sequence.  Nested module calls
-        # during a trace, training forwards, and `--no-plan` runs all take
-        # this interpreted path.
-        if _plan.plan_routing_active():
-            return _plan.call_planned(self, args, kwargs)
         return self.forward(*args, **kwargs)
 
     def __repr__(self) -> str:

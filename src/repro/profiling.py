@@ -1,0 +1,60 @@
+"""Per-stage wall-time profiling (the CLI's ``--profile`` breakdown).
+
+:func:`profiled` opens a collection block on the current thread;
+:func:`stage` blocks anywhere below it (fault attach, the evaluator's
+metric pass, result-store reads and writes, service transport) add their
+wall time to it.  Outside a :func:`profiled` block :func:`stage` is a
+no-op that allocates nothing, so the hot path pays one thread-local read.
+Rendering lives in :func:`repro.eval.reporting.format_profile`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import threading
+import time
+from typing import Dict, Iterator, Optional
+
+__all__ = ["profiled", "stage"]
+
+
+class _ProfileState(threading.local):
+    def __init__(self) -> None:
+        self.stages: Optional[Dict[str, float]] = None
+
+
+_STATE = _ProfileState()
+
+
+@contextlib.contextmanager
+def profiled() -> Iterator[Dict[str, float]]:
+    """Collect per-stage wall time on this thread.
+
+    Yields the accumulating ``{stage: seconds}`` dict.  Nestable: an inner
+    block collects into its own dict and restores the outer one on exit.
+    """
+    previous = _STATE.stages
+    stages: Dict[str, float] = {}
+    _STATE.stages = stages
+    try:
+        yield stages
+    finally:
+        _STATE.stages = previous
+
+
+@contextlib.contextmanager
+def stage(label: str) -> Iterator[None]:
+    """Accumulate this block's wall time under ``label`` when profiling.
+
+    No-op (and allocation-free) unless a :func:`profiled` block is active
+    on this thread.  Nested stages each record their full span.
+    """
+    stages = _STATE.stages
+    if stages is None:
+        yield
+        return
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        stages[label] = stages.get(label, 0.0) + time.perf_counter() - start

@@ -27,7 +27,6 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from ..tensor import Tensor
-from ..tensor import plan as _plan
 
 #: Transform applied to quantized weight codes at forward time.  Receives a
 #: :class:`QuantizedWeight` and returns the perturbed integer codes.
@@ -67,17 +66,9 @@ class QuantizedWeight:
         return self.codes * self.scale
 
 
-@_plan.fusable
-@_plan.outable
-def sign_with_zero_to_one(x: np.ndarray, out=None) -> np.ndarray:
-    """``sign`` mapping 0 to +1, as binarized hardware does.
-
-    Doubles as its own replay kernel: ``out=``-aware (so plans serve it
-    from the pooled buffer set) and fusable (so the optimizer may merge
-    it into adjacent elementwise chains) — ``np.sign`` into a preallocated
-    buffer is bit-identical to the allocating call.
-    """
-    s = np.sign(x, out=out) if out is not None else np.sign(x)
+def sign_with_zero_to_one(x: np.ndarray) -> np.ndarray:
+    """``sign`` mapping 0 to +1, as binarized hardware does."""
+    s = np.sign(x)
     s[s == 0] = 1.0
     return s
 
@@ -127,19 +118,11 @@ def binarize_weight(
     def backward(grad: np.ndarray) -> None:
         weight._accumulate(grad * mask * alpha)
 
-    # Deployment-frozen: for a fixed plan key (parameter versions + fault
-    # hook signatures) the faulty dequantized weight is constant, so plans
-    # capture it by reference instead of replaying quantization.
-    return (
-        Tensor._make(
-            data, [weight], backward, "binarize_w", kernel=_plan.CONSTANT
-        ),
-        record,
-    )
+    return Tensor._make(data, [weight], backward, "binarize_w"), record
 
 
 def binarize_activation(
-    x: Tensor, pre_fault: Optional[ActivationFault] = None, site=None
+    x: Tensor, pre_fault: Optional[ActivationFault] = None
 ) -> Tensor:
     """Sign activation with hard-tanh straight-through gradient.
 
@@ -147,32 +130,15 @@ def binarize_activation(
     for binary NNs: noise is added to the *normalized activations before the
     Sign(.)* (Section IV-A-2).  The fault perturbs the forward decision but
     the gradient estimator still uses the clean input's clip mask.
-
-    ``site`` names the module owning the hook (a
-    :class:`~repro.quant.layers.SignActivation`): forward plans record the
-    site rather than the hook object, so a replay invokes whatever hook is
-    *currently* attached there — per-pass noise draws stay live.  A bare
-    ``pre_fault`` callable without a site poisons any active trace.
     """
-    values = x.data
-    if pre_fault is not None:
-        if site is not None:
-            values = _plan.traced_hook(site, "pre_fault", x.data)
-        else:
-            trace = _plan.active_trace()
-            if trace is not None:
-                trace.fail("activation fault hook without a traced site")
-            values = pre_fault(values)
+    values = x.data if pre_fault is None else pre_fault(x.data)
     data = sign_with_zero_to_one(values)
     mask = np.abs(x.data) <= 1.0
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * mask)
 
-    return Tensor._make(
-        data, [x], backward, "binarize_a",
-        kernel=sign_with_zero_to_one, kernel_inputs=(values,),
-    )
+    return Tensor._make(data, [x], backward, "binarize_a")
 
 
 def fake_quantize_weight_record(data: np.ndarray, bits: int) -> QuantizedWeight:
@@ -216,30 +182,20 @@ def fake_quantize_weight(
     def backward(grad: np.ndarray) -> None:
         weight._accumulate(grad)  # STE: identity inside the clip range
 
-    # Deployment-frozen, like binarize_weight: constant per plan key.
-    return (
-        Tensor._make(
-            data, [weight], backward, "fake_quant_w", kernel=_plan.CONSTANT
-        ),
-        record,
-    )
+    return Tensor._make(data, [weight], backward, "fake_quant_w"), record
 
 
 def fake_quantize_activation(x: Tensor, bits: int, max_val: float = 1.0) -> Tensor:
     """Unsigned k-bit activation quantization on ``[0, max_val]`` (STE)."""
     levels = 2**bits - 1
-
-    def kernel(values: np.ndarray) -> np.ndarray:
-        clipped = np.clip(values, 0.0, max_val)
-        return np.round(clipped / max_val * levels) / levels * max_val
-
-    data = kernel(x.data)
+    clipped = np.clip(x.data, 0.0, max_val)
+    data = np.round(clipped / max_val * levels) / levels * max_val
     mask = (x.data >= 0.0) & (x.data <= max_val)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * mask)
 
-    return Tensor._make(data, [x], backward, "fake_quant_a", kernel=kernel)
+    return Tensor._make(data, [x], backward, "fake_quant_a")
 
 
 def pact_quantize(x: Tensor, alpha: Tensor, bits: int) -> Tensor:
@@ -255,13 +211,8 @@ def pact_quantize(x: Tensor, alpha: Tensor, bits: int) -> Tensor:
     if a <= 0:
         raise ValueError(f"PACT alpha must be positive, got {a}")
 
-    def kernel(values: np.ndarray, alpha_values: np.ndarray) -> np.ndarray:
-        # ``a`` is baked from the traced alpha; alpha is a Parameter, so a
-        # changed clip level bumps its version counter and re-traces.
-        clipped = np.clip(values, 0.0, a)
-        return np.round(clipped / a * levels) / levels * a
-
-    data = kernel(x.data, alpha.data)
+    clipped = np.clip(x.data, 0.0, a)
+    data = np.round(clipped / a * levels) / levels * a
     inside = (x.data >= 0.0) & (x.data < a)
     above = x.data >= a
 
@@ -269,4 +220,4 @@ def pact_quantize(x: Tensor, alpha: Tensor, bits: int) -> Tensor:
         x._accumulate(grad * inside)
         alpha._accumulate(np.asarray((grad * above).sum()).reshape(alpha.shape))
 
-    return Tensor._make(data, [x, alpha], backward, "pact", kernel=kernel)
+    return Tensor._make(data, [x, alpha], backward, "pact")

@@ -379,9 +379,7 @@ class SignActivation(Module):
         self.pre_fault: Optional[ActivationFault] = None
 
     def forward(self, x: Tensor) -> Tensor:
-        # ``site=self`` lets forward plans re-fetch the *currently attached*
-        # hook on every replay instead of freezing the traced one.
-        return binarize_activation(x, pre_fault=self.pre_fault, site=self)
+        return binarize_activation(x, pre_fault=self.pre_fault)
 
 
 class PACT(Module):

@@ -1,7 +1,7 @@
 """Long-lived campaign service: daemon, sharding scheduler, and client.
 
-The service keeps the expensive per-process state — trained models,
-frozen deployment quantization, traced plans — warm across requests,
+The service keeps the expensive per-process state — trained models and
+their frozen deployment quantization caches — warm across requests,
 shards each sweep's ``(task, fault-kind)`` groups across N workers, and
 serves every already-computed cell from the content-addressed result
 store (:mod:`repro.eval.cache`) so overlapping robustness grids never

@@ -2,7 +2,7 @@
 
 The daemon binds the loopback interface (``--port 0`` picks a free
 port, printed on startup so wrappers can parse it), keeps models and
-plans warm across requests, and serves sweeps until a client sends
+their deployment caches warm across requests, and serves sweeps until a client sends
 ``shutdown`` or the process receives SIGINT.  A non-loopback ``--host``
 is refused: the daemon unpickles every frame it receives.
 """

@@ -1,11 +1,11 @@
 """The campaign service daemon.
 
 One :class:`CampaignService` process keeps everything a cold campaign
-run pays for — trained models, frozen deployment quantization, traced
-plans — warm across requests.  The warm state lives on per-worker model
-replicas (fault hooks and plan caches are per-model state), so the
-first request per (worker, task, method) pays trace cost once and every
-later request replays.
+run pays for — trained models and their frozen deployment quantization
+caches — warm across requests.  The warm state lives on per-worker model
+replicas (fault hooks and deployment caches are per-model state), so
+only the first request per (worker, task, method) pays to load and
+quantize the model.
 
 The daemon binds loopback addresses only: it unpickles every frame it
 receives, so a non-loopback ``host`` is refused at construction.
@@ -19,9 +19,9 @@ A sweep request is served in rounds:
    (original scenario indices, so values are bit-identical to a cold
    serial run), partitioned into kind-group :class:`ShardUnit`\\ s, and
    placed on workers by the deterministic LPT scheduler;
-3. each worker re-checks the store per scenario before computing (a
-   unit re-issued after a worker death never recomputes what a previous
-   round already landed), runs its units on the batched engine, lands
+3. each worker runs its units on the batched engine (a unit re-issued
+   after a worker death first re-checks the store per scenario, so it
+   never recomputes what a previous round already landed), lands
    fresh values in the store, and streams one partial frame per
    scenario as soon as it completes;
 4. a worker death — a raised exception, an injected chaos kill, or a
@@ -29,7 +29,7 @@ A sweep request is served in rounds:
    ``unit_deadline`` seconds) — returns its unfinished units to the
    pool; survivors get a deterministic re-shard, dead workers with
    respawn budget left (``max_respawns`` per worker per sweep) are
-   revived with a **fresh replica** (re-warmed plans on first use), and
+   revived with a **fresh replica** (re-warmed caches on first use), and
    the round counter advances.  Assignments of every round are recorded
    in the reply stats so re-shard determinism is directly assertable.
 
@@ -92,7 +92,7 @@ MAX_REMEMBERED_REQUESTS = 256
 
 
 def _replicate(model):
-    """Worker-private model copy (hooks and plans are per-model)."""
+    """Worker-private model copy (hooks and deploy caches are per-model)."""
     import copy
 
     replica = copy.deepcopy(model)
@@ -174,7 +174,7 @@ class CampaignService:
         self._state_lock = threading.Lock()
         self._conns: Set[socket.socket] = set()
         # Warm (worker, handle) → (model replica, evaluator); the replica
-        # carries traced plans across requests.
+        # carries its deployment cache across requests.
         self._pairs: Dict[Tuple[int, Hashable], Tuple[object, object]] = {}
         self.requests = 0
         self.retried_requests = 0
@@ -786,14 +786,17 @@ class CampaignService:
                     # we exit without emitting anything.
                     abandoned.wait(timeout=self.unit_deadline * 4.0 + 1.0)
                     return
-                events.put(self._process_unit(wid, unit, handle, ctx))
+                events.put(self._process_unit(
+                    wid, unit, handle, ctx, recheck=round_no > 0
+                ))
                 done_units += 1
             events.put({"kind": "exit", "worker": wid})
         except BaseException as exc:  # noqa: BLE001 - death → re-shard
             events.put({"kind": "death", "worker": wid, "error": repr(exc)})
 
     def _process_unit(
-        self, wid: int, unit: ShardUnit, handle: TaskEvalHandle, ctx: dict
+        self, wid: int, unit: ShardUnit, handle: TaskEvalHandle, ctx: dict,
+        recheck: bool,
     ) -> dict:
         grid = ctx["grid"]
         keys = ctx["keys"]
@@ -804,13 +807,15 @@ class CampaignService:
             "payloads": [], "sources": {}, "computed": 0, "served": 0,
             "redundant": 0, "store_seconds": 0.0, "compute_seconds": 0.0,
         }
-        # Per-scenario store re-check: a unit re-issued after a worker
-        # death — or racing an overlapping request — serves what another
-        # worker already landed instead of recomputing it.
+        # Per-scenario store re-check, only for a unit re-issued after a
+        # worker death (round > 0): it serves what another worker already
+        # landed instead of recomputing it.  In round 0 every scenario
+        # just missed the sweep's pre-check, and sweeps are serialized by
+        # ``_sweep_lock``, so a second lookup could only miss again.
         pending_ranges: List[Tuple[int, int]] = []
         for start, stop in unit.ranges:
             scenario_idx = grid[start].scenario_index
-            if ctx["use_store"]:
+            if recheck and ctx["use_store"]:
                 t0 = time.perf_counter()
                 values = self.store.get(keys[scenario_idx])
                 event["store_seconds"] += time.perf_counter() - t0

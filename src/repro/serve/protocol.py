@@ -36,7 +36,7 @@ import struct
 import zlib
 from typing import Any
 
-from ..tensor import plan as _plan
+from ..profiling import stage
 
 _HEADER = struct.Struct(">QI")
 
@@ -80,7 +80,7 @@ def send_message(sock: socket.socket, message: Any, corrupt: bool = False) -> No
         damaged = bytearray(payload)
         damaged[len(damaged) // 2] ^= 0xFF
         payload = bytes(damaged)
-    with _plan.stage("transport"):
+    with stage("transport"):
         sock.sendall(_HEADER.pack(len(payload), checksum) + payload)
 
 
@@ -92,7 +92,7 @@ def recv_message(sock: socket.socket) -> Any:
     the payload fails its CRC, and :class:`ProtocolError` for oversized
     or unpicklable frames.
     """
-    with _plan.stage("transport"):
+    with stage("transport"):
         header = _recv_exact(sock, _HEADER.size, at_boundary=True)
         length, checksum = _HEADER.unpack(header)
         if length > MAX_MESSAGE_BYTES:

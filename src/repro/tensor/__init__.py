@@ -19,8 +19,6 @@ from .chipbatch import (
     spawn_sample_streams,
 )
 from .grad_mode import enable_grad, is_grad_enabled, no_grad, set_grad_enabled
-from . import plan
-from .plan import clear_plans, plan_execution, plan_stats
 from .gradcheck import check_gradients, numeric_gradient
 from .random import get_rng, manual_seed, scoped_rng, spawn_rng
 from .tensor import (
@@ -91,10 +89,6 @@ __all__ = [
     "spawn_sample_streams",
     "check_gradients",
     "numeric_gradient",
-    "plan",
-    "plan_execution",
-    "plan_stats",
-    "clear_plans",
     "conv",
     "ops",
     "conv1d",

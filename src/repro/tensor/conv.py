@@ -197,21 +197,16 @@ def _conv2d_chipbatched(
         )
     pad_spec = ((0, 0),) * (x.ndim - 2) + ((ph, ph), (pw, pw))
     n = x.shape[-4]
-    chip_batched_input = x.ndim == 5
-
-    def kernel(xv: np.ndarray, wv: np.ndarray, bv=None) -> np.ndarray:
-        xp = np.pad(xv, pad_spec) if (ph or pw) else xv
-        if not chip_batched_input:
-            cols, oh, ow = _im2col2d(xp, kh, kw, sh, sw)  # (n*oh*ow, k)
-        else:
-            cols, oh, ow = _im2col2d_chips(xp, kh, kw, sh, sw)
-        w_mat = wv.reshape(n_chips, c_out, c_in * kh * kw)
-        out_mat = cols @ w_mat.transpose(0, 2, 1)  # (C, n*oh*ow, c_out)
-        if bv is not None:
-            out_mat = out_mat + bv
-        return np.moveaxis(out_mat.reshape(n_chips, n, oh, ow, c_out), -1, 2)
-
-    out = kernel(x.data, weight.data, None if bias is None else bias.data)
+    xp = np.pad(x.data, pad_spec) if (ph or pw) else x.data
+    if x.ndim == 5:
+        cols, oh, ow = _im2col2d_chips(xp, kh, kw, sh, sw)
+    else:
+        cols, oh, ow = _im2col2d(xp, kh, kw, sh, sw)  # (n*oh*ow, k)
+    w_mat = weight.data.reshape(n_chips, c_out, c_in * kh * kw)
+    out_mat = cols @ w_mat.transpose(0, 2, 1)  # (C, n*oh*ow, c_out)
+    if bias is not None:
+        out_mat = out_mat + bias.data
+    out = np.moveaxis(out_mat.reshape(n_chips, n, oh, ow, c_out), -1, 2)
     parents = [x, weight] + ([bias] if bias is not None else [])
 
     def backward(grad: np.ndarray) -> None:
@@ -220,7 +215,7 @@ def _conv2d_chipbatched(
             "backpropagate through per-chip faulty kernels"
         )
 
-    return Tensor._make(out, parents, backward, "conv2d_chips", kernel=kernel)
+    return Tensor._make(out, parents, backward, "conv2d_chips")
 
 
 def conv2d(
@@ -269,16 +264,6 @@ def conv2d(
     out = out_mat.reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
     parents = [x, weight] + ([bias] if bias is not None else [])
 
-    def kernel(xv: np.ndarray, wv: np.ndarray, bv=None) -> np.ndarray:
-        # Replay kernel: the exact eager computation above, re-run on the
-        # current slot arrays (bit-identical numpy call sequence).
-        xpk = np.pad(xv, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else xv
-        colsk, ohk, owk = _im2col2d(xpk, kh, kw, sh, sw)
-        out_k = colsk @ wv.reshape(c_out, -1).T
-        if bv is not None:
-            out_k = out_k + bv
-        return out_k.reshape(n, ohk, owk, c_out).transpose(0, 3, 1, 2)
-
     def backward(grad: np.ndarray) -> None:
         gmat = np.ascontiguousarray(grad.transpose(0, 2, 3, 1)).reshape(-1, c_out)
         if weight.requires_grad:
@@ -291,7 +276,7 @@ def conv2d(
                 _col2im2d(dcols, x.shape, kh, kw, sh, sw, ph, pw, oh, ow)
             )
 
-    return Tensor._make(out, parents, backward, "conv2d", kernel=kernel)
+    return Tensor._make(out, parents, backward, "conv2d")
 
 
 def conv1d(
@@ -347,14 +332,6 @@ def conv_transpose2d(
         out = out + bias.data.reshape(1, -1, 1, 1)
     parents = [x, weight] + ([bias] if bias is not None else [])
 
-    def kernel(xv: np.ndarray, wv: np.ndarray, bv=None) -> np.ndarray:
-        xm = np.ascontiguousarray(xv.transpose(0, 2, 3, 1)).reshape(-1, c_in)
-        dc = xm @ wv.reshape(c_in, c_out * kh * kw)
-        res = _col2im2d(dc, (n, c_out, ho, wo), kh, kw, sh, sw, 0, 0, h, w)
-        if bv is not None:
-            res = res + bv.reshape(1, -1, 1, 1)
-        return res
-
     def backward(grad: np.ndarray) -> None:
         # Backward is the im2col gather (ordinary convolution structure).
         gcols, goh, gow = _im2col2d(grad, kh, kw, sh, sw)
@@ -368,9 +345,7 @@ def conv_transpose2d(
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
 
-    return Tensor._make(
-        out, parents, backward, "conv_transpose2d", kernel=kernel
-    )
+    return Tensor._make(out, parents, backward, "conv_transpose2d")
 
 
 def max_pool2d(
@@ -409,18 +384,7 @@ def max_pool2d(
             dx[:, :, ki : ki + sh * oh : sh, kj : kj + sw * ow : sw] += grad * mask
         x._accumulate(dx)
 
-    def kernel(xv: np.ndarray) -> np.ndarray:
-        t0, t1, t2, t3 = xv.strides
-        win = as_strided(
-            xv,
-            shape=(n, c, oh, ow, kh, kw),
-            strides=(t0, t1, t2 * sh, t3 * sw, t2, t3),
-        )
-        fl = win.reshape(n, c, oh, ow, kh * kw)
-        am = fl.argmax(axis=-1)
-        return np.take_along_axis(fl, am[..., None], axis=-1)[..., 0].copy()
-
-    return Tensor._make(out.copy(), [x], backward, "max_pool2d", kernel=kernel)
+    return Tensor._make(out.copy(), [x], backward, "max_pool2d")
 
 
 def avg_pool2d(
@@ -450,15 +414,6 @@ def avg_pool2d(
     out = windows.mean(axis=(-1, -2))
     scale = 1.0 / (kh * kw)
 
-    def kernel(xv: np.ndarray) -> np.ndarray:
-        t0, t1, t2, t3 = xv.strides
-        win = as_strided(
-            xv,
-            shape=(n, c, oh, ow, kh, kw),
-            strides=(t0, t1, t2 * sh, t3 * sw, t2, t3),
-        )
-        return win.mean(axis=(-1, -2))
-
     def backward(grad: np.ndarray) -> None:
         dx = np.zeros_like(x.data)
         g = grad * scale
@@ -467,7 +422,7 @@ def avg_pool2d(
                 dx[:, :, ki : ki + sh * oh : sh, kj : kj + sw * ow : sw] += g
         x._accumulate(dx)
 
-    return Tensor._make(out, [x], backward, "avg_pool2d", kernel=kernel)
+    return Tensor._make(out, [x], backward, "avg_pool2d")
 
 
 def max_pool1d(x: Tensor, kernel_size: int, stride: Optional[int] = None) -> Tensor:
@@ -500,7 +455,4 @@ def upsample_nearest2d(x: Tensor, scale: int = 2) -> Tensor:
         g = grad.reshape(*x.shape[:-2], h, scale, w, scale).sum(axis=(-3, -1))
         x._accumulate(g)
 
-    return Tensor._make(
-        data, [x], backward, "upsample_nearest2d",
-        kernel=lambda a: a.repeat(scale, axis=-2).repeat(scale, axis=-1),
-    )
+    return Tensor._make(data, [x], backward, "upsample_nearest2d")

@@ -10,7 +10,6 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .plan import fusable, outable
 from .tensor import Tensor, as_tensor, unbroadcast
 
 
@@ -22,10 +21,7 @@ def exp(x: Tensor) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * data)
 
-    return Tensor._make(
-        data, [x], backward, "exp",
-        kernel=fusable(outable(lambda a, out=None: np.exp(a, out=out))),
-    )
+    return Tensor._make(data, [x], backward, "exp")
 
 
 def log(x: Tensor) -> Tensor:
@@ -36,10 +32,7 @@ def log(x: Tensor) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad / x.data)
 
-    return Tensor._make(
-        data, [x], backward, "log",
-        kernel=fusable(outable(lambda a, out=None: np.log(a, out=out))),
-    )
+    return Tensor._make(data, [x], backward, "log")
 
 
 def sqrt(x: Tensor) -> Tensor:
@@ -50,10 +43,7 @@ def sqrt(x: Tensor) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * 0.5 / data)
 
-    return Tensor._make(
-        data, [x], backward, "sqrt",
-        kernel=fusable(outable(lambda a, out=None: np.sqrt(a, out=out))),
-    )
+    return Tensor._make(data, [x], backward, "sqrt")
 
 
 def abs_(x: Tensor) -> Tensor:
@@ -64,10 +54,7 @@ def abs_(x: Tensor) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * np.sign(x.data))
 
-    return Tensor._make(
-        data, [x], backward, "abs",
-        kernel=fusable(outable(lambda a, out=None: np.abs(a, out=out))),
-    )
+    return Tensor._make(data, [x], backward, "abs")
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -78,16 +65,11 @@ def tanh(x: Tensor) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * (1.0 - data**2))
 
-    return Tensor._make(
-        data, [x], backward, "tanh",
-        kernel=fusable(outable(lambda a, out=None: np.tanh(a, out=out))),
-    )
+    return Tensor._make(data, [x], backward, "tanh")
 
 
-@fusable
-@outable
-def _sigmoid_kernel(values: np.ndarray, out=None) -> np.ndarray:
-    """Numerically stable logistic, shared by the eager and replay paths.
+def _stable_sigmoid(values: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic of a plain array.
 
     Branch-free formulation of the classic two-tail-stable logistic: with
     ``e = exp(-|x|)`` the positive tail is ``1 / (1 + e)`` and the
@@ -104,18 +86,18 @@ def _sigmoid_kernel(values: np.ndarray, out=None) -> np.ndarray:
     np.exp(e, out=e)
     num = np.where(values >= 0, 1.0, e)
     np.add(e, 1.0, out=e)
-    return np.divide(num, e, out=out)
+    return np.divide(num, e)
 
 
 def sigmoid(x: Tensor) -> Tensor:
     """Differentiable logistic function, numerically stable in both tails."""
     x = as_tensor(x)
-    data = _sigmoid_kernel(x.data)
+    data = _stable_sigmoid(x.data)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * data * (1.0 - data))
 
-    return Tensor._make(data, [x], backward, "sigmoid", kernel=_sigmoid_kernel)
+    return Tensor._make(data, [x], backward, "sigmoid")
 
 
 def relu(x: Tensor) -> Tensor:
@@ -127,10 +109,7 @@ def relu(x: Tensor) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * mask)
 
-    return Tensor._make(
-        data, [x], backward, "relu",
-        kernel=lambda a: np.where(a > 0, a, 0.0),
-    )
+    return Tensor._make(data, [x], backward, "relu")
 
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
@@ -142,10 +121,7 @@ def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * np.where(mask, 1.0, negative_slope))
 
-    return Tensor._make(
-        data, [x], backward, "leaky_relu",
-        kernel=lambda a: np.where(a > 0, a, negative_slope * a),
-    )
+    return Tensor._make(data, [x], backward, "leaky_relu")
 
 
 def hardtanh(x: Tensor, min_val: float = -1.0, max_val: float = 1.0) -> Tensor:
@@ -157,10 +133,7 @@ def hardtanh(x: Tensor, min_val: float = -1.0, max_val: float = 1.0) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * mask)
 
-    return Tensor._make(
-        data, [x], backward, "hardtanh",
-        kernel=fusable(outable(lambda a, out=None: np.clip(a, min_val, max_val, out=out))),
-    )
+    return Tensor._make(data, [x], backward, "hardtanh")
 
 
 def clip(x: Tensor, min_val: Optional[float], max_val: Optional[float]) -> Tensor:
@@ -174,10 +147,7 @@ def clip(x: Tensor, min_val: Optional[float], max_val: Optional[float]) -> Tenso
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * mask)
 
-    return Tensor._make(
-        data, [x], backward, "clip",
-        kernel=fusable(outable(lambda a, out=None: np.clip(a, lo, hi, out=out))),
-    )
+    return Tensor._make(data, [x], backward, "clip")
 
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
@@ -190,10 +160,7 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
         a._accumulate(unbroadcast(grad * a_wins, a.shape))
         b._accumulate(unbroadcast(grad * ~a_wins, b.shape))
 
-    return Tensor._make(
-        data, [a, b], backward, "maximum",
-        kernel=fusable(outable(lambda av, bv, out=None: np.maximum(av, bv, out=out))),
-    )
+    return Tensor._make(data, [a, b], backward, "maximum")
 
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
@@ -206,46 +173,35 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
         a._accumulate(unbroadcast(grad * cond, a.shape))
         b._accumulate(unbroadcast(grad * ~cond, b.shape))
 
-    # ``cond`` is a plain array whose provenance the tracer cannot see
-    # (it may be data-dependent), so this op has no replay kernel and
-    # poisons any active trace.
     return Tensor._make(data, [a, b], backward, "where")
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Differentiable softmax along ``axis``, shift-stabilized."""
     x = as_tensor(x)
-
-    def kernel(values: np.ndarray) -> np.ndarray:
-        shifted = values - values.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=axis, keepdims=True)
-
-    data = kernel(x.data)
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    data = e / e.sum(axis=axis, keepdims=True)
 
     def backward(grad: np.ndarray) -> None:
         dot = (grad * data).sum(axis=axis, keepdims=True)
         x._accumulate(data * (grad - dot))
 
-    return Tensor._make(data, [x], backward, "softmax", kernel=kernel)
+    return Tensor._make(data, [x], backward, "softmax")
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Differentiable log-softmax along ``axis``, shift-stabilized."""
     x = as_tensor(x)
-
-    def kernel(values: np.ndarray) -> np.ndarray:
-        shifted = values - values.max(axis=axis, keepdims=True)
-        log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-        return shifted - log_z
-
-    data = kernel(x.data)
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    data = shifted - log_z
     soft = np.exp(data)
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad - soft * grad.sum(axis=axis, keepdims=True))
 
-    return Tensor._make(data, [x], backward, "log_softmax", kernel=kernel)
+    return Tensor._make(data, [x], backward, "log_softmax")
 
 
 def pad(x: Tensor, pad_width: Sequence[Tuple[int, int]]) -> Tensor:
@@ -261,19 +217,11 @@ def pad(x: Tensor, pad_width: Sequence[Tuple[int, int]]) -> Tensor:
         )
         x._accumulate(grad[slicer])
 
-    return Tensor._make(
-        data, [x], backward, "pad",
-        kernel=lambda a: np.pad(a, pad_width),
-    )
+    return Tensor._make(data, [x], backward, "pad")
 
 
 def dropout_mask_apply(x: Tensor, mask: np.ndarray, scale: float = 1.0) -> Tensor:
-    """Multiply by a fixed (non-differentiable) mask, optionally rescaling.
-
-    Under an active forward-plan trace the mask is an explicit kernel
-    input, so a replay consumes whatever mask the recorded sampling thunk
-    drew for that pass.
-    """
+    """Multiply by a fixed (non-differentiable) mask, optionally rescaling."""
     x = as_tensor(x)
     factor = mask * scale
     data = x.data * factor
@@ -281,34 +229,18 @@ def dropout_mask_apply(x: Tensor, mask: np.ndarray, scale: float = 1.0) -> Tenso
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad * factor)
 
-    def kernel(values: np.ndarray, mask_values: np.ndarray) -> np.ndarray:
-        return values * (mask_values * scale)
-
-    return Tensor._make(
-        data, [x], backward, "dropout",
-        kernel=kernel, kernel_inputs=(x.data, mask),
-    )
+    return Tensor._make(data, [x], backward, "dropout")
 
 
 def add_noise(x: Tensor, noise: np.ndarray) -> Tensor:
-    """Add a constant (non-differentiable) noise array.
-
-    Forward plans take ``noise`` at this contract's word: a caller-frozen
-    constant, captured per plan key.  Per-pass noise must be drawn through
-    :func:`repro.tensor.plan.traced_source` (as every in-repo site does)
-    so replays re-draw it.
-    """
+    """Add a constant (non-differentiable) noise array."""
     x = as_tensor(x)
     data = x.data + noise
 
     def backward(grad: np.ndarray) -> None:
         x._accumulate(grad)
 
-    return Tensor._make(
-        data, [x], backward, "add_noise",
-        kernel=fusable(outable(lambda a, n, out=None: np.add(a, n, out=out))),
-        kernel_inputs=(x.data, noise),
-    )
+    return Tensor._make(data, [x], backward, "add_noise")
 
 
 def mean_pool_global(x: Tensor, axes: Union[int, Tuple[int, ...]]) -> Tensor:
@@ -327,6 +259,4 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
         np.add.at(full, idx, grad)
         weight._accumulate(full)
 
-    # Indices are typically data (token ids), which a baked replay kernel
-    # cannot see — no kernel, so any active trace falls back.
     return Tensor._make(data, [weight], backward, "embedding")

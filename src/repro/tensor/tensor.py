@@ -26,9 +26,7 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from . import plan as _plan
 from .grad_mode import is_grad_enabled
-from .plan import fusable as _fusable, outable as _outable, viewing as _viewing
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
@@ -95,35 +93,14 @@ class Tensor:
         parents: Sequence["Tensor"],
         backward: Callable[[np.ndarray], None],
         op: str,
-        kernel=None,
-        kernel_inputs: Optional[Sequence[np.ndarray]] = None,
     ) -> "Tensor":
-        """Create an output tensor, recording history if grad mode is on.
-
-        ``kernel`` is the op's replay kernel for trace-compiled plans (see
-        :mod:`repro.tensor.plan`): a pure function of the parents' arrays
-        (or of ``kernel_inputs``, when the computation consumes extra
-        non-tensor arrays such as dropout masks) that reproduces ``data``
-        bit for bit.  ``plan.CONSTANT`` marks the output as frozen for the
-        plan key's lifetime; ``None`` poisons any active trace, falling
-        back to interpretation.
-        """
-        requires = is_grad_enabled() and any(p.requires_grad for p in parents)
+        """Create an output tensor, recording history if grad mode is on."""
         out = Tensor(data)
-        if requires:
+        if is_grad_enabled() and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._backward = backward
             out._parents = tuple(parents)
             out._op = op
-        else:
-            trace = _plan._STATE.trace
-            if trace is not None:
-                inputs = (
-                    kernel_inputs
-                    if kernel_inputs is not None
-                    else [p.data for p in parents]
-                )
-                trace.record_op(kernel, inputs, out.data, op)
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -131,8 +108,12 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            # One allocation instead of a zero fill plus ``+=``: adding
+            # ``0.0`` gives the same bits (``-0.0`` becomes ``+0.0``), and
+            # ``out=`` broadcasts and casts to ``self.data`` like ``+=``.
+            self.grad = np.add(grad, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += grad
 
     # ------------------------------------------------------------------
     # Introspection
@@ -188,10 +169,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad)
 
-        return Tensor._make(
-            self.data.copy(), [self], backward, "clone",
-            kernel=lambda a: a.copy(),
-        )
+        return Tensor._make(self.data.copy(), [self], backward, "clone")
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -281,10 +259,7 @@ class Tensor:
             self._accumulate(unbroadcast(grad, self.shape))
             other_t._accumulate(unbroadcast(grad, other_t.shape))
 
-        return Tensor._make(
-            data, [self, other_t], backward, "add",
-            kernel=_fusable(_outable(lambda a, b, out=None: np.add(a, b, out=out))),
-        )
+        return Tensor._make(data, [self, other_t], backward, "add")
 
     __radd__ = __add__
 
@@ -296,10 +271,7 @@ class Tensor:
             self._accumulate(unbroadcast(grad, self.shape))
             other_t._accumulate(unbroadcast(-grad, other_t.shape))
 
-        return Tensor._make(
-            data, [self, other_t], backward, "sub",
-            kernel=_fusable(_outable(lambda a, b, out=None: np.subtract(a, b, out=out))),
-        )
+        return Tensor._make(data, [self, other_t], backward, "sub")
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         return Tensor(other) - self
@@ -312,10 +284,7 @@ class Tensor:
             self._accumulate(unbroadcast(grad * other_t.data, self.shape))
             other_t._accumulate(unbroadcast(grad * self.data, other_t.shape))
 
-        return Tensor._make(
-            data, [self, other_t], backward, "mul",
-            kernel=_fusable(_outable(lambda a, b, out=None: np.multiply(a, b, out=out))),
-        )
+        return Tensor._make(data, [self, other_t], backward, "mul")
 
     __rmul__ = __mul__
 
@@ -329,10 +298,7 @@ class Tensor:
                 unbroadcast(-grad * self.data / (other_t.data**2), other_t.shape)
             )
 
-        return Tensor._make(
-            data, [self, other_t], backward, "div",
-            kernel=_fusable(_outable(lambda a, b, out=None: np.true_divide(a, b, out=out))),
-        )
+        return Tensor._make(data, [self, other_t], backward, "div")
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
         return Tensor(other) / self
@@ -341,10 +307,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(-grad)
 
-        return Tensor._make(
-            -self.data, [self], backward, "neg",
-            kernel=_fusable(_outable(lambda a, out=None: np.negative(a, out=out))),
-        )
+        return Tensor._make(-self.data, [self], backward, "neg")
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
@@ -354,10 +317,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad * exponent * self.data ** (exponent - 1))
 
-        return Tensor._make(
-            data, [self], backward, f"pow{exponent}",
-            kernel=_fusable(_outable(lambda a, out=None: np.power(a, exponent, out=out))),
-        )
+        return Tensor._make(data, [self], backward, f"pow{exponent}")
 
     def __matmul__(self, other: ArrayLike) -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
@@ -383,10 +343,7 @@ class Tensor:
                     g = np.swapaxes(self.data, -1, -2) @ grad
                     other_t._accumulate(unbroadcast(g, other_t.shape))
 
-        return Tensor._make(
-            data, [self, other_t], backward, "matmul",
-            kernel=_fusable(_outable(lambda a, b, out=None: np.matmul(a, b, out=out))),
-        )
+        return Tensor._make(data, [self, other_t], backward, "matmul")
 
     # ------------------------------------------------------------------
     # Reductions
@@ -400,12 +357,7 @@ class Tensor:
                 g = np.expand_dims(g, axis=axis)
             self._accumulate(np.broadcast_to(g, self.shape).copy())
 
-        return Tensor._make(
-            data, [self], backward, "sum",
-            kernel=_fusable(_outable(
-                lambda a, out=None: a.sum(axis=axis, keepdims=keepdims, out=out)
-            )),
-        )
+        return Tensor._make(data, [self], backward, "sum")
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -435,10 +387,7 @@ class Tensor:
             counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
             self._accumulate(mask * g / counts)
 
-        return Tensor._make(
-            data, [self], backward, "max",
-            kernel=lambda a: a.max(axis=axis, keepdims=keepdims),
-        )
+        return Tensor._make(data, [self], backward, "max")
 
     def min(self, axis=None, keepdims: bool = False) -> "Tensor":
         return -((-self).max(axis=axis, keepdims=keepdims))
@@ -455,10 +404,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.reshape(original))
 
-        return Tensor._make(
-            data, [self], backward, "reshape",
-            kernel=_viewing(lambda a: a.reshape(shape)),
-        )
+        return Tensor._make(data, [self], backward, "reshape")
 
     def flatten(self, start_dim: int = 0) -> "Tensor":
         shape = self.shape[:start_dim] + (-1,)
@@ -477,10 +423,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.transpose(inverse))
 
-        return Tensor._make(
-            data, [self], backward, "transpose",
-            kernel=_viewing(lambda a: a.transpose(axes_t)),
-        )
+        return Tensor._make(data, [self], backward, "transpose")
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
         axes = list(range(self.ndim))
@@ -493,10 +436,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(np.squeeze(grad, axis=axis))
 
-        return Tensor._make(
-            data, [self], backward, "expand_dims",
-            kernel=_viewing(lambda a: np.expand_dims(a, axis)),
-        )
+        return Tensor._make(data, [self], backward, "expand_dims")
 
     def squeeze(self, axis: Optional[int] = None) -> "Tensor":
         data = np.squeeze(self.data, axis=axis)
@@ -505,21 +445,11 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             self._accumulate(grad.reshape(original))
 
-        return Tensor._make(
-            data, [self], backward, "squeeze",
-            kernel=_viewing(lambda a: np.squeeze(a, axis=axis)),
-        )
+        return Tensor._make(data, [self], backward, "squeeze")
 
     def __getitem__(self, index) -> "Tensor":
-        tensor_index = isinstance(index, Tensor)
-        if tensor_index:
+        if isinstance(index, Tensor):
             index = index.data
-        # Array/list (fancy) indices may be data-dependent, which a baked
-        # replay kernel cannot see; only static slice/int indices replay.
-        parts = index if isinstance(index, tuple) else (index,)
-        static_index = not tensor_index and not any(
-            isinstance(part, (np.ndarray, list)) for part in parts
-        )
         data = self.data[index]
 
         def backward(grad: np.ndarray) -> None:
@@ -527,10 +457,7 @@ class Tensor:
             np.add.at(full, index, grad)
             self._accumulate(full)
 
-        return Tensor._make(
-            data, [self], backward, "getitem",
-            kernel=_viewing(lambda a: a[index]) if static_index else None,
-        )
+        return Tensor._make(data, [self], backward, "getitem")
 
     # ------------------------------------------------------------------
     # Comparisons (non-differentiable, return plain numpy bool arrays)
@@ -573,10 +500,7 @@ def stack_tensors(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
         for t, piece in zip(tensors, pieces):
             t._accumulate(np.squeeze(piece, axis=axis))
 
-    return Tensor._make(
-        data, tensors, backward, "stack",
-        kernel=lambda *arrs: np.stack(arrs, axis=axis),
-    )
+    return Tensor._make(data, tensors, backward, "stack")
 
 
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -592,7 +516,4 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             slicer[axis] = slice(start, stop)
             t._accumulate(grad[tuple(slicer)])
 
-    return Tensor._make(
-        data, tensors, backward, "concatenate",
-        kernel=lambda *arrs: np.concatenate(arrs, axis=axis),
-    )
+    return Tensor._make(data, tensors, backward, "concatenate")

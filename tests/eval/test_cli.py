@@ -31,16 +31,6 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_plan_opt_flag_tristate(self):
-        parser = build_parser()
-        assert parser.parse_args(["campaign", "--task", "co2"]).plan_opt is None
-        assert parser.parse_args(
-            ["campaign", "--task", "co2", "--plan-opt"]
-        ).plan_opt is True
-        assert parser.parse_args(
-            ["campaign", "--task", "co2", "--no-plan-opt"]
-        ).plan_opt is False
-
     def test_duplicate_levels_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(
@@ -54,10 +44,21 @@ class TestParser:
         "--scenario-batched", "--no-scenario-batched",
         "--attach-amortize", "--no-attach-amortize",
         "--executor=thread", "--executor=process",
+        "--plan", "--no-plan",
     ])
     def test_removed_engine_options_rejected(self, flag):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign", "--task", "co2", flag])
+
+    def test_plan_opt_flag_tristate(self, monkeypatch):
+        """Neither --plan-opt nor --no-plan-opt parse, whatever the env says."""
+        monkeypatch.setenv("REPRO_PLAN_OPT", "1")
+        parser = build_parser()
+        args = parser.parse_args(["campaign", "--task", "co2"])
+        assert not hasattr(args, "plan_opt") and not hasattr(args, "plan")
+        for flag in ("--plan-opt", "--no-plan-opt"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["campaign", "--task", "co2", flag])
 
 
 class TestExecution:
@@ -90,9 +91,9 @@ class TestExecution:
     def test_profile_with_no_plan_degrades_gracefully(
         self, tmp_path, monkeypatch, capsys
     ):
-        """--profile --no-plan: no trace/replay rows, no crash, no zeros.
+        """--profile: only recorded stages get rows, and no plan rows.
 
-        Global flags before the subcommand (PR 2 allows both orders).
+        Global flags before the subcommand.
         """
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         from repro.eval import clear_memory_cache
@@ -102,14 +103,15 @@ class TestExecution:
             "--preset", "tiny",
             "campaign", "--task", "audio", "--fault", "bitflip",
             "--levels", "0", "0.2", "--runs", "2",
-            "--profile", "--no-plan",
+            "--profile",
         ])
         out = capsys.readouterr().out
         assert "per-stage wall time:" in out
         labels = self._profile_stage_labels(out)
-        assert "attach" in labels and "metric (other)" in labels
+        assert "attach" in labels and "metric" in labels
         assert "trace" not in labels and "replay" not in labels
-        assert "plan optimizer:" not in out  # nothing traced, no counters
+        assert "transport" not in labels  # local run: no wire time
+        assert "plan optimizer:" not in out
 
     def test_profile_with_no_plan_global_flags_after_subcommand(
         self, tmp_path, monkeypatch, capsys
@@ -122,11 +124,11 @@ class TestExecution:
             "campaign", "--preset", "tiny", "--seed", "0",
             "--task", "audio", "--fault", "bitflip",
             "--levels", "0", "0.2", "--runs", "2",
-            "--profile", "--no-plan",
+            "--profile",
         ])
         out = capsys.readouterr().out
         labels = self._profile_stage_labels(out)
-        assert "attach" in labels and "metric (other)" in labels
+        assert "attach" in labels and "metric" in labels
         assert "trace" not in labels and "replay" not in labels
 
     def test_profile_without_amortization_has_no_program_stage(
@@ -145,26 +147,7 @@ class TestExecution:
         out = capsys.readouterr().out
         labels = self._profile_stage_labels(out)
         assert "program" not in labels and "attach" in labels
-
-    def test_profile_with_plan_reports_optimizer_counters(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.eval import clear_memory_cache
-        from repro.tensor import plan as plan_mod
-
-        clear_memory_cache()
-        plan_mod.clear_plans()
-        main([
-            "--preset", "tiny",
-            "campaign", "--task", "audio", "--fault", "bitflip",
-            "--levels", "0", "0.2", "--runs", "2",
-            "--profile", "--plan", "--plan-opt",
-        ])
-        out = capsys.readouterr().out
-        labels = self._profile_stage_labels(out)
-        assert "trace" in labels and "replay" in labels
-        assert "plan optimizer:" in out
+        assert labels == ["attach", "metric", "store", "total"]
 
 
 class TestServiceFlags:

@@ -1,26 +1,41 @@
-"""Plan-cache keying and invalidation for trace-compiled forwards.
+"""Cache keying, invalidation and LRU bounds behind campaign evaluation.
 
-Plans capture deployment-frozen state (quantized weight codes, faulty
-dequantized weights) as constants, so the cache key must rotate whenever
-that state can change: optimizer steps and ``load_state_dict`` bump
-every touched :class:`~repro.nn.module.Parameter`'s ``(uid, version)``
-counter (the same counters the PR 3 quantization cache keys on), and a
-newly attached stateful fault hook signs with a fresh ``fault_token``.
-Seed-frozen batched hooks sign by value (spec + seeds) instead — an
-*identical* re-attach replays, anything else re-traces.  Ad-hoc callable
-hooks have no signature at all and force the interpreted path.
+Two caches let repeated gradient-free forwards skip work without ever
+changing a value:
+
+* the per-layer **deployment cache** (:mod:`repro.quant.layers`) keeps
+  each weight slot's programmed codes.  Its key rotates whenever that
+  state can change: optimizer steps and ``load_state_dict`` bump every
+  touched :class:`~repro.nn.module.Parameter`'s ``(uid, version)``
+  counter, and every fault hook carries its own ``fault_token``.  Ad-hoc
+  callable hooks have no token and are re-applied on every forward.
+* the content-addressed **result store** (:mod:`repro.eval.cache`) keeps
+  campaign values and, when bounded, evicts least-recently-served
+  entries.
+
+Deployment-cache misses are counted by wrapping the two quantizers a
+slot miss calls; a hit calls neither.
 """
+
+import os
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.faults import FaultSpec, FaultInjector, ChipBatchedWeightFault
+from repro.core.bayesian import enable_stochastic_inference
+from repro.eval.cache import ResultStore
+from repro.faults import ChipBatchedWeightFault, FaultInjector, FaultSpec
 from repro.nn.dropout import set_mask_scope
-from repro.quant import QuantLinear
+from repro.quant import QuantLinear, invalidate_quantization
+from repro.quant import layers as quant_layers
+from repro.quant.layers import deploy_cache_disabled
 from repro.tensor import Tensor, manual_seed, no_grad
-from repro.tensor import plan as plan_mod
+from repro.tensor.chipbatch import chip_batch
+from repro.tensor.random import scoped_rng
 from repro.train import Adam, mse_loss
+
+SLOTS = 2  # quantized weight slots in build_model()
 
 
 def build_model(seed=0):
@@ -34,144 +49,163 @@ def build_model(seed=0):
     return model
 
 
-def forward_planned(model, x, rng_seed=0):
-    from repro.tensor.random import scoped_rng
-
+def forward(model, x, rng_seed=0):
     with no_grad(), scoped_rng(np.random.default_rng(rng_seed)):
-        with plan_mod.plan_execution(True):
-            return model(Tensor(x)).data
+        return model(Tensor(x)).data
+
+
+def interpreted(model, x, rng_seed=0):
+    """The same forward with every weight slot requantized from scratch."""
+    with deploy_cache_disabled():
+        return forward(model, x, rng_seed)
+
+
+@pytest.fixture
+def misses(monkeypatch):
+    """Counts deployment-cache misses (slot quantizations) per test."""
+    count = {"n": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            count["n"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fake_quantize_weight", "binarize_weight"):
+        monkeypatch.setattr(
+            quant_layers, name, counted(getattr(quant_layers, name))
+        )
+    return count
 
 
 X = np.random.default_rng(3).normal(size=(4, 6))
 
 
 class TestTraceReplayLifecycle:
-    def test_second_call_replays(self):
+    def test_second_call_replays(self, misses):
         model = build_model()
-        forward_planned(model, X)
-        stats = plan_mod.plan_stats(model)
-        assert (stats.traces, stats.replays) == (1, 0)
-        forward_planned(model, X)
-        assert (stats.traces, stats.replays) == (1, 1)
+        forward(model, X)
+        assert misses["n"] == SLOTS  # first forward programs every slot
+        forward(model, X)
+        assert misses["n"] == SLOTS  # second forward is served from cache
 
     def test_replay_matches_interpreted(self):
         model = build_model()
-        forward_planned(model, X)  # trace
-        planned = forward_planned(model, X, rng_seed=11)
-        from repro.tensor.random import scoped_rng
+        forward(model, X)  # program the cache
+        cached = forward(model, X, rng_seed=11)
+        np.testing.assert_array_equal(cached, interpreted(model, X, rng_seed=11))
 
-        with no_grad(), scoped_rng(np.random.default_rng(11)):
-            interpreted = model(Tensor(X)).data
-        np.testing.assert_array_equal(planned, interpreted)
-
-    def test_new_input_shape_new_plan(self):
+    def test_new_input_shape_new_plan(self, misses):
+        """Codes are keyed by weights, not inputs: a new shape reuses them."""
         model = build_model()
-        forward_planned(model, X)
-        forward_planned(model, X[:2])
-        assert plan_mod.plan_stats(model).traces == 2
+        forward(model, X)
+        small = forward(model, X[:2])
+        assert misses["n"] == SLOTS
+        np.testing.assert_array_equal(small, interpreted(model, X[:2]))
 
-    def test_no_plan_routing_disabled(self):
+    def test_no_plan_routing_disabled(self, misses):
         model = build_model()
-        with no_grad(), plan_mod.plan_execution(False):
-            model(Tensor(X))
-        stats = plan_mod.plan_stats(model)
-        assert stats.traces == 0 and stats.replays == 0
+        with deploy_cache_disabled():
+            forward(model, X)
+            forward(model, X)
+        assert misses["n"] == 2 * SLOTS
+        for layer in (model[0], model[2]):
+            assert not layer._deploy_cache and not layer._record_cache
 
     def test_returned_array_detached_from_buffers(self):
-        """Held outputs must survive later replays (buffers are pooled)."""
+        """Held outputs survive later forwards that reuse cached codes."""
         model = build_model()
-        forward_planned(model, X)
-        first = forward_planned(model, X, rng_seed=7)
+        forward(model, X)
+        first = forward(model, X, rng_seed=7)
         kept = first.copy()
-        forward_planned(model, X, rng_seed=8)  # overwrites pooled buffers
+        forward(model, X * 3.0, rng_seed=8)
         np.testing.assert_array_equal(first, kept)
 
     def test_lru_eviction_bounds_cache(self):
+        """One resident entry per slot, however many hooks come and go."""
         model = build_model()
-        for n in range(1, plan_mod.MAX_PLANS_PER_MODULE + 4):
-            forward_planned(model, X[: max(1, n % 5 + 1)])
-        assert (
-            len(plan_mod.plan_stats(model).plans)
-            <= plan_mod.MAX_PLANS_PER_MODULE
-        )
+        injector = FaultInjector(model)
+        spec = FaultSpec(kind="additive", level=0.2)
+        for seed in range(12):
+            injector.attach(spec, np.random.default_rng(seed))
+            forward(model, X)
+            injector.detach()
+        for layer in (model[0], model[2]):
+            assert list(layer._deploy_cache) == ["weight"]
 
 
 class TestLRUBoundary:
-    """Exact behavior at the MAX_PLANS_PER_MODULE=8 capacity edge."""
+    """Exact behaviour of a bounded result store at its capacity edge."""
 
-    def _fill(self, model, count, offset=0):
-        """Trace ``count`` distinct plans (keyed by input row count)."""
-        for n in range(count):
-            forward_planned(model, X[: 1 + ((n + offset) % (X.shape[0]))])
+    CAP = 4
 
-    def test_capacity_exactly_reached_keeps_all_plans(self):
-        model = build_model()
-        cap = plan_mod.MAX_PLANS_PER_MODULE
-        assert cap == 8  # the boundary these tests pin
-        for n in range(1, cap + 1):
-            forward_planned(model, np.tile(X, (n, 1)))
-        stats = plan_mod.plan_stats(model)
-        assert len(stats.plans) == cap and stats.traces == cap
-        # Every resident plan replays — nothing was evicted at capacity.
-        for n in range(1, cap + 1):
-            forward_planned(model, np.tile(X, (n, 1)))
-        assert stats.traces == cap and stats.replays == cap
+    @staticmethod
+    def _put(store, i):
+        """Store entry ``i`` and pin its recency to a distinct old mtime."""
+        key = f"cell-{i}"
+        store.put(key, np.full(3, float(i)))
+        stamp = 1_000_000 + i
+        os.utime(store.address(key), (stamp, stamp))
 
-    def test_one_past_capacity_evicts_exactly_the_oldest(self):
-        model = build_model()
-        cap = plan_mod.MAX_PLANS_PER_MODULE
-        for n in range(1, cap + 2):
-            forward_planned(model, np.tile(X, (n, 1)))
-        stats = plan_mod.plan_stats(model)
-        assert len(stats.plans) == cap and stats.traces == cap + 1
-        # n=2..cap+1 survived; only n=1 (the oldest) was evicted.
-        forward_planned(model, np.tile(X, (2, 1)))
-        assert stats.traces == cap + 1 and stats.replays == 1
-        forward_planned(model, np.tile(X, (1, 1)))
-        assert stats.traces == cap + 2  # evicted key re-traces on re-entry
+    @staticmethod
+    def _resident(store, count):
+        return [i for i in range(count) if store.address(f"cell-{i}").exists()]
 
-    def test_replay_refreshes_recency(self):
-        """A replayed plan moves to MRU and survives the next eviction."""
-        model = build_model()
-        cap = plan_mod.MAX_PLANS_PER_MODULE
-        for n in range(1, cap + 1):
-            forward_planned(model, np.tile(X, (n, 1)))
-        stats = plan_mod.plan_stats(model)
-        forward_planned(model, np.tile(X, (1, 1)))  # touch the LRU entry
-        assert stats.replays == 1
-        forward_planned(model, np.tile(X, (cap + 1, 1)))  # evicts n=2 now
-        forward_planned(model, np.tile(X, (1, 1)))
-        assert stats.traces == cap + 1 and stats.replays == 2
-        forward_planned(model, np.tile(X, (2, 1)))
-        assert stats.traces == cap + 2  # n=2 paid for n=1's refresh
+    def test_capacity_exactly_reached_keeps_all_plans(self, tmp_path):
+        store = ResultStore(tmp_path, max_entries=self.CAP)
+        for i in range(self.CAP):
+            self._put(store, i)
+        assert len(store) == self.CAP and store.evicted == 0
+        reader = ResultStore(tmp_path)  # fresh session: served from disk
+        for i in range(self.CAP):
+            np.testing.assert_array_equal(reader.get(f"cell-{i}"), np.full(3, i))
+        assert reader.hits == self.CAP and reader.misses == 0
 
-    def test_opt_counters_accumulate_across_eviction(self):
-        """Optimizer counters are monotone totals, not per-resident sums."""
-        model = build_model()
-        cap = plan_mod.MAX_PLANS_PER_MODULE
-        forward_planned(model, np.tile(X, (1, 1)))
-        stats = plan_mod.plan_stats(model)
-        after_first = dict(stats.opt_counters)
-        assert sum(after_first.values()) > 0  # the optimizer did something
-        for n in range(2, cap + 3):  # overflow: n=1 evicted along the way
-            forward_planned(model, np.tile(X, (n, 1)))
-        accumulated = dict(stats.opt_counters)
-        forward_planned(model, np.tile(X, (1, 1)))  # re-trace evicted key
-        assert stats.traces == cap + 3
-        for name, value in accumulated.items():
-            assert stats.opt_counters[name] >= value  # never reset
-        # The re-trace re-ran the passes: totals grew by the first trace's
-        # contribution again (same shape, same plan, same counters).
-        for name, value in after_first.items():
-            assert stats.opt_counters[name] == accumulated[name] + value
+    def test_one_past_capacity_evicts_exactly_the_oldest(self, tmp_path):
+        store = ResultStore(tmp_path, max_entries=self.CAP)
+        for i in range(self.CAP):
+            self._put(store, i)
+        store.put("cell-new", np.zeros(3))  # newest mtime: now
+        assert store.evicted == 1 and len(store) == self.CAP
+        assert self._resident(store, self.CAP) == list(range(1, self.CAP))
+        reader = ResultStore(tmp_path)
+        assert reader.get("cell-0") is None  # the evicted key misses
+        assert reader.get("cell-new") is not None
+
+    def test_replay_refreshes_recency(self, tmp_path):
+        """A served entry becomes most recent and survives the next eviction."""
+        store = ResultStore(tmp_path, max_entries=self.CAP)
+        for i in range(self.CAP):
+            self._put(store, i)
+        assert ResultStore(tmp_path).get("cell-0") is not None  # touch LRU
+        store.put("cell-new", np.zeros(3))
+        assert self._resident(store, self.CAP) == [0] + list(range(2, self.CAP))
+        assert store.evicted == 1
+
+    def test_opt_counters_accumulate_across_eviction(self, tmp_path):
+        """Store counters are monotone totals, never reset by eviction."""
+        store = ResultStore(tmp_path, max_entries=self.CAP)
+        for i in range(self.CAP + 3):
+            self._put(store, i)
+        first = store.snapshot()
+        assert first["puts"] == self.CAP + 3 and first["evicted"] == 3
+        store.get("cell-0")  # evicted: a miss
+        for i in range(self.CAP + 3, self.CAP + 5):
+            self._put(store, i)
+        second = store.snapshot()
+        for name, value in first.items():
+            assert second[name] >= value
+        assert second["puts"] == first["puts"] + 2
+        assert second["evicted"] == first["evicted"] + 2
+        assert second["misses"] == first["misses"] + 1
 
 
 class TestParameterVersionInvalidation:
-    def test_optimizer_step_forces_retrace(self):
+    def test_optimizer_step_forces_retrace(self, misses):
         model = build_model()
-        forward_planned(model, X)
-        stats = plan_mod.plan_stats(model)
-        assert stats.traces == 1
+        forward(model, X)
+        assert misses["n"] == SLOTS
         # One training step: backward + Adam.step() bumps every parameter's
         # version counter.
         model.train()
@@ -182,126 +216,136 @@ class TestParameterVersionInvalidation:
         loss.backward()
         optimizer.step()
         model.eval()
-        before = forward_planned(model, X)
-        assert stats.traces == 2  # new versions -> new key -> re-trace
-        np.testing.assert_array_equal(before, forward_planned(model, X))
-        assert stats.traces == 2 and stats.replays >= 1
+        after_training = misses["n"]
+        stepped = forward(model, X)
+        assert misses["n"] == after_training + SLOTS  # new versions: re-quantize
+        np.testing.assert_array_equal(stepped, forward(model, X))
+        assert misses["n"] == after_training + SLOTS
+        np.testing.assert_array_equal(stepped, interpreted(model, X))
 
-    def test_load_state_dict_forces_retrace(self):
+    def test_load_state_dict_forces_retrace(self, misses):
         model = build_model()
-        forward_planned(model, X)
-        stats = plan_mod.plan_stats(model)
+        forward(model, X)
         model.load_state_dict(model.state_dict())  # bumps versions
-        forward_planned(model, X)
-        assert stats.traces == 2
+        forward(model, X)
+        assert misses["n"] == 2 * SLOTS
 
     def test_stale_plan_never_served_after_weight_change(self):
         model = build_model()
-        forward_planned(model, X)
-        reference = forward_planned(model, X, rng_seed=1)
+        forward(model, X)
+        reference = forward(model, X, rng_seed=1)
         layer = model[0]
         layer.weight.data[...] += 0.5
         layer.weight.mark_updated()
-        changed = forward_planned(model, X, rng_seed=1)
+        changed = forward(model, X, rng_seed=1)
         assert not np.array_equal(reference, changed)
+        np.testing.assert_array_equal(changed, interpreted(model, X, rng_seed=1))
 
 
 class TestFaultHookInvalidation:
-    def test_new_fault_token_forces_retrace(self):
-        """Each freshly attached stateful hook re-traces (token keying)."""
+    def test_new_fault_token_forces_retrace(self, misses):
+        """Each freshly attached hook re-quantizes (token keying)."""
         model = build_model()
         injector = FaultInjector(model)
         spec = FaultSpec(kind="bitflip", level=0.2)
-        stats = plan_mod.plan_stats(model)
         values = []
-        for attach_round in range(2):
+        for _ in range(2):
             injector.attach(spec, np.random.default_rng(99))
-            values.append(forward_planned(model, X, rng_seed=1))
+            values.append(forward(model, X, rng_seed=1))
             injector.detach()
         # Same attach rng => same fault patterns => same values, but the
-        # hooks carry fresh fault tokens, so each attach traced anew.
+        # hooks carry fresh fault tokens, so each attach quantized anew.
         np.testing.assert_array_equal(values[0], values[1])
-        assert stats.traces == 2
-        assert stats.replays == 0
+        assert misses["n"] == 2 * SLOTS
 
-    def test_identical_batched_hook_reuses_plan(self):
-        """Seed-frozen batched hooks sign by value: same seeds replay."""
+    def test_identical_batched_hook_reuses_plan(self, misses):
+        """Forwards under one attached batched hook reuse its faulty codes."""
         model = build_model()
         spec = FaultSpec(kind="additive", level=0.3)
-        stats = plan_mod.plan_stats(model)
-        for _ in range(2):
-            for layer in (model[0], model[2]):
-                layer.weight_fault = ChipBatchedWeightFault(spec, [11, 22])
-            from repro.tensor.chipbatch import chip_batch
+        for layer in (model[0], model[2]):
+            layer.weight_fault = ChipBatchedWeightFault(spec, [11, 22])
+        stacked = np.broadcast_to(X[None], (2,) + X.shape).copy()
+        with chip_batch(2):
+            first = forward(model, stacked)
+            second = forward(model, stacked)
+            with deploy_cache_disabled():
+                recomputed = forward(model, stacked)
+        for layer in (model[0], model[2]):
+            layer.weight_fault = None
+        assert misses["n"] == 2 * SLOTS  # first and uncached pass; second hit
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(first, recomputed)
 
-            with chip_batch(2):
-                forward_planned(
-                    model, np.broadcast_to(X[None], (2,) + X.shape).copy()
-                )
-            for layer in (model[0], model[2]):
-                layer.weight_fault = None
-        assert stats.traces == 1 and stats.replays == 1
-
-    def test_different_batched_seeds_force_retrace(self):
+    def test_different_batched_seeds_force_retrace(self, misses):
         model = build_model()
         spec = FaultSpec(kind="additive", level=0.3)
-        stats = plan_mod.plan_stats(model)
-        from repro.tensor.chipbatch import chip_batch
-
+        stacked = np.broadcast_to(X[None], (2,) + X.shape).copy()
+        outputs = []
         for seeds in ([11, 22], [33, 44]):
             for layer in (model[0], model[2]):
                 layer.weight_fault = ChipBatchedWeightFault(spec, seeds)
             with chip_batch(2):
-                forward_planned(
-                    model, np.broadcast_to(X[None], (2,) + X.shape).copy()
-                )
+                outputs.append(forward(model, stacked))
             for layer in (model[0], model[2]):
                 layer.weight_fault = None
-        assert stats.traces == 2
+        assert misses["n"] == 2 * SLOTS
+        assert not np.array_equal(outputs[0], outputs[1])
 
-    def test_ad_hoc_hook_falls_back_to_interpretation(self):
+    def test_ad_hoc_hook_falls_back_to_interpretation(self, misses):
         model = build_model()
-        model[0].weight_fault = lambda qw: qw.codes  # no plan_signature
-        forward_planned(model, X)
-        stats = plan_mod.plan_stats(model)
-        assert stats.traces == 0 and stats.replays == 0
+        calls = []
+
+        def hook(qw):  # no fault_token: never value-cached
+            calls.append(1)
+            return qw.codes
+
+        model[0].weight_fault = hook
+        forward(model, X)
+        forward(model, X)
         model[0].weight_fault = None
+        assert len(calls) == 2  # applied on every forward
+        assert misses["n"] == 2 + 1  # hooked slot twice, clean slot once
+        assert "weight" not in model[0]._deploy_cache
 
 
 class TestSamplingStateKeying:
     def test_mask_scope_change_forces_retrace(self):
+        """Frozen scope holds one mask; switching scope resamples it."""
         model = build_model()
-        from repro.core.bayesian import enable_stochastic_inference
-
         enable_stochastic_inference(model, True)
-        forward_planned(model, X)
-        stats = plan_mod.plan_stats(model)
-        set_mask_scope(model, "frozen")
-        forward_planned(model, X)
-        assert stats.traces == 2
+        with no_grad(), scoped_rng(np.random.default_rng(0)):
+            per_call = [model(Tensor(X)).data for _ in range(2)]
+            set_mask_scope(model, "frozen")
+            frozen = [model(Tensor(X)).data for _ in range(2)]
+            set_mask_scope(model, "frozen")  # resamples the held mask
+            refrozen = model(Tensor(X)).data
         enable_stochastic_inference(model, False)
+        assert not np.array_equal(per_call[0], per_call[1])
+        np.testing.assert_array_equal(frozen[0], frozen[1])
+        assert not np.array_equal(frozen[0], refrozen)
 
     def test_stochastic_inference_toggle_forces_retrace(self):
         model = build_model()
-        from repro.core.bayesian import enable_stochastic_inference
-
-        forward_planned(model, X)
-        stats = plan_mod.plan_stats(model)
+        deterministic = forward(model, X)
         enable_stochastic_inference(model, True)
-        forward_planned(model, X)
-        assert stats.traces == 2
+        sampled = forward(model, X)
         enable_stochastic_inference(model, False)
+        assert not np.array_equal(deterministic, sampled)
+        np.testing.assert_array_equal(deterministic, forward(model, X))
 
     def test_training_mode_never_planned(self):
+        """Gradient-recording forwards never touch the deployment cache."""
         model = build_model()
         model.train()
-        with no_grad(), plan_mod.plan_execution(True):
-            model(Tensor(X))
-        assert plan_mod.plan_stats(model).traces == 0
+        model(Tensor(X))
+        for layer in (model[0], model[2]):
+            assert not layer._deploy_cache and not layer._record_cache
 
 
 class TestTracePoisoning:
     def test_kernel_less_op_poisons_and_falls_back(self):
+        """A custom ``Tensor._make`` op runs forward and backward."""
+
         class Odd(nn.Module):
             def forward(self, x):
                 data = x.data * 2.0
@@ -309,32 +353,29 @@ class TestTracePoisoning:
                 def backward(grad):
                     x._accumulate(2.0 * grad)
 
-                return Tensor._make(data, [x], backward, "odd")  # no kernel
+                return Tensor._make(data, [x], backward, "odd")
 
         model = nn.Sequential(Odd())
         model.eval()
-        first = forward_planned(model, X)
-        stats = plan_mod.plan_stats(model)
-        assert stats.traces == 0 and stats.fallbacks >= 1
-        second = forward_planned(model, X)
-        np.testing.assert_array_equal(first, second)
-        assert stats.replays == 0  # poisoned key keeps interpreting
+        first = forward(model, X)
+        np.testing.assert_array_equal(first, forward(model, X))
+        np.testing.assert_array_equal(first, X * 2.0)
+        x = Tensor(X, requires_grad=True)
+        model(x).sum().backward()
+        np.testing.assert_array_equal(x.grad, np.full(X.shape, 2.0))
 
     def test_frozen_mask_predating_trace_poisons(self):
+        """A mask frozen before a deployment cache fill is kept after it."""
         manual_seed(0)
-        model = nn.Sequential(nn.Dropout(0.3))
+        model = nn.Sequential(nn.Dropout(0.3), QuantLinear(6, 2, weight_bits=8))
         model.eval()
-        from repro.core.bayesian import enable_stochastic_inference
-
         enable_stochastic_inference(model, True)
         set_mask_scope(model, "frozen")
-        from repro.tensor.random import scoped_rng
-
         with no_grad(), scoped_rng(np.random.default_rng(0)):
-            model(Tensor(X))  # freezes a mask outside any trace
-            with plan_mod.plan_execution(True):
-                planned = model(Tensor(X)).data
-            interpreted = model(Tensor(X)).data
-        stats = plan_mod.plan_stats(model)
-        assert stats.fallbacks >= 1 and stats.traces == 0
-        np.testing.assert_array_equal(planned, interpreted)
+            with deploy_cache_disabled():
+                uncached = model(Tensor(X)).data  # freezes the mask
+            cached = model(Tensor(X)).data  # programs the cache
+            again = model(Tensor(X)).data
+        np.testing.assert_array_equal(uncached, cached)
+        np.testing.assert_array_equal(cached, again)
+        assert invalidate_quantization(model) == 1

@@ -1,29 +1,18 @@
-"""Looped-vs-planned identity suite for trace-compiled forward plans.
+"""Evaluation-plan identity suite for gradient-free campaign forwards.
 
-The campaign engine routes gradient-free evaluation forwards through
-:mod:`repro.tensor.plan` by default: the first forward per (input shape,
-instance layout, parameter versions, fault-hook signatures) key runs
-interpreted under a tracer, subsequent forwards replay the recorded flat
-numpy kernel sequence with pooled buffers.  The contract pinned here —
-mirroring the chip-/MC-/scenario-batched identity suites — is that the
-planned path is **bit-identical** to the interpreted path for every
-backend, topology, Bayesian method, and fault kind: source steps re-run
-the very sampling/hook code the interpreter runs (same draws from the
-same per-cell streams, in the same order), and kernel steps re-run the
-same numpy calls on the same dtypes.
+Every campaign cell is evaluated by the interpreted forward, with the
+per-layer deployment cache (:mod:`repro.quant.layers`) serving
+programmed weight codes across forwards.  The contract pinned here —
+for every engine path, topology, Bayesian method and fault kind — is
+that a cell's value depends **only** on ``(base_seed, cell)``:
 
-The suite also asserts that replays actually *happen* (via the per-model
-plan-cache counters) so the identity checks cannot silently pass by
-always falling back to interpretation.
-
-The same contract extends to the trace-time IR optimizer
-(:mod:`repro.tensor.plan_passes`): optimized plans must be bit-identical
-to raw-trace replay *and* to interpretation across every topology,
-Bayesian method, and fault kind — and the per-pass counters must show
-the passes actually fired, so the identity matrix cannot pass against a
-no-op optimizer.  Optimizer state is always pinned explicitly
-(``plan_opt=True`` / ``False``) so the suite holds under either ambient
-``REPRO_PLAN_OPT`` setting.
+* evaluation order never matters: cells evaluated in reverse, or after
+  other cells warmed the deployment cache, give the same bits;
+* the deployment cache is invisible: cached forwards equal forwards
+  under :func:`~repro.quant.layers.deploy_cache_disabled`;
+* the chip- and scenario-batched engines equal the serial engine;
+* a training step between evaluations never serves stale codes: the
+  stepped model equals a fresh model loaded with the same weights.
 """
 
 import numpy as np
@@ -46,9 +35,12 @@ from repro.faults import (
 )
 from repro.models import proposed, spatial_spindrop, spindrop
 from repro.quant import QuantConv2d, QuantLinear, SignActivation
+from repro.quant.layers import deploy_cache_disabled
 from repro.tensor import Tensor, manual_seed
-from repro.tensor import plan as plan_mod
 from repro.tensor.chipbatch import active_chip_count
+from repro.train import Adam, mse_loss
+
+DATA_RNG_SEED = 7
 
 
 def build_pair(seed=0, mc_samples=3):
@@ -61,9 +53,7 @@ def build_pair(seed=0, mc_samples=3):
         nn.Dropout(0.25),
         QuantLinear(3, 2, weight_bits=8),
     )
-    data_rng = np.random.default_rng(7)
-    x = data_rng.normal(size=(10, 1, 6, 6))
-    y = data_rng.integers(0, 2, 10)
+    x, y = _data()
 
     def evaluator(m):
         n_chips = active_chip_count()
@@ -73,6 +63,13 @@ def build_pair(seed=0, mc_samples=3):
         return (pred == y).mean(axis=-1)
 
     return model, evaluator
+
+
+def _data():
+    data_rng = np.random.default_rng(DATA_RNG_SEED)
+    x = data_rng.normal(size=(10, 1, 6, 6))
+    y = data_rng.integers(0, 2, 10)
+    return x, y
 
 
 SWEEPS_BY_KIND = {
@@ -90,8 +87,38 @@ SWEEPS_BY_KIND = {
 }
 
 
+def serial_values(model, evaluator, cells, base_seed, order=None):
+    """Per-cell serial values, evaluated in ``order``, returned in cell order."""
+    order = range(len(cells)) if order is None else order
+    values = np.empty(len(cells))
+    for i in order:
+        values[i] = evaluate_cell(model, evaluator, cells[i], base_seed)
+    return values
+
+
+def train_step(model, lr=0.5):
+    """One Adam step on the micro-model's data; bumps parameter versions."""
+    x, _ = _data()
+    model.train()
+    optimizer = Adam(model.parameters(), lr=lr)
+    pred = model(Tensor(x))
+    loss = mse_loss(pred, np.ones(pred.shape))
+    model.zero_grad()
+    loss.backward()
+    optimizer.step()
+    model.eval()
+
+
+def fresh_copy(model):
+    """A freshly built micro-model holding ``model``'s current weights."""
+    clone, evaluator = build_pair(seed=1)
+    clone.load_state_dict(model.state_dict())
+    clone.eval()
+    return clone, evaluator
+
+
 class TestCellIdentity:
-    """evaluate_cell* with plan=True == plan=False for every fault kind."""
+    """A cell's value is independent of evaluation order and caching."""
 
     @pytest.mark.parametrize("kind", sorted(SWEEPS_BY_KIND), ids=str)
     def test_serial_cells_bit_identical(self, kind):
@@ -102,15 +129,14 @@ class TestCellIdentity:
             for idx, spec in enumerate(specs)
             for run in range(3)
         ]
-        interpreted = np.array(
-            [evaluate_cell(model, evaluator, c, 5, plan=False) for c in cells]
+        forward = serial_values(model, evaluator, cells, 5)
+        backward = serial_values(
+            model, evaluator, cells, 5, order=reversed(range(len(cells)))
         )
-        planned = np.array(
-            [evaluate_cell(model, evaluator, c, 5, plan=True) for c in cells]
-        )
-        np.testing.assert_array_equal(interpreted, planned)
-        stats = plan_mod.plan_stats(model)
-        assert stats.traces > 0 and stats.replays > 0
+        with deploy_cache_disabled():
+            uncached = serial_values(model, evaluator, cells, 5)
+        np.testing.assert_array_equal(forward, backward)
+        np.testing.assert_array_equal(forward, uncached)
 
     @pytest.mark.parametrize("kind", sorted(SWEEPS_BY_KIND), ids=str)
     def test_scenario_batched_bit_identical(self, kind):
@@ -120,74 +146,68 @@ class TestCellIdentity:
             [WorkCell(idx, run, spec) for run in range(3)]
             for idx, spec in enumerate(specs)
         ]
-        interpreted = evaluate_cells_scenario_batched(
-            model, evaluator, cell_groups, base_seed=5, plan=False
+        batched = evaluate_cells_scenario_batched(
+            model, evaluator, cell_groups, base_seed=5
         )
-        planned = evaluate_cells_scenario_batched(
-            model, evaluator, cell_groups, base_seed=5, plan=True
+        serial = serial_values(
+            model, evaluator, [c for group in cell_groups for c in group], 5
         )
-        np.testing.assert_array_equal(interpreted, planned)
+        np.testing.assert_array_equal(np.ravel(batched), serial)
 
     def test_chip_batched_bit_identical(self):
         model, evaluator = build_pair()
         spec = FaultSpec(kind="additive", level=0.3)
         cells = [WorkCell(0, run, spec) for run in range(4)]
-        interpreted = evaluate_cells_batched(
-            model, evaluator, cells, base_seed=2, plan=False
-        )
-        planned = evaluate_cells_batched(
-            model, evaluator, cells, base_seed=2, plan=True
-        )
-        np.testing.assert_array_equal(interpreted, planned)
+        batched = evaluate_cells_batched(model, evaluator, cells, base_seed=2)
+        serial = serial_values(model, evaluator, cells, 2)
+        np.testing.assert_array_equal(batched, serial)
 
     def test_repeated_identical_passes_replay_and_match(self):
-        """A re-attach with identical seeds replays and stays identical."""
+        """A re-attach with identical seeds reproduces the first pass."""
         model, evaluator = build_pair()
         spec = FaultSpec(kind="uniform", level=0.2)
         cells = [WorkCell(0, run, spec) for run in range(3)]
-        first = evaluate_cells_batched(model, evaluator, cells, 9, plan=True)
-        stats = plan_mod.plan_stats(model)
-        traces_before = stats.traces
-        second = evaluate_cells_batched(model, evaluator, cells, 9, plan=True)
+        first = evaluate_cells_batched(model, evaluator, cells, 9)
+        second = evaluate_cells_batched(model, evaluator, cells, 9)
+        with deploy_cache_disabled():
+            uncached = evaluate_cells_batched(model, evaluator, cells, 9)
         np.testing.assert_array_equal(first, second)
-        assert stats.traces == traces_before  # served by replay, no re-trace
-        assert stats.replays > 0
+        np.testing.assert_array_equal(first, uncached)
 
 
 class TestCampaignIdentity:
-    """Campaign sweeps: plan on == plan off across backends."""
+    """Campaign sweeps: batched engine == serial engine == per-cell calls."""
 
     def test_batched_sweep_bit_identical(self):
         model, evaluator = build_pair()
         specs = bitflip_sweep([0.0, 0.05, 0.1, 0.2])
-        off = MonteCarloCampaign(
-            model, evaluator, n_runs=4, base_seed=3, executor="batched",
-            plan=False,
+        serial = MonteCarloCampaign(
+            model, evaluator, n_runs=4, base_seed=3, executor="serial",
         ).sweep(specs)
-        on = MonteCarloCampaign(
+        batched = MonteCarloCampaign(
             model, evaluator, n_runs=4, base_seed=3, executor="batched",
-            plan=True,
         ).sweep(specs)
-        for a, b in zip(off, on):
+        for a, b in zip(serial, batched):
             np.testing.assert_array_equal(a.values, b.values)
 
     def test_serial_sweep_bit_identical(self):
         model, evaluator = build_pair()
         specs = uniform_sweep([0.0, 0.1, 0.2])
-        off = MonteCarloCampaign(
+        results = MonteCarloCampaign(
             model, evaluator, n_runs=3, base_seed=1, executor="serial",
-            plan=False,
         ).sweep(specs)
-        on = MonteCarloCampaign(
-            model, evaluator, n_runs=3, base_seed=1, executor="serial",
-            plan=True,
-        ).sweep(specs)
-        for a, b in zip(off, on):
-            np.testing.assert_array_equal(a.values, b.values)
+        # Re-evaluate the faulty cells in reverse, uncached: same bits.
+        with deploy_cache_disabled():
+            for idx in reversed(range(1, len(specs))):
+                cells = [WorkCell(idx, run, specs[idx]) for run in range(3)]
+                expected = serial_values(
+                    model, evaluator, cells, 1, order=reversed(range(3))
+                )
+                np.testing.assert_array_equal(results[idx].values, expected)
 
 
 class TestOptimizerIdentity:
-    """plan_opt=True == plan_opt=False for every fault kind (micro-model)."""
+    """After a training step, cells equal a fresh model with the same weights."""
 
     @pytest.mark.parametrize("kind", sorted(SWEEPS_BY_KIND), ids=str)
     def test_serial_cells_bit_identical(self, kind):
@@ -198,22 +218,20 @@ class TestOptimizerIdentity:
             for idx, spec in enumerate(specs)
             for run in range(2)
         ]
-        raw = np.array(
-            [
-                evaluate_cell(model, evaluator, c, 5, plan=True, plan_opt=False)
-                for c in cells
-            ]
+        # A fault-free cell reads the clean cache entry, which no fault
+        # hook re-keys: only the parameter versions can invalidate it.
+        cells.append(WorkCell(len(specs), 0, FaultSpec(kind="none", level=0.0)))
+        serial_values(model, evaluator, cells, 5)  # warm the deploy caches
+        before = [p.data.copy() for p in model.parameters()]
+        train_step(model)
+        assert any(
+            not np.array_equal(b, p.data)
+            for b, p in zip(before, model.parameters())
         )
-        optimized = np.array(
-            [
-                evaluate_cell(model, evaluator, c, 5, plan=True, plan_opt=True)
-                for c in cells
-            ]
-        )
-        np.testing.assert_array_equal(raw, optimized)
-        stats = plan_mod.plan_stats(model)
-        assert stats.traces > 0 and stats.replays > 0
-        assert sum(stats.opt_counters.values()) > 0  # passes really fired
+        stepped = serial_values(model, evaluator, cells, 5)
+        clone, clone_evaluator = fresh_copy(model)
+        fresh = serial_values(clone, clone_evaluator, cells, 5)
+        np.testing.assert_array_equal(stepped, fresh)
 
     @pytest.mark.parametrize("kind", sorted(SWEEPS_BY_KIND), ids=str)
     def test_scenario_batched_bit_identical(self, kind):
@@ -223,19 +241,20 @@ class TestOptimizerIdentity:
             [WorkCell(idx, run, spec) for run in range(2)]
             for idx, spec in enumerate(specs)
         ]
-        raw = evaluate_cells_scenario_batched(
-            model, evaluator, cell_groups, base_seed=5, plan=True,
-            plan_opt=False,
+        evaluate_cells_scenario_batched(model, evaluator, cell_groups, 5)
+        train_step(model)
+        stepped = evaluate_cells_scenario_batched(
+            model, evaluator, cell_groups, base_seed=5
         )
-        optimized = evaluate_cells_scenario_batched(
-            model, evaluator, cell_groups, base_seed=5, plan=True,
-            plan_opt=True,
+        clone, clone_evaluator = fresh_copy(model)
+        fresh = evaluate_cells_scenario_batched(
+            clone, clone_evaluator, cell_groups, base_seed=5
         )
-        np.testing.assert_array_equal(raw, optimized)
+        np.testing.assert_array_equal(stepped, fresh)
 
 
 class TestTaskTopologyIdentity:
-    """interpreted == raw-trace replay == optimized replay, all topologies."""
+    """Batched sweep == reverse-order uncached serial cells, all topologies."""
 
     def _compare(self, task_name, method, specs, samples=3, n_runs=3):
         task = build_task(task_name, preset="tiny")
@@ -243,23 +262,18 @@ class TestTaskTopologyIdentity:
         evaluator = make_evaluator(
             task.name, task.test_set, method, mc_samples=samples
         )
-        results = {}
-        for label, plan, plan_opt in (
-            ("interpreted", False, None),
-            ("planned-raw", True, False),
-            ("planned-opt", True, True),
-        ):
-            campaign = MonteCarloCampaign(
-                model, evaluator, n_runs=n_runs, base_seed=0,
-                executor="batched", plan=plan, plan_opt=plan_opt,
-            )
-            results[label] = campaign.sweep(specs)
-        for label in ("planned-raw", "planned-opt"):
-            for a, b in zip(results["interpreted"], results[label]):
-                np.testing.assert_array_equal(a.values, b.values)
-        stats = plan_mod.plan_stats(model)
-        assert stats.traces > 0 and stats.replays > 0
-        assert sum(stats.opt_counters.values()) > 0  # passes really fired
+        results = MonteCarloCampaign(
+            model, evaluator, n_runs=n_runs, base_seed=0, executor="batched",
+        ).sweep(specs)
+        with deploy_cache_disabled():
+            for idx in reversed(range(len(specs))):
+                if specs[idx].kind == "none":
+                    continue
+                cells = [WorkCell(idx, run, specs[idx]) for run in range(n_runs)]
+                expected = serial_values(
+                    model, evaluator, cells, 0, order=reversed(range(n_runs))
+                )
+                np.testing.assert_array_equal(results[idx].values, expected)
 
     # image / ResNet-18: binary weights, variation routes to activations
     def test_image_binary_bitflip_proposed(self):

@@ -124,16 +124,39 @@ class TestServiceSweep:
         assert stats2["redundant_cells"] == 0
         assert stats2["computed_cells"] == 3  # only the new level's cells
 
+    def test_pending_scenario_misses_the_store_once(
+        self, shared_cache, tmp_path
+    ):
+        methods = [proposed()]
+        service, store = _service_pair(tmp_path)
+        with service, ServiceClient(service.address) as client:
+            client.sweep(
+                "audio", methods, bitflip_sweep([0.0, 0.1]),
+                preset="tiny", seed=0, n_runs=3,
+            )
+            before = store.snapshot()
+            # Half of this grid is stored: two hits, two pending scenarios.
+            _, stats = client.sweep(
+                "audio", methods, bitflip_sweep([0.0, 0.1, 0.2, 0.4]),
+                preset="tiny", seed=0, n_runs=3,
+            )
+            after = store.snapshot()
+        assert stats["rounds"] == 1  # no re-issued unit may re-check
+        assert after["hits"] - before["hits"] == 2
+        assert after["misses"] - before["misses"] == 2
+        assert after["puts"] - before["puts"] == 2
+        assert stats["store"]["misses"] == 2
+
     def test_store_and_transport_seconds_accounted(
         self, shared_cache, tmp_path
     ):
-        from repro.tensor import plan as _plan
+        from repro.profiling import profiled
 
         methods = [proposed()]
         specs = bitflip_sweep([0.0, 0.1])
         service, _ = _service_pair(tmp_path)
         with service, ServiceClient(service.address) as client:
-            with _plan.profiled() as stages:
+            with profiled() as stages:
                 _, stats = client.sweep(
                     "audio", methods, specs, preset="tiny", seed=0, n_runs=3
                 )

@@ -1,22 +1,22 @@
-"""Property-based fuzz harness for the plan-IR trace/optimize/replay stack.
+"""Property-based fuzz harness for the eager ``Tensor`` execution stack.
 
 Hand-rolled (no third-party property-testing dependency): a seeded
-:class:`random.Random` generates random op-DAG programs over the traced
-``Tensor`` surface — elementwise chains, frozen constants (plan-constant
-folding fodder), shape views (transpose / reshape / reductions), and
-``traced_source`` draws that act as optimization *barriers* — and every
-program is executed three ways:
+:class:`random.Random` generates random op-DAG programs over the
+``Tensor`` surface — elementwise chains, frozen constants, shape views
+(transpose / reshape / reductions), and stochastic draws from the scoped
+generator — and every program is executed three ways:
 
-* **eager** — plain interpreted ``forward`` (the reference semantics);
-* **raw replay** — traced once, replayed with the optimizer disabled;
-* **optimized replay** — traced once with the IR passes of
-  :mod:`repro.tensor.plan_passes` enabled, then replayed.
+* **gradient-free** — ``forward`` under :func:`~repro.tensor.no_grad`
+  (how campaign evaluation runs every forward);
+* **recording** — the same forward with the autograd graph recorded,
+  followed by a backward pass that must leave a finite input gradient;
+* **repeat** — the gradient-free forward again on the same module.
 
 All three must agree bit-for-bit (``equal_nan`` — a program that
 deterministically manufactures a NaN must reproduce *that* NaN).  Every
-path also re-scopes an identically seeded generator, so source steps
-prove they re-run in the recorded order rather than being folded,
-reordered, or dropped.
+path re-scopes an identically seeded generator, and each must leave that
+generator in the same state, so stochastic draws provably run in the
+same order and number on every path.
 
 On failure the harness *shrinks*: instructions are deleted one at a time
 while the failure reproduces, and the assertion reports the minimal
@@ -25,7 +25,7 @@ references resolve modulo the live value count, so any deletion leaves a
 well-formed program — no repair pass needed.
 
 Budget: ``REPRO_FUZZ_PROGRAMS`` (default 40) fixes how many seeded
-programs run; CI pins it explicitly so the corpus is stable run to run.
+programs run, so the corpus is stable run to run.
 """
 
 import os
@@ -35,8 +35,7 @@ import numpy as np
 
 from repro.nn.module import Module
 from repro.tensor import no_grad, ops
-from repro.tensor import plan as plan_mod
-from repro.tensor.random import scoped_rng
+from repro.tensor.random import get_rng, scoped_rng
 from repro.tensor.tensor import Tensor
 
 N_PROGRAMS = int(os.environ.get("REPRO_FUZZ_PROGRAMS", "40"))
@@ -122,8 +121,7 @@ def _execute(instr, vals):
         _, op, src, const_seed = instr
         v = _pick(vals, src)
         # Frozen per-instruction constant: identical on every execution
-        # path, captured as a plan constant (and folding fodder) by the
-        # tracer.
+        # path.
         const = Tensor(np.random.default_rng(const_seed).normal(size=v.shape))
         return v + const if op == "addc" else v * const
     if tag == "view":
@@ -137,18 +135,11 @@ def _execute(instr, vals):
     if tag == "reduce":
         _, src = instr
         return _pick(vals, src).sum(axis=0, keepdims=True)
-    # source: add a traced stochastic draw — a barrier the optimizer must
-    # not fold, reorder, or eliminate.
+    # source: add a stochastic draw from the scoped generator — every
+    # path must make it in the same order.
     _, src = instr
     v = _pick(vals, src)
-    shape = v.shape
-
-    def draw(shape=shape):
-        from repro.tensor.random import get_rng
-
-        return get_rng().standard_normal(shape)
-
-    return v + Tensor(plan_mod.traced_source(draw))
+    return v + Tensor(get_rng().standard_normal(v.shape))
 
 
 class FuzzProgram(Module):
@@ -163,7 +154,7 @@ class FuzzProgram(Module):
         for instr in self.program:
             vals.append(_execute(instr, vals))
         # Anchor on the last value and fold in a mid-program value's sum,
-        # leaving everything else dead — live DCE fodder on most programs.
+        # leaving everything else dead on most programs.
         anchor = vals[-1]
         extra = vals[(len(vals) // 2) % len(vals)]
         return anchor + extra.sum()
@@ -173,45 +164,47 @@ def _input_for(case_seed: int) -> np.ndarray:
     return np.random.default_rng(case_seed ^ 0x5EED).normal(size=BASE_SHAPE)
 
 
-def _run_eager(program, x):
-    module = FuzzProgram(program)
-    with no_grad(), scoped_rng(np.random.default_rng(EVAL_SEED)):
-        return module.forward(Tensor(x.copy())).data.copy()
+def _run(module, x, record):
+    """One forward under a fresh ``EVAL_SEED`` generator.
 
-
-def _run_planned(program, x, optimize):
-    """Trace once, then replay; returns (traced_out, replayed_out, stats)."""
-    module = FuzzProgram(program).eval()
-    with no_grad(), plan_mod.plan_execution(True, optimize=optimize):
-        with scoped_rng(np.random.default_rng(EVAL_SEED)):
-            traced = module(Tensor(x.copy())).data.copy()
-        with scoped_rng(np.random.default_rng(EVAL_SEED)):
-            replayed = module(Tensor(x.copy())).data.copy()
-    return traced, replayed, plan_mod.plan_stats(module)
+    Returns ``(output, generator_state_after, input_grad)``; the gradient
+    is ``None`` for gradient-free runs.
+    """
+    generator = np.random.default_rng(EVAL_SEED)
+    with scoped_rng(generator):
+        if record:
+            inp = Tensor(x.copy(), requires_grad=True)
+            out = module(inp)
+            out.sum().backward()
+            grad = inp.grad
+        else:
+            with no_grad():
+                out = module(Tensor(x.copy()))
+            grad = None
+    return out.data.copy(), generator.bit_generator.state, grad
 
 
 def _check_case(program, x):
     """Returns None if the program holds the property, else a reason."""
+    module = FuzzProgram(program).eval()
     try:
-        eager = _run_eager(program, x)
-        raw_traced, raw_replayed, raw_stats = _run_planned(program, x, False)
-        opt_traced, opt_replayed, opt_stats = _run_planned(program, x, True)
+        gradfree, gradfree_state, _ = _run(module, x, record=False)
+        recorded, recorded_state, grad = _run(module, x, record=True)
+        repeat, repeat_state, _ = _run(module, x, record=False)
     except Exception as exc:  # crashes shrink just like mismatches
         return f"raised {type(exc).__name__}: {exc}"
-    for label, stats in (("raw", raw_stats), ("optimized", opt_stats)):
-        if stats.replays != 1 or stats.fallbacks:
-            return (
-                f"{label} path did not replay (traces={stats.traces}, "
-                f"replays={stats.replays}, fallbacks={stats.fallbacks})"
-            )
-    for label, got in (
-        ("raw trace", raw_traced),
-        ("raw replay", raw_replayed),
-        ("optimized trace", opt_traced),
-        ("optimized replay", opt_replayed),
+    for label, got, state in (
+        ("recording", recorded, recorded_state),
+        ("repeat", repeat, repeat_state),
     ):
-        if not np.array_equal(eager, got, equal_nan=True):
-            return f"{label} diverged from eager (max |diff| where finite)"
+        if not np.array_equal(gradfree, got, equal_nan=True):
+            return f"{label} forward diverged from the gradient-free forward"
+        if state != gradfree_state:
+            return f"{label} forward drew a different number of samples"
+    if grad is None or grad.shape != x.shape:
+        return "recording forward left no input gradient of the input's shape"
+    if np.isfinite(recorded).all() and not np.isfinite(grad).all():
+        return "finite forward produced a non-finite input gradient"
     return None
 
 
@@ -234,6 +227,7 @@ def _shrink(program, x, reason):
 
 
 def test_fuzz_plan_replay_matches_eager():
+    """Gradient-free, recording and repeated forwards agree on every program."""
     failures = []
     for case_seed in range(N_PROGRAMS):
         program = generate_program(case_seed)
@@ -249,7 +243,7 @@ def test_fuzz_plan_replay_matches_eager():
         )
     assert not failures, (
         f"{len(failures)}/{N_PROGRAMS} fuzz programs violated "
-        "plan-replay identity:\n" + "\n".join(failures)
+        "forward identity:\n" + "\n".join(failures)
     )
 
 

@@ -138,6 +138,69 @@ class TestGraphMechanics:
         np.testing.assert_allclose(x.grad, [6.0])
 
 
+def _zero_fill_accumulate(data, grads):
+    """The reference formula: zero fill once, then ``+=`` every grad."""
+    out = np.zeros_like(data)
+    for grad in grads:
+        out += grad
+    return out
+
+
+class TestAccumulate:
+    @staticmethod
+    def _accumulated(data, grads):
+        t = Tensor(data, requires_grad=True)
+        for grad in grads:
+            t._accumulate(grad)
+        return t.grad
+
+    @staticmethod
+    def _assert_same_bits(a, b):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("grads", [
+        [np.array([-0.0, 0.0, -1.5, np.inf, -np.inf])],
+        [np.array([-0.0, -0.0, 2.0, 5e-324, -5e-324])],
+        [np.array([-0.0, 1.0, np.nan, 3.0, -2.0])],
+    ])
+    def test_first_accumulation_matches_zero_fill(self, grads):
+        data = np.ones(5)
+        got = self._accumulated(data, grads)
+        self._assert_same_bits(got, _zero_fill_accumulate(data, grads))
+        assert not np.signbit(got[0])  # -0.0 gradient lands as +0.0
+
+    def test_broadcast_gradient_matches_zero_fill(self):
+        data = np.ones((3, 4))
+        grads = [np.array([-0.0, 0.25, -3.0, 7.0])]
+        got = self._accumulated(data, grads)
+        self._assert_same_bits(got, _zero_fill_accumulate(data, grads))
+
+    def test_cast_follows_data_dtype(self):
+        data = np.ones((2, 3))
+        grads = [np.array([[1, -2, 0], [3, 0, -4]], dtype=np.int64),
+                 np.full((2, 3), 0.1, dtype=np.float32)]
+        got = self._accumulated(data, grads)
+        self._assert_same_bits(got, _zero_fill_accumulate(data, grads))
+
+    def test_repeated_accumulation_matches_zero_fill(self):
+        rng = np.random.default_rng(0)
+        data = np.ones((4, 3))
+        grads = [rng.normal(size=(4, 3)) for _ in range(5)]
+        grads.insert(2, np.full((4, 3), -0.0))
+        grads.append(rng.normal(size=(3,)))
+        got = self._accumulated(data, grads)
+        self._assert_same_bits(got, _zero_fill_accumulate(data, grads))
+
+    def test_first_accumulation_does_not_alias_the_gradient(self):
+        grad = np.array([1.0, 2.0])
+        t = Tensor(np.zeros(2), requires_grad=True)
+        t._accumulate(grad)
+        t._accumulate(grad)
+        assert grad.tolist() == [1.0, 2.0]
+        assert t.grad.tolist() == [2.0, 4.0]
+
+
 class TestComparisons:
     def test_comparisons_return_numpy_bool(self):
         a = Tensor([1.0, 2.0, 3.0])
