@@ -3,8 +3,9 @@
 Runs a Monte Carlo bitflip severity sweep (tiny CO2/LSTM task, 8 severity
 levels) three ways:
 
-* **serial** — the in-process reference: ``run_robustness_sweep`` with the
-  cache disabled, i.e. what a cold client computed locally before PR 8;
+* **serial** — the in-process reference: ``run_robustness_sweep`` on the
+  per-cell engine (``engine=PER_CELL``) with the cache disabled, i.e.
+  what a cold client computed locally before PR 8;
 * **service-cold** — the same sweep through a freshly started campaign
   service with an empty result store: every cell is computed by the
   sharded workers and landed in the store;
@@ -40,7 +41,7 @@ import pytest
 
 from repro.eval import build_task, clear_memory_cache, run_robustness_sweep
 from repro.eval.cache import ResultStore
-from repro.faults import bitflip_sweep
+from repro.faults import PER_CELL, bitflip_sweep
 from repro.models import proposed
 from repro.serve import CampaignService, ServiceClient
 
@@ -75,7 +76,7 @@ def test_service_round_trip_speedup(tmp_path):
     t0 = time.perf_counter()
     reference = run_robustness_sweep(
         task, methods, specs, preset="tiny", seed=0, n_runs=N_RUNS,
-        use_cache=False,
+        use_cache=False, engine=PER_CELL,
     )
     serial_s = time.perf_counter() - t0
 

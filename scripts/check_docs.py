@@ -28,7 +28,7 @@ and, over the public API:
    a class, function, or module carries a docstring — the docs suite
    links into these namespaces, so an undocumented export is a
    documentation failure, not just a style nit.  Plain data constants
-   (tuples like ``EXECUTORS``, dicts like ``PRESETS``) are exempt:
+   (tuples like ``PRESETS``, config instances like ``PER_CELL``) are exempt:
    they cannot carry their own ``__doc__``.
 
 Exits non-zero listing every failure, so CI catches stale docs the moment

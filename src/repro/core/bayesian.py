@@ -17,7 +17,7 @@ per :func:`mc_forward` call), so sample ``s`` is a pure function of
 ``(parent stream, s)`` rather than of how many draws earlier samples made.
 That indexing is what allows the *stacked* path — taken whenever a chip
 batch is active (:func:`repro.tensor.chipbatch.chip_batch`, entered by the
-campaign engine's ``batched`` backend) — to stack all samples times all
+campaign engine's stacked passes) — to stack all samples times all
 chips along one leading instance axis and run a single vectorized forward
 whose per-sample slices are bit-identical to the looped passes.
 """

@@ -1,11 +1,11 @@
 """Experiment harness: tasks, evaluators, caches, campaigns, reporting.
 
 Campaign drivers (:func:`run_robustness_sweep`, :func:`baseline_metrics`)
-ride the campaign engine in :mod:`repro.faults.executor`; pass
-``executor="batched"`` to evaluate each scenario's chip instances in one
-vectorized forward (every evaluator built by :func:`make_evaluator` is
-chip-aware and returns a per-chip metric vector under an active chip
-batch).  Results are bit-identical on both backends and are cached per
+ride the campaign engine in :mod:`repro.faults.executor`, which stacks
+each scenario's chip instances into byte-budgeted vectorized forwards
+(every evaluator built by :func:`make_evaluator` is chip-aware and
+returns a per-chip metric vector under an active chip batch).  Results
+are bit-identical for every engine budget and are cached per
 scenario by :func:`campaign_key` in the content-addressed
 :class:`ResultStore` shared across workers, sessions, and the campaign
 service (:mod:`repro.serve`).

@@ -14,14 +14,13 @@ Execution architecture
 2. per method with uncached scenarios, the trained model is fetched;
 3. the remaining scenarios — with their *original* scenario indices, so
    per-cell seeds are unaffected by what was cached — are flattened into
-   one (scenario × chip-run) grid and executed on the requested backend
-   (``serial`` or ``batched``, see ``executor=``); the ``batched``
-   backend evaluates each scenario's chips — and every same-kind
-   severity level at once — in one vectorized forward (the evaluators
-   built here are chip-aware);
+   one (scenario × chip-run) grid and executed by the engine, which
+   stacks chips — and same-kind severity levels — into vectorized
+   forwards as far as its byte budget allows (``engine=``; the
+   evaluators built here are chip-aware);
 4. fresh results are written back to the cache.
 
-Results are bit-identical for both backends and every cache state.
+Results are bit-identical for every engine budget and cache state.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..faults import CampaignResult, FaultSpec, MonteCarloCampaign
-from ..faults.executor import Evaluator
+from ..faults.executor import PER_CELL, EngineConfig, Evaluator
 from ..models import MethodConfig
 from ..nn.module import Module
 from ..profiling import stage
@@ -137,24 +136,29 @@ def run_robustness_sweep(
     samples: Optional[int] = None,
     max_eval_samples: Optional[int] = -1,
     progress=None,
-    executor: str = "serial",
+    executor: Optional[str] = None,
     use_cache: bool = True,
     on_cell_done: Optional[Callable[[int, int], None]] = None,
-    chip_limit: Optional[int] = None,
-    scenario_limit: Optional[int] = None,
+    engine: EngineConfig = EngineConfig(),
 ) -> RobustnessSweep:
     """Train/fetch each method's model and sweep the fault levels.
 
     Returns mean ± std of the task metric per method per level — the data
     behind one panel of Fig. 5 or Fig. 6.
 
-    ``executor`` selects the campaign backend (``"batched"`` is
-    bit-identical to ``"serial"``); ``chip_limit`` and ``scenario_limit``
-    cap the chips and severity levels the ``batched`` backend stacks per
-    pass; ``use_cache=False`` bypasses the campaign-result cache (it is
-    still written); ``on_cell_done(done, total)`` observes per-method
-    cell completion for throughput reporting.
+    ``engine`` sizes the engine's stacked passes (every budget gives
+    bit-identical values); ``executor="serial"`` is the older spelling of
+    ``engine=PER_CELL``, the per-cell oracle.  ``use_cache=False``
+    bypasses the campaign-result cache (it is still written);
+    ``on_cell_done(done, total)`` observes per-method cell completion for
+    throughput reporting.
     """
+    if executor is not None:
+        if executor != "serial":
+            raise ValueError(
+                f"executor={executor!r} is gone; pass engine=EngineConfig(...)"
+            )
+        engine = PER_CELL
     n_runs = n_runs if n_runs is not None else mc_runs(preset)
     samples = samples if samples is not None else mc_samples(preset)
     if max_eval_samples == -1:
@@ -199,9 +203,7 @@ def run_robustness_sweep(
                 evaluator,
                 n_runs=n_runs,
                 base_seed=seed,
-                executor=executor,
-                chip_limit=chip_limit,
-                scenario_limit=scenario_limit,
+                engine=engine,
             )
             fresh = campaign.sweep(
                 [specs[i] for i in pending],

@@ -7,16 +7,17 @@ Regenerate any paper artifact without pytest::
     python -m repro.eval fig6 --task co2 --fault multiplicative
     python -m repro.eval fig7 --shift rotation
     python -m repro.eval campaign --task audio --fault additive \
-        --levels 0 0.1 0.2 --runs 10 --executor batched
+        --levels 0 0.1 0.2 --runs 10
 
-Monte Carlo campaigns run on one of two backends, bit-identical to each
-other: ``--executor serial`` (default, the reference) or ``--executor
-batched``, which evaluates all chips, Monte Carlo samples and same-kind
-severity levels of a sweep in one vectorized forward (cap the stack with
-``--chip-limit`` / ``--scenario-limit``).  A live throughput line
-(cells/s, ETA) is printed to stderr while a sweep is running, and
-``--profile`` prints where the sweep's wall time went (fault attach,
-metric evaluation, result-store and service-transport time).
+Monte Carlo campaigns run on the byte-budgeted campaign engine
+(:class:`repro.faults.executor.EngineConfig`): it stacks chips, Monte
+Carlo samples and same-kind severity levels of a sweep into vectorized
+forwards while they fit its budget, and evaluates the rest cell by cell,
+bit-identical either way.  A live throughput line (cells/s, ETA) is
+printed to stderr while a sweep is running, and ``--profile`` prints
+where the sweep's wall time went (fault attach, metric evaluation,
+result-store and service-transport time) and how the engine ran the
+cells (stacked passes, instances per pass, per-cell cells by reason).
 
 Trained models and completed campaign scenarios are cached under
 ``.repro_cache`` exactly as the benchmarks do, so repeated and resumed
@@ -40,7 +41,6 @@ from typing import List
 from ..core.bayesian import BayesianClassifier
 from ..data import noise_stages, rotation_stages
 from ..faults import (
-    EXECUTORS,
     FaultSpec,
     additive_sweep,
     bitflip_sweep,
@@ -125,11 +125,8 @@ def _cmd_sweep_local(args, specs) -> None:
             seed=args.seed,
             n_runs=args.runs,
             progress=print if args.verbose else None,
-            executor=args.executor,
             use_cache=not args.no_cache,
             on_cell_done=meter,
-            chip_limit=args.chip_limit,
-            scenario_limit=args.scenario_limit,
         )
     if meter.total:
         meter.finish()
@@ -299,29 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--runs", type=int, default=None)
         p.add_argument("--verbose", action="store_true")
         p.add_argument(
-            "--executor", default="serial", choices=EXECUTORS,
-            help="campaign backend; results are bit-identical to serial "
-                 "(batched = all chips and same-kind severity levels of a "
-                 "sweep in one vectorized pass)",
-        )
-        p.add_argument(
-            "--chip-limit", type=int, default=None,
-            help="max chips stacked per pass for --executor batched "
-                 "(default: all chips of a scenario; smaller caps bound "
-                 "memory without changing results)",
-        )
-        p.add_argument(
-            "--scenario-limit", type=int, default=None,
-            help="max severity levels stacked per pass for --executor "
-                 "batched (default: the whole same-kind group; smaller "
-                 "caps bound memory without changing results)",
-        )
-        p.add_argument(
             "--profile", action="store_true",
             help="print a per-stage wall-time breakdown after the sweep "
                  "(fault attach, metric evaluation, result-store and "
-                 "service-transport time), for locating hot paths "
-                 "without external tooling",
+                 "service-transport time) and the engine's stacked passes "
+                 "and per-cell fallbacks, for locating hot paths without "
+                 "external tooling",
         )
         p.add_argument(
             "--no-cache", action="store_true",

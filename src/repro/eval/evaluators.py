@@ -8,7 +8,7 @@ Chip-aware evaluation
 ---------------------
 Every evaluator here is *chip-aware*: under an active chip batch
 (:func:`repro.tensor.chipbatch.chip_batch`, installed by the campaign
-engine's ``batched`` executor) the test inputs are broadcast to a leading
+engine's stacked passes) the test inputs are broadcast to a leading
 chip axis, predictions come back chip-stacked, and the metric is computed
 **per chip** in exactly the arithmetic order of the serial path — so the
 evaluator returns a ``(n_chips,)`` vector whose entry ``i`` is bit-identical
@@ -168,7 +168,7 @@ def make_evaluator(
     caps the evaluation set (deterministic prefix) so Monte Carlo fault
     campaigns stay affordable on CPU.  The returned callable is chip-aware:
     under an active chip batch it returns a per-chip metric vector, which
-    is what the ``batched`` executor backend requires.
+    is what the campaign engine's stacked passes require.
     """
     fn = EVALUATORS[task_name]
     if max_samples is not None and len(test_set) > max_samples:

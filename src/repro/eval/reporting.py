@@ -92,7 +92,10 @@ def format_profile(stages: Dict[str, float]) -> str:
     evaluator, so service overhead is never attributed to ``metric``.
 
     Only stages that were actually recorded get a row, so a local sweep
-    prints no ``transport`` zero.
+    prints no ``transport`` zero.  When the campaign engine ran cells in
+    this process, an ``engine:`` line follows: its stacked passes, the
+    mean instances per pass, and the cells it ran per cell, by reason
+    (the ``engine.*`` counters of :func:`repro.faults.executor.run_cells`).
     """
     labels = ("attach", "metric", "store", "transport")
     present = [(label, stages[label]) for label in labels if label in stages]
@@ -104,6 +107,20 @@ def format_profile(stages: Dict[str, float]) -> str:
         share = 100.0 * seconds / total if total > 0 else 0.0
         lines.append(f"  {label:<14} {seconds * 1000:9.1f}ms  {share:5.1f}%")
     lines.append(f"  {'total':<14} {total * 1000:9.1f}ms")
+    passes = int(stages.get("engine.passes", 0))
+    per_cell = {
+        label.rpartition(".")[2]: int(n)
+        for label, n in sorted(stages.items())
+        if label.startswith("engine.per-cell.")
+    }
+    if passes or per_cell:
+        instances = stages.get("engine.instances", 0) / passes if passes else 0.0
+        reasons = ", ".join(f"{n} {reason}" for reason, n in per_cell.items())
+        lines.append(
+            f"engine: {passes} stacked passes ({instances:.1f} instances/pass), "
+            f"{sum(per_cell.values())} cells run one by one"
+            + (f" ({reasons})" if reasons else "")
+        )
     return "\n".join(lines)
 
 

@@ -1,15 +1,15 @@
 """NVM non-ideality models and Monte Carlo fault campaigns.
 
-Campaigns execute on the engine in :mod:`repro.faults.executor`
-(:data:`EXECUTORS` = ``serial`` / ``batched``).  The ``batched`` backend
-evaluates all chip instances of a scenario — together with all Monte
-Carlo samples of a Bayesian evaluator and all same-kind fault-severity
-levels of a sweep — in one vectorized forward:
-:func:`evaluate_cells_batched` / :func:`evaluate_cells_scenario_batched`
-stack per-chip frozen fault patterns (:class:`ChipBatchedWeightFault`,
-:class:`ScenarioBatchedWeightFault`, :class:`ChipBatchedActivationNoise`)
-along a leading instance axis (scenario-major, then chip, then MC sample)
-while staying bit-identical per (scenario, chip) to the serial reference.
+Campaigns execute on the engine in :mod:`repro.faults.executor`, which
+evaluates chip instances of a scenario — together with all Monte Carlo
+samples of a Bayesian evaluator and same-kind fault-severity levels of a
+sweep — in stacked vectorized forwards, as many per pass as
+:class:`EngineConfig` ``max_batch_bytes`` allows:
+:func:`evaluate_cells_scenario_batched` stacks per-chip frozen fault
+patterns (:class:`ScenarioBatchedWeightFault`,
+:class:`ChipBatchedActivationNoise`) along a leading instance axis
+(scenario-major, then chip, then MC sample) while staying bit-identical
+per (scenario, chip) to the per-cell reference :func:`evaluate_cell`.
 """
 
 from .campaign import (
@@ -22,12 +22,14 @@ from .campaign import (
     uniform_sweep,
 )
 from .executor import (
-    EXECUTORS,
+    PER_CELL,
+    EngineConfig,
+    Footprint,
     WorkCell,
     cell_rngs,
     evaluate_cell,
-    evaluate_cells_batched,
     evaluate_cells_scenario_batched,
+    learned_footprint,
     run_cells,
 )
 from .models import (
@@ -35,7 +37,6 @@ from .models import (
     AdditiveVariation,
     BitFlipFault,
     ChipBatchedActivationNoise,
-    ChipBatchedWeightFault,
     FaultSpec,
     MultiplicativeVariation,
     RetentionDriftFault,
@@ -55,18 +56,19 @@ __all__ = [
     "StuckAtFault",
     "RetentionDriftFault",
     "ActivationNoise",
-    "ChipBatchedWeightFault",
     "ScenarioBatchedWeightFault",
     "ChipBatchedActivationNoise",
     "FaultInjector",
     "MonteCarloCampaign",
     "CampaignResult",
-    "EXECUTORS",
+    "EngineConfig",
+    "Footprint",
+    "PER_CELL",
     "WorkCell",
     "cell_rngs",
     "evaluate_cell",
-    "evaluate_cells_batched",
     "evaluate_cells_scenario_batched",
+    "learned_footprint",
     "run_cells",
     "bitflip_sweep",
     "additive_sweep",

@@ -14,16 +14,16 @@ reports mean and standard deviation — the shaded bands of Figs. 5 and 6.
 
 The campaign itself is a thin *scheduler*: it flattens the (scenario ×
 chip-run) grid into :class:`~repro.faults.executor.WorkCell` units and
-hands them to :func:`~repro.faults.executor.run_cells`, which executes
-them on the ``serial`` or ``batched`` backend.  Every cell derives all
+hands them to :func:`~repro.faults.executor.run_cells`, which evaluates
+them in byte-budgeted stacked passes (see
+:class:`~repro.faults.executor.EngineConfig`).  Every cell derives all
 of its randomness from ``SeedSequence(base_seed, spawn_key=(scenario,
 run))`` and evaluates under a scoped generator, so campaign results are
-bit-identical across backends and scheduling orders.
+bit-identical for every budget and scheduling order.
 :meth:`MonteCarloCampaign.sweep` submits *all* scenarios' cells as one
-grid, so the ``batched`` backend can vectorize each scenario's chips —
-and all severity levels of the same fault kind at once — into a single
-stacked forward (:meth:`FaultInjector.attach_batched`,
-:meth:`FaultInjector.attach_scenario_batched`).
+grid, so the engine can vectorize each scenario's chips — and several
+severity levels of the same fault kind at once — into one stacked
+forward (:meth:`FaultInjector.attach_scenario_batched`).
 """
 
 from __future__ import annotations
@@ -35,10 +35,9 @@ import numpy as np
 
 from ..nn.module import Module
 from ..quant.layers import QuantLSTMCell, QuantizedComputeLayer, SignActivation
-from .executor import WorkCell, run_cells
+from .executor import EngineConfig, WorkCell, run_cells
 from .models import (
     ChipBatchedActivationNoise,
-    ChipBatchedWeightFault,
     FaultSpec,
     ScenarioBatchedWeightFault,
 )
@@ -70,7 +69,7 @@ class FaultInjector:
         (made even when the variation routing skips the hook), one extra
         per LSTM cell whose hook *is* installed, and — for variation
         kinds — one per sign-activation site.  Knowing the count up front
-        lets every attach flavor draw a whole stream's seeds in a single
+        lets both attach flavors draw a whole stream's seeds in a single
         batched ``integers`` call (bit-identical to sequential scalar
         draws, including the generator's end state) instead of one Python
         round-trip per site.
@@ -135,59 +134,15 @@ class FaultInjector:
                     np.random.default_rng(next(seeds))
                 )
 
-    def attach_batched(
-        self, spec: FaultSpec, rngs: Sequence[np.random.Generator]
-    ) -> None:
-        """Install stacked fault hooks for ``len(rngs)`` chips at once.
-
-        The chip-batched counterpart of :meth:`attach` used by the
-        ``batched`` executor backend: ``rngs[i]`` is chip ``i``'s
-        cell-derived fault generator, and every per-layer seed is drawn
-        from it in exactly the order :meth:`attach` draws — including the
-        draw-then-skip for binary layers under variation and the extra
-        recurrent-matrix draw for LSTM cells — so each chip's frozen
-        patterns are bit-identical to a serial evaluation of that cell.
-        """
-        self.detach()
-        if spec.kind == "none" or spec.level == 0.0:
-            return
-        weight_sites = self._weight_sites()
-        act_sites = self._activation_sites()
-        has_sign_sites = bool(act_sites)
-        n_draws = self._stream_draws(spec, weight_sites, act_sites)
-        # One batched draw per chip stream; each stream's seeds come out in
-        # the serial order, and streams are independent, so hoisting the
-        # per-layer loop never changes a value.
-        rows = [self._draw_seeds(rng, n_draws) for rng in rngs]
-        cursor = 0
-        for layer in weight_sites:
-            seeds = [row[cursor] for row in rows]
-            cursor += 1
-            if spec.is_variation and layer.weight_bits == 1 and has_sign_sites:
-                continue  # binary layers receive variation at activations
-            layer.weight_fault = ChipBatchedWeightFault(spec, seeds)
-            if isinstance(layer, QuantLSTMCell):
-                hh_seeds = [row[cursor] for row in rows]
-                cursor += 1
-                layer.weight_fault_hh = ChipBatchedWeightFault(spec, hh_seeds)
-        if spec.is_variation:
-            for act in act_sites:
-                act.pre_fault = ChipBatchedActivationNoise(
-                    [
-                        spec.build_activation_model(np.random.default_rng(row[cursor]))
-                        for row in rows
-                    ]
-                )
-                cursor += 1
-
     def attach_scenario_batched(
         self,
         specs: Sequence[FaultSpec],
         rng_groups: Sequence[Sequence[np.random.Generator]],
     ) -> None:
-        """Install stacked hooks for several severity levels of one kind.
+        """Install stacked hooks for ``K`` severity levels x ``C`` chips.
 
-        The scenario-batched counterpart of :meth:`attach_batched`:
+        The stacked counterpart of :meth:`attach` used by the campaign
+        engine's stacked passes (``K = 1`` for a single scenario):
         ``specs[k]`` is scenario ``k``'s fault spec (all the same kind,
         all non-degenerate) and ``rng_groups[k]`` its chips' cell-derived
         fault generators.  Per-layer seeds are drawn from each generator
@@ -307,28 +262,21 @@ class MonteCarloCampaign:
         The deployed (trained) network.
     evaluator:
         Callable ``model -> float`` computing the task metric (accuracy,
-        mIoU, RMSE ...) on the test set.  It is invoked once per simulated
-        chip with fault hooks installed.
+        mIoU, RMSE ...) on the test set, with fault hooks installed.  It
+        must be chip-aware (see :func:`repro.eval.evaluators.make_evaluator`):
+        the engine calls it once per stacked pass of chips, and once per
+        chip only for cells it runs per cell.  A plain ``model -> float``
+        callable needs ``engine=PER_CELL``.
     n_runs:
         Chip instances per scenario (paper: 100).
     base_seed:
         Campaign-level seed; run ``i`` of scenario ``s`` derives its chip
         randomness from ``(base_seed, s, i)`` so campaigns are reproducible
         and scenarios are independent.
-    executor:
-        Execution backend: ``"serial"`` (default, the reference) or
-        ``"batched"`` (all chips — and all same-kind severity levels — of
-        a sweep in one vectorized forward).  Both produce bit-identical
-        results.
-    chip_limit:
-        ``"batched"`` only: maximum chips stacked per vectorized pass
-        (None = a scenario's full chip count); caps the activation
-        working set without changing results.
-    scenario_limit:
-        ``"batched"`` only: maximum scenarios stacked per vectorized pass
-        (None = the whole same-kind group); the scenario-axis counterpart
-        of ``chip_limit``, capping the working set without changing
-        results.
+    engine:
+        How the campaign engine stacks cells into vectorized passes (see
+        :class:`~repro.faults.executor.EngineConfig`); every setting gives
+        bit-identical results.
     """
 
     def __init__(
@@ -337,17 +285,13 @@ class MonteCarloCampaign:
         evaluator: Callable[[Module], float],
         n_runs: int = 100,
         base_seed: int = 0,
-        executor: str = "serial",
-        chip_limit: Optional[int] = None,
-        scenario_limit: Optional[int] = None,
+        engine: EngineConfig = EngineConfig(),
     ):
         self.model = model
         self.evaluator = evaluator
         self.n_runs = n_runs
         self.base_seed = base_seed
-        self.executor = executor
-        self.chip_limit = chip_limit
-        self.scenario_limit = scenario_limit
+        self.engine = engine
 
     def _cells(self, spec: FaultSpec, scenario_index: int) -> List[WorkCell]:
         """Flatten one scenario into work cells (fault-free → one cell)."""
@@ -364,10 +308,8 @@ class MonteCarloCampaign:
             self.base_seed,
             model=self.model,
             evaluator=self.evaluator,
-            executor=self.executor,
+            engine=self.engine,
             on_cell_done=on_cell_done,
-            chip_limit=self.chip_limit,
-            scenario_limit=self.scenario_limit,
         )
 
     def _package(self, spec: FaultSpec, values: np.ndarray) -> CampaignResult:
@@ -391,7 +333,7 @@ class MonteCarloCampaign:
         """Run a list of scenarios (e.g. increasing fault levels).
 
         All scenarios' cells are submitted as a single flat grid so that
-        the batched backend can stack severity levels into one pass.
+        the engine can stack severity levels into one pass.
         ``scenario_indices`` pins each spec's seed-deriving index (used by
         resumed sweeps where some scenarios were served from cache, so the
         remaining ones must keep their original coordinates).

@@ -2,35 +2,41 @@
 
 A fault campaign is an embarrassingly parallel grid: every
 (scenario, chip-run) pair — a :class:`WorkCell` — is an independent
-evaluation of the model under one frozen fault realization.  This module
-flattens that grid and executes it on one of two backends:
+evaluation of the model under one frozen fault realization.
+:func:`run_cells` evaluates that grid in *stacked passes*:
 
-* ``"serial"`` — the reference implementation (the oracle every other
-  path is pinned against), a plain loop of :func:`evaluate_cell`;
-* ``"batched"`` — groups the grid by scenario and evaluates each group's
-  chips as *one* stacked tensor pass: fault patterns are generated per
-  chip from the same per-cell streams and stacked along a leading chip
-  axis (:meth:`~repro.faults.campaign.FaultInjector.attach_batched`), and
-  evaluation randomness is routed through a
+* :func:`evaluate_cells_scenario_batched` stacks ``K`` same-kind
+  severity levels x ``C`` chips along a leading instance axis and runs
+  ONE vectorized forward.  Fault patterns are generated per cell from
+  the cell's own stream and stacked
+  (:meth:`~repro.faults.campaign.FaultInjector.attach_scenario_batched`),
+  evaluation randomness goes through a
   :class:`~repro.tensor.chipbatch.ChipBatchRng` over the per-cell
-  evaluation streams.  The Monte Carlo sample loop of Bayesian
+  evaluation streams, and the Monte Carlo sample loop of Bayesian
   evaluators folds into the same pass (``mc_forward`` stacks its samples
-  whenever a chip batch is active), and consecutive same-kind severity
-  levels fold into it too, so one forward carries a
-  ``scenarios x chips x mc_samples`` instance axis (scenario-major; see
-  :func:`evaluate_cells_scenario_batched`).  One vectorized forward
-  replaces ``K x C x S`` Python-dispatched ones.
-  It requires a *chip-aware* evaluator (everything built by
-  :func:`repro.eval.evaluators.make_evaluator` qualifies): under an
-  active chip batch the evaluator must return a ``(n_chips,)`` metric
-  vector instead of a float.
+  whenever a chip batch is active), so one forward carries
+  ``K x C x S`` instances and replaces ``K x C x S`` Python-dispatched
+  ones.  The evaluator must be *chip-aware* (everything built by
+  :func:`repro.eval.evaluators.make_evaluator` is): under an active chip
+  batch it returns a per-instance metric vector instead of a float.
+* :func:`evaluate_cell` is the per-cell loop body and the oracle every
+  stacked pass is pinned against.  Cells no pass can carry run through
+  it: fault-free scenarios (nothing introduces the chip axis),
+  single-chip scenarios, and every cell when one chip's stack does not
+  fit the budget.
 
-Multi-worker execution lives in the campaign service
-(:mod:`repro.serve`), which runs the ``batched`` backend per shard worker.
+:class:`EngineConfig` holds the engine's one knob, ``max_batch_bytes``.
+The engine learns a :class:`Footprint` from the first cell it evaluates
+for a ``(model, evaluator)`` pair, which it runs per cell: how many
+forwards one cell makes and the bytes of their input.  From that and the model's parameter bytes it
+estimates one stacked instance, and picks ``K x C`` so that
+``K·C·S·bytes`` stays within the budget.  A budget of 0 gives the plain
+per-cell loop.  Multi-worker execution lives in the campaign service
+(:mod:`repro.serve`), which runs this engine per shard worker.
 
 Determinism
 -----------
-Results are bit-identical across backends and scheduling orders.  Each
+Results are bit-identical for every budget and scheduling order.  Each
 cell derives every random stream it touches from
 ``SeedSequence(base_seed, spawn_key=(scenario_index, run_index))``:
 
@@ -47,6 +53,7 @@ Cell values are written back by submission index.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -54,14 +61,105 @@ import numpy as np
 
 from ..nn.dropout import resample_masks
 from ..nn.module import Module
-from ..profiling import stage
+from ..profiling import count, stage
 from ..tensor.chipbatch import ChipBatchRng, chip_batch, scenario_axis
 from ..tensor.random import scoped_rng
 from .models import FaultSpec
 
-EXECUTORS = ("serial", "batched")
-
 Evaluator = Callable[[Module], float]
+
+#: Default :attr:`EngineConfig.max_batch_bytes`.  Sized so a stacked
+#: pass stays near the per-cell loop's own working set: the co2 LSTM at
+#: ``small`` stacks 2 chips x 6 MC samples, ``tiny`` co2 sweeps stack
+#: whole scenarios, the ``tiny`` M5 one chip per pass, and the binarized
+#: ResNet-18, whose one chip already needs ~24 MB, runs per cell.
+DEFAULT_MAX_BATCH_BYTES = 3 * 2**20
+
+#: Instance-size model behind :class:`Footprint`: every stacked instance
+#: holds its own faulty copy of each weight (the per-chip codes repeat
+#: along the sample axis, then dequantize), and activations that scale
+#: with its forward input.  Fitted to ``tracemalloc`` peaks of stacked
+#: passes on the ResNet-18, M5, U-Net and LSTM at their ``tiny``
+#: shapes (and the LSTM at ``small``), where it reads 0.8-1.2x.
+#: Activation-heavy conv shapes read low (the ``small`` conv nets by
+#: 2.5-6x); at the default budget those run per cell anyway.
+WEIGHT_COPIES = 3
+ACTIVATION_FACTOR = 12
+
+
+@dataclass(frozen=True)
+class EngineConfig:
+    """How :func:`run_cells` groups cells into stacked passes.
+
+    ``max_batch_bytes`` bounds the estimated bytes of one stacked pass,
+    ``K`` scenarios x ``C`` chips x ``S`` forwards per cell x the
+    :class:`Footprint` instance estimate.  ``0`` evaluates every cell on
+    its own (:func:`evaluate_cell`, the oracle); ``None`` stacks every
+    same-kind run of scenarios in one pass.  No setting changes a value.
+    """
+
+    max_batch_bytes: Optional[int] = DEFAULT_MAX_BATCH_BYTES
+
+    def __post_init__(self) -> None:
+        if self.max_batch_bytes is not None and self.max_batch_bytes < 0:
+            raise ValueError(
+                f"max_batch_bytes must be >= 0 or None, got {self.max_batch_bytes}"
+            )
+
+
+#: The per-cell oracle: every cell through :func:`evaluate_cell`.
+PER_CELL = EngineConfig(max_batch_bytes=0)
+
+
+@dataclass(frozen=True)
+class Footprint:
+    """What one cell puts through the model, learned from a per-cell run.
+
+    ``samples`` counts the model forwards one cell makes (MC samples
+    times evaluation batches).  A stacked pass carries that many
+    instances per chip; a multi-batch evaluator runs its batches one
+    after another, so for it the count errs high, the safe side.
+    ``instance_bytes`` estimates one stacked instance:
+    :data:`WEIGHT_COPIES` x the model's parameter bytes plus
+    :data:`ACTIVATION_FACTOR` x the bytes of its largest forward input.
+    """
+
+    samples: int
+    instance_bytes: int
+
+    def pass_shape(
+        self, n_scenarios: int, n_chips: int, max_batch_bytes: Optional[int]
+    ) -> Optional[Tuple[int, int]]:
+        """The ``(K, C)`` of a pass over a ``n_scenarios x n_chips`` group.
+
+        The most chips per scenario that fit, then — once a whole
+        scenario fits — the most scenarios.  ``None`` when not even one
+        chip's ``samples``-instance stack fits.
+        """
+        if max_batch_bytes is None:
+            return n_scenarios, n_chips
+        chip_bytes = max(self.samples * self.instance_bytes, 1)
+        chips = min(n_chips, max_batch_bytes // chip_bytes)
+        if chips < 1:
+            return None
+        if chips < n_chips:
+            return 1, chips
+        scenarios = max_batch_bytes // (n_chips * chip_bytes)
+        return min(n_scenarios, scenarios), chips
+
+
+# Footprints already learned, per model, for the evaluator they were
+# learned with: a long-lived model (a service replica) pays the per-cell
+# sizing run once.
+_FOOTPRINTS: "weakref.WeakKeyDictionary[Module, Tuple[Evaluator, Footprint]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def learned_footprint(model: Module, evaluator: Evaluator) -> Optional[Footprint]:
+    """The footprint a run of ``evaluator`` on ``model`` taught the engine."""
+    entry = _FOOTPRINTS.get(model)
+    return entry[1] if entry is not None and entry[0] is evaluator else None
 
 
 @dataclass(frozen=True)
@@ -117,63 +215,34 @@ def evaluate_cell(
             injector.detach()
 
 
-def evaluate_cells_batched(
-    model: Module,
-    evaluator: Evaluator,
-    cells: Sequence[WorkCell],
-    base_seed: int,
-) -> np.ndarray:
-    """Evaluate one scenario's chip instances as a single stacked pass.
+def _sizing_cell(
+    model: Module, evaluator: Evaluator, cell: WorkCell, base_seed: int
+) -> float:
+    """:func:`evaluate_cell` that also learns the :class:`Footprint`.
 
-    All ``cells`` must belong to one scenario (same spec and scenario
-    index).  Per-cell (fault, evaluation) streams are derived exactly as
-    :func:`evaluate_cell` derives them; the fault streams drive
-    :meth:`~repro.faults.campaign.FaultInjector.attach_batched` (stacked
-    frozen patterns, one per chip) and the evaluation streams back a
-    :class:`~repro.tensor.chipbatch.ChipBatchRng`, so chip ``i``'s slice
-    of every mask, noise draw, and fault pattern is bit-identical to a
-    serial evaluation of ``cells[i]``.  The Monte Carlo sample loop of
-    Bayesian evaluators folds into the same stacked pass: one forward
-    carries a ``chips x mc_samples`` instance axis (see
-    :func:`repro.core.bayesian.mc_forward`).
-
-    ``evaluator`` must be chip-aware: under the active chip batch it
-    receives chip-stacked activations and returns a ``(n_chips,)`` metric
-    vector (see :func:`repro.eval.evaluators.make_evaluator`).
+    The root module's ``forward`` is wrapped on this model instance only,
+    for this one cell, so other models (and other threads' replicas) are
+    untouched and no later forward pays for it.
     """
-    from .campaign import FaultInjector  # local import breaks the cycle
+    inputs: List[int] = []
+    forward = model.forward
 
-    if not cells:
-        return np.empty(0)
-    spec = cells[0].spec
-    scenario = cells[0].scenario_index
-    for cell in cells:
-        if cell.spec is not spec and cell.spec != spec:
-            raise ValueError("batched evaluation needs a single-scenario group")
-        if cell.scenario_index != scenario:
-            raise ValueError("batched evaluation needs a single-scenario group")
-    pairs = [
-        cell_rngs(base_seed, cell.scenario_index, cell.run_index) for cell in cells
-    ]
-    fault_rngs = [fault for fault, _ in pairs]
-    eval_rngs = [ev for _, ev in pairs]
-    injector = FaultInjector(model)
-    with chip_batch(len(cells)), scoped_rng(ChipBatchRng(eval_rngs)):
-        resample_masks(model)
-        with stage("attach"):
-            injector.attach_batched(spec, fault_rngs)
-        try:
-            with stage("metric"):
-                values = np.asarray(evaluator(model), dtype=np.float64)
-        finally:
-            injector.detach()
-    if values.shape != (len(cells),):
-        raise RuntimeError(
-            f"chip-aware evaluator returned shape {values.shape} for "
-            f"{len(cells)} chips; the batched backend needs a per-chip "
-            "metric vector (see repro.eval.evaluators.make_evaluator)"
-        )
-    return values
+    def sized_forward(x, *args, **kwargs):
+        inputs.append(np.asarray(getattr(x, "data", x)).nbytes)
+        return forward(x, *args, **kwargs)
+
+    model.forward = sized_forward
+    try:
+        value = evaluate_cell(model, evaluator, cell, base_seed)
+    finally:
+        del model.forward
+    params = sum(p.data.nbytes for p in model.parameters())
+    _FOOTPRINTS[model] = (evaluator, Footprint(
+        samples=max(len(inputs), 1),
+        instance_bytes=WEIGHT_COPIES * params
+        + ACTIVATION_FACTOR * max(inputs, default=0),
+    ))
+    return value
 
 
 def evaluate_cells_scenario_batched(
@@ -261,124 +330,56 @@ def evaluate_cells_scenario_batched(
     return values
 
 
-def _scenario_groups(cells: Sequence[WorkCell]) -> List[Tuple[int, int]]:
-    """Split the grid into maximal runs of consecutive same-scenario cells."""
+def _scenario_groups(
+    cells: Sequence[WorkCell], start: int = 0
+) -> List[Tuple[int, int]]:
+    """Split ``cells[start:]`` into maximal runs of same-scenario cells."""
     groups: List[Tuple[int, int]] = []
-    start = 0
-    for i in range(1, len(cells)):
+    for i in range(start + 1, len(cells)):
         if cells[i].scenario_index != cells[start].scenario_index:
             groups.append((start, i))
             start = i
-    if len(cells):
+    if start < len(cells):
         groups.append((start, len(cells)))
     return groups
 
 
-def _stackable(cells: Sequence[WorkCell], start: int, stop: int) -> bool:
-    """True when a scenario range can join a cross-scenario stacked pass."""
+def _per_cell_reason(
+    cells: Sequence[WorkCell], start: int, stop: int
+) -> Optional[str]:
+    """Why a scenario range cannot join a stacked pass (``None``: it can)."""
     spec = cells[start].spec
-    return stop - start > 1 and spec.kind != "none" and spec.level != 0.0
+    if spec.kind == "none" or spec.level == 0.0:
+        return "fault-free"
+    if stop - start == 1:
+        return "single-chip"
+    return None
 
 
 def _kind_groups(
-    cells: Sequence[WorkCell],
+    cells: Sequence[WorkCell], start: int = 0
 ) -> List[List[Tuple[int, int]]]:
-    """Coalesce consecutive same-kind scenario ranges for cross-scenario
-    stacking.
+    """Coalesce consecutive same-kind scenario ranges of ``cells[start:]``.
 
     Returns a list of kind groups, each a list of ``(start, stop)``
     scenario ranges.  Ranges merge only when every member is stackable
     (multi-chip, non-degenerate spec), shares the fault kind, and has the
     same chip count — the rectangular layout the scenario axis requires.
-    Unstackable ranges come back as singleton groups and keep the
-    per-scenario (or serial fall-back) path.
+    Unstackable ranges come back as singleton groups and run per cell.
     """
     groups: List[List[Tuple[int, int]]] = []
-    for start, stop in _scenario_groups(cells):
-        if groups and _stackable(cells, start, stop):
+    for first, stop in _scenario_groups(cells, start):
+        if groups and _per_cell_reason(cells, first, stop) is None:
             prev_start, prev_stop = groups[-1][-1]
             if (
-                _stackable(cells, prev_start, prev_stop)
-                and cells[prev_start].spec.kind == cells[start].spec.kind
-                and prev_stop - prev_start == stop - start
+                _per_cell_reason(cells, prev_start, prev_stop) is None
+                and cells[prev_start].spec.kind == cells[first].spec.kind
+                and prev_stop - prev_start == stop - first
             ):
-                groups[-1].append((start, stop))
+                groups[-1].append((first, stop))
                 continue
-        groups.append([(start, stop)])
+        groups.append([(first, stop)])
     return groups
-
-
-def _run_batched(
-    cells: Sequence[WorkCell],
-    base_seed: int,
-    model: Module,
-    evaluator: Evaluator,
-    on_cell_done: Optional[Callable[[int, int], None]],
-    chip_limit: Optional[int] = None,
-    scenario_limit: Optional[int] = None,
-) -> np.ndarray:
-    """Chip-batched backend: one vectorized pass per (stacked) group.
-
-    Consecutive multi-chip scenarios of the same fault kind stack into
-    ONE pass carrying a scenario-major instance axis — a severity sweep
-    pays one stacked forward per (task, fault-kind) group instead of one
-    per level.  ``scenario_limit`` caps the scenarios stacked per pass and
-    ``chip_limit`` the chips per scenario per pass; both only bound the
-    working set — every sub-batch derives the same per-cell streams, so
-    results never change.  Fault-free scenarios (single-cell groups by
-    construction, and faultless in general) fall back to the serial
-    reference — with no fault hooks attached nothing introduces the chip
-    axis, so there is nothing to vectorize.
-    """
-    if chip_limit is not None and chip_limit < 1:
-        raise ValueError(f"chip_limit must be >= 1, got {chip_limit}")
-    if scenario_limit is not None and scenario_limit < 1:
-        raise ValueError(f"scenario_limit must be >= 1, got {scenario_limit}")
-    total = len(cells)
-    values = np.empty(total)
-    done = 0
-
-    def _report(n: int) -> None:
-        nonlocal done
-        done += n
-        if on_cell_done is not None:
-            on_cell_done(done, total)
-
-    for ranges in _kind_groups(cells):
-        start, stop = ranges[0]
-        if not _stackable(cells, start, stop):
-            for index in range(start, stop):
-                values[index] = evaluate_cell(
-                    model, evaluator, cells[index], base_seed
-                )
-            _report(stop - start)
-            continue
-        n_chips = stop - start
-        chip_step = chip_limit if chip_limit else n_chips
-        scen_step = scenario_limit if scenario_limit else len(ranges)
-        for scen_sub in range(0, len(ranges), scen_step):
-            sub_ranges = ranges[scen_sub : scen_sub + scen_step]
-            for chip_sub in range(0, n_chips, chip_step):
-                chip_stop = min(chip_sub + chip_step, n_chips)
-                groups = [
-                    cells[first + chip_sub : first + chip_stop]
-                    for first, _ in sub_ranges
-                ]
-                if len(groups) == 1:
-                    stacked = evaluate_cells_batched(
-                        model, evaluator, groups[0], base_seed
-                    )
-                else:
-                    stacked = evaluate_cells_scenario_batched(
-                        model, evaluator, groups, base_seed
-                    )
-                width = chip_stop - chip_sub
-                for g, (first, _) in enumerate(sub_ranges):
-                    values[first + chip_sub : first + chip_stop] = stacked[
-                        g * width : (g + 1) * width
-                    ]
-                _report(width * len(sub_ranges))
-    return values
 
 
 def run_cells(
@@ -387,53 +388,86 @@ def run_cells(
     *,
     model: Module,
     evaluator: Evaluator,
-    executor: str = "serial",
+    engine: EngineConfig = EngineConfig(),
     on_cell_done: Optional[Callable[[int, int], None]] = None,
-    chip_limit: Optional[int] = None,
-    scenario_limit: Optional[int] = None,
 ) -> np.ndarray:
     """Execute a flat cell grid and return values aligned with ``cells``.
 
-    Parameters
-    ----------
-    cells:
-        The flattened (scenario, run) grid.
-    base_seed:
-        Campaign seed from which every cell derives its streams.
-    model, evaluator:
-        The deployed network and its metric.  ``"batched"`` needs a
-        chip-aware ``evaluator``.
-    executor:
-        One of :data:`EXECUTORS`.  ``"batched"`` evaluates each
-        same-kind run of scenarios in one stacked pass.
-    on_cell_done:
-        Callback ``(done, total)`` fired after each completed cell —
-        throughput/ETA reporting hooks onto this.  The batched backend
-        fires it once per stacked pass.
-    chip_limit:
-        ``"batched"`` only: maximum chips stacked per vectorized pass
-        (default: a scenario's full chip count).  Smaller caps bound the
-        activation working set without changing results.
-    scenario_limit:
-        ``"batched"`` only: maximum scenarios stacked per pass (default:
-        the whole same-kind group).  Smaller caps bound the activation /
-        stacked-weight working set without changing results — the
-        scenario-axis counterpart of ``chip_limit``.
-    """
-    if executor not in EXECUTORS:
-        raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
-    total = len(cells)
-    if total == 0:
-        return np.empty(0)
+    Each run of consecutive same-kind scenarios is cut into stacked
+    passes of ``K`` scenarios x ``C`` chips sized by ``engine`` (see
+    :class:`EngineConfig`); cells no pass can carry run per cell.  When
+    the engine has not yet sized this ``(model, evaluator)`` pair, the
+    first cell runs per cell to learn its :class:`Footprint` (a sweep's
+    fault-free cell, which runs per cell anyway, usually comes first).
+    ``model``/``evaluator`` are the deployed network and its
+    (chip-aware) metric.  ``on_cell_done(done, total)`` fires after every
+    per-cell cell and every stacked pass.
 
-    if executor == "batched":
-        return _run_batched(
-            cells, base_seed, model, evaluator, on_cell_done,
-            chip_limit=chip_limit, scenario_limit=scenario_limit,
-        )
+    Under :func:`~repro.profiling.profiled` the engine counts its stacked
+    passes (``engine.passes``), the instances they carried
+    (``engine.instances``) and every per-cell cell by reason
+    (``engine.per-cell.<reason>``: ``fault-free``, ``single-chip``,
+    ``over-budget``, or ``sizing`` for the footprint run).
+    """
+    total = len(cells)
     values = np.empty(total)
-    for i, cell in enumerate(cells):
-        values[i] = evaluate_cell(model, evaluator, cell, base_seed)
+    done = 0
+
+    def report(n: int) -> None:
+        nonlocal done
+        done += n
         if on_cell_done is not None:
-            on_cell_done(i + 1, total)
+            on_cell_done(done, total)
+
+    budget = engine.max_batch_bytes
+    first = 0
+    footprint = None
+    if budget != 0 and total:
+        footprint = learned_footprint(model, evaluator)
+        if footprint is None:
+            values[0] = _sizing_cell(model, evaluator, cells[0], base_seed)
+            footprint = learned_footprint(model, evaluator)
+            first_scenario = _scenario_groups(cells)[0]
+            reason = _per_cell_reason(cells, *first_scenario) or "sizing"
+            count("engine.per-cell." + reason)
+            report(1)
+            first = 1
+
+    for ranges in _kind_groups(cells, first):
+        start, stop = ranges[0]
+        n_chips = stop - start
+        reason = _per_cell_reason(cells, start, stop)
+        shape = None
+        if reason is None and footprint is not None:
+            shape = footprint.pass_shape(len(ranges), n_chips, budget)
+        if shape is None:
+            reason = reason or "over-budget"
+            for range_start, range_stop in ranges:
+                for index in range(range_start, range_stop):
+                    values[index] = evaluate_cell(
+                        model, evaluator, cells[index], base_seed
+                    )
+                    count("engine.per-cell." + reason)
+                    report(1)
+            continue
+        scen_step, chip_step = shape
+        for scen_sub in range(0, len(ranges), scen_step):
+            sub_ranges = ranges[scen_sub : scen_sub + scen_step]
+            for chip_sub in range(0, n_chips, chip_step):
+                chip_stop = min(chip_sub + chip_step, n_chips)
+                groups = [
+                    cells[first_cell + chip_sub : first_cell + chip_stop]
+                    for first_cell, _ in sub_ranges
+                ]
+                stacked = evaluate_cells_scenario_batched(
+                    model, evaluator, groups, base_seed
+                )
+                width = chip_stop - chip_sub
+                for g, (first_cell, _) in enumerate(sub_ranges):
+                    values[first_cell + chip_sub : first_cell + chip_stop] = (
+                        stacked[g * width : (g + 1) * width]
+                    )
+                count("engine.passes")
+                count("engine.instances", len(stacked) * footprint.samples)
+                report(width * len(sub_ranges))
     return values

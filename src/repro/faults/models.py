@@ -72,7 +72,7 @@ class WeightFaultModel:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Chip-batched path (the campaign engine's ``batched`` executor)
+    # Stacked path (the campaign engine's stacked passes)
     # ------------------------------------------------------------------
     def generate_batch(
         self, qw: QuantizedWeight, n_chips: int, seeds: Sequence[int]
@@ -445,66 +445,25 @@ class RetentionDriftFault(WeightFaultModel):
 
 
 # ----------------------------------------------------------------------
-# Chip-batched fault hooks (the campaign engine's ``batched`` executor)
+# Stacked fault hooks (the campaign engine's stacked passes)
 # ----------------------------------------------------------------------
-class ChipBatchedWeightFault:
-    """Weight-fault hook evaluating ``n_chips`` frozen patterns at once.
+class ScenarioBatchedWeightFault:
+    """Weight-fault hook evaluating ``K`` scenarios x ``C`` chips at once.
 
     Plugs into the same ``layer.weight_fault`` slot as a serial
-    :class:`WeightFaultModel` but returns perturbed codes with a leading
-    chip axis ``(n_chips, *codes.shape)``; the quantized layers broadcast
-    the stack through one vectorized forward.  ``seeds[i]`` must be the
-    layer seed chip ``i``'s serial :meth:`FaultInjector.attach
-    <repro.faults.campaign.FaultInjector.attach>` would draw, which makes
-    each chip's slice bit-identical to the serial engine's weights.
-    """
-
-    def __init__(self, spec: "FaultSpec", seeds: Sequence[int]):
-        self.seeds = [int(s) for s in seeds]
-        prototype = spec.build_weight_model(np.random.default_rng(0))
-        if prototype is None:
-            raise ValueError(f"spec {spec.describe()} has no weight-fault model")
-        self.prototype = prototype
-        self.fault_token = next(_FAULT_TOKENS)
-        self._cache: Dict[Tuple[int, ...], np.ndarray] = {}
-
-    @property
-    def n_chips(self) -> int:
-        return len(self.seeds)
-
-    def __call__(self, qw: QuantizedWeight) -> np.ndarray:
-        key = (qw.bits,) + tuple(qw.codes.shape)
-        if key not in self._cache:
-            self._cache[key] = self.prototype.generate_batch(
-                qw, self.n_chips, self.seeds
-            )
-        codes = self.prototype.apply_batch(qw, self._cache[key])
-        # Under an MC-sample sub-axis the instance axis is chips x samples
-        # (chip-major); the frozen per-chip pattern is what a programmed
-        # chip holds across all its stochastic passes, so each chip's
-        # faulty codes repeat along the sample sub-axis.
-        samples = active_sample_count() or 1
-        if samples > 1:
-            codes = np.repeat(codes, samples, axis=0)
-        return codes
-
-
-class ScenarioBatchedWeightFault:
-    """Weight-fault hook stacking *heterogeneous severities* of one kind.
-
-    The scenario-batched counterpart of :class:`ChipBatchedWeightFault`:
-    holds one spec (severity level) plus that scenario's per-chip seeds for
-    each of ``n_scenarios`` stacked scenarios — all of the same fault kind —
-    and returns perturbed codes with a leading
-    ``(n_scenarios * n_chips, *codes.shape)`` instance axis in
-    scenario-major order.  Scenario ``k``'s slice is produced by the very
-    :class:`WeightFaultModel` a per-scenario
-    :meth:`FaultInjector.attach_batched
-    <repro.faults.campaign.FaultInjector.attach_batched>` would build
-    (generation and application both delegate to the scenario's own
-    prototype), so every (scenario, chip) slice stays bit-identical to the
-    serial engine's weights even though the severity varies along the
-    instance axis.
+    :class:`WeightFaultModel`, but holds one spec (severity level) plus
+    that scenario's per-chip seeds for each of ``n_scenarios`` stacked
+    scenarios — all of the same fault kind — and returns perturbed codes
+    with a leading ``(n_scenarios * n_chips, *codes.shape)`` instance axis
+    in scenario-major order; the quantized layers broadcast the stack
+    through one vectorized forward.  ``seed_groups[k][i]`` must be the
+    layer seed chip ``i`` of scenario ``k``'s serial
+    :meth:`FaultInjector.attach
+    <repro.faults.campaign.FaultInjector.attach>` would draw, and each
+    scenario's patterns come from the very :class:`WeightFaultModel` that
+    attach would build, so every (scenario, chip) slice stays
+    bit-identical to the serial engine's weights even though the severity
+    varies along the instance axis.
     """
 
     def __init__(self, specs: Sequence["FaultSpec"], seed_groups: Sequence[Sequence[int]]):
@@ -555,9 +514,10 @@ class ScenarioBatchedWeightFault:
             ],
             axis=0,
         )
-        # Same sample-sub-axis discipline as ChipBatchedWeightFault: the
-        # frozen per-(scenario, chip) pattern repeats across that chip's
-        # stochastic passes.
+        # Under an MC-sample sub-axis the instance axis is scenarios x
+        # chips x samples; the frozen per-(scenario, chip) pattern is what
+        # a programmed chip holds across all its stochastic passes, so it
+        # repeats along the sample sub-axis.
         samples = active_sample_count() or 1
         if samples > 1:
             codes = np.repeat(codes, samples, axis=0)

@@ -11,7 +11,7 @@ over ``(H, W)`` per instance and channel; GroupNorm over channel groups per
 instance.
 
 Under an active chip batch (:func:`repro.tensor.chipbatch.chip_batch`, the
-campaign engine's ``batched`` executor) every activation carries a leading
+campaign engine's stacked passes) every activation carries a leading
 chip axis, so the channel axis shifts from 1 to 2 and per-instance
 statistics are computed per (chip, instance).  Statistics never mix across
 chips — each chip's slice normalizes exactly as it would serially.

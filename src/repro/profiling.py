@@ -3,9 +3,11 @@
 :func:`profiled` opens a collection block on the current thread;
 :func:`stage` blocks anywhere below it (fault attach, the evaluator's
 metric pass, result-store reads and writes, service transport) add their
-wall time to it.  Outside a :func:`profiled` block :func:`stage` is a
-no-op that allocates nothing, so the hot path pays one thread-local read.
-Rendering lives in :func:`repro.eval.reporting.format_profile`.
+wall time to it, and :func:`count` adds event counts (the campaign
+engine's stacked passes and per-cell fallbacks) to the same dict.
+Outside a :func:`profiled` block both are no-ops that allocate nothing,
+so the hot path pays one thread-local read.  Rendering lives in
+:func:`repro.eval.reporting.format_profile`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import threading
 import time
 from typing import Dict, Iterator, Optional
 
-__all__ = ["profiled", "stage"]
+__all__ = ["count", "profiled", "stage"]
 
 
 class _ProfileState(threading.local):
@@ -30,7 +32,8 @@ _STATE = _ProfileState()
 def profiled() -> Iterator[Dict[str, float]]:
     """Collect per-stage wall time on this thread.
 
-    Yields the accumulating ``{stage: seconds}`` dict.  Nestable: an inner
+    Yields the accumulating ``{stage: seconds}`` dict (plus any
+    :func:`count` totals under their own labels).  Nestable: an inner
     block collects into its own dict and restores the outer one on exit.
     """
     previous = _STATE.stages
@@ -58,3 +61,10 @@ def stage(label: str) -> Iterator[None]:
         yield
     finally:
         stages[label] = stages.get(label, 0.0) + time.perf_counter() - start
+
+
+def count(label: str, n: float = 1) -> None:
+    """Add ``n`` to the ``label`` counter when profiling; else a no-op."""
+    stages = _STATE.stages
+    if stages is not None:
+        stages[label] = stages.get(label, 0) + n

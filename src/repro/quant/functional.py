@@ -11,7 +11,7 @@ the :class:`QuantizedWeight` record so fault models
 (:mod:`repro.faults`) can flip the very bits a crossbar would hold.
 
 A fault hook may be *chip-batched* (one frozen pattern per simulated chip,
-see :class:`repro.faults.models.ChipBatchedWeightFault`): it then returns
+see :class:`repro.faults.models.ScenarioBatchedWeightFault`): it then returns
 perturbed codes with a leading chip axis, and the dequantized result is a
 ``(n_chips, *weight.shape)`` stack — scales broadcast against it
 unchanged, and the layer forwards contract it with batched matmuls.  That

@@ -19,7 +19,8 @@ A sweep request is served in rounds:
    (original scenario indices, so values are bit-identical to a cold
    serial run), partitioned into kind-group :class:`ShardUnit`\\ s, and
    placed on workers by the deterministic LPT scheduler;
-3. each worker runs its units on the batched engine (a unit re-issued
+3. each worker runs its units on the byte-budgeted campaign engine
+   (default :class:`~repro.faults.executor.EngineConfig`; a unit re-issued
    after a worker death first re-checks the store per scenario, so it
    never recomputes what a previous round already landed), lands
    fresh values in the store, and streams one partial frame per
@@ -832,8 +833,7 @@ class CampaignService:
             ]
             t0 = time.perf_counter()
             values = run_cells(
-                cells, ctx["seed"], model=model, evaluator=evaluator,
-                executor="batched",
+                cells, ctx["seed"], model=model, evaluator=evaluator
             )
             event["compute_seconds"] += time.perf_counter() - t0
             offset = 0

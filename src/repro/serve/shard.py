@@ -1,9 +1,9 @@
 """Deterministic sharding of a campaign grid across service workers.
 
-The unit of work is one *kind group* from the batched executor
+The unit of work is one *kind group* from the campaign engine
 (:func:`repro.faults.executor._kind_groups`): a maximal run of
-same-fault-kind scenario ranges that the scenario-batched engine can
-stack into single vectorized passes.  Sharding at this granularity
+same-fault-kind scenario ranges that the engine can stack into shared
+vectorized passes.  Sharding at this granularity
 keeps every unit on the engine's fastest path — splitting a kind group
 across workers would forfeit cross-scenario stacking, and joining
 unrelated groups would gain nothing (the engine re-derives per-cell

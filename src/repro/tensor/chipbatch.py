@@ -2,11 +2,11 @@
 
 Monte Carlo fault campaigns simulate ``R`` independent chip instances per
 fault scenario, and Bayesian methods additionally average ``S`` stochastic
-forward passes (MC dropout / affine dropout) per prediction.  The serial
-engine evaluates all of that one pass at a time; the ``batched`` executor
-backend instead stacks instances along a leading *instance axis* and runs a
-single vectorized forward, so every numpy kernel amortizes its dispatch
-overhead over the whole stack.
+forward passes (MC dropout / affine dropout) per prediction.  The per-cell
+reference evaluates all of that one pass at a time; the campaign engine's
+stacked passes instead stack instances along a leading *instance axis* and
+run a single vectorized forward, so every numpy kernel amortizes its
+dispatch overhead over the whole stack.
 
 The instance axis is composable out of (up to) three sub-axes, in
 **scenario-major, then chip, then sample** order: the campaign engine may

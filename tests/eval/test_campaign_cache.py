@@ -165,7 +165,7 @@ class TestSweepBackendEquivalence:
             task.seed,
         )
         rebuilt = MonteCarloCampaign(
-            *handle.build(), n_runs=2, base_seed=5, executor="batched"
+            *handle.build(), n_runs=2, base_seed=5
         ).sweep(specs)
         np.testing.assert_array_equal(
             local.curves["proposed"].means, [r.mean for r in rebuilt]

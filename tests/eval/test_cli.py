@@ -45,6 +45,8 @@ class TestParser:
         "--attach-amortize", "--no-attach-amortize",
         "--executor=thread", "--executor=process",
         "--plan", "--no-plan",
+        "--executor=serial", "--executor=batched",
+        "--chip-limit=2", "--scenario-limit=1",
     ])
     def test_removed_engine_options_rejected(self, flag):
         with pytest.raises(SystemExit):
@@ -148,6 +150,28 @@ class TestExecution:
         labels = self._profile_stage_labels(out)
         assert "program" not in labels and "attach" in labels
         assert labels == ["attach", "metric", "store", "total"]
+
+    def test_profile_counts_how_cells_ran(self, tmp_path, monkeypatch, capsys):
+        """--profile: stacked passes and per-cell cells by reason."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        from repro.eval import clear_memory_cache
+
+        clear_memory_cache()
+        main([
+            "--preset", "tiny",
+            "campaign", "--task", "co2", "--fault", "bitflip",
+            "--levels", "0", "0.1", "0.2", "--runs", "3",
+            "--profile",
+        ])
+        engine = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("engine: ")
+        ]
+        assert len(engine) == 1
+        # Per method: the fault-free level runs per cell and sizes the
+        # engine; both faulty levels' chips stack into one pass.
+        assert engine[0].startswith("engine: 4 stacked passes")
+        assert engine[0].endswith("4 cells run one by one (4 fault-free)")
 
 
 class TestServiceFlags:

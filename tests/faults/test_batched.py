@@ -1,14 +1,16 @@
-"""Tests for the chip-batched campaign backend.
+"""Tests for the campaign engine's single-scenario stacked passes.
 
-The ``batched`` executor's contract is the serial contract plus one word:
-stacking a scenario's chip instances along a leading chip axis and
-evaluating them in one vectorized pass must produce **bit-identical
-per-chip metrics** to evaluating the cells one at a time.  These tests
-check that contract across fault models (multi-bit bit flips, binary bit
-flips, additive/uniform variation), topologies (conv nets, the LSTM
-forecaster, a binary net with sign-activation injection sites), chip-axis
-edge cases (C=1, chip_limit sub-batching), and the campaign-result cache
-(batched runs produce and consume the same keys as serial runs).
+The engine's contract is the per-cell contract plus one word: stacking a
+scenario's chip instances along a leading chip axis and evaluating them
+in one vectorized pass (the ``K = 1`` case of
+:func:`~repro.faults.executor.evaluate_cells_scenario_batched`) must
+produce **bit-identical per-chip metrics** to evaluating the cells one
+at a time.  These tests check that contract across fault models
+(multi-bit bit flips, binary bit flips, additive/uniform variation),
+topologies (conv nets, the LSTM forecaster, a binary net with
+sign-activation injection sites), chip-axis edge cases (C=1, budgets
+that split a scenario's chips), and the campaign-result cache (stacked
+runs produce and consume the same keys as per-cell runs).
 """
 
 import numpy as np
@@ -26,15 +28,13 @@ from repro.eval import (
     trained_model,
 )
 from repro.faults import (
-    ChipBatchedWeightFault,
     FaultSpec,
     MonteCarloCampaign,
+    ScenarioBatchedWeightFault,
     WorkCell,
     additive_sweep,
     bitflip_sweep,
-    cell_rngs,
     evaluate_cell,
-    evaluate_cells_batched,
     uniform_sweep,
 )
 from repro.models import conventional, proposed, spindrop
@@ -42,6 +42,7 @@ from repro.quant import QuantConv2d, QuantLinear, SignActivation
 from repro.quant.functional import QuantizedWeight
 from repro.tensor import Tensor, chip_batch, manual_seed
 from repro.tensor.chipbatch import ChipBatchRng, active_chip_count
+from tests.faults.stacking import ENGINES, chip_engine, evaluate_cells_batched
 
 
 def build_pair(seed=0):
@@ -120,10 +121,13 @@ class TestEvaluateCellsBatched:
 
 
 class TestBackendEquivalence:
-    def _campaign(self, executor, **kwargs):
+    def _campaign(self, executor, chips=None):
         model, evaluator = build_pair()
+        engine = ENGINES[executor]
+        if chips is not None:
+            engine = chip_engine(model, evaluator, chips)
         return MonteCarloCampaign(
-            model, evaluator, n_runs=5, base_seed=3, executor=executor, **kwargs
+            model, evaluator, n_runs=5, base_seed=3, engine=engine
         )
 
     @pytest.mark.parametrize("sweep_builder", [bitflip_sweep, additive_sweep])
@@ -136,9 +140,10 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("chip_limit", [1, 2, 4])
     def test_chip_limit_subbatching_is_invisible(self, chip_limit):
+        """A budget of ``chip_limit`` chips splits each scenario's passes."""
         specs = bitflip_sweep([0.0, 0.15])
         serial = self._campaign("serial").sweep(specs)
-        limited = self._campaign("batched", chip_limit=chip_limit).sweep(specs)
+        limited = self._campaign("batched", chips=chip_limit).sweep(specs)
         for s, b in zip(serial, limited):
             np.testing.assert_array_equal(s.values, b.values)
 
@@ -151,9 +156,9 @@ class TestTaskIdentity:
         model = trained_model(task, method, "tiny", seed=0)
         evaluator = make_evaluator(task.name, task.test_set, method, mc_samples=samples)
         results = {}
-        for executor in ("serial", "batched"):
+        for executor, engine in ENGINES.items():
             campaign = MonteCarloCampaign(
-                model, evaluator, n_runs=n_runs, base_seed=0, executor=executor
+                model, evaluator, n_runs=n_runs, base_seed=0, engine=engine
             )
             results[executor] = campaign.sweep(specs)
         for s, b in zip(results["serial"], results["batched"]):
@@ -205,7 +210,8 @@ class TestCacheEquivalence:
         store_dir = isolated_cache / "store"
         files_before = sorted(p.name for p in store_dir.rglob("*.npz"))
         batched = run_robustness_sweep(
-            task, methods, specs, preset="tiny", n_runs=3, executor="batched"
+            task, methods, specs, preset="tiny", n_runs=3,
+            engine=ENGINES["batched"],
         )
         files_after = sorted(p.name for p in store_dir.rglob("*.npz"))
         assert files_before == files_after
@@ -218,7 +224,8 @@ class TestCacheEquivalence:
         methods = [proposed()]
         specs = bitflip_sweep([0.0, 0.1])
         batched = run_robustness_sweep(
-            task, methods, specs, preset="tiny", n_runs=3, executor="batched"
+            task, methods, specs, preset="tiny", n_runs=3,
+            engine=ENGINES["batched"],
         )
         serial = run_robustness_sweep(
             task, methods, specs, preset="tiny", n_runs=3, executor="serial"
@@ -261,7 +268,7 @@ class TestChipBatchPrimitives:
             bits=8,
         )
         seeds = [101, 202, 303]
-        fault = ChipBatchedWeightFault(spec, seeds)
+        fault = ScenarioBatchedWeightFault([spec], [seeds])
         stacked = fault(qw)
         for i, seed in enumerate(seeds):
             serial_model = spec.build_weight_model(np.random.default_rng(seed))
@@ -271,7 +278,7 @@ class TestChipBatchPrimitives:
         manual_seed(0)
         layer = QuantLinear(4, 3, weight_bits=8)
         spec = FaultSpec(kind="bitflip", level=0.3)
-        layer.weight_fault = ChipBatchedWeightFault(spec, [1, 2])
+        layer.weight_fault = ScenarioBatchedWeightFault([spec], [[1, 2]])
         x = Tensor(np.random.default_rng(0).normal(size=(2, 5, 4)))
         out = layer(x)
         assert out.shape == (2, 5, 3)

@@ -5,6 +5,7 @@ import pytest
 
 from repro import nn
 from repro.faults import (
+    PER_CELL,
     FaultInjector,
     FaultSpec,
     MonteCarloCampaign,
@@ -110,7 +111,10 @@ class TestMonteCarloCampaign:
             with no_grad():
                 return float((m(x).data.argmax(axis=1) == y).mean())
 
-        return MonteCarloCampaign(model, evaluator, n_runs=n_runs, base_seed=0)
+        # The evaluator is not chip-aware, so it runs on the per-cell engine.
+        return MonteCarloCampaign(
+            model, evaluator, n_runs=n_runs, base_seed=0, engine=PER_CELL
+        )
 
     def test_fault_free_runs_once(self):
         campaign = self._campaign()
@@ -173,7 +177,10 @@ class TestCampaignEdgeCases:
             with no_grad():
                 return float((m(x).data.argmax(axis=1) == y).mean())
 
-        return MonteCarloCampaign(model, evaluator, n_runs=n_runs, base_seed=0), calls
+        campaign = MonteCarloCampaign(
+            model, evaluator, n_runs=n_runs, base_seed=0, engine=PER_CELL
+        )
+        return campaign, calls
 
     def test_none_spec_evaluates_exactly_once_and_broadcasts(self):
         campaign, calls = self._counting_campaign(n_runs=5)

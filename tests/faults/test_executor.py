@@ -1,8 +1,9 @@
 """Tests for the campaign execution engine.
 
 The engine's contract is that campaign values are bit-identical across
-cell scheduling orders (serial vs batched identity is pinned in
-``test_batched.py``).  The model used here includes a Dropout module
+cell scheduling orders (per-cell vs stacked identity is pinned in
+``test_batched.py``).  The evaluator used here is not chip-aware, so its
+campaigns run on the per-cell engine.  The model includes a Dropout module
 evaluated with Monte Carlo sampling, so the tests exercise the scoped-RNG
 machinery that makes stochastic evaluation hermetic per cell — not just
 the frozen fault patterns.
@@ -14,7 +15,8 @@ import pytest
 from repro import nn
 from repro.core.bayesian import mc_forward
 from repro.faults import (
-    EXECUTORS,
+    PER_CELL,
+    EngineConfig,
     FaultSpec,
     MonteCarloCampaign,
     WorkCell,
@@ -54,6 +56,7 @@ def build_pair(seed=0):
 def _campaign(**kwargs):
     kwargs.setdefault("n_runs", 4)
     kwargs.setdefault("base_seed", 3)
+    kwargs.setdefault("engine", PER_CELL)
     return MonteCarloCampaign(*build_pair(), **kwargs)
 
 
@@ -62,9 +65,12 @@ class TestCellSemantics:
         spec = FaultSpec(kind="bitflip", level=0.2)
         cells = [WorkCell(0, run, spec) for run in range(5)]
         model, evaluator = build_pair()
-        forward = run_cells(cells, 3, model=model, evaluator=evaluator)
+        forward = run_cells(
+            cells, 3, model=model, evaluator=evaluator, engine=PER_CELL
+        )
         backward = run_cells(
-            list(reversed(cells)), 3, model=model, evaluator=evaluator
+            list(reversed(cells)), 3, model=model, evaluator=evaluator,
+            engine=PER_CELL,
         )
         np.testing.assert_array_equal(forward, backward[::-1])
 
@@ -92,22 +98,29 @@ class TestCellSemantics:
 
 class TestValidation:
     def test_unknown_executor_rejected(self):
+        """The engine has one knob, ``engine=``; ``executor=`` is gone."""
         model, evaluator = build_pair()
-        for removed in ("gpu", "thread", "process"):
-            with pytest.raises(ValueError, match="executor"):
+        for removed in ("serial", "batched", "thread"):
+            with pytest.raises(TypeError, match="executor"):
                 run_cells([WorkCell(0, 0, FaultSpec("none", 0.0))], 0,
                           model=model, evaluator=evaluator, executor=removed)
 
-    @pytest.mark.parametrize("executor", EXECUTORS)
-    def test_evaluator_exception_propagates(self, executor):
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_batch_bytes"):
+            EngineConfig(max_batch_bytes=-1)
+
+    @pytest.mark.parametrize("engine", [
+        pytest.param(PER_CELL, id="serial"),
+        pytest.param(EngineConfig(), id="batched"),
+    ])
+    def test_evaluator_exception_propagates(self, engine):
         def broken(_model):
             raise RuntimeError("evaluator exploded")
 
         model, _ = build_pair()
         cells = [WorkCell(0, run, FaultSpec("bitflip", 0.1)) for run in range(3)]
         with pytest.raises(RuntimeError, match="exploded"):
-            run_cells(cells, 0, model=model, evaluator=broken,
-                      executor=executor)
+            run_cells(cells, 0, model=model, evaluator=broken, engine=engine)
 
 
 class TestProgressCallback:

@@ -4,12 +4,13 @@ Under an active chip batch, ``mc_forward`` stacks the Monte Carlo sample
 loop of a Bayesian evaluator into the chip-batched pass, so one forward
 carries a ``chips x mc_samples`` instance axis; outside a chip batch it
 loops the samples.  The contract is the chip-batched contract extended
-one axis: per-chip metrics of the ``batched`` engine must be
-**bit-identical** to the serial oracle, which loops the samples (same
+one axis: per-chip metrics of the stacked engine must be
+**bit-identical** to the per-cell oracle, which loops the samples (same
 ``SeedSequence``-derived per-sample streams, drawn in the serial order).
 These tests pin that contract across all four task topologies, the
 Bayesian methods, and every fault kind, plus the instance-axis
-primitives and edge cases (``chip_limit`` sub-batching, single sample).
+primitives and edge cases (budgets that split a scenario's chips, single
+sample).
 """
 
 import numpy as np
@@ -20,13 +21,13 @@ from repro.core import InvertedNorm
 from repro.core.bayesian import BayesianClassifier, mc_forward
 from repro.eval import build_task, make_evaluator, trained_model
 from repro.faults import (
+    PER_CELL,
     FaultSpec,
     MonteCarloCampaign,
     WorkCell,
     additive_sweep,
     bitflip_sweep,
     evaluate_cell,
-    evaluate_cells_batched,
     multiplicative_sweep,
     uniform_sweep,
 )
@@ -44,6 +45,7 @@ from repro.tensor.chipbatch import (
     spawn_sample_streams,
 )
 from repro.tensor.random import scoped_rng
+from tests.faults.stacking import ENGINES, chip_engine, evaluate_cells_batched
 
 
 def build_pair(seed=0, mc_samples=3):
@@ -259,22 +261,21 @@ class TestEvaluateCellsMcBatched:
         model, evaluator = build_pair()
         specs = bitflip_sweep([0.0, 0.15])
         serial = MonteCarloCampaign(
-            model, evaluator, n_runs=5, base_seed=3, executor="serial"
+            model, evaluator, n_runs=5, base_seed=3, engine=PER_CELL
         ).sweep(specs)
         limited = MonteCarloCampaign(
             model,
             evaluator,
             n_runs=5,
             base_seed=3,
-            executor="batched",
-            chip_limit=chip_limit,
+            engine=chip_engine(model, evaluator, chip_limit),
         ).sweep(specs)
         for s, b in zip(serial, limited):
             np.testing.assert_array_equal(s.values, b.values)
 
 
 class TestTaskTopologyIdentity:
-    """Batched engine == serial oracle on all four tiny-task topologies."""
+    """Stacked engine == per-cell oracle on all four tiny-task topologies."""
 
     def _compare(self, task_name, method, specs, samples=3, n_runs=3):
         task = build_task(task_name, preset="tiny")
@@ -284,9 +285,9 @@ class TestTaskTopologyIdentity:
         )
         serial, batched = (
             MonteCarloCampaign(
-                model, evaluator, n_runs=n_runs, base_seed=0, executor=executor
+                model, evaluator, n_runs=n_runs, base_seed=0, engine=engine
             ).sweep(specs)
-            for executor in ("serial", "batched")
+            for engine in ENGINES.values()
         )
         for s, b in zip(serial, batched):
             np.testing.assert_array_equal(s.values, b.values)

@@ -25,7 +25,7 @@ import pytest
 from repro import nn
 from repro.core.bayesian import enable_stochastic_inference
 from repro.eval.cache import ResultStore
-from repro.faults import ChipBatchedWeightFault, FaultInjector, FaultSpec
+from repro.faults import FaultInjector, FaultSpec, ScenarioBatchedWeightFault
 from repro.nn.dropout import set_mask_scope
 from repro.quant import QuantLinear, invalidate_quantization
 from repro.quant import layers as quant_layers
@@ -263,7 +263,7 @@ class TestFaultHookInvalidation:
         model = build_model()
         spec = FaultSpec(kind="additive", level=0.3)
         for layer in (model[0], model[2]):
-            layer.weight_fault = ChipBatchedWeightFault(spec, [11, 22])
+            layer.weight_fault = ScenarioBatchedWeightFault([spec], [[11, 22]])
         stacked = np.broadcast_to(X[None], (2,) + X.shape).copy()
         with chip_batch(2):
             first = forward(model, stacked)
@@ -283,7 +283,7 @@ class TestFaultHookInvalidation:
         outputs = []
         for seeds in ([11, 22], [33, 44]):
             for layer in (model[0], model[2]):
-                layer.weight_fault = ChipBatchedWeightFault(spec, seeds)
+                layer.weight_fault = ScenarioBatchedWeightFault([spec], [seeds])
             with chip_batch(2):
                 outputs.append(forward(model, stacked))
             for layer in (model[0], model[2]):

@@ -10,7 +10,7 @@ that a cell's value depends **only** on ``(base_seed, cell)``:
   other cells warmed the deployment cache, give the same bits;
 * the deployment cache is invisible: cached forwards equal forwards
   under :func:`~repro.quant.layers.deploy_cache_disabled`;
-* the chip- and scenario-batched engines equal the serial engine;
+* stacked passes (one scenario or several) equal per-cell evaluation;
 * a training step between evaluations never serves stale codes: the
   stepped model equals a fresh model loaded with the same weights.
 """
@@ -28,7 +28,6 @@ from repro.faults import (
     additive_sweep,
     bitflip_sweep,
     evaluate_cell,
-    evaluate_cells_batched,
     evaluate_cells_scenario_batched,
     multiplicative_sweep,
     uniform_sweep,
@@ -39,6 +38,7 @@ from repro.quant.layers import deploy_cache_disabled
 from repro.tensor import Tensor, manual_seed
 from repro.tensor.chipbatch import active_chip_count
 from repro.train import Adam, mse_loss
+from tests.faults.stacking import ENGINES, evaluate_cells_batched
 
 DATA_RNG_SEED = 7
 
@@ -176,16 +176,16 @@ class TestCellIdentity:
 
 
 class TestCampaignIdentity:
-    """Campaign sweeps: batched engine == serial engine == per-cell calls."""
+    """Campaign sweeps: stacked engine == per-cell engine == cell calls."""
 
     def test_batched_sweep_bit_identical(self):
         model, evaluator = build_pair()
         specs = bitflip_sweep([0.0, 0.05, 0.1, 0.2])
         serial = MonteCarloCampaign(
-            model, evaluator, n_runs=4, base_seed=3, executor="serial",
+            model, evaluator, n_runs=4, base_seed=3, engine=ENGINES["serial"],
         ).sweep(specs)
         batched = MonteCarloCampaign(
-            model, evaluator, n_runs=4, base_seed=3, executor="batched",
+            model, evaluator, n_runs=4, base_seed=3, engine=ENGINES["batched"],
         ).sweep(specs)
         for a, b in zip(serial, batched):
             np.testing.assert_array_equal(a.values, b.values)
@@ -194,7 +194,7 @@ class TestCampaignIdentity:
         model, evaluator = build_pair()
         specs = uniform_sweep([0.0, 0.1, 0.2])
         results = MonteCarloCampaign(
-            model, evaluator, n_runs=3, base_seed=1, executor="serial",
+            model, evaluator, n_runs=3, base_seed=1, engine=ENGINES["serial"],
         ).sweep(specs)
         # Re-evaluate the faulty cells in reverse, uncached: same bits.
         with deploy_cache_disabled():
@@ -254,7 +254,7 @@ class TestOptimizerIdentity:
 
 
 class TestTaskTopologyIdentity:
-    """Batched sweep == reverse-order uncached serial cells, all topologies."""
+    """Stacked sweep == reverse-order uncached per-cell runs, all topologies."""
 
     def _compare(self, task_name, method, specs, samples=3, n_runs=3):
         task = build_task(task_name, preset="tiny")
@@ -263,7 +263,7 @@ class TestTaskTopologyIdentity:
             task.name, task.test_set, method, mc_samples=samples
         )
         results = MonteCarloCampaign(
-            model, evaluator, n_runs=n_runs, base_seed=0, executor="batched",
+            model, evaluator, n_runs=n_runs, base_seed=0, engine=ENGINES["batched"],
         ).sweep(specs)
         with deploy_cache_disabled():
             for idx in reversed(range(len(specs))):

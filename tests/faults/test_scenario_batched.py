@@ -1,17 +1,18 @@
 """Tests for scenario-batched severity sweeps (the scenario sub-axis).
 
-The ``batched`` executor stacks all severity levels of a sweep that
-share a fault kind along a scenario-major sub-axis above chips and MC
-samples, so one forward carries ``scenarios x chips x mc_samples``
-instances.  Its contract is the chip/MC-batched contract extended one
-axis up: per-(scenario, chip) metrics must be **bit-identical** to the
-serial oracle (the same per-cell ``SeedSequence`` streams,
+The campaign engine stacks severity levels of a sweep that share a
+fault kind along a scenario-major sub-axis above chips and MC samples,
+so one forward carries ``scenarios x chips x mc_samples`` instances.
+Its contract is the chip/MC-batched contract extended one axis up:
+per-(scenario, chip) metrics must be **bit-identical** to the per-cell
+oracle (the same per-cell ``SeedSequence`` streams,
 consumed in the serial draw order), and — because the draw order is
 unchanged — the campaign-result cache must keep serving entries written
 under the ``mc2`` RNG contract.  These tests pin that contract across all
 four task topologies, the Bayesian methods, and every fault kind, plus
-the scenario-axis primitives, heterogeneous-severity fault stacking, the
-``scenario_limit``/``chip_limit`` memory caps, and the grouping logic.
+the scenario-axis primitives, heterogeneous-severity fault stacking,
+byte budgets that cap the scenarios and chips per pass, and the grouping
+logic.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.core.bayesian import mc_forward
 from repro.eval import build_task, make_evaluator, run_robustness_sweep, trained_model
 from repro.eval.cache import RNG_CONTRACT
 from repro.faults import (
+    PER_CELL,
     FaultInjector,
     FaultSpec,
     MonteCarloCampaign,
@@ -30,7 +32,6 @@ from repro.faults import (
     additive_sweep,
     bitflip_sweep,
     evaluate_cell,
-    evaluate_cells_batched,
     evaluate_cells_scenario_batched,
     multiplicative_sweep,
     uniform_sweep,
@@ -49,6 +50,7 @@ from repro.tensor.chipbatch import (
     mc_sample_axis,
     scenario_axis,
 )
+from tests.faults.stacking import ENGINES, chip_engine
 
 
 def build_pair(seed=0, mc_samples=3):
@@ -256,7 +258,9 @@ class TestEvaluateCellsScenarioBatched:
         ]
         per_scenario = np.concatenate(
             [
-                evaluate_cells_batched(model, evaluator, group, base_seed=2)
+                evaluate_cells_scenario_batched(
+                    model, evaluator, [group], base_seed=2
+                )
                 for group in cell_groups
             ]
         )
@@ -333,44 +337,38 @@ class TestCampaignPlumbing:
     @pytest.mark.parametrize("scenario_limit", [1, 2, 3])
     @pytest.mark.parametrize("chip_limit", [None, 2])
     def test_limits_are_invisible(self, scenario_limit, chip_limit):
+        """Budgets of ``scenario_limit`` scenarios x ``chip_limit`` chips
+        (all 4 chips for ``None``) cut the passes; values never move."""
         model, evaluator = build_pair()
         specs = bitflip_sweep([0.0, 0.05, 0.1, 0.2])
         serial = MonteCarloCampaign(
-            model, evaluator, n_runs=4, base_seed=3, executor="serial"
+            model, evaluator, n_runs=4, base_seed=3, engine=PER_CELL
         ).sweep(specs)
         limited = MonteCarloCampaign(
             model,
             evaluator,
             n_runs=4,
             base_seed=3,
-            executor="batched",
-            scenario_limit=scenario_limit,
-            chip_limit=chip_limit,
+            engine=chip_engine(
+                model, evaluator, chip_limit or 4, scenarios=scenario_limit
+            ),
         ).sweep(specs)
         for s, b in zip(serial, limited):
             np.testing.assert_array_equal(s.values, b.values)
-
-    def test_rejects_nonpositive_scenario_limit(self):
-        model, evaluator = build_pair()
-        campaign = MonteCarloCampaign(
-            model, evaluator, n_runs=2, executor="batched", scenario_limit=0
-        )
-        with pytest.raises(ValueError, match="scenario_limit"):
-            campaign.run(FaultSpec(kind="bitflip", level=0.1))
 
     def test_progress_counts_every_cell(self):
         model, evaluator = build_pair()
         specs = bitflip_sweep([0.0, 0.1, 0.2])
         seen = []
         MonteCarloCampaign(
-            model, evaluator, n_runs=3, base_seed=0, executor="batched"
+            model, evaluator, n_runs=3, base_seed=0, engine=ENGINES["batched"]
         ).sweep(specs, on_cell_done=lambda done, total: seen.append((done, total)))
         assert seen[-1] == (7, 7)  # 1 fault-free + 2 x 3 chips
         assert [d for d, _ in seen] == sorted(d for d, _ in seen)
 
 
 class TestTaskTopologyIdentity:
-    """Scenario-batched == serial oracle on all four tiny-task topologies."""
+    """Scenario-batched == per-cell oracle on all four tiny-task topologies."""
 
     def _compare(self, task_name, method, specs, samples=3, n_runs=3):
         task = build_task(task_name, preset="tiny")
@@ -380,9 +378,9 @@ class TestTaskTopologyIdentity:
         )
         serial, batched = (
             MonteCarloCampaign(
-                model, evaluator, n_runs=n_runs, base_seed=0, executor=executor
+                model, evaluator, n_runs=n_runs, base_seed=0, engine=engine
             ).sweep(specs)
-            for executor in ("serial", "batched")
+            for engine in ENGINES.values()
         )
         for s, b in zip(serial, batched):
             np.testing.assert_array_equal(s.values, b.values)
@@ -460,7 +458,7 @@ class TestCacheContract:
         campaign_files = sorted((tmp_path / "store").rglob("*.npz"))
         assert campaign_files  # serial run populated the store
         scenario = run_robustness_sweep(
-            task, [proposed()], specs, executor="batched", **kwargs
+            task, [proposed()], specs, engine=ENGINES["batched"], **kwargs
         )
         np.testing.assert_array_equal(
             serial.curves["proposed"].means, scenario.curves["proposed"].means
@@ -483,7 +481,7 @@ class TestCacheContract:
             task, [proposed()], specs, executor="serial", **kwargs
         )
         scenario = run_robustness_sweep(
-            task, [proposed()], specs, executor="batched", **kwargs
+            task, [proposed()], specs, engine=ENGINES["batched"], **kwargs
         )
         np.testing.assert_array_equal(
             serial.curves["proposed"].means, scenario.curves["proposed"].means

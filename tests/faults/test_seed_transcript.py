@@ -12,8 +12,9 @@ that
 * serial :meth:`FaultInjector.attach` consumes exactly the golden
   transcript (values *and* count — batching the draws into one
   ``integers(size=n)`` call must not shift the stream),
-* :meth:`attach_batched` and :meth:`attach_scenario_batched` consume
-  each chip's stream identically to a serial attach of that cell, and
+* :meth:`attach_scenario_batched`, for one scenario (the engine's
+  single-scenario passes) and for several, consumes each chip's stream
+  identically to a serial attach of that cell, and
 * :func:`~repro.faults.executor.evaluate_cell` hands the attach exactly
   the cell's fault stream, once.
 
@@ -161,7 +162,7 @@ class TestBatchedTranscripts:
                 TranscriptRng(cell_rngs(base_seed, 0, run)[0])
                 for run in range(3)
             ]
-            injector.attach_batched(spec, transcripts)
+            injector.attach_scenario_batched([spec], [transcripts])
             for run, (transcript, golden) in enumerate(
                 zip(transcripts, goldens)
             ):

@@ -120,7 +120,7 @@ class TestCliCheck:
         doc = _doc(
             tmp_path,
             "Run `python -m repro.eval campaign --task co2 --fault uniform "
-            "--executor batched --scenario-limit 2`.",
+            "--levels 0 0.1 --runs 4 --profile`.",
         )
         assert check_docs._check_cli_commands(doc, doc.read_text()) == []
 

@@ -8,7 +8,7 @@ from repro import nn
 from repro.eval.reporting import format_profile
 from repro.faults import FaultSpec
 from repro.faults.executor import WorkCell, evaluate_cell
-from repro.profiling import _STATE, profiled, stage
+from repro.profiling import _STATE, count, profiled, stage
 from repro.tensor import Tensor, manual_seed, no_grad
 
 
@@ -86,3 +86,23 @@ class TestProfiling:
 
     def test_format_profile_handles_empty_stages(self):
         assert "no stages recorded" in format_profile({})
+
+    def test_count_is_inert_outside_profiled(self):
+        count("engine.passes")
+        assert _STATE.stages is None
+        with profiled() as stages:
+            count("engine.passes")
+            count("engine.instances", 12)
+        assert stages == {"engine.passes": 1, "engine.instances": 12}
+
+    def test_format_profile_renders_engine_counts(self):
+        text = format_profile({
+            "attach": 0.01, "metric": 0.06,
+            "engine.passes": 4, "engine.instances": 48,
+            "engine.per-cell.fault-free": 1, "engine.per-cell.sizing": 1,
+        })
+        assert text.splitlines()[-1] == (
+            "engine: 4 stacked passes (12.0 instances/pass), "
+            "2 cells run one by one (1 fault-free, 1 sizing)"
+        )
+        assert "engine:" not in format_profile({"attach": 0.01})
