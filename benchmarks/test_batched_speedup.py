@@ -28,10 +28,10 @@ from repro.faults import (
     FaultSpec,
     MonteCarloCampaign,
     WorkCell,
-    learned_footprint,
     run_cells,
     uniform_sweep,
 )
+from repro.faults.executor import learned_footprint
 from repro.models import proposed
 
 from conftest import print_banner

@@ -24,12 +24,10 @@ from .campaign import (
 from .executor import (
     PER_CELL,
     EngineConfig,
-    Footprint,
     WorkCell,
     cell_rngs,
     evaluate_cell,
     evaluate_cells_scenario_batched,
-    learned_footprint,
     run_cells,
 )
 from .models import (
@@ -62,13 +60,11 @@ __all__ = [
     "MonteCarloCampaign",
     "CampaignResult",
     "EngineConfig",
-    "Footprint",
     "PER_CELL",
     "WorkCell",
     "cell_rngs",
     "evaluate_cell",
     "evaluate_cells_scenario_batched",
-    "learned_footprint",
     "run_cells",
     "bitflip_sweep",
     "additive_sweep",

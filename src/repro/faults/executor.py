@@ -330,12 +330,11 @@ def evaluate_cells_scenario_batched(
     return values
 
 
-def _scenario_groups(
-    cells: Sequence[WorkCell], start: int = 0
-) -> List[Tuple[int, int]]:
-    """Split ``cells[start:]`` into maximal runs of same-scenario cells."""
+def _scenario_groups(cells: Sequence[WorkCell]) -> List[Tuple[int, int]]:
+    """Split ``cells`` into maximal runs of same-scenario cells."""
     groups: List[Tuple[int, int]] = []
-    for i in range(start + 1, len(cells)):
+    start = 0
+    for i in range(1, len(cells)):
         if cells[i].scenario_index != cells[start].scenario_index:
             groups.append((start, i))
             start = i
@@ -356,10 +355,22 @@ def _per_cell_reason(
     return None
 
 
-def _kind_groups(
-    cells: Sequence[WorkCell], start: int = 0
-) -> List[List[Tuple[int, int]]]:
-    """Coalesce consecutive same-kind scenario ranges of ``cells[start:]``.
+def _sizing_index(cells: Sequence[WorkCell]) -> int:
+    """The cell the engine learns a new :class:`Footprint` on.
+
+    The first cell that runs per cell anyway (a sweep's fault-free cell),
+    so its sizing run is its real run; otherwise the first cell, which
+    then runs once more inside its stacked pass so its scenario keeps the
+    chip count the scenario axis needs.
+    """
+    for start, stop in _scenario_groups(cells):
+        if _per_cell_reason(cells, start, stop) is not None:
+            return start
+    return 0
+
+
+def _kind_groups(cells: Sequence[WorkCell]) -> List[List[Tuple[int, int]]]:
+    """Coalesce consecutive same-kind scenario ranges of ``cells``.
 
     Returns a list of kind groups, each a list of ``(start, stop)``
     scenario ranges.  Ranges merge only when every member is stackable
@@ -368,7 +379,7 @@ def _kind_groups(
     Unstackable ranges come back as singleton groups and run per cell.
     """
     groups: List[List[Tuple[int, int]]] = []
-    for first, stop in _scenario_groups(cells, start):
+    for first, stop in _scenario_groups(cells):
         if groups and _per_cell_reason(cells, first, stop) is None:
             prev_start, prev_stop = groups[-1][-1]
             if (
@@ -396,9 +407,9 @@ def run_cells(
     Each run of consecutive same-kind scenarios is cut into stacked
     passes of ``K`` scenarios x ``C`` chips sized by ``engine`` (see
     :class:`EngineConfig`); cells no pass can carry run per cell.  When
-    the engine has not yet sized this ``(model, evaluator)`` pair, the
-    first cell runs per cell to learn its :class:`Footprint` (a sweep's
-    fault-free cell, which runs per cell anyway, usually comes first).
+    the engine has not yet sized this ``(model, evaluator)`` pair, one
+    cell first runs per cell to learn its :class:`Footprint` (see
+    :func:`_sizing_index`).
     ``model``/``evaluator`` are the deployed network and its
     (chip-aware) metric.  ``on_cell_done(done, total)`` fires after every
     per-cell cell and every stacked pass.
@@ -407,7 +418,8 @@ def run_cells(
     passes (``engine.passes``), the instances they carried
     (``engine.instances``) and every per-cell cell by reason
     (``engine.per-cell.<reason>``: ``fault-free``, ``single-chip``,
-    ``over-budget``, or ``sizing`` for the footprint run).
+    ``over-budget``, or ``sizing`` for a footprint run whose cell ran
+    again in a stacked pass).
     """
     total = len(cells)
     values = np.empty(total)
@@ -420,20 +432,16 @@ def run_cells(
             on_cell_done(done, total)
 
     budget = engine.max_batch_bytes
-    first = 0
     footprint = None
+    sized = None  # (index, value) of the sizing run, until a per-cell use
     if budget != 0 and total:
         footprint = learned_footprint(model, evaluator)
         if footprint is None:
-            values[0] = _sizing_cell(model, evaluator, cells[0], base_seed)
+            index = _sizing_index(cells)
+            sized = index, _sizing_cell(model, evaluator, cells[index], base_seed)
             footprint = learned_footprint(model, evaluator)
-            first_scenario = _scenario_groups(cells)[0]
-            reason = _per_cell_reason(cells, *first_scenario) or "sizing"
-            count("engine.per-cell." + reason)
-            report(1)
-            first = 1
 
-    for ranges in _kind_groups(cells, first):
+    for ranges in _kind_groups(cells):
         start, stop = ranges[0]
         n_chips = stop - start
         reason = _per_cell_reason(cells, start, stop)
@@ -444,9 +452,13 @@ def run_cells(
             reason = reason or "over-budget"
             for range_start, range_stop in ranges:
                 for index in range(range_start, range_stop):
-                    values[index] = evaluate_cell(
-                        model, evaluator, cells[index], base_seed
-                    )
+                    if sized is not None and sized[0] == index:
+                        values[index] = sized[1]
+                        sized = None
+                    else:
+                        values[index] = evaluate_cell(
+                            model, evaluator, cells[index], base_seed
+                        )
                     count("engine.per-cell." + reason)
                     report(1)
             continue
@@ -470,4 +482,6 @@ def run_cells(
                 count("engine.passes")
                 count("engine.instances", len(stacked) * footprint.samples)
                 report(width * len(sub_ranges))
+    if sized is not None:  # the sized cell ran again in its stacked pass
+        count("engine.per-cell.sizing")
     return values

@@ -6,9 +6,9 @@ from repro.faults import (
     FaultSpec,
     WorkCell,
     evaluate_cells_scenario_batched,
-    learned_footprint,
     run_cells,
 )
+from repro.faults.executor import learned_footprint
 
 #: Campaign engines by the names the tests grew up with: the per-cell
 #: oracle and the unbounded stacked engine.

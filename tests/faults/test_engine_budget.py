@@ -20,15 +20,14 @@ from repro.faults import (
     PER_CELL,
     EngineConfig,
     FaultSpec,
-    Footprint,
     MonteCarloCampaign,
     WorkCell,
     bitflip_sweep,
     evaluate_cell,
-    learned_footprint,
     run_cells,
 )
 from repro.faults import executor as executor_mod
+from repro.faults.executor import Footprint, learned_footprint
 from repro.models import all_methods, proposed
 from repro.profiling import profiled
 
@@ -178,6 +177,41 @@ class TestFootprint:
         with profiled() as third:
             run_cells(cells, 0, model=model, evaluator=other)
         assert third["engine.per-cell.sizing"] == 1
+
+    def test_sizing_keeps_same_kind_scenarios_stacked(self, passes):
+        """With no fault-free cell (a service unit), the sizing cell runs
+        again in its pass, so its scenario still stacks with the next."""
+        model, evaluator = _pair("co2", proposed())
+        cells = [
+            WorkCell(scenario, run, FaultSpec("bitflip", level))
+            for scenario, level in ((1, 0.1), (2, 0.2))
+            for run in range(3)
+        ]
+        with profiled() as stages:
+            values = run_cells(cells, 0, model=model, evaluator=evaluator,
+                               engine=EngineConfig(None))
+        assert passes == [(2, 3)]
+        assert stages["engine.per-cell.sizing"] == 1
+        np.testing.assert_array_equal(values, run_cells(
+            cells, 0, model=model, evaluator=evaluator, engine=PER_CELL
+        ))
+
+    def test_sizing_prefers_a_fault_free_cell(self, passes):
+        model, evaluator = _pair("co2", proposed())
+        cells = (
+            [WorkCell(1, run, FaultSpec("bitflip", 0.1)) for run in range(3)]
+            + [WorkCell(0, 0, FaultSpec("none", 0.0))]
+            + [WorkCell(2, run, FaultSpec("additive", 0.1)) for run in range(3)]
+        )
+        with profiled() as stages:
+            values = run_cells(cells, 0, model=model, evaluator=evaluator,
+                               engine=EngineConfig(None))
+        assert passes == [(1, 3), (1, 3)]
+        assert stages["engine.per-cell.fault-free"] == 1
+        assert "engine.per-cell.sizing" not in stages
+        np.testing.assert_array_equal(values, run_cells(
+            cells, 0, model=model, evaluator=evaluator, engine=PER_CELL
+        ))
 
     def test_sizing_leaves_the_model_unwrapped(self):
         model, evaluator = _pair("co2", proposed())

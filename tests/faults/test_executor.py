@@ -25,8 +25,10 @@ from repro.faults import (
     evaluate_cell,
     run_cells,
 )
+from repro.faults import executor as executor_mod
 from repro.quant import QuantConv2d, QuantLinear, SignActivation
 from repro.tensor import Tensor, manual_seed
+from repro.tensor.chipbatch import active_chip_count
 
 _DATA_RNG_SEED = 7
 
@@ -113,14 +115,44 @@ class TestValidation:
         pytest.param(PER_CELL, id="serial"),
         pytest.param(EngineConfig(), id="batched"),
     ])
-    def test_evaluator_exception_propagates(self, engine):
-        def broken(_model):
-            raise RuntimeError("evaluator exploded")
+    def test_evaluator_exception_propagates(self, engine, monkeypatch):
+        """An evaluator error on a faulty chip propagates out of the
+        per-cell loop and out of a stacked pass, with every hook gone."""
+        model, evaluator = build_pair()
+        chips_at_raise = []
 
-        model, _ = build_pair()
-        cells = [WorkCell(0, run, FaultSpec("bitflip", 0.1)) for run in range(3)]
+        def broken(m):
+            # The fault-free cell (the stacked engine's sizing cell) passes.
+            if any(getattr(site, "weight_fault", None) is not None
+                   for site in m.modules()):
+                chips_at_raise.append(active_chip_count())
+                raise RuntimeError("evaluator exploded")
+            return evaluator(m)
+
+        stacked_calls = []
+        stacked = executor_mod.evaluate_cells_scenario_batched
+
+        def recording(model, evaluator, cell_groups, base_seed):
+            stacked_calls.append(len(cell_groups[0]))
+            return stacked(model, evaluator, cell_groups, base_seed)
+
+        monkeypatch.setattr(
+            executor_mod, "evaluate_cells_scenario_batched", recording
+        )
+        cells = [WorkCell(0, 0, FaultSpec("none", 0.0))] + [
+            WorkCell(1, run, FaultSpec("bitflip", 0.1)) for run in range(3)
+        ]
         with pytest.raises(RuntimeError, match="exploded"):
             run_cells(cells, 0, model=model, evaluator=broken, engine=engine)
+        if engine == PER_CELL:
+            assert stacked_calls == [] and chips_at_raise == [None]
+        else:
+            assert stacked_calls == [3] and chips_at_raise == [3]
+        assert all(
+            getattr(site, name, None) is None
+            for site in model.modules()
+            for name in ("weight_fault", "weight_fault_hh", "pre_fault")
+        )
 
 
 class TestProgressCallback:
