@@ -1,15 +1,14 @@
 """NVM non-ideality models and Monte Carlo fault campaigns.
 
 Campaigns execute on the engine in :mod:`repro.faults.executor`, which
-evaluates chip instances of a scenario — together with all Monte Carlo
-samples of a Bayesian evaluator and same-kind fault-severity levels of a
-sweep — in stacked vectorized forwards, as many per pass as
+evaluates same-kind faulty cells — chips of one scenario or of several
+severity levels, together with all Monte Carlo samples of a Bayesian
+evaluator — in stacked vectorized forwards, as many per pass as
 :class:`EngineConfig` ``max_batch_bytes`` allows:
-:func:`evaluate_cells_scenario_batched` stacks per-chip frozen fault
-patterns (:class:`ScenarioBatchedWeightFault`,
-:class:`ChipBatchedActivationNoise`) along a leading instance axis
-(scenario-major, then chip, then MC sample) while staying bit-identical
-per (scenario, chip) to the per-cell reference :func:`evaluate_cell`.
+:func:`evaluate_cells_stacked` stacks each cell's own fault hooks
+(:class:`StackedWeightFault`, :class:`ChipBatchedActivationNoise`) along
+a leading instance axis (cell-major, then MC sample) while staying
+bit-identical per cell to the per-cell reference :func:`evaluate_cell`.
 """
 
 from .campaign import (
@@ -27,7 +26,7 @@ from .executor import (
     WorkCell,
     cell_rngs,
     evaluate_cell,
-    evaluate_cells_scenario_batched,
+    evaluate_cells_stacked,
     run_cells,
 )
 from .models import (
@@ -38,7 +37,7 @@ from .models import (
     FaultSpec,
     MultiplicativeVariation,
     RetentionDriftFault,
-    ScenarioBatchedWeightFault,
+    StackedWeightFault,
     StuckAtFault,
     UniformNoiseFault,
     WeightFaultModel,
@@ -54,7 +53,7 @@ __all__ = [
     "StuckAtFault",
     "RetentionDriftFault",
     "ActivationNoise",
-    "ScenarioBatchedWeightFault",
+    "StackedWeightFault",
     "ChipBatchedActivationNoise",
     "FaultInjector",
     "MonteCarloCampaign",
@@ -64,7 +63,7 @@ __all__ = [
     "WorkCell",
     "cell_rngs",
     "evaluate_cell",
-    "evaluate_cells_scenario_batched",
+    "evaluate_cells_stacked",
     "run_cells",
     "bitflip_sweep",
     "additive_sweep",

@@ -21,26 +21,21 @@ of its randomness from ``SeedSequence(base_seed, spawn_key=(scenario,
 run))`` and evaluates under a scoped generator, so campaign results are
 bit-identical for every budget and scheduling order.
 :meth:`MonteCarloCampaign.sweep` submits *all* scenarios' cells as one
-grid, so the engine can vectorize each scenario's chips — and several
-severity levels of the same fault kind at once — into one stacked
-forward (:meth:`FaultInjector.attach_scenario_batched`).
+grid, so the engine can stack the chips of several same-kind severity
+levels into one forward (:meth:`FaultInjector.attach_scenario_batched`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..nn.module import Module
 from ..quant.layers import QuantLSTMCell, QuantizedComputeLayer, SignActivation
 from .executor import EngineConfig, WorkCell, run_cells
-from .models import (
-    ChipBatchedActivationNoise,
-    FaultSpec,
-    ScenarioBatchedWeightFault,
-)
+from .models import ChipBatchedActivationNoise, FaultSpec, StackedWeightFault
 
 
 class FaultInjector:
@@ -57,159 +52,119 @@ class FaultInjector:
     def _activation_sites(self) -> List[SignActivation]:
         return [m for m in self.model.modules() if isinstance(m, SignActivation)]
 
-    def _stream_draws(
-        self,
-        spec: FaultSpec,
-        weight_sites: Sequence[QuantizedComputeLayer],
-        act_sites: Sequence[SignActivation],
-    ) -> int:
-        """Scalar seed draws one cell's fault stream makes under ``spec``.
+    def _slots(self, spec: FaultSpec) -> List[Optional[Tuple[Module, str]]]:
+        """The ``(site, attribute)`` each of one cell's seed draws programs.
 
-        Mirrors the serial draw order exactly: one draw per weight site
-        (made even when the variation routing skips the hook), one extra
-        per LSTM cell whose hook *is* installed, and — for variation
-        kinds — one per sign-activation site.  Knowing the count up front
-        lets both attach flavors draw a whole stream's seeds in a single
-        batched ``integers`` call (bit-identical to sequential scalar
-        draws, including the generator's end state) instead of one Python
-        round-trip per site.
+        One entry per draw, in the serial draw order: one per weight site
+        (``None`` when the routing skips its hook: the seed is drawn all
+        the same), one more for an LSTM cell's recurrent matrix when its
+        hook is installed, and — for variation kinds — one per
+        sign-activation site.  The routing follows the paper: conductance
+        variation (additive / multiplicative / uniform) targets multi-bit
+        weights directly but is injected at the pre-sign activations of
+        binary layers (Section IV-A-2); bit flips and stuck-at faults
+        always target the stored weight codes.  In networks with binary
+        weights but no sign activations (the PACT-activated U-Net), the
+        variation falls back to the binary weight codes themselves — the
+        conductance of every stored cell varies regardless of the
+        activation function.
         """
-        has_sign_sites = bool(act_sites)
-        draws = 0
-        for layer in weight_sites:
-            draws += 1
-            if spec.is_variation and layer.weight_bits == 1 and has_sign_sites:
-                continue  # hook skipped: no recurrent-matrix draw either
+        act_sites = self._activation_sites()
+        at_activations = spec.is_variation and bool(act_sites)
+        slots: List[Optional[Tuple[Module, str]]] = []
+        for layer in self._weight_sites():
+            if at_activations and layer.weight_bits == 1:
+                slots.append(None)  # binary layers receive variation at activations
+                continue
+            slots.append((layer, "weight_fault"))
             if isinstance(layer, QuantLSTMCell):
-                draws += 1
+                slots.append((layer, "weight_fault_hh"))
         if spec.is_variation:
-            draws += len(act_sites)
-        return draws
+            slots.extend((act, "pre_fault") for act in act_sites)
+        return slots
 
     @staticmethod
-    def _draw_seeds(rng: np.random.Generator, n: int) -> List[int]:
-        """All of one stream's layer seeds in one batched draw.
+    def _hooks(
+        spec: FaultSpec,
+        slots: Sequence[Optional[Tuple[Module, str]]],
+        rng: np.random.Generator,
+    ) -> list:
+        """One cell's hooks, aligned with ``slots`` (``None`` where skipped).
 
-        ``rng.integers(0, 2**63, size=n)`` consumes the stream exactly as
-        ``n`` sequential scalar draws would (same values, same end state),
-        so batching never shifts the seed-stream contract.
+        All of the stream's seeds come from one ``integers(0, 2**63,
+        size=n)`` call, which consumes the stream exactly as ``n``
+        sequential scalar draws would (same values, same end state).
         """
-        return rng.integers(0, 2**63, size=n).tolist() if n else []
+        seeds = rng.integers(0, 2**63, size=len(slots)).tolist() if slots else []
+        hooks = []
+        for slot, seed in zip(slots, seeds):
+            if slot is None:
+                hooks.append(None)
+                continue
+            build = (
+                spec.build_activation_model if slot[1] == "pre_fault"
+                else spec.build_weight_model
+            )
+            hooks.append(build(np.random.default_rng(seed)))
+        return hooks
 
     def attach(self, spec: FaultSpec, rng: np.random.Generator) -> None:
         """Install hooks for ``spec`` using chip-specific randomness.
 
-        Routing follows the paper: conductance variation (additive /
-        multiplicative / uniform) targets multi-bit weights directly but is
-        injected at the pre-sign activations of binary layers (Section
-        IV-A-2); bit flips and stuck-at faults always target the stored
-        weight codes.  In networks with binary weights but no sign
-        activations (the PACT-activated U-Net), the variation falls back to
-        the binary weight codes themselves — the conductance of every
-        stored cell varies regardless of the activation function.
+        :meth:`_slots` sets the routing and the draw order; a fault-free
+        spec installs nothing and draws nothing.
         """
         self.detach()
-        if spec.kind == "none" or spec.level == 0.0:
+        if spec.is_fault_free:
             return
-        weight_sites = self._weight_sites()
-        act_sites = self._activation_sites()
-        has_sign_sites = bool(act_sites)
-        seeds = iter(
-            self._draw_seeds(rng, self._stream_draws(spec, weight_sites, act_sites))
-        )
-        for layer in weight_sites:
-            layer_seed = next(seeds)
-            if spec.is_variation and layer.weight_bits == 1 and has_sign_sites:
-                continue  # binary layers receive variation at activations
-            layer.weight_fault = spec.build_weight_model(
-                np.random.default_rng(layer_seed)
-            )
-            if isinstance(layer, QuantLSTMCell):
-                layer.weight_fault_hh = spec.build_weight_model(
-                    np.random.default_rng(next(seeds))
-                )
-        if spec.is_variation:
-            for act in act_sites:
-                act.pre_fault = spec.build_activation_model(
-                    np.random.default_rng(next(seeds))
-                )
+        slots = self._slots(spec)
+        for slot, hook in zip(slots, self._hooks(spec, slots, rng)):
+            if slot is not None:
+                setattr(*slot, hook)
 
     def attach_scenario_batched(
         self,
         specs: Sequence[FaultSpec],
-        rng_groups: Sequence[Sequence[np.random.Generator]],
+        rngs: Sequence[np.random.Generator],
     ) -> None:
-        """Install stacked hooks for ``K`` severity levels x ``C`` chips.
+        """Install stacked hooks for a pass of cells, one per instance.
 
-        The stacked counterpart of :meth:`attach` used by the campaign
-        engine's stacked passes (``K = 1`` for a single scenario):
-        ``specs[k]`` is scenario ``k``'s fault spec (all the same kind,
-        all non-degenerate) and ``rng_groups[k]`` its chips' cell-derived
-        fault generators.  Per-layer seeds are drawn from each generator
-        in exactly the order :meth:`attach` draws them serially — every
-        generator is only ever consumed for its own cell, so stacking
-        scenarios changes nothing about any individual stream — and the
-        hooks hold one frozen pattern per (scenario, chip), stacked
-        scenario-major along the instance axis.
+        ``specs[i]`` and ``rngs[i]`` are cell ``i``'s fault spec and fault
+        generator; the cells may come from any scenarios but share one
+        fault kind, and none is fault-free.  Each cell's hooks are the
+        ones :meth:`attach` would build from its generator, and every
+        site's hooks are stacked in cell order
+        (:class:`~repro.faults.models.StackedWeightFault`,
+        :class:`~repro.faults.models.ChipBatchedActivationNoise`).
         """
         self.detach()
-        if len(specs) != len(rng_groups):
+        if len(specs) != len(rngs):
             raise ValueError(
-                f"need one rng group per spec, got {len(specs)} specs and "
-                f"{len(rng_groups)} groups"
+                f"need one rng per spec, got {len(specs)} specs and "
+                f"{len(rngs)} rngs"
             )
         kinds = {spec.kind for spec in specs}
         if len(kinds) > 1:
             raise ValueError(
-                f"scenario batching stacks one fault kind, got {sorted(kinds)}"
+                f"a stacked pass holds one fault kind, got {sorted(kinds)}"
             )
-        if any(spec.kind == "none" or spec.level == 0.0 for spec in specs):
+        if any(spec.is_fault_free for spec in specs):
             raise ValueError(
-                "scenario batching needs non-degenerate scenarios "
-                "(fault-free cells evaluate serially)"
+                "a stacked pass needs non-degenerate cells "
+                "(fault-free cells evaluate per cell)"
             )
-        weight_sites = self._weight_sites()
-        act_sites = self._activation_sites()
-        is_variation = specs[0].is_variation
-        has_sign_sites = bool(act_sites)
-        n_draws = self._stream_draws(specs[0], weight_sites, act_sites)
-        # Per-stream batched draws, scenario group structure preserved.
-        row_groups = [
-            [self._draw_seeds(rng, n_draws) for rng in rngs]
-            for rngs in rng_groups
-        ]
-        cursor = 0
-        for layer in weight_sites:
-            seed_groups = [
-                [row[cursor] for row in rows] for rows in row_groups
-            ]
-            cursor += 1
-            if is_variation and layer.weight_bits == 1 and has_sign_sites:
-                continue  # binary layers receive variation at activations
-            layer.weight_fault = ScenarioBatchedWeightFault(specs, seed_groups)
-            if isinstance(layer, QuantLSTMCell):
-                hh_groups = [
-                    [row[cursor] for row in rows] for rows in row_groups
-                ]
-                cursor += 1
-                layer.weight_fault_hh = ScenarioBatchedWeightFault(
-                    specs, hh_groups
+        if not specs:
+            return
+        slots = self._slots(specs[0])  # one kind, one routing: one walk per pass
+        cells = [self._hooks(spec, slots, rng) for spec, rng in zip(specs, rngs)]
+        for i, slot in enumerate(slots):
+            if slot is not None:
+                hooks = [cell[i] for cell in cells]
+                stacked = (
+                    ChipBatchedActivationNoise(hooks) if slot[1] == "pre_fault"
+                    else StackedWeightFault(hooks)
                 )
-        if is_variation:
-            for act in act_sites:
-                # ChipBatchedActivationNoise is already per-instance: each
-                # (scenario, chip) gets its own serial model carrying that
-                # scenario's severity, scenario-major.
-                act.pre_fault = ChipBatchedActivationNoise(
-                    [
-                        spec.build_activation_model(
-                            np.random.default_rng(row[cursor])
-                        )
-                        for spec, rows in zip(specs, row_groups)
-                        for row in rows
-                    ]
-                )
-                cursor += 1
+                setattr(*slot, stacked)
 
     def detach(self) -> None:
         """Remove all fault hooks (restore the ideal chip)."""
@@ -295,7 +250,7 @@ class MonteCarloCampaign:
 
     def _cells(self, spec: FaultSpec, scenario_index: int) -> List[WorkCell]:
         """Flatten one scenario into work cells (fault-free → one cell)."""
-        n_effective = 1 if spec.kind == "none" or spec.level == 0.0 else self.n_runs
+        n_effective = 1 if spec.is_fault_free else self.n_runs
         return [WorkCell(scenario_index, run, spec) for run in range(n_effective)]
 
     def _execute(

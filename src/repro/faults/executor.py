@@ -5,32 +5,33 @@ A fault campaign is an embarrassingly parallel grid: every
 evaluation of the model under one frozen fault realization.
 :func:`run_cells` evaluates that grid in *stacked passes*:
 
-* :func:`evaluate_cells_scenario_batched` stacks ``K`` same-kind
-  severity levels x ``C`` chips along a leading instance axis and runs
-  ONE vectorized forward.  Fault patterns are generated per cell from
-  the cell's own stream and stacked
+* :func:`evaluate_cells_stacked` stacks a flat list of same-kind faulty
+  cells — from one scenario or several, each with its own severity —
+  along a leading instance axis and runs ONE vectorized forward.  Each
+  cell's fault hooks are the ones the per-cell attach builds from the
+  cell's own stream, stacked per site
   (:meth:`~repro.faults.campaign.FaultInjector.attach_scenario_batched`),
   evaluation randomness goes through a
   :class:`~repro.tensor.chipbatch.ChipBatchRng` over the per-cell
   evaluation streams, and the Monte Carlo sample loop of Bayesian
   evaluators folds into the same pass (``mc_forward`` stacks its samples
-  whenever a chip batch is active), so one forward carries
-  ``K x C x S`` instances and replaces ``K x C x S`` Python-dispatched
+  whenever a chip batch is active), so one forward carries ``N x S``
+  instances for ``N`` cells and replaces ``N x S`` Python-dispatched
   ones.  The evaluator must be *chip-aware* (everything built by
   :func:`repro.eval.evaluators.make_evaluator` is): under an active chip
   batch it returns a per-instance metric vector instead of a float.
 * :func:`evaluate_cell` is the per-cell loop body and the oracle every
   stacked pass is pinned against.  Cells no pass can carry run through
-  it: fault-free scenarios (nothing introduces the chip axis),
-  single-chip scenarios, and every cell when one chip's stack does not
+  it: fault-free cells, and every cell when one cell's stack does not
   fit the budget.
 
 :class:`EngineConfig` holds the engine's one knob, ``max_batch_bytes``.
 The engine learns a :class:`Footprint` from the first cell it evaluates
 for a ``(model, evaluator)`` pair, which it runs per cell: how many
-forwards one cell makes and the bytes of their input.  From that and the model's parameter bytes it
-estimates one stacked instance, and picks ``K x C`` so that
-``K·C·S·bytes`` stays within the budget.  A budget of 0 gives the plain
+forwards one cell makes and the bytes of their input.  From that and
+the model's parameter bytes it estimates one stacked instance, and cuts
+each run of same-kind faulty cells into passes of at most
+:meth:`Footprint.cells_per_pass` cells.  A budget of 0 gives the plain
 per-cell loop.  Multi-worker execution lives in the campaign service
 (:mod:`repro.serve`), which runs this engine per shard worker.
 
@@ -62,7 +63,7 @@ import numpy as np
 from ..nn.dropout import resample_masks
 from ..nn.module import Module
 from ..profiling import count, stage
-from ..tensor.chipbatch import ChipBatchRng, chip_batch, scenario_axis
+from ..tensor.chipbatch import ChipBatchRng, chip_batch
 from ..tensor.random import scoped_rng
 from .models import FaultSpec
 
@@ -70,9 +71,10 @@ Evaluator = Callable[[Module], float]
 
 #: Default :attr:`EngineConfig.max_batch_bytes`.  Sized so a stacked
 #: pass stays near the per-cell loop's own working set: the co2 LSTM at
-#: ``small`` stacks 2 chips x 6 MC samples, ``tiny`` co2 sweeps stack
-#: whole scenarios, the ``tiny`` M5 one chip per pass, and the binarized
-#: ResNet-18, whose one chip already needs ~24 MB, runs per cell.
+#: ``small`` stacks 2 cells x 6 MC samples, a ``tiny`` co2 sweep stacks
+#: all its faulty cells in one pass, the ``tiny`` M5 one cell per pass,
+#: and the binarized ResNet-18, whose one cell already needs ~24 MB,
+#: runs per cell.
 DEFAULT_MAX_BATCH_BYTES = 3 * 2**20
 
 #: Instance-size model behind :class:`Footprint`: every stacked instance
@@ -92,10 +94,10 @@ class EngineConfig:
     """How :func:`run_cells` groups cells into stacked passes.
 
     ``max_batch_bytes`` bounds the estimated bytes of one stacked pass,
-    ``K`` scenarios x ``C`` chips x ``S`` forwards per cell x the
-    :class:`Footprint` instance estimate.  ``0`` evaluates every cell on
-    its own (:func:`evaluate_cell`, the oracle); ``None`` stacks every
-    same-kind run of scenarios in one pass.  No setting changes a value.
+    ``N`` cells x ``S`` forwards per cell x the :class:`Footprint`
+    instance estimate.  ``0`` evaluates every cell on its own
+    (:func:`evaluate_cell`, the oracle); ``None`` stacks every same-kind
+    run of faulty cells in one pass.  No setting changes a value.
     """
 
     max_batch_bytes: Optional[int] = DEFAULT_MAX_BATCH_BYTES
@@ -117,7 +119,7 @@ class Footprint:
 
     ``samples`` counts the model forwards one cell makes (MC samples
     times evaluation batches).  A stacked pass carries that many
-    instances per chip; a multi-batch evaluator runs its batches one
+    instances per cell; a multi-batch evaluator runs its batches one
     after another, so for it the count errs high, the safe side.
     ``instance_bytes`` estimates one stacked instance:
     :data:`WEIGHT_COPIES` x the model's parameter bytes plus
@@ -127,25 +129,15 @@ class Footprint:
     samples: int
     instance_bytes: int
 
-    def pass_shape(
-        self, n_scenarios: int, n_chips: int, max_batch_bytes: Optional[int]
-    ) -> Optional[Tuple[int, int]]:
-        """The ``(K, C)`` of a pass over a ``n_scenarios x n_chips`` group.
+    def cells_per_pass(self, max_batch_bytes: Optional[int]) -> Optional[int]:
+        """The most cells one stacked pass may carry (``None``: no bound).
 
-        The most chips per scenario that fit, then — once a whole
-        scenario fits — the most scenarios.  ``None`` when not even one
-        chip's ``samples``-instance stack fits.
+        Each cell stacks ``samples`` instances; ``0`` when not even one
+        cell's stack fits.
         """
         if max_batch_bytes is None:
-            return n_scenarios, n_chips
-        chip_bytes = max(self.samples * self.instance_bytes, 1)
-        chips = min(n_chips, max_batch_bytes // chip_bytes)
-        if chips < 1:
             return None
-        if chips < n_chips:
-            return 1, chips
-        scenarios = max_batch_bytes // (n_chips * chip_bytes)
-        return min(n_scenarios, scenarios), chips
+        return max_batch_bytes // max(self.samples * self.instance_bytes, 1)
 
 
 # Footprints already learned, per model, for the evaluator they were
@@ -245,86 +237,47 @@ def _sizing_cell(
     return value
 
 
-def evaluate_cells_scenario_batched(
+def evaluate_cells_stacked(
     model: Module,
     evaluator: Evaluator,
-    cell_groups: Sequence[Sequence[WorkCell]],
+    cells: Sequence[WorkCell],
     base_seed: int,
 ) -> np.ndarray:
-    """Evaluate several scenarios' chip instances as ONE stacked pass.
+    """Evaluate same-kind faulty cells as ONE stacked pass.
 
-    ``cell_groups[k]`` holds scenario ``k``'s cells (one spec per group,
-    every group the same fault kind and the same chip count), and the
-    stacked pass carries a scenario-major instance axis of
-    ``n_scenarios * n_chips`` (times ``mc_samples`` for Bayesian
-    evaluators).  Per-cell (fault, evaluation) streams are derived
-    exactly as :func:`evaluate_cell` derives them, fault patterns are
-    generated per (scenario, chip) from each cell's own fault stream
-    (:meth:`~repro.faults.campaign.FaultInjector.attach_scenario_batched`,
-    heterogeneous severities stacked by
-    :class:`~repro.faults.models.ScenarioBatchedWeightFault`), and
-    evaluation randomness goes through a
-    :class:`~repro.tensor.chipbatch.ChipBatchRng` over the flattened
-    per-cell streams — so every (scenario, chip) slice is bit-identical to
-    a serial evaluation of that cell.
-
-    Returns the metric values flattened scenario-major, aligned with
-    ``[cell for group in cell_groups for cell in group]``.
+    ``cells`` may span scenarios and severities; they share one fault
+    kind.  The pass opens one ``chip_batch(len(cells))`` (times
+    ``mc_samples`` for Bayesian evaluators).  Per-cell (fault,
+    evaluation) streams are derived exactly as :func:`evaluate_cell`
+    derives them, each cell's fault hooks are built from its own fault
+    stream (:meth:`~repro.faults.campaign.FaultInjector.attach_scenario_batched`),
+    and evaluation randomness goes through a
+    :class:`~repro.tensor.chipbatch.ChipBatchRng` over the per-cell
+    streams — so every slice is bit-identical to a per-cell evaluation of
+    that cell.  Returns the metric values aligned with ``cells``.
     """
     from .campaign import FaultInjector  # local import breaks the cycle
 
-    if not cell_groups:
+    if not cells:
         return np.empty(0)
-    chip_counts = {len(group) for group in cell_groups}
-    if 0 in chip_counts:
-        raise ValueError("scenario batching needs non-empty scenario groups")
-    if len(chip_counts) > 1:
-        raise ValueError(
-            "scenario batching needs the same chip count per scenario, got "
-            f"{sorted(chip_counts)}"
-        )
-    specs: List[FaultSpec] = []
-    for group in cell_groups:
-        spec = group[0].spec
-        scenario = group[0].scenario_index
-        for cell in group:
-            if cell.spec is not spec and cell.spec != spec:
-                raise ValueError(
-                    "each scenario group needs a single-scenario cell list"
-                )
-            if cell.scenario_index != scenario:
-                raise ValueError(
-                    "each scenario group needs a single-scenario cell list"
-                )
-        specs.append(spec)
-    fault_rng_groups: List[List[np.random.Generator]] = []
-    eval_rngs: List[np.random.Generator] = []
-    for group in cell_groups:
-        pairs = [
-            cell_rngs(base_seed, cell.scenario_index, cell.run_index)
-            for cell in group
-        ]
-        fault_rng_groups.append([fault for fault, _ in pairs])
-        eval_rngs.extend(ev for _, ev in pairs)
-    n_scenarios = len(cell_groups)
-    n_chips = len(cell_groups[0])
+    rngs = [cell_rngs(base_seed, c.scenario_index, c.run_index) for c in cells]
     injector = FaultInjector(model)
-    with scenario_axis(n_scenarios), chip_batch(n_chips), scoped_rng(
-        ChipBatchRng(eval_rngs)
-    ):
+    with chip_batch(len(cells)), scoped_rng(ChipBatchRng([ev for _, ev in rngs])):
         resample_masks(model)
         with stage("attach"):
-            injector.attach_scenario_batched(specs, fault_rng_groups)
+            injector.attach_scenario_batched(
+                [cell.spec for cell in cells], [fault for fault, _ in rngs]
+            )
         try:
             with stage("metric"):
                 values = np.asarray(evaluator(model), dtype=np.float64)
         finally:
             injector.detach()
-    if values.shape != (len(eval_rngs),):
+    if values.shape != (len(cells),):
         raise RuntimeError(
             f"chip-aware evaluator returned shape {values.shape} for "
-            f"{len(eval_rngs)} stacked instances; the scenario-batched "
-            "backend needs a per-instance metric vector (see "
+            f"{len(cells)} stacked instances; a stacked pass needs a "
+            "per-instance metric vector (see "
             "repro.eval.evaluators.make_evaluator)"
         )
     return values
@@ -343,50 +296,28 @@ def _scenario_groups(cells: Sequence[WorkCell]) -> List[Tuple[int, int]]:
     return groups
 
 
-def _per_cell_reason(
-    cells: Sequence[WorkCell], start: int, stop: int
-) -> Optional[str]:
-    """Why a scenario range cannot join a stacked pass (``None``: it can)."""
-    spec = cells[start].spec
-    if spec.kind == "none" or spec.level == 0.0:
-        return "fault-free"
-    if stop - start == 1:
-        return "single-chip"
-    return None
-
-
 def _sizing_index(cells: Sequence[WorkCell]) -> int:
     """The cell the engine learns a new :class:`Footprint` on.
 
-    The first cell that runs per cell anyway (a sweep's fault-free cell),
-    so its sizing run is its real run; otherwise the first cell, which
-    then runs once more inside its stacked pass so its scenario keeps the
-    chip count the scenario axis needs.
+    The first fault-free cell, which runs per cell anyway; otherwise the
+    first cell.  Either way the sizing run is the cell's real run.
     """
-    for start, stop in _scenario_groups(cells):
-        if _per_cell_reason(cells, start, stop) is not None:
-            return start
-    return 0
+    return next((i for i, c in enumerate(cells) if c.spec.is_fault_free), 0)
 
 
 def _kind_groups(cells: Sequence[WorkCell]) -> List[List[Tuple[int, int]]]:
     """Coalesce consecutive same-kind scenario ranges of ``cells``.
 
     Returns a list of kind groups, each a list of ``(start, stop)``
-    scenario ranges.  Ranges merge only when every member is stackable
-    (multi-chip, non-degenerate spec), shares the fault kind, and has the
-    same chip count — the rectangular layout the scenario axis requires.
-    Unstackable ranges come back as singleton groups and run per cell.
+    scenario ranges.  Consecutive faulty ranges of one fault kind merge,
+    whatever their chip counts; a fault-free range is a group of its own.
     """
     groups: List[List[Tuple[int, int]]] = []
     for first, stop in _scenario_groups(cells):
-        if groups and _per_cell_reason(cells, first, stop) is None:
-            prev_start, prev_stop = groups[-1][-1]
-            if (
-                _per_cell_reason(cells, prev_start, prev_stop) is None
-                and cells[prev_start].spec.kind == cells[first].spec.kind
-                and prev_stop - prev_start == stop - first
-            ):
+        spec = cells[first].spec
+        if groups and not spec.is_fault_free:
+            prev = cells[groups[-1][-1][0]].spec
+            if not prev.is_fault_free and prev.kind == spec.kind:
                 groups[-1].append((first, stop))
                 continue
         groups.append([(first, stop)])
@@ -404,12 +335,13 @@ def run_cells(
 ) -> np.ndarray:
     """Execute a flat cell grid and return values aligned with ``cells``.
 
-    Each run of consecutive same-kind scenarios is cut into stacked
-    passes of ``K`` scenarios x ``C`` chips sized by ``engine`` (see
-    :class:`EngineConfig`); cells no pass can carry run per cell.  When
-    the engine has not yet sized this ``(model, evaluator)`` pair, one
-    cell first runs per cell to learn its :class:`Footprint` (see
-    :func:`_sizing_index`).
+    Each run of consecutive same-kind faulty cells is cut into stacked
+    passes of at most :meth:`Footprint.cells_per_pass` cells, across
+    scenario boundaries (see :class:`EngineConfig`); fault-free cells,
+    and every cell when not even one fits the budget, run per cell.
+    When the engine has not yet sized this ``(model, evaluator)`` pair,
+    one cell first runs per cell to learn its :class:`Footprint` (see
+    :func:`_sizing_index`); that run is the cell's value.
     ``model``/``evaluator`` are the deployed network and its
     (chip-aware) metric.  ``on_cell_done(done, total)`` fires after every
     per-cell cell and every stacked pass.
@@ -417,9 +349,8 @@ def run_cells(
     Under :func:`~repro.profiling.profiled` the engine counts its stacked
     passes (``engine.passes``), the instances they carried
     (``engine.instances``) and every per-cell cell by reason
-    (``engine.per-cell.<reason>``: ``fault-free``, ``single-chip``,
-    ``over-budget``, or ``sizing`` for a footprint run whose cell ran
-    again in a stacked pass).
+    (``engine.per-cell.<reason>``: ``fault-free``, ``over-budget``, or
+    ``sizing`` for a faulty cell that sized the engine).
     """
     total = len(cells)
     values = np.empty(total)
@@ -431,57 +362,44 @@ def run_cells(
         if on_cell_done is not None:
             on_cell_done(done, total)
 
+    def ran_per_cell(reason: str) -> None:
+        count("engine.per-cell." + reason)
+        report(1)
+
     budget = engine.max_batch_bytes
     footprint = None
-    sized = None  # (index, value) of the sizing run, until a per-cell use
+    sized = None  # the cell that sized the engine in this call
     if budget != 0 and total:
         footprint = learned_footprint(model, evaluator)
         if footprint is None:
-            index = _sizing_index(cells)
-            sized = index, _sizing_cell(model, evaluator, cells[index], base_seed)
+            sized = _sizing_index(cells)
+            values[sized] = _sizing_cell(model, evaluator, cells[sized], base_seed)
             footprint = learned_footprint(model, evaluator)
+            ran_per_cell(
+                "fault-free" if cells[sized].spec.is_fault_free else "sizing"
+            )
+    limit = 0 if footprint is None else footprint.cells_per_pass(budget)
+    if limit is None:  # unbounded: one pass per kind group
+        limit = total
 
     for ranges in _kind_groups(cells):
-        start, stop = ranges[0]
-        n_chips = stop - start
-        reason = _per_cell_reason(cells, start, stop)
-        shape = None
-        if reason is None and footprint is not None:
-            shape = footprint.pass_shape(len(ranges), n_chips, budget)
-        if shape is None:
-            reason = reason or "over-budget"
-            for range_start, range_stop in ranges:
-                for index in range(range_start, range_stop):
-                    if sized is not None and sized[0] == index:
-                        values[index] = sized[1]
-                        sized = None
-                    else:
-                        values[index] = evaluate_cell(
-                            model, evaluator, cells[index], base_seed
-                        )
-                    count("engine.per-cell." + reason)
-                    report(1)
-            continue
-        scen_step, chip_step = shape
-        for scen_sub in range(0, len(ranges), scen_step):
-            sub_ranges = ranges[scen_sub : scen_sub + scen_step]
-            for chip_sub in range(0, n_chips, chip_step):
-                chip_stop = min(chip_sub + chip_step, n_chips)
-                groups = [
-                    cells[first_cell + chip_sub : first_cell + chip_stop]
-                    for first_cell, _ in sub_ranges
-                ]
-                stacked = evaluate_cells_scenario_batched(
-                    model, evaluator, groups, base_seed
+        group = [
+            i for start, stop in ranges for i in range(start, stop) if i != sized
+        ]
+        fault_free = cells[ranges[0][0]].spec.is_fault_free
+        if fault_free or limit == 0:
+            for index in group:
+                values[index] = evaluate_cell(
+                    model, evaluator, cells[index], base_seed
                 )
-                width = chip_stop - chip_sub
-                for g, (first_cell, _) in enumerate(sub_ranges):
-                    values[first_cell + chip_sub : first_cell + chip_stop] = (
-                        stacked[g * width : (g + 1) * width]
-                    )
-                count("engine.passes")
-                count("engine.instances", len(stacked) * footprint.samples)
-                report(width * len(sub_ranges))
-    if sized is not None:  # the sized cell ran again in its stacked pass
-        count("engine.per-cell.sizing")
+                ran_per_cell("fault-free" if fault_free else "over-budget")
+            continue
+        for first in range(0, len(group), limit):
+            chunk = group[first : first + limit]
+            values[chunk] = evaluate_cells_stacked(
+                model, evaluator, [cells[i] for i in chunk], base_seed
+            )
+            count("engine.passes")
+            count("engine.instances", len(chunk) * footprint.samples)
+            report(len(chunk))
     return values

@@ -28,9 +28,8 @@ layers and topologies.
 
 from __future__ import annotations
 
-import copy
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -71,38 +70,6 @@ class WeightFaultModel:
     def _apply(self, qw: QuantizedWeight, pattern: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    # ------------------------------------------------------------------
-    # Stacked path (the campaign engine's stacked passes)
-    # ------------------------------------------------------------------
-    def generate_batch(
-        self, qw: QuantizedWeight, n_chips: int, seeds: Sequence[int]
-    ) -> np.ndarray:
-        """Stacked frozen patterns for ``n_chips`` chips, one per seed.
-
-        Chip ``i``'s slice is generated from ``default_rng(seeds[i])`` with
-        exactly the draws :meth:`_generate` makes serially, so the batched
-        engine reproduces the serial engine's fault realizations bit for
-        bit.  Returns ``(n_chips, *pattern.shape)``.
-        """
-        if len(seeds) != n_chips:
-            raise ValueError(f"need {n_chips} seeds, got {len(seeds)}")
-        patterns = []
-        for seed in seeds:
-            chip = copy.copy(self)
-            chip.rng = np.random.default_rng(seed)
-            chip._cache = {}
-            patterns.append(chip._generate(qw))
-        return np.stack(patterns, axis=0)
-
-    def apply_batch(self, qw: QuantizedWeight, patterns: np.ndarray) -> np.ndarray:
-        """Apply stacked per-chip patterns → ``(n_chips, *codes.shape)``.
-
-        The default implementation reuses :meth:`_apply`, which is a pure
-        broadcast for every noise-style model; subclasses whose apply is
-        not broadcast-safe (bit manipulation) override this.
-        """
-        return self._apply(qw, patterns)
-
 
 class BitFlipFault(WeightFaultModel):
     """Flip each stored bit independently with probability ``rate``.
@@ -137,26 +104,6 @@ class BitFlipFault(WeightFaultModel):
         for b in range(qw.bits - 1):
             magnitude ^= pattern[..., b].astype(np.int64) << b
         sign = np.where(pattern[..., qw.bits - 1], -sign, sign)
-        flipped = np.clip(sign * magnitude, -qw.qmax, qw.qmax)
-        return flipped.astype(np.float64)
-
-    def apply_batch(self, qw: QuantizedWeight, patterns: np.ndarray) -> np.ndarray:
-        # The in-place XOR of _apply cannot broadcast codes up to the
-        # stacked (n_chips, ..., bits) pattern, so materialize the chip
-        # axis first; the bit arithmetic is then identical per chip.
-        if self.rate == 0.0 or qw.bits == 1:
-            return self._apply(qw, patterns)
-        lead = patterns.shape[:1]
-        magnitude = np.broadcast_to(
-            np.abs(qw.codes).astype(np.int64), lead + qw.codes.shape
-        ).copy()
-        sign = np.broadcast_to(
-            np.sign(qw.codes).astype(np.int64), lead + qw.codes.shape
-        ).copy()
-        sign[sign == 0] = 1
-        for b in range(qw.bits - 1):
-            magnitude ^= patterns[..., b].astype(np.int64) << b
-        sign = np.where(patterns[..., qw.bits - 1], -sign, sign)
         flipped = np.clip(sign * magnitude, -qw.qmax, qw.qmax)
         return flipped.astype(np.float64)
 
@@ -360,7 +307,7 @@ class FaultSpec:
             raise ValueError(f"unknown fault kind {self.kind!r}")
 
     def build_weight_model(self, rng: np.random.Generator) -> Optional[WeightFaultModel]:
-        if self.kind == "none" or self.level == 0.0:
+        if self.is_fault_free:
             return None
         if self.kind == "bitflip":
             return BitFlipFault(self.level, rng)
@@ -378,7 +325,7 @@ class FaultSpec:
         return None
 
     def build_activation_model(self, rng: np.random.Generator) -> Optional[ActivationNoise]:
-        if self.kind == "none" or self.level == 0.0:
+        if self.is_fault_free:
             return None
         if self.kind == "additive":
             return ActivationNoise(rng, additive_sigma=self.level)
@@ -387,6 +334,11 @@ class FaultSpec:
         if self.kind == "uniform":
             return ActivationNoise(rng, uniform_strength=self.level)
         return None
+
+    @property
+    def is_fault_free(self) -> bool:
+        """No fault at all: ``kind="none"`` or a zero level."""
+        return self.kind == "none" or self.level == 0.0
 
     @property
     def is_variation(self) -> bool:
@@ -447,77 +399,25 @@ class RetentionDriftFault(WeightFaultModel):
 # ----------------------------------------------------------------------
 # Stacked fault hooks (the campaign engine's stacked passes)
 # ----------------------------------------------------------------------
-class ScenarioBatchedWeightFault:
-    """Weight-fault hook evaluating ``K`` scenarios x ``C`` chips at once.
+class StackedWeightFault:
+    """Weight-fault hook of a stacked pass: one cell's model per instance.
 
-    Plugs into the same ``layer.weight_fault`` slot as a serial
-    :class:`WeightFaultModel`, but holds one spec (severity level) plus
-    that scenario's per-chip seeds for each of ``n_scenarios`` stacked
-    scenarios — all of the same fault kind — and returns perturbed codes
-    with a leading ``(n_scenarios * n_chips, *codes.shape)`` instance axis
-    in scenario-major order; the quantized layers broadcast the stack
-    through one vectorized forward.  ``seed_groups[k][i]`` must be the
-    layer seed chip ``i`` of scenario ``k``'s serial
-    :meth:`FaultInjector.attach
-    <repro.faults.campaign.FaultInjector.attach>` would draw, and each
-    scenario's patterns come from the very :class:`WeightFaultModel` that
-    attach would build, so every (scenario, chip) slice stays
-    bit-identical to the serial engine's weights even though the severity
-    varies along the instance axis.
+    Plugs into the same ``layer.weight_fault`` slot as a
+    :class:`WeightFaultModel` and holds the very models
+    :meth:`FaultInjector.attach <repro.faults.campaign.FaultInjector.attach>`
+    builds for each stacked cell, so instance ``i`` of the returned
+    ``(n_cells, *codes.shape)`` stack is cell ``i``'s perturbed codes, bit
+    for bit, whatever its severity.  Under an MC-sample sub-axis the stack
+    repeats along it: a programmed chip holds one fault pattern across all
+    its stochastic passes.
     """
 
-    def __init__(self, specs: Sequence["FaultSpec"], seed_groups: Sequence[Sequence[int]]):
-        if len(specs) != len(seed_groups):
-            raise ValueError(
-                f"need one seed group per spec, got {len(specs)} specs "
-                f"and {len(seed_groups)} groups"
-            )
-        if not specs:
-            raise ValueError("scenario-batched hook needs >= 1 scenario")
-        kinds = {spec.kind for spec in specs}
-        if len(kinds) > 1:
-            raise ValueError(
-                f"scenario-batched hooks stack one fault kind, got {sorted(kinds)}"
-            )
-        self.prototypes: List[WeightFaultModel] = []
-        for spec in specs:
-            prototype = spec.build_weight_model(np.random.default_rng(0))
-            if prototype is None:
-                raise ValueError(
-                    f"spec {spec.describe()} has no weight-fault model"
-                )
-            self.prototypes.append(prototype)
-        self.seed_groups = [[int(s) for s in seeds] for seeds in seed_groups]
+    def __init__(self, models: Sequence[WeightFaultModel]):
+        self.models = list(models)
         self.fault_token = next(_FAULT_TOKENS)
-        self._cache: Dict[Tuple[int, ...], List[np.ndarray]] = {}
-
-    @property
-    def n_scenarios(self) -> int:
-        return len(self.prototypes)
-
-    @property
-    def n_chips(self) -> int:
-        """Total (scenario, chip) instances along the leading axis."""
-        return sum(len(seeds) for seeds in self.seed_groups)
 
     def __call__(self, qw: QuantizedWeight) -> np.ndarray:
-        key = (qw.bits,) + tuple(qw.codes.shape)
-        if key not in self._cache:
-            self._cache[key] = [
-                prototype.generate_batch(qw, len(seeds), seeds)
-                for prototype, seeds in zip(self.prototypes, self.seed_groups)
-            ]
-        codes = np.concatenate(
-            [
-                prototype.apply_batch(qw, patterns)
-                for prototype, patterns in zip(self.prototypes, self._cache[key])
-            ],
-            axis=0,
-        )
-        # Under an MC-sample sub-axis the instance axis is scenarios x
-        # chips x samples; the frozen per-(scenario, chip) pattern is what
-        # a programmed chip holds across all its stochastic passes, so it
-        # repeats along the sample sub-axis.
+        codes = np.stack([model(qw) for model in self.models], axis=0)
         samples = active_sample_count() or 1
         if samples > 1:
             codes = np.repeat(codes, samples, axis=0)
@@ -527,12 +427,11 @@ class ScenarioBatchedWeightFault:
 class ChipBatchedActivationNoise:
     """Activation-noise hook applying each chip's own noise stream.
 
-    Holds one serial :class:`ActivationNoise` per chip.  An already
-    instance-batched activation ``(n_instances, ...)`` is perturbed slice
-    by slice from each instance's stream; an unbatched activation (no fault
-    has introduced the instance axis yet) is broadcast — every instance
-    perturbs the same clean values, drawing exactly the noise the serial
-    engine would.
+    Holds one serial :class:`ActivationNoise` per chip and perturbs an
+    activation ``(n_instances, ...)`` slice by slice from each instance's
+    stream.  Inside a stacked pass every activation carries the instance
+    axis (evaluators broadcast their inputs, ``mc_forward`` repeats them),
+    so a leading axis of any other size is an error, not a broadcast.
 
     Under an MC-sample sub-axis of ``S`` the per-chip models expand
     (chip-major, cached) into ``chips x S`` per-instance models via
@@ -546,10 +445,6 @@ class ChipBatchedActivationNoise:
         self.models = list(models)
         self._expanded: Optional[List[ActivationNoise]] = None
         self._expanded_samples: Optional[int] = None
-
-    @property
-    def n_chips(self) -> int:
-        return len(self.models)
 
     def _active_models(self) -> List[ActivationNoise]:
         samples = active_sample_count() or 1
@@ -566,6 +461,9 @@ class ChipBatchedActivationNoise:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         models = self._active_models()
-        if x.ndim and x.shape[0] == len(models):
-            return np.stack([model(x[i]) for i, model in enumerate(models)], axis=0)
-        return np.stack([model(x) for model in models], axis=0)
+        if not x.ndim or x.shape[0] != len(models):
+            raise ValueError(
+                f"stacked activation noise for {len(models)} instances got "
+                f"an activation of shape {x.shape}"
+            )
+        return np.stack([model(x[i]) for i, model in enumerate(models)], axis=0)

@@ -10,10 +10,10 @@ Every function exposes the integer *codes* actually stored in NVM cells via
 the :class:`QuantizedWeight` record so fault models
 (:mod:`repro.faults`) can flip the very bits a crossbar would hold.
 
-A fault hook may be *chip-batched* (one frozen pattern per simulated chip,
-see :class:`repro.faults.models.ScenarioBatchedWeightFault`): it then returns
-perturbed codes with a leading chip axis, and the dequantized result is a
-``(n_chips, *weight.shape)`` stack — scales broadcast against it
+A fault hook may be *stacked* (one frozen pattern per stacked cell, see
+:class:`repro.faults.models.StackedWeightFault`): it then returns
+perturbed codes with a leading instance axis, and the dequantized result
+is a ``(n_instances, *weight.shape)`` stack — scales broadcast against it
 unchanged, and the layer forwards contract it with batched matmuls.  That
 path is inference-only; campaigns never backpropagate through faulty
 chips.

@@ -547,9 +547,7 @@ class CampaignService:
                 values = self.store.get(key)
                 stats["store_seconds"] += time.perf_counter() - t0
             if values is not None and len(values) == n_runs:
-                spec = specs[idx]
-                n_eff = 1 if spec.kind == "none" or spec.level == 0.0 \
-                    else n_runs
+                n_eff = 1 if specs[idx].is_fault_free else n_runs
                 stats["served_cells"] += n_eff
                 self._send_frame(conn, {
                     "kind": "partial", "method": method.name,
@@ -564,7 +562,7 @@ class CampaignService:
         grid: List[WorkCell] = []
         for idx in pending:
             spec = specs[idx]
-            n_eff = 1 if spec.kind == "none" or spec.level == 0.0 else n_runs
+            n_eff = 1 if spec.is_fault_free else n_runs
             grid.extend(WorkCell(idx, run, spec) for run in range(n_eff))
         pending_units = shard_units(grid)
 

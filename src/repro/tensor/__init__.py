@@ -10,12 +10,9 @@ from .chipbatch import (
     ChipBatchRng,
     active_chip_count,
     active_sample_count,
-    active_scenario_count,
     chip_axes,
     chip_batch,
-    instance_layout,
     mc_sample_axis,
-    scenario_axis,
     spawn_sample_streams,
 )
 from .grad_mode import enable_grad, is_grad_enabled, no_grad, set_grad_enabled
@@ -80,12 +77,9 @@ __all__ = [
     "ChipBatchRng",
     "active_chip_count",
     "active_sample_count",
-    "active_scenario_count",
     "chip_axes",
     "chip_batch",
-    "instance_layout",
     "mc_sample_axis",
-    "scenario_axis",
     "spawn_sample_streams",
     "check_gradients",
     "numeric_gradient",

@@ -8,30 +8,27 @@ stacked passes instead stack instances along a leading *instance axis* and
 run a single vectorized forward, so every numpy kernel amortizes its
 dispatch overhead over the whole stack.
 
-The instance axis is composable out of (up to) three sub-axes, in
-**scenario-major, then chip, then sample** order: the campaign engine may
-open a :func:`scenario_axis` of ``K`` stacked fault-severity scenarios
-around a :func:`chip_batch` of ``C`` chips, and Monte Carlo inference
-(:func:`repro.core.bayesian.mc_forward`) may multiply both by an MC-sample
+The instance axis is composable out of two sub-axes, in **instance-major,
+then sample** order: the campaign engine opens a :func:`chip_batch` of
+``N`` stacked instances (one per campaign cell, from one fault scenario
+or several), and Monte Carlo inference
+(:func:`repro.core.bayesian.mc_forward`) may multiply it by an MC-sample
 sub-axis of ``S`` via :func:`mc_sample_axis`, so one forward carries
-``K x C x S`` instances (instance ``i`` is scenario ``i // (C * S)``, chip
-``(i // S) % C``, sample ``i % S``).  Layers never need to know the
-decomposition — they see one leading axis of size
-:func:`active_chip_count`; only components that hold *per-chip* frozen
-state (the chip-batched fault hooks) consult :func:`active_sample_count`
-to repeat their patterns across the sample sub-axis, and only the
-scenario-batched fault hooks — which hold one frozen pattern per
-(scenario, chip) — are built per :func:`active_scenario_count` instance
-group.
+``N x S`` instances (instance ``i`` is cell ``i // S``, sample
+``i % S``).  Layers never need to know the decomposition — they see one
+leading axis of size :func:`active_chip_count`; only components that
+hold *per-cell* frozen state (the stacked fault hooks) consult
+:func:`active_sample_count` to repeat their patterns across the sample
+sub-axis.
 
 This module provides the thread-local state that makes a batched pass
 *bit-identical per instance* to the serial reference:
 
-* :func:`scenario_axis` / :func:`chip_batch` / :func:`mc_sample_axis` —
-  context managers announcing the instance-axis layout.  Layers with shape-dependent logic
-  (normalization feature axes, spatial-dropout mask shapes, the inverted
-  norm's affine reshape) consult :func:`active_chip_count` to shift their
-  channel axis from 1 to 2.  The invariant maintained by the batched
+* :func:`chip_batch` / :func:`mc_sample_axis` — context managers
+  announcing the instance-axis layout.  Layers with shape-dependent
+  logic (normalization feature axes, spatial-dropout mask shapes, the
+  inverted norm's affine reshape) consult :func:`active_chip_count` to
+  shift their channel axis from 1 to 2.  The invariant maintained by the batched
   evaluators is that **every activation inside the context has a leading
   instance axis** (inputs are broadcast up front), so a single flag
   suffices — no per-tensor rank guessing.
@@ -70,52 +67,22 @@ def active_chip_count() -> Optional[int]:
     """Total instances in the active batch on this thread, or ``None``.
 
     This is the size of the leading instance axis every activation carries:
-    ``scenarios * chips * mc_samples`` when all three sub-axes are active.
+    ``chips * mc_samples`` when both sub-axes are active.
     """
-    scenarios = getattr(_STATE, "n_scenarios", None)
     chips = getattr(_STATE, "n_chips", None)
     samples = getattr(_STATE, "n_samples", None)
-    if scenarios is None and chips is None and samples is None:
+    if chips is None and samples is None:
         return None
-    return (scenarios or 1) * (chips or 1) * (samples or 1)
+    return (chips or 1) * (samples or 1)
 
 
 def active_sample_count() -> Optional[int]:
     """Size of the MC-sample sub-axis, or ``None`` outside one.
 
-    Components holding *per-chip* frozen state (chip-batched weight-fault
+    Components holding *per-cell* frozen state (stacked weight-fault
     hooks) repeat their patterns this many times along the instance axis.
     """
     return getattr(_STATE, "n_samples", None)
-
-
-def active_scenario_count() -> Optional[int]:
-    """Size of the scenario sub-axis, or ``None`` outside one.
-
-    The scenario axis composes *above* chips and samples (scenario-major):
-    the campaign engine's scenario-batched path stacks all severity levels
-    of a sweep that share a task and fault kind, so one forward carries
-    ``scenarios * chips * samples`` instances.  Fault hooks built by
-    :meth:`~repro.faults.campaign.FaultInjector.attach_scenario_batched`
-    hold one frozen pattern per (scenario, chip) and therefore never need
-    this at apply time — it exists for introspection and layout checks
-    (see :func:`instance_layout`).
-    """
-    return getattr(_STATE, "n_scenarios", None)
-
-
-def instance_layout() -> Tuple[Optional[int], Optional[int], Optional[int]]:
-    """The active ``(scenarios, chips, samples)`` sub-axis sizes.
-
-    Each entry is ``None`` while its context manager is not entered; the
-    total leading-axis size is the product of the non-``None`` entries
-    (what :func:`active_chip_count` returns).
-    """
-    return (
-        getattr(_STATE, "n_scenarios", None),
-        getattr(_STATE, "n_chips", None),
-        getattr(_STATE, "n_samples", None),
-    )
 
 
 def chip_axes(extra: int = 0) -> int:
@@ -143,29 +110,6 @@ def chip_batch(n_chips: int) -> Iterator[int]:
         yield n_chips
     finally:
         _STATE.n_chips = previous
-
-
-@contextlib.contextmanager
-def scenario_axis(n_scenarios: int) -> Iterator[int]:
-    """Multiply the active instance axis by a scenario sub-axis (outermost).
-
-    Entered by the campaign engine's scenario-batched path around its
-    single stacked forward: with a :func:`chip_batch` of ``C`` active, the
-    instance axis becomes ``n_scenarios x C`` in scenario-major order (and
-    Monte Carlo inference may further multiply by a sample sub-axis below
-    both).  Nestable and exception-safe.
-    """
-    n_scenarios = int(n_scenarios)
-    if n_scenarios < 1:
-        raise ValueError(
-            f"scenario axis needs >= 1 scenario, got {n_scenarios}"
-        )
-    previous = getattr(_STATE, "n_scenarios", None)
-    _STATE.n_scenarios = n_scenarios
-    try:
-        yield n_scenarios
-    finally:
-        _STATE.n_scenarios = previous
 
 
 @contextlib.contextmanager

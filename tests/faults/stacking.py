@@ -5,7 +5,6 @@ from repro.faults import (
     EngineConfig,
     FaultSpec,
     WorkCell,
-    evaluate_cells_scenario_batched,
     run_cells,
 )
 from repro.faults.executor import learned_footprint
@@ -15,14 +14,9 @@ from repro.faults.executor import learned_footprint
 ENGINES = {"serial": PER_CELL, "batched": EngineConfig(max_batch_bytes=None)}
 
 
-def evaluate_cells_batched(model, evaluator, cells, base_seed):
-    """One scenario's chips as one stacked pass (``K = 1``)."""
-    return evaluate_cells_scenario_batched(model, evaluator, [cells], base_seed)
-
-
-def chip_engine(model, evaluator, chips, scenarios=1):
-    """An :class:`EngineConfig` whose budget fits exactly ``scenarios x
-    chips`` chips of ``(model, evaluator)``.
+def chip_engine(model, evaluator, chips):
+    """An :class:`EngineConfig` whose budget fits exactly ``chips`` cells
+    of ``(model, evaluator)`` per stacked pass.
 
     The pair's footprint is learned first (a two-chip run) when the engine
     has not sized it yet.
@@ -35,6 +29,4 @@ def chip_engine(model, evaluator, chips, scenarios=1):
             model=model, evaluator=evaluator,
         )
         footprint = learned_footprint(model, evaluator)
-    return EngineConfig(
-        scenarios * chips * footprint.samples * footprint.instance_bytes
-    )
+    return EngineConfig(chips * footprint.samples * footprint.instance_bytes)

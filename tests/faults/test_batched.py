@@ -2,10 +2,10 @@
 
 The engine's contract is the per-cell contract plus one word: stacking a
 scenario's chip instances along a leading chip axis and evaluating them
-in one vectorized pass (the ``K = 1`` case of
-:func:`~repro.faults.executor.evaluate_cells_scenario_batched`) must
-produce **bit-identical per-chip metrics** to evaluating the cells one
-at a time.  These tests check that contract across fault models
+in one vectorized pass
+(:func:`~repro.faults.executor.evaluate_cells_stacked`) must produce
+**bit-identical per-chip metrics** to evaluating the cells one at a
+time.  These tests check that contract across fault models
 (multi-bit bit flips, binary bit flips, additive/uniform variation),
 topologies (conv nets, the LSTM forecaster, a binary net with
 sign-activation injection sites), chip-axis edge cases (C=1, budgets
@@ -28,13 +28,15 @@ from repro.eval import (
     trained_model,
 )
 from repro.faults import (
+    ChipBatchedActivationNoise,
     FaultSpec,
     MonteCarloCampaign,
-    ScenarioBatchedWeightFault,
+    StackedWeightFault,
     WorkCell,
     additive_sweep,
     bitflip_sweep,
     evaluate_cell,
+    evaluate_cells_stacked,
     uniform_sweep,
 )
 from repro.models import conventional, proposed, spindrop
@@ -42,7 +44,7 @@ from repro.quant import QuantConv2d, QuantLinear, SignActivation
 from repro.quant.functional import QuantizedWeight
 from repro.tensor import Tensor, chip_batch, manual_seed
 from repro.tensor.chipbatch import ChipBatchRng, active_chip_count
-from tests.faults.stacking import ENGINES, chip_engine, evaluate_cells_batched
+from tests.faults.stacking import ENGINES, chip_engine
 
 
 def build_pair(seed=0):
@@ -91,27 +93,29 @@ class TestEvaluateCellsBatched:
         model, evaluator = build_pair()
         cells = [WorkCell(2, run, spec) for run in range(6)]
         serial = _serial_reference(model, evaluator, cells, base_seed=5)
-        batched = evaluate_cells_batched(model, evaluator, cells, base_seed=5)
+        batched = evaluate_cells_stacked(model, evaluator, cells, base_seed=5)
         np.testing.assert_array_equal(serial, batched)
 
     def test_single_chip_batch(self):
         model, evaluator = build_pair()
         cells = [WorkCell(0, 3, FaultSpec(kind="bitflip", level=0.2))]
         serial = _serial_reference(model, evaluator, cells, base_seed=1)
-        batched = evaluate_cells_batched(model, evaluator, cells, base_seed=1)
+        batched = evaluate_cells_stacked(model, evaluator, cells, base_seed=1)
         np.testing.assert_array_equal(serial, batched)
 
-    def test_rejects_mixed_scenarios(self):
+    def test_rejects_mixed_kinds(self):
         model, evaluator = build_pair()
-        spec = FaultSpec(kind="bitflip", level=0.1)
-        cells = [WorkCell(0, 0, spec), WorkCell(1, 0, spec)]
-        with pytest.raises(ValueError, match="single-scenario"):
-            evaluate_cells_batched(model, evaluator, cells, base_seed=0)
+        cells = [
+            WorkCell(0, 0, FaultSpec(kind="bitflip", level=0.1)),
+            WorkCell(1, 0, FaultSpec(kind="additive", level=0.1)),
+        ]
+        with pytest.raises(ValueError, match="one fault kind"):
+            evaluate_cells_stacked(model, evaluator, cells, base_seed=0)
 
     def test_detaches_hooks_and_restores_context(self):
         model, evaluator = build_pair()
         cells = [WorkCell(0, r, FaultSpec(kind="bitflip", level=0.1)) for r in range(2)]
-        evaluate_cells_batched(model, evaluator, cells, base_seed=0)
+        evaluate_cells_stacked(model, evaluator, cells, base_seed=0)
         assert active_chip_count() is None
         assert all(
             m.weight_fault is None
@@ -259,7 +263,7 @@ class TestChipBatchPrimitives:
             assert active_chip_count() == 4
         assert active_chip_count() is None
 
-    def test_generate_batch_matches_per_chip_generation(self):
+    def test_stacked_hook_matches_per_chip_models(self):
         spec = FaultSpec(kind="bitflip", level=0.25)
         rng = np.random.default_rng(0)
         qw = QuantizedWeight(
@@ -268,17 +272,33 @@ class TestChipBatchPrimitives:
             bits=8,
         )
         seeds = [101, 202, 303]
-        fault = ScenarioBatchedWeightFault([spec], [seeds])
+        fault = StackedWeightFault(
+            [spec.build_weight_model(np.random.default_rng(s)) for s in seeds]
+        )
         stacked = fault(qw)
         for i, seed in enumerate(seeds):
             serial_model = spec.build_weight_model(np.random.default_rng(seed))
             np.testing.assert_array_equal(stacked[i], serial_model(qw))
 
+    def test_activation_noise_rejects_a_mismatched_instance_axis(self):
+        spec = FaultSpec(kind="additive", level=0.2)
+        hook = ChipBatchedActivationNoise([
+            spec.build_activation_model(np.random.default_rng(s)) for s in (1, 2)
+        ])
+        x = np.random.default_rng(0).normal(size=(3, 4))
+        with pytest.raises(ValueError, match="2 instances"):
+            hook(x)
+        with pytest.raises(ValueError, match="2 instances"):
+            hook(np.float64(1.0))
+        assert hook(x[:2]).shape == (2, 4)
+
     def test_chip_batched_quant_linear_broadcasts(self):
         manual_seed(0)
         layer = QuantLinear(4, 3, weight_bits=8)
         spec = FaultSpec(kind="bitflip", level=0.3)
-        layer.weight_fault = ScenarioBatchedWeightFault([spec], [[1, 2]])
+        layer.weight_fault = StackedWeightFault(
+            [spec.build_weight_model(np.random.default_rng(s)) for s in (1, 2)]
+        )
         x = Tensor(np.random.default_rng(0).normal(size=(2, 5, 4)))
         out = layer(x)
         assert out.shape == (2, 5, 3)

@@ -2,10 +2,11 @@
 
 Every budget — per cell (0), one instance, the default, unbounded —
 must give bit-identical values on all four topologies and methods.  The
-passes the engine picks must fit the budget by its own estimate, the
-default budget must keep the binarized ResNet-18 per cell while
-stacking the LSTM, and the estimate must track what one cell really
-allocates.
+passes the engine picks must fit the budget by its own estimate, cut
+flat lists of cells across scenario boundaries, evaluate every cell
+exactly once, keep the binarized ResNet-18 per cell at the default
+budget while stacking the LSTM, and the estimate must track what one
+cell really allocates.
 """
 
 import tracemalloc
@@ -30,6 +31,8 @@ from repro.faults import executor as executor_mod
 from repro.faults.executor import Footprint, learned_footprint
 from repro.models import all_methods, proposed
 from repro.profiling import profiled
+from repro.tensor.chipbatch import active_chip_count
+from tests.faults.stacking import chip_engine
 
 TASKS = ("co2", "audio", "image", "vessels")
 
@@ -50,18 +53,16 @@ def _pair(task_name, method, preset="tiny", samples=None):
 
 @pytest.fixture
 def passes(monkeypatch):
-    """Record ``(scenarios, chips)`` of every stacked pass."""
-    shapes = []
-    stacked = executor_mod.evaluate_cells_scenario_batched
+    """Record the cell list of every stacked pass."""
+    cell_lists = []
+    stacked = executor_mod.evaluate_cells_stacked
 
-    def recording(model, evaluator, cell_groups, base_seed):
-        shapes.append((len(cell_groups), len(cell_groups[0])))
-        return stacked(model, evaluator, cell_groups, base_seed)
+    def recording(model, evaluator, cells, base_seed):
+        cell_lists.append(list(cells))
+        return stacked(model, evaluator, cells, base_seed)
 
-    monkeypatch.setattr(
-        executor_mod, "evaluate_cells_scenario_batched", recording
-    )
-    return shapes
+    monkeypatch.setattr(executor_mod, "evaluate_cells_stacked", recording)
+    return cell_lists
 
 
 class TestBudgetsAreInvisible:
@@ -89,17 +90,14 @@ class TestBudgetsAreInvisible:
 
 
 class TestPassShapes:
-    def test_pass_shape_fills_chips_then_scenarios(self):
+    def test_cells_per_pass_counts_whole_cells(self):
         footprint = Footprint(samples=3, instance_bytes=10)
-        chip = 30
-        assert footprint.pass_shape(4, 5, 0) is None
-        assert footprint.pass_shape(4, 5, chip - 1) is None
-        assert footprint.pass_shape(4, 5, chip) == (1, 1)
-        assert footprint.pass_shape(4, 5, 4 * chip + 29) == (1, 4)
-        assert footprint.pass_shape(4, 5, 5 * chip) == (1, 5)
-        assert footprint.pass_shape(4, 5, 11 * chip) == (2, 5)
-        assert footprint.pass_shape(4, 5, 100 * chip) == (4, 5)
-        assert footprint.pass_shape(4, 5, None) == (4, 5)
+        cell = 30
+        assert footprint.cells_per_pass(0) == 0
+        assert footprint.cells_per_pass(cell - 1) == 0
+        assert footprint.cells_per_pass(cell) == 1
+        assert footprint.cells_per_pass(4 * cell + 29) == 4
+        assert footprint.cells_per_pass(None) is None
 
     @pytest.mark.parametrize("chips", [1, 2.5, 4, 9.5])
     def test_chosen_passes_fit_the_budget(self, passes, chips):
@@ -113,8 +111,8 @@ class TestPassShapes:
             model, evaluator, n_runs=3, engine=EngineConfig(budget)
         ).sweep(specs)
         assert passes
-        for scenarios, chips_per_pass in passes:
-            instances = scenarios * chips_per_pass * footprint.samples
+        for cells in passes:
+            instances = len(cells) * footprint.samples
             assert instances * footprint.instance_bytes <= budget
 
     def test_default_budget_keeps_image_per_cell(self, passes):
@@ -138,7 +136,7 @@ class TestPassShapes:
         with profiled() as stages:
             run_cells(cells, 0, model=model, evaluator=evaluator)
         assert stages["engine.per-cell.sizing"] == 1
-        assert passes and max(chips for _, chips in passes) >= 2
+        assert passes and max(len(cells) for cells in passes) >= 2
         assert learned_footprint(model, evaluator).samples == mc_samples("small")
 
 
@@ -179,8 +177,8 @@ class TestFootprint:
         assert third["engine.per-cell.sizing"] == 1
 
     def test_sizing_keeps_same_kind_scenarios_stacked(self, passes):
-        """With no fault-free cell (a service unit), the sizing cell runs
-        again in its pass, so its scenario still stacks with the next."""
+        """With no fault-free cell (a service unit), the sizing cell's
+        run is final and the rest of both scenarios stack in one pass."""
         model, evaluator = _pair("co2", proposed())
         cells = [
             WorkCell(scenario, run, FaultSpec("bitflip", level))
@@ -190,7 +188,7 @@ class TestFootprint:
         with profiled() as stages:
             values = run_cells(cells, 0, model=model, evaluator=evaluator,
                                engine=EngineConfig(None))
-        assert passes == [(2, 3)]
+        assert passes == [cells[1:]]
         assert stages["engine.per-cell.sizing"] == 1
         np.testing.assert_array_equal(values, run_cells(
             cells, 0, model=model, evaluator=evaluator, engine=PER_CELL
@@ -206,7 +204,7 @@ class TestFootprint:
         with profiled() as stages:
             values = run_cells(cells, 0, model=model, evaluator=evaluator,
                                engine=EngineConfig(None))
-        assert passes == [(1, 3), (1, 3)]
+        assert passes == [cells[:3], cells[4:]]
         assert stages["engine.per-cell.fault-free"] == 1
         assert "engine.per-cell.sizing" not in stages
         np.testing.assert_array_equal(values, run_cells(
@@ -219,3 +217,52 @@ class TestFootprint:
         run_cells([WorkCell(0, run, spec) for run in range(2)], 0,
                   model=model, evaluator=evaluator)
         assert "forward" not in vars(model)
+
+
+def _cells_evaluated(evaluator, calls):
+    """``evaluator``, recording how many cells each of its calls scores."""
+
+    def counting(model):
+        calls.append(active_chip_count() or 1)
+        return evaluator(model)
+
+    return counting
+
+
+class TestFlatPasses:
+    def test_fresh_pair_evaluates_every_faulty_cell_once(self):
+        model, evaluator = _pair("co2", proposed())
+        calls = []
+        counting = _cells_evaluated(evaluator, calls)
+        cells = [
+            WorkCell(scenario, run, FaultSpec("bitflip", level))
+            for scenario, level in ((1, 0.1), (2, 0.2))
+            for run in range(3)
+        ]
+        values = run_cells(cells, 0, model=model, evaluator=counting,
+                           engine=EngineConfig(None))
+        assert sum(calls) == len(cells)
+        np.testing.assert_array_equal(values, run_cells(
+            cells, 0, model=model, evaluator=evaluator, engine=PER_CELL
+        ))
+
+    @pytest.mark.parametrize("task_name, kind", [
+        ("co2", "bitflip"),
+        ("image", "additive"),  # binary ResNet-18: activation-noise hooks
+    ])
+    def test_pass_across_unequal_scenarios_matches_per_cell(
+        self, passes, task_name, kind
+    ):
+        model, evaluator = _pair(task_name, proposed())
+        cells = [
+            WorkCell(scenario, run, FaultSpec(kind, level))
+            for scenario, level, runs in ((1, 0.1, 3), (2, 0.3, 2))
+            for run in range(runs)
+        ]
+        engine = chip_engine(model, evaluator, 2)
+        values = run_cells(cells, 0, model=model, evaluator=evaluator,
+                           engine=engine)
+        assert cells[2:4] in passes  # one pass holds both scenarios
+        np.testing.assert_array_equal(values, run_cells(
+            cells, 0, model=model, evaluator=evaluator, engine=PER_CELL
+        ))

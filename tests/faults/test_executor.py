@@ -130,15 +130,13 @@ class TestValidation:
             return evaluator(m)
 
         stacked_calls = []
-        stacked = executor_mod.evaluate_cells_scenario_batched
+        stacked = executor_mod.evaluate_cells_stacked
 
-        def recording(model, evaluator, cell_groups, base_seed):
-            stacked_calls.append(len(cell_groups[0]))
-            return stacked(model, evaluator, cell_groups, base_seed)
+        def recording(model, evaluator, cells, base_seed):
+            stacked_calls.append(len(cells))
+            return stacked(model, evaluator, cells, base_seed)
 
-        monkeypatch.setattr(
-            executor_mod, "evaluate_cells_scenario_batched", recording
-        )
+        monkeypatch.setattr(executor_mod, "evaluate_cells_stacked", recording)
         cells = [WorkCell(0, 0, FaultSpec("none", 0.0))] + [
             WorkCell(1, run, FaultSpec("bitflip", 0.1)) for run in range(3)
         ]

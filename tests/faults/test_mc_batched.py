@@ -28,6 +28,7 @@ from repro.faults import (
     additive_sweep,
     bitflip_sweep,
     evaluate_cell,
+    evaluate_cells_stacked,
     multiplicative_sweep,
     uniform_sweep,
 )
@@ -45,7 +46,7 @@ from repro.tensor.chipbatch import (
     spawn_sample_streams,
 )
 from repro.tensor.random import scoped_rng
-from tests.faults.stacking import ENGINES, chip_engine, evaluate_cells_batched
+from tests.faults.stacking import ENGINES, chip_engine
 
 
 def build_pair(seed=0, mc_samples=3):
@@ -241,7 +242,7 @@ class TestEvaluateCellsMcBatched:
         serial = np.array(
             [evaluate_cell(model, evaluator, cell, base_seed=5) for cell in cells]
         )
-        batched = evaluate_cells_batched(model, evaluator, cells, base_seed=5)
+        batched = evaluate_cells_stacked(model, evaluator, cells, base_seed=5)
         np.testing.assert_array_equal(serial, batched)
 
     def test_identical_with_cache_disabled(self):
@@ -249,9 +250,9 @@ class TestEvaluateCellsMcBatched:
         spec = FaultSpec(kind="bitflip", level=0.15)
         model, evaluator = build_pair()
         cells = [WorkCell(1, run, spec) for run in range(4)]
-        cached = evaluate_cells_batched(model, evaluator, cells, base_seed=3)
+        cached = evaluate_cells_stacked(model, evaluator, cells, base_seed=3)
         with deploy_cache_disabled():
-            recomputed = evaluate_cells_batched(
+            recomputed = evaluate_cells_stacked(
                 model, evaluator, cells, base_seed=3
             )
         np.testing.assert_array_equal(cached, recomputed)

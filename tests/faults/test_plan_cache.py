@@ -25,7 +25,7 @@ import pytest
 from repro import nn
 from repro.core.bayesian import enable_stochastic_inference
 from repro.eval.cache import ResultStore
-from repro.faults import FaultInjector, FaultSpec, ScenarioBatchedWeightFault
+from repro.faults import FaultInjector, FaultSpec, StackedWeightFault
 from repro.nn.dropout import set_mask_scope
 from repro.quant import QuantLinear, invalidate_quantization
 from repro.quant import layers as quant_layers
@@ -242,6 +242,13 @@ class TestParameterVersionInvalidation:
         np.testing.assert_array_equal(changed, interpreted(model, X, rng_seed=1))
 
 
+def stacked_hook(spec, seeds):
+    """A stacked weight-fault hook over one chip per seed."""
+    return StackedWeightFault(
+        [spec.build_weight_model(np.random.default_rng(s)) for s in seeds]
+    )
+
+
 class TestFaultHookInvalidation:
     def test_new_fault_token_forces_retrace(self, misses):
         """Each freshly attached hook re-quantizes (token keying)."""
@@ -263,7 +270,7 @@ class TestFaultHookInvalidation:
         model = build_model()
         spec = FaultSpec(kind="additive", level=0.3)
         for layer in (model[0], model[2]):
-            layer.weight_fault = ScenarioBatchedWeightFault([spec], [[11, 22]])
+            layer.weight_fault = stacked_hook(spec, [11, 22])
         stacked = np.broadcast_to(X[None], (2,) + X.shape).copy()
         with chip_batch(2):
             first = forward(model, stacked)
@@ -283,7 +290,7 @@ class TestFaultHookInvalidation:
         outputs = []
         for seeds in ([11, 22], [33, 44]):
             for layer in (model[0], model[2]):
-                layer.weight_fault = ScenarioBatchedWeightFault([spec], [seeds])
+                layer.weight_fault = stacked_hook(spec, seeds)
             with chip_batch(2):
                 outputs.append(forward(model, stacked))
             for layer in (model[0], model[2]):

@@ -28,7 +28,7 @@ from repro.faults import (
     additive_sweep,
     bitflip_sweep,
     evaluate_cell,
-    evaluate_cells_scenario_batched,
+    evaluate_cells_stacked,
     multiplicative_sweep,
     uniform_sweep,
 )
@@ -38,7 +38,7 @@ from repro.quant.layers import deploy_cache_disabled
 from repro.tensor import Tensor, manual_seed
 from repro.tensor.chipbatch import active_chip_count
 from repro.train import Adam, mse_loss
-from tests.faults.stacking import ENGINES, evaluate_cells_batched
+from tests.faults.stacking import ENGINES
 
 DATA_RNG_SEED = 7
 
@@ -142,23 +142,20 @@ class TestCellIdentity:
     def test_scenario_batched_bit_identical(self, kind):
         model, evaluator = build_pair()
         specs = SWEEPS_BY_KIND[kind]
-        cell_groups = [
-            [WorkCell(idx, run, spec) for run in range(3)]
+        cells = [
+            WorkCell(idx, run, spec)
             for idx, spec in enumerate(specs)
+            for run in range(3)
         ]
-        batched = evaluate_cells_scenario_batched(
-            model, evaluator, cell_groups, base_seed=5
-        )
-        serial = serial_values(
-            model, evaluator, [c for group in cell_groups for c in group], 5
-        )
-        np.testing.assert_array_equal(np.ravel(batched), serial)
+        batched = evaluate_cells_stacked(model, evaluator, cells, base_seed=5)
+        serial = serial_values(model, evaluator, cells, 5)
+        np.testing.assert_array_equal(batched, serial)
 
     def test_chip_batched_bit_identical(self):
         model, evaluator = build_pair()
         spec = FaultSpec(kind="additive", level=0.3)
         cells = [WorkCell(0, run, spec) for run in range(4)]
-        batched = evaluate_cells_batched(model, evaluator, cells, base_seed=2)
+        batched = evaluate_cells_stacked(model, evaluator, cells, base_seed=2)
         serial = serial_values(model, evaluator, cells, 2)
         np.testing.assert_array_equal(batched, serial)
 
@@ -167,10 +164,10 @@ class TestCellIdentity:
         model, evaluator = build_pair()
         spec = FaultSpec(kind="uniform", level=0.2)
         cells = [WorkCell(0, run, spec) for run in range(3)]
-        first = evaluate_cells_batched(model, evaluator, cells, 9)
-        second = evaluate_cells_batched(model, evaluator, cells, 9)
+        first = evaluate_cells_stacked(model, evaluator, cells, 9)
+        second = evaluate_cells_stacked(model, evaluator, cells, 9)
         with deploy_cache_disabled():
-            uncached = evaluate_cells_batched(model, evaluator, cells, 9)
+            uncached = evaluate_cells_stacked(model, evaluator, cells, 9)
         np.testing.assert_array_equal(first, second)
         np.testing.assert_array_equal(first, uncached)
 
@@ -237,18 +234,17 @@ class TestOptimizerIdentity:
     def test_scenario_batched_bit_identical(self, kind):
         model, evaluator = build_pair()
         specs = SWEEPS_BY_KIND[kind]
-        cell_groups = [
-            [WorkCell(idx, run, spec) for run in range(2)]
+        cells = [
+            WorkCell(idx, run, spec)
             for idx, spec in enumerate(specs)
+            for run in range(2)
         ]
-        evaluate_cells_scenario_batched(model, evaluator, cell_groups, 5)
+        evaluate_cells_stacked(model, evaluator, cells, 5)
         train_step(model)
-        stepped = evaluate_cells_scenario_batched(
-            model, evaluator, cell_groups, base_seed=5
-        )
+        stepped = evaluate_cells_stacked(model, evaluator, cells, base_seed=5)
         clone, clone_evaluator = fresh_copy(model)
-        fresh = evaluate_cells_scenario_batched(
-            clone, clone_evaluator, cell_groups, base_seed=5
+        fresh = evaluate_cells_stacked(
+            clone, clone_evaluator, cells, base_seed=5
         )
         np.testing.assert_array_equal(stepped, fresh)
 

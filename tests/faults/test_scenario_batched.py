@@ -1,17 +1,16 @@
-"""Tests for scenario-batched severity sweeps (the scenario sub-axis).
+"""Tests for stacked passes that span several severity levels.
 
-The campaign engine stacks severity levels of a sweep that share a
-fault kind along a scenario-major sub-axis above chips and MC samples,
-so one forward carries ``scenarios x chips x mc_samples`` instances.
-Its contract is the chip/MC-batched contract extended one axis up:
-per-(scenario, chip) metrics must be **bit-identical** to the per-cell
-oracle (the same per-cell ``SeedSequence`` streams,
-consumed in the serial draw order), and — because the draw order is
-unchanged — the campaign-result cache must keep serving entries written
-under the ``mc2`` RNG contract.  These tests pin that contract across all
-four task topologies, the Bayesian methods, and every fault kind, plus
-the scenario-axis primitives, heterogeneous-severity fault stacking,
-byte budgets that cap the scenarios and chips per pass, and the grouping
+The campaign engine stacks the cells of a sweep's same-kind severity
+levels into flat passes, so one forward carries ``cells x mc_samples``
+instances whose severities differ along the instance axis.  Its contract
+is the chip/MC-batched contract: per-cell metrics must be
+**bit-identical** to the per-cell oracle (the same per-cell
+``SeedSequence`` streams, consumed in the serial draw order), and —
+because the draw order is unchanged — the campaign-result cache must
+keep serving entries written under the ``mc2`` RNG contract.  These
+tests pin that contract across all four task topologies, the Bayesian
+methods, and every fault kind, plus heterogeneous-severity fault
+stacking, byte budgets that cap the cells per pass, and the grouping
 logic.
 """
 
@@ -27,12 +26,12 @@ from repro.faults import (
     FaultInjector,
     FaultSpec,
     MonteCarloCampaign,
-    ScenarioBatchedWeightFault,
+    StackedWeightFault,
     WorkCell,
     additive_sweep,
     bitflip_sweep,
     evaluate_cell,
-    evaluate_cells_scenario_batched,
+    evaluate_cells_stacked,
     multiplicative_sweep,
     uniform_sweep,
 )
@@ -41,15 +40,7 @@ from repro.models import proposed, spatial_spindrop, spindrop
 from repro.quant import QuantConv2d, QuantLinear, SignActivation
 from repro.quant.functional import fake_quantize_weight_record
 from repro.tensor import Tensor, manual_seed
-from repro.tensor.chipbatch import (
-    active_chip_count,
-    active_sample_count,
-    active_scenario_count,
-    chip_batch,
-    instance_layout,
-    mc_sample_axis,
-    scenario_axis,
-)
+from repro.tensor.chipbatch import active_chip_count, mc_sample_axis
 from tests.faults.stacking import ENGINES, chip_engine
 
 
@@ -92,50 +83,29 @@ SWEEPS_BY_KIND = {
 }
 
 
-class TestScenarioAxisPrimitives:
-    def test_scenario_axis_composes_above_chips_and_samples(self):
-        assert active_chip_count() is None and active_scenario_count() is None
-        with scenario_axis(4):
-            assert active_scenario_count() == 4
-            assert active_chip_count() == 4
-            with chip_batch(3):
-                assert active_chip_count() == 12
-                with mc_sample_axis(2):
-                    assert active_chip_count() == 24
-                    assert active_sample_count() == 2
-                    assert instance_layout() == (4, 3, 2)
-                assert active_chip_count() == 12
-            assert active_chip_count() == 4
-        assert active_chip_count() is None
-        assert instance_layout() == (None, None, None)
-
-    def test_scenario_axis_rejects_nonpositive(self):
-        with pytest.raises(ValueError, match=">= 1"):
-            with scenario_axis(0):
-                pass
-
-    def test_scenario_axis_restored_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with scenario_axis(2):
-                raise RuntimeError("boom")
-        assert active_scenario_count() is None
-
-
-class TestScenarioBatchedWeightFault:
+class TestStackedWeightFault:
     def _record(self, shape=(4, 5), bits=8, seed=0):
         weights = np.random.default_rng(seed).normal(size=shape)
         return fake_quantize_weight_record(weights, bits)
 
+    @staticmethod
+    def _hook(specs, seed_groups):
+        """One stacked hook over every (spec, seed) cell, spec-major."""
+        return StackedWeightFault([
+            spec.build_weight_model(np.random.default_rng(seed))
+            for spec, seeds in zip(specs, seed_groups)
+            for seed in seeds
+        ])
+
     def test_slices_match_per_scenario_generation(self):
-        """Each scenario's slice equals its own serial prototype's output."""
+        """Each scenario's slice equals its own serial model's output."""
         qw = self._record()
         specs = [
             FaultSpec(kind="additive", level=0.1),
             FaultSpec(kind="additive", level=0.4),
         ]
         seed_groups = [[11, 22, 33], [44, 55, 66]]
-        hook = ScenarioBatchedWeightFault(specs, seed_groups)
-        stacked = hook(qw)
+        stacked = self._hook(specs, seed_groups)(qw)
         assert stacked.shape == (6,) + qw.codes.shape
         for k, (spec, seeds) in enumerate(zip(specs, seed_groups)):
             for c, seed in enumerate(seeds):
@@ -148,8 +118,7 @@ class TestScenarioBatchedWeightFault:
             FaultSpec(kind="uniform", level=0.05),
             FaultSpec(kind="uniform", level=0.5),
         ]
-        hook = ScenarioBatchedWeightFault(specs, [[1], [1]])
-        stacked = hook(qw)
+        stacked = self._hook(specs, [[1], [1]])(qw)
         # Same seed, different severity: same pattern, different magnitude.
         low = np.abs(stacked[0] - qw.codes)
         high = np.abs(stacked[1] - qw.codes)
@@ -157,8 +126,7 @@ class TestScenarioBatchedWeightFault:
 
     def test_repeats_along_sample_axis(self):
         qw = self._record()
-        specs = [FaultSpec(kind="additive", level=0.2)]
-        hook = ScenarioBatchedWeightFault(specs, [[7, 8]])
+        hook = self._hook([FaultSpec(kind="additive", level=0.2)], [[7, 8]])
         flat = hook(qw)
         with mc_sample_axis(3):
             expanded = hook(qw)
@@ -171,31 +139,12 @@ class TestScenarioBatchedWeightFault:
             FaultSpec(kind="bitflip", level=0.1),
             FaultSpec(kind="bitflip", level=0.3),
         ]
-        hook = ScenarioBatchedWeightFault(specs, [[1, 2], [3, 4]])
-        stacked = hook(qw)
+        stacked = self._hook(specs, [[1, 2], [3, 4]])(qw)
         assert stacked.shape == (4,) + qw.codes.shape
         for k, spec in enumerate(specs):
             for c, seed in enumerate([[1, 2], [3, 4]][k]):
                 model = spec.build_weight_model(np.random.default_rng(seed))
                 np.testing.assert_array_equal(stacked[2 * k + c], model(qw))
-
-    def test_rejects_mixed_kinds(self):
-        specs = [
-            FaultSpec(kind="additive", level=0.1),
-            FaultSpec(kind="uniform", level=0.1),
-        ]
-        with pytest.raises(ValueError, match="one fault kind"):
-            ScenarioBatchedWeightFault(specs, [[1], [2]])
-
-    def test_rejects_degenerate_spec(self):
-        with pytest.raises(ValueError, match="no weight-fault model"):
-            ScenarioBatchedWeightFault([FaultSpec(kind="none", level=0.0)], [[1]])
-
-    def test_rejects_mismatched_groups(self):
-        with pytest.raises(ValueError, match="seed group"):
-            ScenarioBatchedWeightFault(
-                [FaultSpec(kind="additive", level=0.1)], [[1], [2]]
-            )
 
 
 class TestAttachScenarioBatched:
@@ -208,7 +157,7 @@ class TestAttachScenarioBatched:
         ]
         with pytest.raises(ValueError, match="one fault kind"):
             injector.attach_scenario_batched(
-                specs, [[np.random.default_rng(0)], [np.random.default_rng(1)]]
+                specs, [np.random.default_rng(0), np.random.default_rng(1)]
             )
 
     def test_rejects_degenerate_scenarios(self):
@@ -216,15 +165,15 @@ class TestAttachScenarioBatched:
         injector = FaultInjector(model)
         specs = [FaultSpec(kind="none", level=0.0)]
         with pytest.raises(ValueError, match="non-degenerate"):
-            injector.attach_scenario_batched(specs, [[np.random.default_rng(0)]])
+            injector.attach_scenario_batched(specs, [np.random.default_rng(0)])
 
     def test_rejects_mismatched_groups(self):
         model, _ = build_pair()
         injector = FaultInjector(model)
-        with pytest.raises(ValueError, match="rng group"):
+        with pytest.raises(ValueError, match="one rng per spec"):
             injector.attach_scenario_batched(
                 [FaultSpec(kind="bitflip", level=0.1)],
-                [[np.random.default_rng(0)], [np.random.default_rng(1)]],
+                [np.random.default_rng(0), np.random.default_rng(1)],
             )
 
 
@@ -233,20 +182,15 @@ class TestEvaluateCellsScenarioBatched:
     def test_bit_identical_to_serial(self, kind):
         model, evaluator = build_pair()
         specs = SWEEPS_BY_KIND[kind]
-        cell_groups = [
-            [WorkCell(idx, run, spec) for run in range(4)]
+        cells = [
+            WorkCell(idx, run, spec)
             for idx, spec in enumerate(specs)
+            for run in range(4)
         ]
         serial = np.array(
-            [
-                evaluate_cell(model, evaluator, cell, base_seed=5)
-                for group in cell_groups
-                for cell in group
-            ]
+            [evaluate_cell(model, evaluator, cell, base_seed=5) for cell in cells]
         )
-        stacked = evaluate_cells_scenario_batched(
-            model, evaluator, cell_groups, base_seed=5
-        )
+        stacked = evaluate_cells_stacked(model, evaluator, cells, base_seed=5)
         np.testing.assert_array_equal(serial, stacked)
 
     def test_matches_per_scenario_batched_passes(self):
@@ -258,37 +202,19 @@ class TestEvaluateCellsScenarioBatched:
         ]
         per_scenario = np.concatenate(
             [
-                evaluate_cells_scenario_batched(
-                    model, evaluator, [group], base_seed=2
-                )
+                evaluate_cells_stacked(model, evaluator, group, base_seed=2)
                 for group in cell_groups
             ]
         )
-        stacked = evaluate_cells_scenario_batched(
-            model, evaluator, cell_groups, base_seed=2
+        stacked = evaluate_cells_stacked(
+            model, evaluator, [c for group in cell_groups for c in group],
+            base_seed=2,
         )
         np.testing.assert_array_equal(per_scenario, stacked)
 
     def test_empty_groups(self):
         model, evaluator = build_pair()
-        assert evaluate_cells_scenario_batched(model, evaluator, [], 0).size == 0
-
-    def test_rejects_ragged_groups(self):
-        model, evaluator = build_pair()
-        spec = FaultSpec(kind="bitflip", level=0.1)
-        groups = [
-            [WorkCell(0, run, spec) for run in range(3)],
-            [WorkCell(1, run, spec) for run in range(2)],
-        ]
-        with pytest.raises(ValueError, match="same chip count"):
-            evaluate_cells_scenario_batched(model, evaluator, groups, 0)
-
-    def test_rejects_mixed_scenarios_within_group(self):
-        model, evaluator = build_pair()
-        spec = FaultSpec(kind="bitflip", level=0.1)
-        groups = [[WorkCell(0, 0, spec), WorkCell(1, 1, spec)]]
-        with pytest.raises(ValueError, match="single-scenario"):
-            evaluate_cells_scenario_batched(model, evaluator, groups, 0)
+        assert evaluate_cells_stacked(model, evaluator, [], 0).size == 0
 
 
 class TestKindGrouping:
@@ -318,27 +244,33 @@ class TestKindGrouping:
         groups = _kind_groups(cells)
         assert [len(g) for g in groups] == [2, 2]
 
-    def test_unequal_chip_counts_do_not_merge(self):
+    def test_unequal_chip_counts_merge(self):
         spec_a = FaultSpec(kind="bitflip", level=0.1)
         spec_b = FaultSpec(kind="bitflip", level=0.2)
         cells = [WorkCell(0, run, spec_a) for run in range(3)]
         cells += [WorkCell(1, run, spec_b) for run in range(2)]
-        groups = _kind_groups(cells)
-        assert [len(g) for g in groups] == [1, 1]
+        assert _kind_groups(cells) == [[(0, 3), (3, 5)]]
 
-    def test_single_cell_scenarios_stay_serial(self):
+    def test_single_cell_scenarios_merge(self):
         spec = FaultSpec(kind="bitflip", level=0.1)
         cells = [WorkCell(0, 0, spec), WorkCell(1, 0, spec)]
-        groups = _kind_groups(cells)
-        assert [len(g) for g in groups] == [1, 1]
+        assert _kind_groups(cells) == [[(0, 1), (1, 2)]]
+
+    def test_fault_free_levels_stay_alone(self):
+        cells = [
+            WorkCell(0, 0, FaultSpec(kind="bitflip", level=0.0)),
+            WorkCell(1, 0, FaultSpec(kind="none", level=0.0)),
+            WorkCell(2, 0, FaultSpec(kind="bitflip", level=0.1)),
+        ]
+        assert _kind_groups(cells) == [[(0, 1)], [(1, 2)], [(2, 3)]]
 
 
 class TestCampaignPlumbing:
     @pytest.mark.parametrize("scenario_limit", [1, 2, 3])
     @pytest.mark.parametrize("chip_limit", [None, 2])
     def test_limits_are_invisible(self, scenario_limit, chip_limit):
-        """Budgets of ``scenario_limit`` scenarios x ``chip_limit`` chips
-        (all 4 chips for ``None``) cut the passes; values never move."""
+        """Budgets of ``scenario_limit`` x ``chip_limit`` cells (4 chips
+        for ``None``) cut the passes; values never move."""
         model, evaluator = build_pair()
         specs = bitflip_sweep([0.0, 0.05, 0.1, 0.2])
         serial = MonteCarloCampaign(
@@ -350,7 +282,7 @@ class TestCampaignPlumbing:
             n_runs=4,
             base_seed=3,
             engine=chip_engine(
-                model, evaluator, chip_limit or 4, scenarios=scenario_limit
+                model, evaluator, scenario_limit * (chip_limit or 4)
             ),
         ).sweep(specs)
         for s, b in zip(serial, limited):

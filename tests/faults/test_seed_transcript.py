@@ -12,9 +12,9 @@ that
 * serial :meth:`FaultInjector.attach` consumes exactly the golden
   transcript (values *and* count — batching the draws into one
   ``integers(size=n)`` call must not shift the stream),
-* :meth:`attach_scenario_batched`, for one scenario (the engine's
-  single-scenario passes) and for several, consumes each chip's stream
-  identically to a serial attach of that cell, and
+* :meth:`attach_scenario_batched`, for the cells of one scenario and of
+  several, consumes each cell's stream identically to a serial attach of
+  that cell, and
 * :func:`~repro.faults.executor.evaluate_cell` hands the attach exactly
   the cell's fault stream, once.
 
@@ -162,7 +162,7 @@ class TestBatchedTranscripts:
                 TranscriptRng(cell_rngs(base_seed, 0, run)[0])
                 for run in range(3)
             ]
-            injector.attach_scenario_batched([spec], [transcripts])
+            injector.attach_scenario_batched([spec] * 3, transcripts)
             for run, (transcript, golden) in enumerate(
                 zip(transcripts, goldens)
             ):
@@ -193,7 +193,10 @@ class TestBatchedTranscripts:
                 ]
                 for scenario in range(len(specs))
             ]
-            injector.attach_scenario_batched(specs, transcript_groups)
+            injector.attach_scenario_batched(
+                [s for s, group in zip(specs, transcript_groups) for _ in group],
+                [t for group in transcript_groups for t in group],
+            )
             for scenario, (t_group, g_group) in enumerate(
                 zip(transcript_groups, golden_groups)
             ):
