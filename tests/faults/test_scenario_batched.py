@@ -147,6 +147,43 @@ class TestStackedWeightFault:
                 np.testing.assert_array_equal(stacked[2 * k + c], model(qw))
 
 
+class TestScenarioBatchedWeightFault:
+    """A rejected stacked attach leaves no weight-fault hook and draws no seed."""
+
+    @staticmethod
+    def _assert_rejected_cleanly(specs, rngs, match):
+        model, _ = build_pair()
+        injector = FaultInjector(model)
+        injector.attach(FaultSpec(kind="bitflip", level=0.1), np.random.default_rng(9))
+        assert any(layer.weight_fault is not None for layer in injector._weight_sites())
+        states = [rng.bit_generator.state for rng in rngs]
+        with pytest.raises(ValueError, match=match):
+            injector.attach_scenario_batched(specs, rngs)
+        assert all(layer.weight_fault is None for layer in injector._weight_sites())
+        assert [rng.bit_generator.state for rng in rngs] == states
+
+    def test_rejects_mixed_kinds(self):
+        specs = [
+            FaultSpec(kind="additive", level=0.1),
+            FaultSpec(kind="uniform", level=0.1),
+        ]
+        rngs = [np.random.default_rng(1), np.random.default_rng(2)]
+        self._assert_rejected_cleanly(specs, rngs, "one fault kind")
+
+    def test_rejects_degenerate_spec(self):
+        specs = [
+            FaultSpec(kind="bitflip", level=0.1),
+            FaultSpec(kind="bitflip", level=0.0),
+        ]
+        rngs = [np.random.default_rng(1), np.random.default_rng(2)]
+        self._assert_rejected_cleanly(specs, rngs, "non-degenerate")
+
+    def test_rejects_mismatched_groups(self):
+        specs = [FaultSpec(kind="additive", level=0.1)]
+        rngs = [np.random.default_rng(1), np.random.default_rng(2)]
+        self._assert_rejected_cleanly(specs, rngs, "one rng per spec")
+
+
 class TestAttachScenarioBatched:
     def test_rejects_mixed_kinds(self):
         model, _ = build_pair()
