@@ -7,26 +7,28 @@ fault campaign per fault level and collect mean ± std of the task metric.
 Execution architecture
 ----------------------
 :func:`run_robustness_sweep` is a thin driver over the campaign engine
-(:mod:`repro.faults.executor`):
+(:mod:`repro.faults.executor`); :func:`baseline_metrics` is a one-chip
+fault-free sweep, and the campaign service (:mod:`repro.serve`) shares
+each step:
 
-1. completed scenarios are served from the campaign-result cache
-   (:func:`repro.eval.cache.load_campaign_values`) and skipped;
-2. per method with uncached scenarios, the trained model is fetched;
-3. the remaining scenarios — with their *original* scenario indices, so
-   per-cell seeds are unaffected by what was cached — are flattened into
-   one (scenario × chip-run) grid and executed by the engine, which
-   stacks chips — and same-kind severity levels — into vectorized
-   forwards as far as its byte budget allows (``engine=``; the
-   evaluators built here are chip-aware);
-4. fresh results are written back to the cache.
+1. :func:`split_stored` serves completed scenarios from the result store;
+2. per method with pending scenarios, :func:`model_and_evaluator`
+   fetches the trained model and binds its chip-aware metric;
+3. the pending scenarios — with their *original* scenario indices, so
+   per-cell seeds are unaffected by what was cached — run as one
+   :class:`~repro.faults.campaign.MonteCarloCampaign` grid, stacked into
+   vectorized forwards as far as the engine's byte budget allows;
+4. fresh results are written back, and :func:`assemble_sweep` builds
+   the curves.
 
 Results are bit-identical for every engine budget and cache state.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from ..faults.executor import PER_CELL, EngineConfig, Evaluator
 from ..models import MethodConfig
 from ..nn.module import Module
 from ..profiling import stage
-from .cache import campaign_key, load_campaign_values, store_campaign_values, trained_model
+from .cache import ResultStore, campaign_key, result_store, trained_model
 from .evaluators import make_evaluator
 from .tasks import Task, build_task, mc_runs, mc_samples
 
@@ -90,14 +92,13 @@ class RobustnessSweep:
 class TaskEvalHandle:
     """Hashable recipe rebuilding a task's (model, evaluator) pair.
 
-    The campaign service keys its warm per-worker replicas on it and
-    builds each replica from it.  :meth:`build` re-derives the task
-    (datasets are a pure function of ``(task_name, preset, task_seed)``),
-    fetches the trained model from the shared cache and rebinds the
-    metric evaluator.  ``task_seed`` is the seed the *driver's* task was
-    built with (``Task.seed``), which may differ from the campaign
-    ``seed``; using the campaign seed here would evaluate a different
-    synthesized test set than the in-process path.
+    The campaign service keys its warm per-worker replicas on it.
+    :meth:`build` re-derives the task (datasets are a pure function of
+    ``(task_name, preset, task_seed)``) and hands it to
+    :func:`model_and_evaluator`.  ``task_seed`` is the seed the *driver's*
+    task was built with (``Task.seed``), which may differ from the
+    campaign ``seed``; using the campaign seed here would evaluate a
+    different synthesized test set than the in-process path.
     """
 
     task_name: str
@@ -110,20 +111,101 @@ class TaskEvalHandle:
 
     def build(self) -> Tuple[Module, Evaluator]:
         task = build_task(self.task_name, preset=self.preset, seed=self.task_seed)
-        model = trained_model(task, self.method, self.preset, seed=self.seed)
-        evaluator = make_evaluator(
-            task.name,
-            task.test_set,
-            self.method,
-            mc_samples=self.samples,
-            max_samples=self.max_eval_samples,
+        return model_and_evaluator(
+            task, self.method, self.preset, self.seed, self.samples,
+            self.max_eval_samples,
         )
-        return model, evaluator
+
+
+def model_and_evaluator(
+    task: Task, method: MethodConfig, preset: str, seed: int, samples: int,
+    max_eval_samples: Optional[int],
+) -> Tuple[Module, Evaluator]:
+    """The trained (cached) model of ``method`` on ``task`` and its
+    chip-aware campaign metric."""
+    model = trained_model(task, method, preset, seed=seed)
+    evaluator = make_evaluator(
+        task.name, task.test_set, method, mc_samples=samples,
+        max_samples=max_eval_samples,
+    )
+    return model, evaluator
 
 
 def campaign_eval_cap(preset: str) -> Optional[int]:
     """Evaluation-set cap for fault campaigns (None = whole test set)."""
     return {"tiny": None, "small": 100, "paper": None}[preset]
+
+
+def campaign_settings(
+    preset: str,
+    n_runs: Optional[int] = None,
+    samples: Optional[int] = None,
+    max_eval_samples: Optional[int] = -1,
+) -> Tuple[int, int, Optional[int]]:
+    """Resolve ``(n_runs, samples, max_eval_samples)`` for ``preset``.
+
+    ``None`` (``-1`` for the cap) takes the preset's default; fewer than
+    one chip run or sample raises ``ValueError``.
+    """
+    n_runs = mc_runs(preset) if n_runs is None else n_runs
+    samples = mc_samples(preset) if samples is None else samples
+    if max_eval_samples == -1:
+        max_eval_samples = campaign_eval_cap(preset)
+    for name, value in (("n_runs", n_runs), ("samples", samples)):
+        if not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return n_runs, samples, max_eval_samples
+
+
+def split_stored(
+    keys: Sequence[str], n_runs: int, store: Optional[ResultStore],
+    indices: Optional[Iterable[int]] = None,
+) -> Tuple[Dict[int, np.ndarray], List[int]]:
+    """``({i: stored values}, [pending i])`` over ``indices`` (default: all).
+
+    An entry serves only when it holds ``n_runs`` values; ``store=None``
+    reads nothing, so every scenario is pending.
+    """
+    indices = range(len(keys)) if indices is None else indices
+    served: Dict[int, np.ndarray] = {}
+    pending: List[int] = []
+    for idx in indices:
+        values = None
+        if store is not None:
+            with stage("store"):
+                values = store.get(keys[idx])
+        if values is not None and len(values) == n_runs:
+            served[idx] = values
+        else:
+            pending.append(idx)
+    return served, pending
+
+
+def assemble_sweep(
+    task_name: str, metric_name: str, higher_is_better: bool,
+    methods: Sequence[MethodConfig], specs: Sequence[FaultSpec],
+    values: Dict[str, Sequence[np.ndarray]],
+) -> RobustnessSweep:
+    """The sweep's curves from ``values[method.name][scenario]``, each
+    scenario's per-chip values (mean and std as in ``CampaignResult``)."""
+    sweep = RobustnessSweep(
+        task_name=task_name,
+        metric_name=metric_name,
+        higher_is_better=higher_is_better,
+        fault_kind=next((s.kind for s in specs if s.kind != "none"), "none"),
+    )
+    for method in methods:
+        results = [
+            CampaignResult(spec=spec, values=v)
+            for spec, v in zip(specs, values[method.name])
+        ]
+        sweep.curves[method.name] = MethodCurve(
+            method=method,
+            levels=np.array([s.level for s in specs]),
+            means=np.array([r.mean for r in results]),
+            stds=np.array([r.std for r in results]),
+        )
+    return sweep
 
 
 def run_robustness_sweep(
@@ -144,7 +226,7 @@ def run_robustness_sweep(
     """Train/fetch each method's model and sweep the fault levels.
 
     Returns mean ± std of the task metric per method per level — the data
-    behind one panel of Fig. 5 or Fig. 6.
+    behind one panel of Fig. 5 or Fig. 6 (settings: :func:`campaign_settings`).
 
     ``engine`` sizes the engine's stacked passes (every budget gives
     bit-identical values); ``executor="serial"`` is the older spelling of
@@ -159,74 +241,45 @@ def run_robustness_sweep(
                 f"executor={executor!r} is gone; pass engine=EngineConfig(...)"
             )
         engine = PER_CELL
-    n_runs = n_runs if n_runs is not None else mc_runs(preset)
-    samples = samples if samples is not None else mc_samples(preset)
-    if max_eval_samples == -1:
-        max_eval_samples = campaign_eval_cap(preset)
-    fault_kind = next((s.kind for s in specs if s.kind != "none"), "none")
-    sweep = RobustnessSweep(
-        task_name=task.name,
-        metric_name=task.metric_name,
-        higher_is_better=task.higher_is_better,
-        fault_kind=fault_kind,
+    n_runs, samples, max_eval_samples = campaign_settings(
+        preset, n_runs, samples, max_eval_samples
     )
+    store = result_store()
+    values: Dict[str, List[np.ndarray]] = {}
     for method in methods:
         keys = [
             campaign_key(task, method, spec, n_runs, samples, seed, max_eval_samples)
             for spec in specs
         ]
-        results: List[Optional[CampaignResult]] = [None] * len(specs)
-        pending: List[int] = []
-        for idx, (spec, key) in enumerate(zip(specs, keys)):
-            if use_cache:
-                with stage("store"):
-                    values = load_campaign_values(key)
-            else:
-                values = None
-            if values is not None and len(values) == n_runs:
-                results[idx] = CampaignResult(spec=spec, values=values)
-            else:
-                pending.append(idx)
+        served, pending = split_stored(keys, n_runs, store if use_cache else None)
         if pending:
             # Model and evaluator are only needed for uncached scenarios;
             # a fully cache-served method skips training/loading entirely.
-            model = trained_model(task, method, preset, seed=seed)
-            evaluator = make_evaluator(
-                task.name,
-                task.test_set,
-                method,
-                mc_samples=samples,
-                max_samples=max_eval_samples,
+            model, evaluator = model_and_evaluator(
+                task, method, preset, seed, samples, max_eval_samples
             )
             campaign = MonteCarloCampaign(
-                model,
-                evaluator,
-                n_runs=n_runs,
-                base_seed=seed,
-                engine=engine,
+                model, evaluator, n_runs=n_runs, base_seed=seed, engine=engine
             )
             fresh = campaign.sweep(
-                [specs[i] for i in pending],
-                scenario_indices=pending,
+                [specs[i] for i in pending], scenario_indices=pending,
                 on_cell_done=on_cell_done,
             )
             for idx, result in zip(pending, fresh):
-                results[idx] = result
+                served[idx] = result.values
                 with stage("store"):
-                    store_campaign_values(keys[idx], result.values)
+                    store.put(keys[idx], result.values)
+        values[method.name] = [served[i] for i in range(len(specs))]
         if progress is not None:
-            for spec, result in zip(specs, results):
+            for spec, v in zip(specs, values[method.name]):
                 progress(
                     f"[{task.name}/{method.name}] {spec.describe()}: "
-                    f"{result.mean:.4f} ± {result.std:.4f}"
+                    f"{v.mean():.4f} ± {v.std():.4f}"
                 )
-        sweep.curves[method.name] = MethodCurve(
-            method=method,
-            levels=np.array([s.level for s in specs]),
-            means=np.array([r.mean for r in results]),
-            stds=np.array([r.std for r in results]),
-        )
-    return sweep
+    return assemble_sweep(
+        task.name, task.metric_name, task.higher_is_better, methods, specs,
+        values,
+    )
 
 
 def baseline_metrics(
@@ -239,30 +292,13 @@ def baseline_metrics(
 ) -> Dict[str, float]:
     """Fault-free metric per method (one Table I row).
 
-    Expressed as a single-scenario fault-free campaign per method so it
-    shares the engine's hermetic per-cell seeding and the campaign-result
-    cache with the robustness sweeps.
+    A one-chip fault-free :func:`run_robustness_sweep` over the whole
+    test set, so it shares the engine's hermetic per-cell seeding and the
+    campaign-result cache with the robustness sweeps.
     """
-    samples = samples if samples is not None else mc_samples(preset)
-    clean = FaultSpec(kind="none", level=0.0)
-    row = {}
-    for method in methods:
-        key = campaign_key(task, method, clean, 1, samples, seed, None)
-        if use_cache:
-            with stage("store"):
-                values = load_campaign_values(key)
-        else:
-            values = None
-        if values is None:
-            model = trained_model(task, method, preset, seed=seed)
-            evaluator = make_evaluator(
-                task.name, task.test_set, method, mc_samples=samples
-            )
-            campaign = MonteCarloCampaign(
-                model, evaluator, n_runs=1, base_seed=seed
-            )
-            values = campaign.run(clean).values
-            with stage("store"):
-                store_campaign_values(key, values)
-        row[method.name] = float(values[0])
-    return row
+    sweep = run_robustness_sweep(
+        task, methods, [FaultSpec(kind="none", level=0.0)], preset=preset,
+        seed=seed, n_runs=1, samples=samples, max_eval_samples=None,
+        use_cache=use_cache,
+    )
+    return {name: curve.clean for name, curve in sweep.curves.items()}

@@ -254,6 +254,13 @@ class _DistinctLevels(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
+def _positive_int(text: str) -> int:
+    """``--runs`` type: a campaign needs at least one chip per scenario."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(parser: argparse.ArgumentParser, suppress: bool) -> None:
     """Global options, accepted before *or* after the subcommand.
 
@@ -293,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fault", default="bitflip", choices=tuple(_SWEEP_BUILDERS))
         p.add_argument("--levels", type=float, nargs="*", default=None,
                        action=_DistinctLevels)
-        p.add_argument("--runs", type=int, default=None)
+        p.add_argument("--runs", type=_positive_int, default=None)
         p.add_argument("--verbose", action="store_true")
         p.add_argument(
             "--profile", action="store_true",

@@ -248,35 +248,9 @@ class MonteCarloCampaign:
         self.base_seed = base_seed
         self.engine = engine
 
-    def _cells(self, spec: FaultSpec, scenario_index: int) -> List[WorkCell]:
-        """Flatten one scenario into work cells (fault-free → one cell)."""
-        n_effective = 1 if spec.is_fault_free else self.n_runs
-        return [WorkCell(scenario_index, run, spec) for run in range(n_effective)]
-
-    def _execute(
-        self,
-        cells: Sequence[WorkCell],
-        on_cell_done: Optional[Callable[[int, int], None]] = None,
-    ) -> np.ndarray:
-        return run_cells(
-            cells,
-            self.base_seed,
-            model=self.model,
-            evaluator=self.evaluator,
-            engine=self.engine,
-            on_cell_done=on_cell_done,
-        )
-
-    def _package(self, spec: FaultSpec, values: np.ndarray) -> CampaignResult:
-        """Broadcast a short-circuited scenario back to ``n_runs`` values."""
-        if len(values) < self.n_runs:
-            values = np.full(self.n_runs, values[0] if len(values) else np.nan)
-        return CampaignResult(spec=spec, values=values[: self.n_runs])
-
     def run(self, spec: FaultSpec, scenario_index: int = 0) -> CampaignResult:
         """Evaluate one fault scenario over ``n_runs`` chip instances."""
-        values = self._execute(self._cells(spec, scenario_index))
-        return self._package(spec, values)
+        return self.sweep([spec], scenario_indices=[scenario_index])[0]
 
     def sweep(
         self,
@@ -298,17 +272,39 @@ class MonteCarloCampaign:
         grid: List[WorkCell] = []
         slices: List[slice] = []
         for spec, idx in zip(specs, scenario_indices):
-            cells = self._cells(spec, idx)
+            cells = scenario_cells(spec, idx, self.n_runs)
             slices.append(slice(len(grid), len(grid) + len(cells)))
             grid.extend(cells)
-        values = self._execute(grid, on_cell_done=on_cell_done)
+        values = run_cells(
+            grid,
+            self.base_seed,
+            model=self.model,
+            evaluator=self.evaluator,
+            engine=self.engine,
+            on_cell_done=on_cell_done,
+        )
         results = []
         for spec, sl in zip(specs, slices):
-            result = self._package(spec, values[sl])
+            # A fault-free scenario's one value repeats to n_runs values.
+            result = CampaignResult(
+                spec=spec, values=np.resize(values[sl], self.n_runs)
+            )
             if progress is not None:
                 progress(f"{spec.describe()}: {result.mean:.4f} ± {result.std:.4f}")
             results.append(result)
         return results
+
+
+def scenario_cells(
+    spec: FaultSpec, scenario_index: int, n_runs: int
+) -> List[WorkCell]:
+    """One scenario's work cells: ``n_runs`` chips, or one if fault-free.
+
+    Every chip of a fault-free scenario is the ideal chip, so it is
+    evaluated once and its value stands for all ``n_runs``.
+    """
+    n_cells = 1 if spec.is_fault_free else n_runs
+    return [WorkCell(scenario_index, run, spec) for run in range(n_cells)]
 
 
 def bitflip_sweep(levels: Sequence[float]) -> List[FaultSpec]:

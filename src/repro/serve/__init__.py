@@ -5,8 +5,14 @@ their frozen deployment quantization caches — warm across requests,
 shards each sweep's ``(task, fault-kind)`` groups across N workers, and
 serves every already-computed cell from the content-addressed result
 store (:mod:`repro.eval.cache`) so overlapping robustness grids never
-recompute a cell.  Results are bit-identical to the serial engine in
-every configuration.
+recompute a cell.  A sweep takes the same scenario path as the
+in-process driver (:mod:`repro.eval.campaigns`): the same settings
+resolver and store lookup, the same cell grid and ``n_runs`` fill
+(:mod:`repro.faults.campaign`) and the same curve assembly, so results
+are bit-identical to the local path in every configuration.  A request
+with ``use_store=False`` (the CLI's ``--no-cache`` with ``--serve`` or
+``--connect``) bypasses the store: it neither reads nor writes it,
+where the local ``--no-cache`` skips the reads but still writes.
 
 Run a daemon with ``python -m repro.serve --workers 2`` and talk to it
 with :class:`~repro.serve.client.ServiceClient` or the CLI's
@@ -14,13 +20,8 @@ with :class:`~repro.serve.client.ServiceClient` or the CLI's
 one invocation.
 """
 
-from .chaos import ChaosSchedule, LegacyKill
-from .client import (
-    IncompleteSweepError,
-    ServiceClient,
-    ServiceUnavailable,
-    service_sweep,
-)
+from .chaos import ChaosSchedule
+from .client import IncompleteSweepError, ServiceClient, ServiceUnavailable
 from .daemon import CampaignService
 from .protocol import ChecksumError, ConnectionClosed, ProtocolError
 from .shard import ShardUnit, assign_units, revive_workers, shard_units
@@ -31,13 +32,11 @@ __all__ = [
     "ChecksumError",
     "ConnectionClosed",
     "IncompleteSweepError",
-    "LegacyKill",
     "ProtocolError",
     "ServiceClient",
     "ServiceUnavailable",
     "ShardUnit",
     "assign_units",
     "revive_workers",
-    "service_sweep",
     "shard_units",
 ]

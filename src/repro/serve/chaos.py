@@ -27,9 +27,10 @@ is guaranteed to drain.  That is what lets the chaos tests assert both
 "recovery happened" (counters non-zero) and "the result is bit-identical
 to the cold serial reference" under every schedule.
 
-The pre-PR9 one-shot hook (``chaos={"worker": w, "after_units": k,
-"round": r}``) is kept as :class:`LegacyKill`; :func:`as_schedule`
-normalizes either form coming off the wire.
+A sweep request carries either no chaos or one :class:`ChaosSchedule`;
+the daemon answers any other ``chaos`` value with an error frame.  To
+kill one chosen worker, pick the seed of a ``kill`` schedule by a search
+over :meth:`ChaosSchedule.worker_event`, which is a pure function.
 """
 
 from __future__ import annotations
@@ -139,58 +140,3 @@ class ChaosSchedule:
             if self.fires(kind, attempt, "frame", method, scenario):
                 return kind
         return None
-
-
-@dataclass(frozen=True)
-class LegacyKill:
-    """The pre-PR9 one-shot chaos hook: kill one worker at one point.
-
-    Mirrors the historical ``chaos={"worker", "after_units", "round"}``
-    request dict — worker ``worker`` dies in round ``round`` once it has
-    completed ``after_units`` units.  Deterministic by construction (no
-    seed involved) and frame-silent.
-    """
-
-    worker: int
-    after_units: int = 0
-    round: int = 0
-
-    def worker_event(
-        self, worker: int, round_no: int, units_done: int
-    ) -> Optional[str]:
-        """``kill`` at exactly the configured (worker, round, unit) point."""
-        if (
-            worker == self.worker
-            and round_no == self.round
-            and units_done >= self.after_units
-        ):
-            return "kill"
-        return None
-
-    def frame_event(
-        self, attempt: int, method: str, scenario: int
-    ) -> Optional[str]:
-        """Legacy hook never touches frames."""
-        return None
-
-    @property
-    def delay(self) -> float:
-        return 0.0
-
-
-def as_schedule(chaos) -> Optional[object]:
-    """Normalize a request's ``chaos`` field to a schedule (or None).
-
-    Accepts ``None``, a :class:`ChaosSchedule`/:class:`LegacyKill`, or
-    the legacy ``{"worker", "after_units", "round"}`` dict that older
-    clients (and existing tests) send.
-    """
-    if chaos is None:
-        return None
-    if isinstance(chaos, dict):
-        return LegacyKill(
-            worker=chaos["worker"],
-            after_units=chaos.get("after_units", 0),
-            round=chaos.get("round", 0),
-        )
-    return chaos

@@ -3,9 +3,9 @@
 :class:`ServiceClient` speaks the length-prefixed protocol to a running
 :class:`~repro.serve.daemon.CampaignService` and reassembles streamed
 partial frames into the same :class:`~repro.eval.campaigns.RobustnessSweep`
-the in-process driver returns — means and stds are computed exactly as
-:class:`~repro.faults.campaign.CampaignResult` computes them, so a
-service-served sweep is bit-identical to a serial one.  Transport time
+the in-process driver returns — both assemble it with
+:func:`~repro.eval.campaigns.assemble_sweep`, so a service-served sweep
+is bit-identical to a serial one.  Transport time
 is accounted under the ``transport`` profile stage, never attributed to
 ``trace``/``replay``/``attach``.
 
@@ -46,7 +46,7 @@ import numpy as np
 
 from ..faults import FaultSpec
 from ..models import MethodConfig
-from ..eval.campaigns import MethodCurve, RobustnessSweep
+from ..eval.campaigns import RobustnessSweep, assemble_sweep
 from .protocol import recv_message, send_message
 
 Address = Union[str, Tuple[str, int]]
@@ -250,9 +250,9 @@ class ServiceClient:
         throughput rows, round assignments).  ``on_partial`` observes
         every streamed frame as it arrives — each carries one scenario's
         full value array and its source (``"store"`` or ``"computed"``).
-        ``chaos`` injects deterministic faults: a
-        :class:`~repro.serve.chaos.ChaosSchedule`, or the legacy
-        one-shot ``{"worker": i, "after_units": k}`` kill dict.
+        ``chaos`` injects deterministic faults from a
+        :class:`~repro.serve.chaos.ChaosSchedule`; the daemon answers
+        anything else but ``None`` with an error frame.
 
         The whole sweep is one idempotent request: retried attempts
         re-send the same ``request_id`` with an incremented ``attempt``,
@@ -313,14 +313,7 @@ class ServiceClient:
         stats: dict,
         values_by_method: Dict[str, Dict[int, np.ndarray]],
     ) -> RobustnessSweep:
-        meta = stats["task"]
-        fault_kind = next((s.kind for s in specs if s.kind != "none"), "none")
-        sweep = RobustnessSweep(
-            task_name=meta["name"],
-            metric_name=meta["metric_name"],
-            higher_is_better=meta["higher_is_better"],
-            fault_kind=fault_kind,
-        )
+        values: Dict[str, List[np.ndarray]] = {}
         for method in methods:
             per_scenario = values_by_method.get(method.name, {})
             missing = [i for i in range(len(specs)) if i not in per_scenario]
@@ -332,18 +325,12 @@ class ServiceClient:
                     f"service reply for {method.name!r} is missing "
                     f"scenarios {missing}"
                 )
-            ordered: List[np.ndarray] = [
-                per_scenario[i] for i in range(len(specs))
-            ]
-            sweep.curves[method.name] = MethodCurve(
-                method=method,
-                levels=np.array([s.level for s in specs]),
-                # float(values.mean()) / float(values.std()) is exactly
-                # CampaignResult.mean / .std — bit-identity depends on it.
-                means=np.array([float(v.mean()) for v in ordered]),
-                stds=np.array([float(v.std()) for v in ordered]),
-            )
-        return sweep
+            values[method.name] = [per_scenario[i] for i in range(len(specs))]
+        meta = stats["task"]
+        return assemble_sweep(
+            meta["name"], meta["metric_name"], meta["higher_is_better"],
+            methods, specs, values,
+        )
 
 
 def _parse_address(address: Address) -> Tuple[str, int]:
@@ -353,20 +340,3 @@ def _parse_address(address: Address) -> Tuple[str, int]:
     if not host or not port.isdigit():
         raise ValueError(f"expected HOST:PORT, got {address!r}")
     return host, int(port)
-
-
-def service_sweep(
-    address: Address,
-    task_name: str,
-    methods: Sequence[MethodConfig],
-    specs: Sequence[FaultSpec],
-    client_options: Optional[dict] = None,
-    **kwargs,
-) -> Tuple[RobustnessSweep, dict]:
-    """One-shot sweep against a running daemon (connect, sweep, close).
-
-    ``client_options`` are passed to :class:`ServiceClient` (deadlines,
-    retries, backoff).
-    """
-    with ServiceClient(address, **(client_options or {})) as client:
-        return client.sweep(task_name, methods, specs, **kwargs)

@@ -19,8 +19,9 @@ A sweep request is served in rounds:
    (original scenario indices, so values are bit-identical to a cold
    serial run), partitioned into kind-group :class:`ShardUnit`\\ s, and
    placed on workers by the deterministic LPT scheduler;
-3. each worker runs its units on the byte-budgeted campaign engine
-   (default :class:`~repro.faults.executor.EngineConfig`; a unit re-issued
+3. each worker runs its units' scenarios as one
+   :class:`~repro.faults.campaign.MonteCarloCampaign` sweep on the
+   default engine (a unit re-issued
    after a worker death first re-checks the store per scenario, so it
    never recomputes what a previous round already landed), lands
    fresh values in the store, and streams one partial frame per
@@ -61,17 +62,16 @@ import threading
 import time
 from collections import OrderedDict
 from queue import Empty, SimpleQueue
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
-from ..faults import FaultSpec
-from ..faults.executor import WorkCell, run_cells
+from ..faults import FaultSpec, MonteCarloCampaign
+from ..faults.campaign import scenario_cells
 from ..models import MethodConfig
 from ..eval.cache import ResultStore, campaign_key, result_store
-from ..eval.campaigns import TaskEvalHandle, campaign_eval_cap
-from ..eval.tasks import Task, build_task, mc_runs, mc_samples
-from .chaos import as_schedule
+from ..eval.campaigns import TaskEvalHandle, campaign_settings, split_stored
+from ..eval.campaigns import model_and_evaluator
+from ..eval.tasks import Task, build_task
+from .chaos import ChaosSchedule
 from .protocol import ConnectionClosed, recv_message, send_message
 from .shard import ShardUnit, assign_units, revive_workers, shard_units
 
@@ -120,14 +120,6 @@ def _check_loopback(host: str) -> None:
                 "every frame, so it listens on loopback addresses only "
                 "(e.g. 127.0.0.1)"
             )
-
-
-def _broadcast(values: np.ndarray, n_runs: int) -> np.ndarray:
-    """Mirror the campaign's fault-free short-circuit re-broadcast."""
-    values = np.asarray(values, dtype=np.float64)
-    if len(values) < n_runs:
-        values = np.full(n_runs, values[0] if len(values) else np.nan)
-    return values[:n_runs]
 
 
 class CampaignService:
@@ -416,20 +408,19 @@ class CampaignService:
 
     # -- sweep execution -----------------------------------------------
     def _handle_sweep(self, conn: socket.socket, request: dict) -> dict:
-        task: Task = build_task(
-            request["task"], preset=request["preset"], seed=request["seed"]
-        )
         preset = request["preset"]
         seed = request["seed"]
-        n_runs = request.get("n_runs") or mc_runs(preset)
-        samples = request.get("samples") or mc_samples(preset)
-        max_eval_samples = request.get("max_eval_samples", -1)
-        if max_eval_samples == -1:
-            max_eval_samples = campaign_eval_cap(preset)
+        settings = campaign_settings(
+            preset, request.get("n_runs"), request.get("samples"),
+            request.get("max_eval_samples", -1),
+        )
+        chaos = request.get("chaos")
+        if not isinstance(chaos, (ChaosSchedule, type(None))):
+            raise ValueError(f"chaos must be a ChaosSchedule, got {chaos!r}")
+        task: Task = build_task(request["task"], preset=preset, seed=seed)
         methods: Sequence[MethodConfig] = request["methods"]
         specs: Sequence[FaultSpec] = request["specs"]
         use_store = bool(request.get("use_store", True))
-        chaos = as_schedule(request.get("chaos"))
         request_id = request.get("request_id")
         attempt = int(request.get("attempt") or 0)
         prior_attempts = self._register_attempt(request_id)
@@ -460,9 +451,9 @@ class CampaignService:
                 if self._stopped.is_set():
                     raise RuntimeError("service stopping")
                 self._sweep_method(
-                    conn, task, method, specs, preset, seed, n_runs, samples,
-                    max_eval_samples, use_store, chaos, attempt, alive,
-                    health, stats, per_worker,
+                    conn, task, method, specs, preset, seed, settings,
+                    use_store, chaos, attempt, alive, health, stats,
+                    per_worker,
                 )
         finally:
             self._save_counters(request_id, stats, carried)
@@ -528,10 +519,10 @@ class CampaignService:
         send_message(conn, frame, corrupt=corrupt)
 
     def _sweep_method(
-        self, conn, task, method, specs, preset, seed, n_runs, samples,
-        max_eval_samples, use_store, chaos, attempt, alive, health, stats,
-        per_worker,
+        self, conn, task, method, specs, preset, seed, settings, use_store,
+        chaos, attempt, alive, health, stats, per_worker,
     ) -> None:
+        n_runs, samples, max_eval_samples = settings
         keys = [
             campaign_key(task, method, spec, n_runs, samples, seed,
                          max_eval_samples)
@@ -539,31 +530,25 @@ class CampaignService:
         ]
         # Store pre-check: completed scenarios stream back without touching
         # a worker.
-        pending: List[int] = []
-        for idx, key in enumerate(keys):
-            values = None
-            if use_store:
-                t0 = time.perf_counter()
-                values = self.store.get(key)
-                stats["store_seconds"] += time.perf_counter() - t0
-            if values is not None and len(values) == n_runs:
-                n_eff = 1 if specs[idx].is_fault_free else n_runs
-                stats["served_cells"] += n_eff
-                self._send_frame(conn, {
-                    "kind": "partial", "method": method.name,
-                    "scenario": idx, "values": values, "source": "store",
-                }, chaos, attempt, stats)
-            else:
-                pending.append(idx)
+        t0 = time.perf_counter()
+        served, pending = split_stored(
+            keys, n_runs, self.store if use_store else None
+        )
+        stats["store_seconds"] += time.perf_counter() - t0
+        for idx, values in served.items():
+            stats["served_cells"] += len(scenario_cells(specs[idx], idx, n_runs))
+            self._send_frame(conn, {
+                "kind": "partial", "method": method.name,
+                "scenario": idx, "values": values, "source": "store",
+            }, chaos, attempt, stats)
         if not pending:
             return
 
         # Hermetic grid over the pending scenarios, original indices intact.
-        grid: List[WorkCell] = []
-        for idx in pending:
-            spec = specs[idx]
-            n_eff = 1 if spec.is_fault_free else n_runs
-            grid.extend(WorkCell(idx, run, spec) for run in range(n_eff))
+        grid = [
+            cell for idx in pending
+            for cell in scenario_cells(specs[idx], idx, n_runs)
+        ]
         pending_units = shard_units(grid)
 
         handle = TaskEvalHandle(
@@ -571,8 +556,8 @@ class CampaignService:
             task.seed,
         )
         ctx = {
-            "grid": grid, "keys": keys, "seed": seed, "n_runs": n_runs,
-            "use_store": use_store, "method": method.name,
+            "grid": grid, "keys": keys, "specs": specs, "seed": seed,
+            "n_runs": n_runs, "use_store": use_store, "method": method.name,
         }
 
         round_no = 0
@@ -596,7 +581,7 @@ class CampaignService:
                 # the process-global RNG) and kept warm across requests; a
                 # respawned worker's pair was dropped on death, so this is
                 # where its replica re-warms.
-                self._ensure_pair(wid, handle)
+                self._ensure_pair(wid, handle, task)
             completed = self._run_round(
                 conn, assignment, active, handle, ctx, chaos, attempt,
                 round_no, alive, health, stats, per_worker,
@@ -748,13 +733,16 @@ class CampaignService:
                     + (f": {event['error']}" if event.get("error") else "")
                 )
 
-    def _ensure_pair(self, wid: int, handle: TaskEvalHandle) -> None:
+    def _ensure_pair(self, wid: int, handle: TaskEvalHandle, task: Task) -> None:
         key = (wid, handle)
         if key in self._pairs:
             return
-        model, evaluator = handle.build()
-        # handle.build() returns the shared memory-cached model; fault
-        # hooks are per-model state, so every worker gets a private copy.
+        model, evaluator = model_and_evaluator(
+            task, handle.method, handle.preset, handle.seed, handle.samples,
+            handle.max_eval_samples,
+        )
+        # The trained model is the shared memory-cached one; fault hooks
+        # are per-model state, so every worker gets a private copy.
         self._pairs[key] = (_replicate(model), evaluator)
         self._log(f"built replica for worker {wid} / {handle.method.name}")
 
@@ -799,8 +787,12 @@ class CampaignService:
     ) -> dict:
         grid = ctx["grid"]
         keys = ctx["keys"]
-        n_runs = ctx["n_runs"]
+        use_store = ctx["use_store"]
         model, evaluator = self._pairs[(wid, handle)]
+        n_cells = {
+            grid[start].scenario_index: stop - start
+            for start, stop in unit.ranges
+        }
         event = {
             "kind": "unit", "worker": wid, "unit": unit.index,
             "payloads": [], "sources": {}, "computed": 0, "served": 0,
@@ -811,42 +803,34 @@ class CampaignService:
         # landed instead of recomputing it.  In round 0 every scenario
         # just missed the sweep's pre-check, and sweeps are serialized by
         # ``_sweep_lock``, so a second lookup could only miss again.
-        pending_ranges: List[Tuple[int, int]] = []
-        for start, stop in unit.ranges:
-            scenario_idx = grid[start].scenario_index
-            if recheck and ctx["use_store"]:
+        t0 = time.perf_counter()
+        served, pending = split_stored(
+            keys, ctx["n_runs"], self.store if recheck and use_store else None,
+            indices=list(n_cells),
+        )
+        event["store_seconds"] += time.perf_counter() - t0
+        for scenario_idx, values in served.items():
+            event["served"] += n_cells[scenario_idx]
+            event["payloads"].append((scenario_idx, values))
+            event["sources"][scenario_idx] = "store"
+        if not pending:
+            return event
+        campaign = MonteCarloCampaign(
+            model, evaluator, n_runs=ctx["n_runs"], base_seed=ctx["seed"]
+        )
+        t0 = time.perf_counter()
+        results = campaign.sweep(
+            [ctx["specs"][i] for i in pending], scenario_indices=pending
+        )
+        event["compute_seconds"] += time.perf_counter() - t0
+        for scenario_idx, result in zip(pending, results):
+            event["computed"] += n_cells[scenario_idx]
+            if use_store:
                 t0 = time.perf_counter()
-                values = self.store.get(keys[scenario_idx])
+                newly = self.store.put(keys[scenario_idx], result.values)
                 event["store_seconds"] += time.perf_counter() - t0
-                if values is not None and len(values) == n_runs:
-                    event["served"] += stop - start
-                    event["payloads"].append((scenario_idx, values))
-                    event["sources"][scenario_idx] = "store"
-                    continue
-            pending_ranges.append((start, stop))
-        if pending_ranges:
-            cells = [
-                grid[i] for start, stop in pending_ranges
-                for i in range(start, stop)
-            ]
-            t0 = time.perf_counter()
-            values = run_cells(
-                cells, ctx["seed"], model=model, evaluator=evaluator
-            )
-            event["compute_seconds"] += time.perf_counter() - t0
-            offset = 0
-            for start, stop in pending_ranges:
-                n_cells = stop - start
-                scenario_idx = grid[start].scenario_index
-                full = _broadcast(values[offset:offset + n_cells], n_runs)
-                offset += n_cells
-                event["computed"] += n_cells
-                if ctx["use_store"]:
-                    t0 = time.perf_counter()
-                    newly = self.store.put(keys[scenario_idx], full)
-                    event["store_seconds"] += time.perf_counter() - t0
-                    if not newly:
-                        event["redundant"] += n_cells
-                event["payloads"].append((scenario_idx, full))
-                event["sources"][scenario_idx] = "computed"
+                if not newly:
+                    event["redundant"] += n_cells[scenario_idx]
+            event["payloads"].append((scenario_idx, result.values))
+            event["sources"][scenario_idx] = "computed"
         return event

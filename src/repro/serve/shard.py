@@ -43,14 +43,6 @@ class ShardUnit:
     ranges: Tuple[Tuple[int, int], ...]
     n_cells: int
 
-    @property
-    def start(self) -> int:
-        return self.ranges[0][0]
-
-    @property
-    def stop(self) -> int:
-        return self.ranges[-1][1]
-
 
 def shard_units(cells: Sequence[WorkCell]) -> List[ShardUnit]:
     """Partition a cell grid into schedulable kind-group units."""

@@ -5,6 +5,7 @@ import pytest
 
 from repro.eval import (
     TaskEvalHandle,
+    baseline_metrics,
     build_task,
     campaign_key,
     clear_memory_cache,
@@ -133,6 +134,34 @@ class TestSweepCaching:
         np.testing.assert_array_equal(
             first.curves["proposed"].means, forced.curves["proposed"].means
         )
+
+    @pytest.mark.parametrize("field", ["n_runs", "samples"])
+    def test_empty_campaign_is_rejected(self, isolated_cache, field):
+        with pytest.raises(ValueError, match=f"{field} must be a positive"):
+            run_robustness_sweep(
+                build_task("audio", preset="tiny"), [proposed()],
+                bitflip_sweep([0.0, 0.2]), preset="tiny", **{field: 0},
+            )
+        assert len(result_store()) == 0
+
+    def test_baseline_metrics_is_the_one_chip_fault_free_sweep(
+        self, isolated_cache
+    ):
+        task = build_task("audio", preset="tiny")
+        methods = [proposed()]
+        sweep = run_robustness_sweep(
+            task, methods, [FaultSpec(kind="none", level=0.0)],
+            preset="tiny", n_runs=1, max_eval_samples=None, use_cache=False,
+        )
+        row = baseline_metrics(task, methods, preset="tiny", use_cache=False)
+        assert row == {"proposed": sweep.curves["proposed"].clean}
+        before = result_store().snapshot()
+        assert baseline_metrics(task, methods, preset="tiny") == row
+        after = result_store().snapshot()
+        # Served from the entry the sweep wrote: one hit, nothing else.
+        assert after["hits"] - before["hits"] == 1
+        assert after["misses"] == before["misses"]
+        assert after["puts"] == before["puts"]
 
     def test_changing_n_runs_invalidates(self, isolated_cache):
         first_cells, second_cells = [], []

@@ -39,6 +39,15 @@ class TestParser:
         assert exc.value.code == 2
         assert "--levels must be distinct" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("runs", ["0", "-3", "two"])
+    def test_runs_must_be_a_positive_integer(self, runs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["campaign", "--task", "co2", "--runs", runs]
+            )
+        assert exc.value.code == 2
+        assert "--runs: expected a positive integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", [
         "--workers=2", "--mc-batched", "--no-mc-batched",
         "--scenario-batched", "--no-scenario-batched",
@@ -216,6 +225,27 @@ class TestServiceFlags:
         out = capsys.readouterr().out
         assert "falling back to the in-process engine" in out
         assert "audio / bitflip" in out  # the sweep still ran
+
+    def test_serve_prints_the_local_tables(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        from repro.eval import clear_memory_cache
+
+        clear_memory_cache()
+        argv = ["fig6", "--task", "co2", "--preset", "tiny",
+                "--levels", "0", "0.05", "0.1", "--no-cache"]
+        main(argv)
+        local = capsys.readouterr().out
+        main(argv + ["--serve", "2"])
+        served = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("service:") for line in served)
+        tables = [
+            line for line in served
+            if not line.startswith("service:")
+            and not line.lstrip().startswith("worker ")
+        ]
+        assert tables == local.splitlines()
 
     def test_unreachable_service_without_fallback_raises(self, monkeypatch):
         import socket

@@ -19,8 +19,8 @@ from repro.eval import build_task, clear_memory_cache, run_robustness_sweep
 from repro.eval.cache import ResultStore
 from repro.faults import bitflip_sweep
 from repro.models import proposed
-from repro.serve import CampaignService, ChaosSchedule, LegacyKill, ServiceClient
-from repro.serve.chaos import EVENT_KINDS, as_schedule, event_index
+from repro.serve import CampaignService, ChaosSchedule, ServiceClient
+from repro.serve.chaos import EVENT_KINDS, event_index
 
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "1234"))
 
@@ -112,20 +112,6 @@ class TestScheduleDeterminism:
     def test_event_index_is_stable_and_order_sensitive(self):
         assert event_index(1, "worker", 2) == event_index(1, "worker", 2)
         assert event_index(1, 2) != event_index(2, 1)
-
-    def test_legacy_dict_normalizes_to_one_shot_kill(self):
-        legacy = as_schedule({"worker": 1, "after_units": 2})
-        assert isinstance(legacy, LegacyKill)
-        assert legacy.worker_event(1, 0, 2) == "kill"
-        assert legacy.worker_event(1, 0, 1) is None  # not enough units yet
-        assert legacy.worker_event(0, 0, 2) is None  # wrong worker
-        assert legacy.worker_event(1, 1, 2) is None  # wrong round
-        assert legacy.frame_event(0, "proposed", 0) is None
-
-    def test_as_schedule_passes_schedules_through(self):
-        schedule = ChaosSchedule(seed=1, kinds=("hang",))
-        assert as_schedule(schedule) is schedule
-        assert as_schedule(None) is None
 
     def test_schedule_survives_the_wire(self):
         import pickle

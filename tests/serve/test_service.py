@@ -17,7 +17,12 @@ from repro.eval import build_task, clear_memory_cache, run_robustness_sweep
 from repro.eval.cache import ResultStore
 from repro.faults import additive_sweep, bitflip_sweep, multiplicative_sweep
 from repro.models import all_methods, proposed
-from repro.serve import CampaignService, ServiceClient, ServiceUnavailable
+from repro.serve import (
+    CampaignService,
+    ChaosSchedule,
+    ServiceClient,
+    ServiceUnavailable,
+)
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +34,26 @@ def shared_cache(tmp_path_factory):
     yield path
     mp.undo()
     clear_memory_cache()
+
+
+def _kill_worker_zero() -> ChaosSchedule:
+    """The first ``kill`` schedule that kills worker 0 before its first
+    unit of round 0 and spares worker 1 there (a pure search: seed 2).
+
+    In these sweeps worker 1 holds one unit, so ``(1, 0, 0)`` is the only
+    point where it consults the schedule; rounds past the first are
+    quiet (``max_trials=1``).
+    """
+    seed = 0
+    while True:
+        chaos = ChaosSchedule(seed=seed, kinds=("kill",), p=0.5)
+        if (chaos.worker_event(0, 0, 0) == "kill"
+                and chaos.worker_event(1, 0, 0) is None):
+            return chaos
+        seed += 1
+
+
+KILL_WORKER_0 = _kill_worker_zero()
 
 
 def _service_pair(tmp_path, workers=2, **kwargs):
@@ -170,7 +195,7 @@ class TestWorkerDeath:
     ):
         methods = [proposed()]
         specs = bitflip_sweep([0.0, 0.1, 0.2, 0.4])
-        chaos = {"worker": 0, "after_units": 0}
+        chaos = KILL_WORKER_0
         runs = []
         for attempt in range(2):
             service, _ = _service_pair(
@@ -197,7 +222,7 @@ class TestWorkerDeath:
         with service, ServiceClient(service.address) as client:
             with_death, stats = client.sweep(
                 "audio", methods, specs, preset="tiny", seed=0, n_runs=3,
-                use_store=False, chaos={"worker": 0, "after_units": 0},
+                use_store=False, chaos=KILL_WORKER_0,
             )
         assert stats["worker_deaths"] == 1
         service, _ = _service_pair(tmp_path / "clean", workers=2)
@@ -217,7 +242,7 @@ class TestWorkerDeath:
                 client.sweep(
                     "audio", [proposed()], bitflip_sweep([0.0, 0.1]),
                     preset="tiny", seed=0, n_runs=3,
-                    use_store=False, chaos={"worker": 0, "after_units": 0},
+                    use_store=False, chaos=KILL_WORKER_0,
                 )
 
     def test_retry_after_partial_store_is_not_redundant(
@@ -266,6 +291,28 @@ class TestServiceMisc:
                              bitflip_sweep([0.0, 0.1]), preset="tiny")
             # The daemon survives the bad request.
             assert client.ping()["pong"]
+
+    def test_chaos_dict_is_an_error(self, shared_cache, tmp_path):
+        service, _ = _service_pair(tmp_path)
+        with service, ServiceClient(service.address) as client:
+            with pytest.raises(RuntimeError, match="service error.*chaos"):
+                client.sweep(
+                    "audio", [proposed()], bitflip_sweep([0.0, 0.1]),
+                    preset="tiny", seed=0, n_runs=3,
+                    chaos={"worker": 0, "after_units": 0},
+                )
+            assert client.ping()["pong"]
+
+    @pytest.mark.parametrize("field", ["n_runs", "samples"])
+    def test_empty_campaign_is_an_error(self, shared_cache, tmp_path, field):
+        service, store = _service_pair(tmp_path)
+        with service, ServiceClient(service.address) as client:
+            with pytest.raises(RuntimeError, match=f"service error.*{field}"):
+                client.sweep(
+                    "audio", [proposed()], bitflip_sweep([0.0, 0.1]),
+                    preset="tiny", seed=0, **{field: 0},
+                )
+        assert store.snapshot()["puts"] == 0
 
     @pytest.mark.parametrize("host", ["0.0.0.0", "10.1.2.3", "example.org"])
     def test_non_loopback_host_refused(self, tmp_path, host):
