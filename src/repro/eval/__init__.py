@@ -24,13 +24,11 @@ from .cache import (
     content_hash,
     load_campaign_values,
     result_store,
-    store_campaign_values,
     trained_model,
 )
 from .campaigns import (
     MethodCurve,
     RobustnessSweep,
-    TaskEvalHandle,
     baseline_metrics,
     campaign_eval_cap,
     run_robustness_sweep,
@@ -81,10 +79,8 @@ __all__ = [
     "campaign_key",
     "content_hash",
     "load_campaign_values",
-    "store_campaign_values",
     "ResultStore",
     "result_store",
-    "TaskEvalHandle",
     "ProgressMeter",
     "classification_accuracy",
     "segmentation_miou",

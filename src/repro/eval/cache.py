@@ -110,6 +110,16 @@ def clear_memory_cache() -> None:
 RNG_CONTRACT = "mc2"
 
 
+def _level_text(level: float) -> str:
+    """``level`` as ``:g`` when that round-trips, else its full ``repr``.
+
+    ``:g`` keeps six significant digits, so two close levels would share
+    a key; the fallback keeps every key that round-trips unchanged.
+    """
+    text = f"{level:g}"
+    return text if float(text) == level else repr(float(level))
+
+
 def campaign_key(
     task: Task,
     method: MethodConfig,
@@ -142,7 +152,7 @@ def campaign_key(
         f"ds{task.seed}",
         _method_key(method),
         spec.kind,
-        f"l{spec.level:g}",
+        f"l{_level_text(spec.level)}",
         spec.stuck_to,
         f"r{n_runs}",
         f"s{samples}",
@@ -182,13 +192,8 @@ class ResultStore:
     request to prove zero-redundant-cell accounting.
     """
 
-    def __init__(
-        self,
-        root: Optional[os.PathLike] = None,
-        max_entries: Optional[int] = None,
-    ):
+    def __init__(self, root: Optional[os.PathLike] = None):
         self._root = pathlib.Path(root) if root is not None else None
-        self.max_entries = max_entries
         self._memory: Dict[str, np.ndarray] = {}
         self._lock = threading.Lock()
         self.hits = 0
@@ -328,8 +333,6 @@ class ResultStore:
         with self._lock:
             self._memory[key] = values
             self.puts += 1
-        if self.max_entries is not None:
-            self.evict(self.max_entries)
         return True
 
     # -- maintenance ---------------------------------------------------
@@ -417,8 +420,3 @@ def result_store() -> ResultStore:
 def load_campaign_values(key: str) -> Optional[np.ndarray]:
     """Stored per-chip metric values for ``key``, or ``None`` on a miss."""
     return _DEFAULT_STORE.get(key)
-
-
-def store_campaign_values(key: str, values: np.ndarray) -> None:
-    """Persist one scenario's campaign values in the default store."""
-    _DEFAULT_STORE.put(key, values)

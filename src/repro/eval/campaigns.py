@@ -39,7 +39,7 @@ from ..nn.module import Module
 from ..profiling import stage
 from .cache import ResultStore, campaign_key, result_store, trained_model
 from .evaluators import make_evaluator
-from .tasks import Task, build_task, mc_runs, mc_samples
+from .tasks import Task, mc_runs, mc_samples
 
 
 @dataclass
@@ -86,35 +86,6 @@ class RobustnessSweep:
 
     def max_improvement_over(self, baseline: str, ours: str = "proposed") -> float:
         return float(self.improvement_over(baseline, ours).max())
-
-
-@dataclass(frozen=True)
-class TaskEvalHandle:
-    """Hashable recipe rebuilding a task's (model, evaluator) pair.
-
-    The campaign service keys its warm per-worker replicas on it.
-    :meth:`build` re-derives the task (datasets are a pure function of
-    ``(task_name, preset, task_seed)``) and hands it to
-    :func:`model_and_evaluator`.  ``task_seed`` is the seed the *driver's*
-    task was built with (``Task.seed``), which may differ from the
-    campaign ``seed``; using the campaign seed here would evaluate a
-    different synthesized test set than the in-process path.
-    """
-
-    task_name: str
-    preset: str
-    seed: int
-    method: MethodConfig
-    samples: int
-    max_eval_samples: Optional[int]
-    task_seed: int
-
-    def build(self) -> Tuple[Module, Evaluator]:
-        task = build_task(self.task_name, preset=self.preset, seed=self.task_seed)
-        return model_and_evaluator(
-            task, self.method, self.preset, self.seed, self.samples,
-            self.max_eval_samples,
-        )
 
 
 def model_and_evaluator(

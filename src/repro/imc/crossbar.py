@@ -21,8 +21,8 @@ resolution, no variation) reproduces the integer matmul of
 :mod:`repro.quant` exactly — a property the test suite checks — which
 justifies running the paper's fault campaigns at the algorithmic level.
 
-Chip batching: ``chip_batched=True`` programs a stack of per-chip weight
-codes ``(n_chips, out, in)`` — e.g. the per-chip faulty codes a batched
+Chip batching: a 3-D code tensor is a stack of per-chip weight codes
+``(n_chips, out, in)`` — e.g. the per-chip faulty codes a batched
 fault campaign produces — into one array object whose :meth:`matvec`
 returns ``(n_chips, n, cols)`` in a single broadcast pass over the same
 tiled analog datapath.
@@ -98,10 +98,10 @@ class CrossbarArray:
     ----------
     qw:
         Quantized weight record (codes + scale) to program; codes map to
-        differential conductance pairs.  With ``chip_batched=True`` the
-        codes carry a leading chip axis ``(n_chips, out, in)`` — one
-        faulty weight stack per simulated chip — and the whole stack is
-        programmed as a broadcastable conductance tensor.
+        differential conductance pairs.  3-D codes carry a leading chip
+        axis ``(n_chips, out, in)`` — one faulty weight stack per
+        simulated chip — and the whole stack is programmed as a
+        broadcastable conductance tensor; any rank but 2 or 3 raises.
     config:
         Macro parameters.
     rng:
@@ -109,9 +109,6 @@ class CrossbarArray:
         For a chip batch this may be a *sequence* of per-chip generators,
         in which case each chip's variation/stuck draws come from its own
         stream — bit-identical to programming the chips one at a time.
-    chip_batched:
-        Interpret a 3-D code tensor as a chip stack instead of rejecting
-        it.
     """
 
     def __init__(
@@ -119,16 +116,15 @@ class CrossbarArray:
         qw: QuantizedWeight,
         config: Optional[CrossbarConfig] = None,
         rng: Union[np.random.Generator, Sequence[np.random.Generator], None] = None,
-        chip_batched: bool = False,
     ):
-        expected_ndim = 3 if chip_batched else 2
-        if qw.codes.ndim != expected_ndim:
-            kind = "chip-batched 3-D" if chip_batched else "2-D"
-            raise ValueError(f"crossbar expects a {kind} weight, got {qw.codes.shape}")
+        if qw.codes.ndim not in (2, 3):
+            raise ValueError(
+                "crossbar expects a 2-D weight or a 3-D chip stack, got "
+                f"{qw.codes.shape}"
+            )
         self.config = config or CrossbarConfig()
         self.qw = qw
-        self.chip_batched = chip_batched
-        self.n_chips = qw.codes.shape[0] if chip_batched else 1
+        self.n_chips = qw.codes.shape[0] if qw.codes.ndim == 3 else 1
         self.rows, self.cols = qw.codes.shape[-1], qw.codes.shape[-2]  # in x out
         if rng is None:
             rng = np.random.default_rng(0)

@@ -2,7 +2,8 @@
 
 The service keeps the expensive per-process state — trained models and
 their frozen deployment quantization caches — warm across requests,
-shards each sweep's ``(task, fault-kind)`` groups across N workers, and
+shards each method's ``(task, fault-kind)`` scenario groups across N
+workers (one method's rounds at a time), and
 serves every already-computed cell from the content-addressed result
 store (:mod:`repro.eval.cache`) so overlapping robustness grids never
 recompute a cell.  A sweep takes the same scenario path as the

@@ -3,8 +3,9 @@
 The daemon binds the loopback interface (``--port 0`` picks a free
 port, printed on startup so wrappers can parse it), keeps models and
 their deployment caches warm across requests, and serves sweeps until a client sends
-``shutdown`` or the process receives SIGINT.  A non-loopback ``--host``
-is refused: the daemon unpickles every frame it receives.
+``shutdown`` or the process receives SIGINT.  A ``--host`` other than
+IPv4 loopback or ``localhost`` is refused: the daemon unpickles every
+frame it receives.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ def main(argv: Optional[List[str]] = None) -> None:
         description="Long-lived sharded campaign service.",
     )
     parser.add_argument("--host", default="127.0.0.1",
-                        help="loopback address to bind (default 127.0.0.1; "
-                             "other addresses are refused)")
+                        help="IPv4 loopback address to bind (default "
+                             "127.0.0.1; other addresses are refused)")
     parser.add_argument("--port", type=int, default=0,
                         help="TCP port (0 = pick a free one, printed below)")
     parser.add_argument("--workers", type=int, default=2,
@@ -43,7 +44,7 @@ def main(argv: Optional[List[str]] = None) -> None:
             verbose=args.verbose, unit_deadline=args.unit_deadline,
             max_respawns=args.max_respawns,
         )
-    except ValueError as exc:  # a non-loopback --host
+    except ValueError as exc:  # a --host that is not IPv4 loopback
         parser.error(str(exc))
     service.start()
     print(f"repro campaign service listening on "

@@ -7,18 +7,19 @@ replicas (fault hooks and deployment caches are per-model state), so
 only the first request per (worker, task, method) pays to load and
 quantize the model.
 
-The daemon binds loopback addresses only: it unpickles every frame it
-receives, so a non-loopback ``host`` is refused at construction.
+The daemon binds IPv4 loopback addresses only: it unpickles every frame
+it receives, so any other ``host`` is refused at construction.
 
-A sweep request is served in rounds:
+A sweep request gets one :class:`_Sweep` record that every step of its
+sweep path reads, and is served one method at a time, in rounds:
 
 1. scenarios already in the content-addressed result store stream back
    immediately (``source="store"``) — the store pre-check is what makes
    a repeated or overlapping sweep compute **zero** redundant cells;
-2. the remaining scenarios are flattened into a hermetic cell grid
-   (original scenario indices, so values are bit-identical to a cold
-   serial run), partitioned into kind-group :class:`ShardUnit`\\ s, and
-   placed on workers by the deterministic LPT scheduler;
+2. the remaining scenarios (original scenario indices, so values are
+   bit-identical to a cold serial run) are grouped by fault kind into
+   :class:`ShardUnit`\\ s of scenario indices and placed on workers by
+   the deterministic LPT scheduler;
 3. each worker runs its units' scenarios as one
    :class:`~repro.faults.campaign.MonteCarloCampaign` sweep on the
    default engine (a unit re-issued
@@ -32,8 +33,13 @@ A sweep request is served in rounds:
    pool; survivors get a deterministic re-shard, dead workers with
    respawn budget left (``max_respawns`` per worker per sweep) are
    revived with a **fresh replica** (re-warmed caches on first use), and
-   the round counter advances.  Assignments of every round are recorded
-   in the reply stats so re-shard determinism is directly assertable.
+   the round counter advances.  Round numbers restart for each method.
+   Assignments of every round are recorded in the reply stats so
+   re-shard determinism is directly assertable.
+
+Rounds stay per method: the workers are threads sharing one interpreter
+lock, and one round over every method's units measured slower end to
+end, because two units running at once cost more than they save.
 
 Fault recovery is supervised from the sweep's connection thread: it
 drains worker events with a watchdog tick, declares hung workers dead
@@ -61,15 +67,16 @@ import sys
 import threading
 import time
 from collections import OrderedDict
+from dataclasses import dataclass, field
 from queue import Empty, SimpleQueue
-from typing import Dict, Hashable, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..faults import FaultSpec, MonteCarloCampaign
 from ..faults.campaign import scenario_cells
 from ..models import MethodConfig
 from ..eval.cache import ResultStore, campaign_key, result_store
-from ..eval.campaigns import TaskEvalHandle, campaign_settings, split_stored
-from ..eval.campaigns import model_and_evaluator
+from ..eval.campaigns import campaign_settings, model_and_evaluator
+from ..eval.campaigns import split_stored
 from ..eval.tasks import Task, build_task
 from .chaos import ChaosSchedule
 from .protocol import ConnectionClosed, recv_message, send_message
@@ -91,6 +98,55 @@ RECOVERY_COUNTERS = (
 #: Remembered request ids / counter carry-overs (FIFO-bounded).
 MAX_REMEMBERED_REQUESTS = 256
 
+#: Seconds the round supervisor waits on worker events before it checks
+#: heartbeats against ``unit_deadline``.
+WATCHDOG_TICK = 0.05
+
+
+@dataclass
+class _Sweep:
+    """One sweep request's state, read by every step of its sweep path.
+
+    It lives per request, never on the service: a worker the watchdog
+    declared hung may still finish its unit after the sweep has moved on
+    to the next method, and must write under its own method's ``keys``.
+    """
+
+    conn: socket.socket
+    chaos: Optional[ChaosSchedule]
+    attempt: int
+    stats: dict
+    alive: List[int]
+    task: Task
+    specs: Sequence[FaultSpec]
+    preset: str
+    seed: int
+    n_runs: int
+    samples: int
+    max_eval_samples: Optional[int]
+    use_store: bool
+    #: Worker id → ``{"cells", "seconds"}`` for the reply's worker rows.
+    per_worker: Dict[int, Dict[str, float]] = field(default_factory=dict)
+    dead: Set[int] = field(default_factory=set)
+    #: Respawns per worker; the budget spans the whole request.
+    respawns_used: Dict[int, int] = field(default_factory=dict)
+    #: Method name → config and per-scenario store keys, set by the
+    #: method's store pre-check.
+    methods: Dict[str, MethodConfig] = field(default_factory=dict)
+    keys: Dict[str, List[str]] = field(default_factory=dict)
+
+    def cells(self, scenario: int) -> int:
+        """Work cells of one scenario (one if it is fault-free)."""
+        return len(scenario_cells(self.specs[scenario], scenario, self.n_runs))
+
+    def pair_key(self, wid: int, method: str) -> Tuple[Hashable, ...]:
+        """Warm-replica key: the worker and every input of its
+        ``(model, evaluator)`` pair, so a later request reuses it."""
+        return (
+            wid, self.task.name, self.task.seed, self.preset, self.seed,
+            self.methods[method], self.samples, self.max_eval_samples,
+        )
+
 
 def _replicate(model):
     """Worker-private model copy (hooks and deploy caches are per-model)."""
@@ -104,21 +160,23 @@ def _replicate(model):
 
 
 def _check_loopback(host: str) -> None:
-    """Refuse any bind address that is not loopback.
+    """Refuse any bind address but IPv4 loopback and ``localhost``.
 
     Frames are pickled, and unpickling runs code, so the daemon must
-    never listen where another host can reach it.
+    never listen where another host can reach it.  The listener is an
+    ``AF_INET`` socket, so IPv6 loopback (``::1``) is refused too: it
+    could not be bound.
     """
     if host != "localhost":
         try:
-            loopback = ipaddress.ip_address(host).is_loopback
+            loopback = ipaddress.IPv4Address(host).is_loopback
         except ValueError:
             loopback = False
         if not loopback:
             raise ValueError(
                 f"refusing to bind {host!r}: the campaign service unpickles "
-                "every frame, so it listens on loopback addresses only "
-                "(e.g. 127.0.0.1)"
+                "every frame, so it listens on IPv4 loopback addresses only "
+                "(e.g. 127.0.0.1 or localhost)"
             )
 
 
@@ -149,7 +207,6 @@ class CampaignService:
         verbose: bool = False,
         unit_deadline: float = 300.0,
         max_respawns: int = 1,
-        watchdog_tick: float = 0.05,
     ):
         _check_loopback(host)
         self.host = host
@@ -159,16 +216,15 @@ class CampaignService:
         self.verbose = verbose
         self.unit_deadline = float(unit_deadline)
         self.max_respawns = max(0, int(max_respawns))
-        self.watchdog_tick = float(watchdog_tick)
         self._listener: Optional[socket.socket] = None
         self._accept_thread: Optional[threading.Thread] = None
         self._stopped = threading.Event()
         self._sweep_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._conns: Set[socket.socket] = set()
-        # Warm (worker, handle) → (model replica, evaluator); the replica
-        # carries its deployment cache across requests.
-        self._pairs: Dict[Tuple[int, Hashable], Tuple[object, object]] = {}
+        # Warm ``_Sweep.pair_key`` → (model replica, evaluator); the
+        # replica carries its deployment cache across requests.
+        self._pairs: Dict[Tuple[Hashable, ...], Tuple[object, object]] = {}
         self.requests = 0
         self.retried_requests = 0
         self.conn_errors = 0
@@ -410,7 +466,7 @@ class CampaignService:
     def _handle_sweep(self, conn: socket.socket, request: dict) -> dict:
         preset = request["preset"]
         seed = request["seed"]
-        settings = campaign_settings(
+        n_runs, samples, max_eval_samples = campaign_settings(
             preset, request.get("n_runs"), request.get("samples"),
             request.get("max_eval_samples", -1),
         )
@@ -419,8 +475,6 @@ class CampaignService:
             raise ValueError(f"chaos must be a ChaosSchedule, got {chaos!r}")
         task: Task = build_task(request["task"], preset=preset, seed=seed)
         methods: Sequence[MethodConfig] = request["methods"]
-        specs: Sequence[FaultSpec] = request["specs"]
-        use_store = bool(request.get("use_store", True))
         request_id = request.get("request_id")
         attempt = int(request.get("attempt") or 0)
         prior_attempts = self._register_attempt(request_id)
@@ -440,21 +494,19 @@ class CampaignService:
             "assignments": [],
         }
         stats.update(carried)
-        per_worker: Dict[int, Dict[str, float]] = {}
-        alive = list(range(self.workers))
-        # Per-sweep worker health, shared across the method loop so a
-        # worker's respawn budget spans the whole request.
-        health = {"dead": set(), "respawns_used": {}}
+        sweep = _Sweep(
+            conn=conn, chaos=chaos, attempt=attempt, stats=stats,
+            alive=list(range(self.workers)), task=task,
+            specs=request["specs"], preset=preset, seed=seed, n_runs=n_runs,
+            samples=samples, max_eval_samples=max_eval_samples,
+            use_store=bool(request.get("use_store", True)),
+        )
 
         try:
             for method in methods:
                 if self._stopped.is_set():
                     raise RuntimeError("service stopping")
-                self._sweep_method(
-                    conn, task, method, specs, preset, seed, settings,
-                    use_store, chaos, attempt, alive, health, stats,
-                    per_worker,
-                )
+                self._sweep_method(sweep, method)
         finally:
             self._save_counters(request_id, stats, carried)
 
@@ -471,7 +523,7 @@ class CampaignService:
                     row["cells"] / row["seconds"] if row["seconds"] > 0 else 0.0
                 ),
             }
-            for wid, row in sorted(per_worker.items())
+            for wid, row in sorted(sweep.per_worker.items())
         ]
         self.total_served_cells += stats["served_cells"]
         self.total_computed_cells += stats["computed_cells"]
@@ -482,9 +534,7 @@ class CampaignService:
         )
         return stats
 
-    def _send_frame(
-        self, conn, frame: dict, chaos, attempt: int, stats: dict
-    ) -> None:
+    def _send_frame(self, sweep: _Sweep, frame: dict) -> None:
         """Single send site for partial frames — the chaos protocol shim.
 
         A ``frame_drop`` event swallows the frame (the client notices
@@ -494,9 +544,12 @@ class CampaignService:
         ``frame_corrupt`` sends a payload that fails its CRC-32
         client-side.  All three are counted in the reply stats.
         """
+        chaos, stats = sweep.chaos, sweep.stats
         event = None
         if chaos is not None:
-            event = chaos.frame_event(attempt, frame["method"], frame["scenario"])
+            event = chaos.frame_event(
+                sweep.attempt, frame["method"], frame["scenario"]
+            )
         if event == "frame_drop":
             stats["frames_dropped"] += 1
             self._log(
@@ -516,252 +569,222 @@ class CampaignService:
             self._log(
                 f"chaos: corrupting frame {frame['method']}/{frame['scenario']}"
             )
-        send_message(conn, frame, corrupt=corrupt)
+        send_message(sweep.conn, frame, corrupt=corrupt)
 
-    def _sweep_method(
-        self, conn, task, method, specs, preset, seed, settings, use_store,
-        chaos, attempt, alive, health, stats, per_worker,
-    ) -> None:
-        n_runs, samples, max_eval_samples = settings
-        keys = [
-            campaign_key(task, method, spec, n_runs, samples, seed,
-                         max_eval_samples)
-            for spec in specs
+    def _sweep_method(self, sweep: _Sweep, method: MethodConfig) -> None:
+        """Serve one method's scenarios: store first, then shard rounds."""
+        stats = sweep.stats
+        sweep.methods[method.name] = method
+        keys = sweep.keys[method.name] = [
+            campaign_key(sweep.task, method, spec, sweep.n_runs, sweep.samples,
+                         sweep.seed, sweep.max_eval_samples)
+            for spec in sweep.specs
         ]
         # Store pre-check: completed scenarios stream back without touching
         # a worker.
         t0 = time.perf_counter()
         served, pending = split_stored(
-            keys, n_runs, self.store if use_store else None
+            keys, sweep.n_runs, self.store if sweep.use_store else None
         )
         stats["store_seconds"] += time.perf_counter() - t0
         for idx, values in served.items():
-            stats["served_cells"] += len(scenario_cells(specs[idx], idx, n_runs))
-            self._send_frame(conn, {
+            stats["served_cells"] += sweep.cells(idx)
+            self._send_frame(sweep, {
                 "kind": "partial", "method": method.name,
                 "scenario": idx, "values": values, "source": "store",
-            }, chaos, attempt, stats)
-        if not pending:
-            return
-
-        # Hermetic grid over the pending scenarios, original indices intact.
-        grid = [
-            cell for idx in pending
-            for cell in scenario_cells(specs[idx], idx, n_runs)
-        ]
-        pending_units = shard_units(grid)
-
-        handle = TaskEvalHandle(
-            task.name, preset, seed, method, samples, max_eval_samples,
-            task.seed,
+            })
+        units = shard_units(
+            [cell for idx in pending
+             for cell in scenario_cells(sweep.specs[idx], idx, sweep.n_runs)],
+            method.name,
         )
-        ctx = {
-            "grid": grid, "keys": keys, "specs": specs, "seed": seed,
-            "n_runs": n_runs, "use_store": use_store, "method": method.name,
-        }
 
         round_no = 0
-        while pending_units:
+        while units:
             if self._stopped.is_set():
                 raise RuntimeError("service stopping")
-            if not alive:
+            if not sweep.alive:
                 raise RuntimeError(
                     f"all {self.workers} workers died with "
-                    f"{len(pending_units)} shard units unfinished"
+                    f"{len(units)} shard units unfinished"
                 )
-            assignment = assign_units(pending_units, alive)
-            active = {wid for wid, units in assignment.items() if units}
-            for wid in sorted(active):
+            assignment = {
+                wid: assigned
+                for wid, assigned in assign_units(units, sweep.alive).items()
+                if assigned
+            }
+            for wid, assigned in sorted(assignment.items()):
                 stats["assignments"].append({
                     "round": round_no, "method": method.name, "worker": wid,
-                    "units": [u.index for u in assignment[wid]],
-                    "cells": sum(u.n_cells for u in assignment[wid]),
+                    "units": [u.index for u in assigned],
+                    "cells": sum(u.n_cells for u in assigned),
                 })
-                # Replicas are built on this thread (handle builds may touch
+                # Replicas are built on this thread (model builds may touch
                 # the process-global RNG) and kept warm across requests; a
                 # respawned worker's pair was dropped on death, so this is
                 # where its replica re-warms.
-                self._ensure_pair(wid, handle, task)
-            completed = self._run_round(
-                conn, assignment, active, handle, ctx, chaos, attempt,
-                round_no, alive, health, stats, per_worker,
-            )
-            pending_units = [
-                u for u in pending_units if u.index not in completed
-            ]
+                self._ensure_pair(sweep, wid, method.name)
+            completed = self._run_round(sweep, assignment, round_no)
+            units = [u for u in units if u.index not in completed]
             round_no += 1
             stats["rounds"] += 1
-            if pending_units:
+            if units:
                 stats["reshards"] = stats.get("reshards", 0) + 1
                 # Units going back to the pool are the service-side retries.
-                stats["retries"] += len(pending_units)
+                stats["retries"] += len(units)
                 for wid in revive_workers(
-                    sorted(health["dead"]), health["respawns_used"],
-                    self.max_respawns,
+                    sorted(sweep.dead), sweep.respawns_used, self.max_respawns
                 ):
-                    health["respawns_used"][wid] = (
-                        health["respawns_used"].get(wid, 0) + 1
+                    sweep.respawns_used[wid] = (
+                        sweep.respawns_used.get(wid, 0) + 1
                     )
-                    health["dead"].discard(wid)
-                    alive.append(wid)
+                    sweep.dead.discard(wid)
+                    sweep.alive.append(wid)
                     stats["respawns"] += 1
                     self._log(
                         f"respawning worker {wid} "
-                        f"({health['respawns_used'][wid]}/{self.max_respawns} "
+                        f"({sweep.respawns_used[wid]}/{self.max_respawns} "
                         "respawns used)"
                     )
-                alive.sort()
+                sweep.alive.sort()
 
     def _run_round(
-        self, conn, assignment, active, handle, ctx, chaos, attempt,
-        round_no, alive, health, stats, per_worker,
-    ) -> set:
+        self, sweep: _Sweep, assignment: Dict[int, List[ShardUnit]],
+        round_no: int,
+    ) -> Set[int]:
         """Supervise one shard round; returns the completed unit indices.
 
         The sweep thread is the supervisor: it drains worker events with
-        a ``watchdog_tick`` timeout and, whenever the queue stays quiet,
-        checks every active worker's heartbeat against ``unit_deadline``.
-        A worker past the deadline is *declared dead* — its ``abandoned``
-        event is set (waking a chaos-simulated hang immediately), it is
-        removed from the alive pool exactly like a crashed worker, and
-        any event it emits later is discarded, so an abandoned worker can
-        never corrupt the accounting of a round it was evicted from.
+        a :data:`WATCHDOG_TICK` timeout and, whenever the queue stays
+        quiet, checks every active worker's heartbeat against
+        ``unit_deadline``.  A worker past the deadline is *declared
+        dead* — its ``abandoned`` event is set (waking a chaos-simulated
+        hang immediately), it leaves the pool exactly like a crashed
+        worker, and any event it emits later is discarded, so an
+        abandoned worker can never corrupt the accounting of a round it
+        was evicted from.  Any exception — above all the client going
+        away, or ``stop()`` closing its socket — abandons every worker
+        and joins them before unwinding: a worker left running would
+        share its warm replica with a retried attempt's round and race
+        on per-model fault-hook state.
         """
+        stats = sweep.stats
+        active = set(assignment)
         events: SimpleQueue = SimpleQueue()
-        hearts: Dict[int, float] = {
-            wid: time.monotonic() for wid in sorted(active)
-        }
-        abandoned: Dict[int, threading.Event] = {
-            wid: threading.Event() for wid in sorted(active)
-        }
+        hearts = {wid: time.monotonic() for wid in active}
+        abandoned = {wid: threading.Event() for wid in active}
         threads = {
             wid: threading.Thread(
                 target=self._worker_round,
-                args=(wid, assignment[wid], handle, ctx, chaos, round_no,
-                      events, hearts, abandoned[wid]),
+                args=(sweep, wid, units, round_no, events, hearts,
+                      abandoned[wid]),
                 name=f"serve-worker-{wid}",
                 daemon=True,
             )
-            for wid in sorted(active)
+            for wid, units in sorted(assignment.items())
         }
         for thread in threads.values():
             thread.start()
-        completed: set = set()
-        declared: set = set()
+        completed: Set[int] = set()
+        hung: Set[int] = set()
+
+        def retire(wid: int) -> None:
+            """Take a dead or hung worker out of the round and the pool,
+            and drop its replica of this round's method."""
+            active.discard(wid)
+            if wid in sweep.alive:
+                sweep.alive.remove(wid)
+            sweep.dead.add(wid)
+            method = assignment[wid][0].method
+            self._pairs.pop(sweep.pair_key(wid, method), None)
+
         try:
-            self._drain_round(
-                conn, events, hearts, abandoned, active, completed, declared,
-                handle, ctx, chaos, attempt, round_no, alive, health, stats,
-                per_worker,
-            )
-        except (ConnectionError, OSError):
-            # The client is gone (or stop() closed its socket).  Wind the
-            # round down before unwinding: a worker left running here
-            # would share its warm replica with a retried attempt's round
-            # and race on per-model fault-hook state.
-            for wid in sorted(active):
-                abandoned[wid].set()
-            for wid, thread in threads.items():
-                if wid not in declared:
-                    thread.join()
+            while active:
+                try:
+                    event = events.get(timeout=WATCHDOG_TICK)
+                except Empty:
+                    now = time.monotonic()
+                    for wid in sorted(active):
+                        if now - hearts[wid] <= self.unit_deadline:
+                            continue
+                        hung.add(wid)
+                        abandoned[wid].set()
+                        retire(wid)
+                        stats["hangs"] += 1
+                        self._log(
+                            f"worker {wid} hung in round {round_no} (no "
+                            f"heartbeat for {self.unit_deadline:.1f}s); "
+                            "declared dead"
+                        )
+                    continue
+                wid = event["worker"]
+                if wid in hung:
+                    continue  # late event from an abandoned worker
+                if event["kind"] == "unit":
+                    completed.add(event["unit"])
+                    row = sweep.per_worker.setdefault(
+                        wid, {"cells": 0, "seconds": 0.0}
+                    )
+                    row["cells"] += event["computed_cells"]
+                    row["seconds"] += event["compute_seconds"]
+                    for name in ("computed_cells", "served_cells",
+                                 "redundant_cells", "store_seconds",
+                                 "compute_seconds"):
+                        stats[name] += event[name]
+                    for scenario_idx, values, source in event["payloads"]:
+                        self._send_frame(sweep, {
+                            "kind": "partial", "method": event["method"],
+                            "scenario": scenario_idx, "values": values,
+                            "source": source, "worker": wid,
+                            "round": round_no,
+                        })
+                elif event["kind"] == "exit":
+                    active.discard(wid)
+                elif event["kind"] == "death":
+                    retire(wid)
+                    stats["worker_deaths"] += 1
+                    self._log(
+                        f"worker {wid} died in round {round_no}: "
+                        f"{event['error']}"
+                    )
+        except BaseException:
+            for flag in abandoned.values():
+                flag.set()
             raise
-        for wid, thread in threads.items():
-            if wid not in declared:
-                thread.join()
+        finally:
+            for wid, thread in threads.items():
+                if wid not in hung:
+                    thread.join()
         return completed
 
-    def _drain_round(
-        self, conn, events, hearts, abandoned, active, completed, declared,
-        handle, ctx, chaos, attempt, round_no, alive, health, stats,
-        per_worker,
-    ) -> None:
-        while active:
-            try:
-                event = events.get(timeout=self.watchdog_tick)
-            except Empty:
-                now = time.monotonic()
-                for wid in sorted(active):
-                    if now - hearts.get(wid, now) <= self.unit_deadline:
-                        continue
-                    declared.add(wid)
-                    abandoned[wid].set()
-                    active.discard(wid)
-                    if wid in alive:
-                        alive.remove(wid)
-                    health["dead"].add(wid)
-                    self._pairs.pop((wid, handle), None)
-                    stats["hangs"] += 1
-                    self._log(
-                        f"worker {wid} hung in round {round_no} (no "
-                        f"heartbeat for {self.unit_deadline:.1f}s); "
-                        "declared dead"
-                    )
-                continue
-            wid = event["worker"]
-            if wid in declared:
-                continue  # late event from an abandoned worker
-            if event["kind"] == "unit":
-                completed.add(event["unit"])
-                row = per_worker.setdefault(
-                    wid, {"cells": 0, "seconds": 0.0}
-                )
-                row["cells"] += event["computed"]
-                row["seconds"] += event["compute_seconds"]
-                stats["computed_cells"] += event["computed"]
-                stats["served_cells"] += event["served"]
-                stats["redundant_cells"] += event["redundant"]
-                stats["store_seconds"] += event["store_seconds"]
-                stats["compute_seconds"] += event["compute_seconds"]
-                for scenario_idx, values in event["payloads"]:
-                    self._send_frame(conn, {
-                        "kind": "partial", "method": ctx["method"],
-                        "scenario": scenario_idx, "values": values,
-                        "source": event["sources"][scenario_idx],
-                        "worker": wid, "round": round_no,
-                    }, chaos, attempt, stats)
-            elif event["kind"] == "exit":
-                active.discard(wid)
-            elif event["kind"] == "death":
-                active.discard(wid)
-                if wid in alive:
-                    alive.remove(wid)
-                health["dead"].add(wid)
-                self._pairs.pop((wid, handle), None)
-                stats["worker_deaths"] += 1
-                self._log(
-                    f"worker {wid} died in round {round_no}"
-                    + (f": {event['error']}" if event.get("error") else "")
-                )
-
-    def _ensure_pair(self, wid: int, handle: TaskEvalHandle, task: Task) -> None:
-        key = (wid, handle)
+    def _ensure_pair(self, sweep: _Sweep, wid: int, method: str) -> None:
+        key = sweep.pair_key(wid, method)
         if key in self._pairs:
             return
         model, evaluator = model_and_evaluator(
-            task, handle.method, handle.preset, handle.seed, handle.samples,
-            handle.max_eval_samples,
+            sweep.task, sweep.methods[method], sweep.preset, sweep.seed,
+            sweep.samples, sweep.max_eval_samples,
         )
         # The trained model is the shared memory-cached one; fault hooks
         # are per-model state, so every worker gets a private copy.
         self._pairs[key] = (_replicate(model), evaluator)
-        self._log(f"built replica for worker {wid} / {handle.method.name}")
+        self._log(f"built replica for worker {wid} / {method}")
 
     def _worker_round(
-        self, wid: int, units: Sequence[ShardUnit], handle: TaskEvalHandle,
-        ctx: dict, chaos, round_no: int, events: SimpleQueue,
-        hearts: Dict[int, float], abandoned: threading.Event,
+        self, sweep: _Sweep, wid: int, units: Sequence[ShardUnit],
+        round_no: int, events: SimpleQueue, hearts: Dict[int, float],
+        abandoned: threading.Event,
     ) -> None:
-        done_units = 0
         try:
-            for unit in units:
+            for done_units, unit in enumerate(units):
                 if abandoned.is_set():
                     return  # declared dead; the round moved on without us
                 if self._stopped.is_set():
                     break
                 hearts[wid] = time.monotonic()
                 event = (
-                    chaos.worker_event(wid, round_no, done_units)
-                    if chaos is not None else None
+                    sweep.chaos.worker_event(wid, round_no, done_units)
+                    if sweep.chaos is not None else None
                 )
                 if event == "kill":
                     events.put({"kind": "death", "worker": wid,
@@ -774,29 +797,24 @@ class CampaignService:
                     abandoned.wait(timeout=self.unit_deadline * 4.0 + 1.0)
                     return
                 events.put(self._process_unit(
-                    wid, unit, handle, ctx, recheck=round_no > 0
+                    sweep, wid, unit, recheck=round_no > 0
                 ))
-                done_units += 1
             events.put({"kind": "exit", "worker": wid})
         except BaseException as exc:  # noqa: BLE001 - death → re-shard
             events.put({"kind": "death", "worker": wid, "error": repr(exc)})
 
     def _process_unit(
-        self, wid: int, unit: ShardUnit, handle: TaskEvalHandle, ctx: dict,
-        recheck: bool,
+        self, sweep: _Sweep, wid: int, unit: ShardUnit, recheck: bool
     ) -> dict:
-        grid = ctx["grid"]
-        keys = ctx["keys"]
-        use_store = ctx["use_store"]
-        model, evaluator = self._pairs[(wid, handle)]
-        n_cells = {
-            grid[start].scenario_index: stop - start
-            for start, stop in unit.ranges
-        }
+        # This method's keys, not the latest method's: a worker declared
+        # hung may finish its unit after the sweep moved on.
+        keys = sweep.keys[unit.method]
+        model, evaluator = self._pairs[sweep.pair_key(wid, unit.method)]
         event = {
             "kind": "unit", "worker": wid, "unit": unit.index,
-            "payloads": [], "sources": {}, "computed": 0, "served": 0,
-            "redundant": 0, "store_seconds": 0.0, "compute_seconds": 0.0,
+            "method": unit.method, "payloads": [], "computed_cells": 0,
+            "served_cells": 0, "redundant_cells": 0, "store_seconds": 0.0,
+            "compute_seconds": 0.0,
         }
         # Per-scenario store re-check, only for a unit re-issued after a
         # worker death (round > 0): it serves what another worker already
@@ -805,32 +823,31 @@ class CampaignService:
         # ``_sweep_lock``, so a second lookup could only miss again.
         t0 = time.perf_counter()
         served, pending = split_stored(
-            keys, ctx["n_runs"], self.store if recheck and use_store else None,
-            indices=list(n_cells),
+            keys, sweep.n_runs,
+            self.store if recheck and sweep.use_store else None,
+            indices=unit.scenarios,
         )
         event["store_seconds"] += time.perf_counter() - t0
         for scenario_idx, values in served.items():
-            event["served"] += n_cells[scenario_idx]
-            event["payloads"].append((scenario_idx, values))
-            event["sources"][scenario_idx] = "store"
+            event["served_cells"] += sweep.cells(scenario_idx)
+            event["payloads"].append((scenario_idx, values, "store"))
         if not pending:
             return event
         campaign = MonteCarloCampaign(
-            model, evaluator, n_runs=ctx["n_runs"], base_seed=ctx["seed"]
+            model, evaluator, n_runs=sweep.n_runs, base_seed=sweep.seed
         )
         t0 = time.perf_counter()
         results = campaign.sweep(
-            [ctx["specs"][i] for i in pending], scenario_indices=pending
+            [sweep.specs[i] for i in pending], scenario_indices=pending
         )
         event["compute_seconds"] += time.perf_counter() - t0
         for scenario_idx, result in zip(pending, results):
-            event["computed"] += n_cells[scenario_idx]
-            if use_store:
+            event["computed_cells"] += sweep.cells(scenario_idx)
+            if sweep.use_store:
                 t0 = time.perf_counter()
                 newly = self.store.put(keys[scenario_idx], result.values)
                 event["store_seconds"] += time.perf_counter() - t0
                 if not newly:
-                    event["redundant"] += n_cells[scenario_idx]
-            event["payloads"].append((scenario_idx, result.values))
-            event["sources"][scenario_idx] = "computed"
+                    event["redundant_cells"] += sweep.cells(scenario_idx)
+            event["payloads"].append((scenario_idx, result.values, "computed"))
         return event

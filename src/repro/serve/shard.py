@@ -1,8 +1,9 @@
-"""Deterministic sharding of a campaign grid across service workers.
+"""Deterministic sharding of one method's pending scenarios across
+service workers.
 
 The unit of work is one *kind group* from the campaign engine
 (:func:`repro.faults.executor._kind_groups`): a maximal run of
-same-fault-kind scenario ranges that the engine can stack into shared
+same-fault-kind scenarios that the engine can stack into shared
 vectorized passes.  Sharding at this granularity
 keeps every unit on the engine's fastest path — splitting a kind group
 across workers would forfeit cross-scenario stacking, and joining
@@ -29,31 +30,33 @@ from ..faults.executor import WorkCell, _kind_groups
 
 @dataclass(frozen=True)
 class ShardUnit:
-    """One schedulable kind group of a sweep's cell grid.
+    """One schedulable kind group of one method's pending scenarios.
 
-    ``index`` is the unit's position in the grid's group list (the
+    ``index`` is the unit's position in the method's group list (the
     deterministic identity used for assignment ordering and re-shard
-    bookkeeping), ``kind`` the shared fault kind, ``ranges`` the
-    ``(start, stop)`` cell-index ranges of its scenarios in the flat
-    grid, and ``n_cells`` the total cell count (the LPT weight).
+    bookkeeping), ``method`` the name of the method it runs for,
+    ``kind`` the shared fault kind, ``scenarios`` its scenario indices,
+    and ``n_cells`` the total cell count (the LPT weight).
     """
 
     index: int
+    method: str
     kind: str
-    ranges: Tuple[Tuple[int, int], ...]
+    scenarios: Tuple[int, ...]
     n_cells: int
 
 
-def shard_units(cells: Sequence[WorkCell]) -> List[ShardUnit]:
-    """Partition a cell grid into schedulable kind-group units."""
+def shard_units(cells: Sequence[WorkCell], method: str) -> List[ShardUnit]:
+    """Partition ``method``'s cell grid into schedulable kind-group units."""
     units = []
     for index, group in enumerate(_kind_groups(cells)):
         start, stop = group[0][0], group[-1][1]
         units.append(
             ShardUnit(
                 index=index,
+                method=method,
                 kind=cells[start].spec.kind,
-                ranges=tuple(group),
+                scenarios=tuple(cells[i].scenario_index for i, _ in group),
                 n_cells=stop - start,
             )
         )

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.eval import (
-    TaskEvalHandle,
     baseline_metrics,
     build_task,
     campaign_key,
@@ -12,10 +11,8 @@ from repro.eval import (
     load_campaign_values,
     result_store,
     run_robustness_sweep,
-    store_campaign_values,
 )
-from repro.eval.campaigns import campaign_eval_cap
-from repro.faults import FaultSpec, MonteCarloCampaign, bitflip_sweep
+from repro.faults import FaultSpec, bitflip_sweep
 from repro.models import proposed
 
 
@@ -46,7 +43,7 @@ class TestCampaignValueCache:
         key = self._key()
         assert load_campaign_values(key) is None
         values = np.array([0.25, 0.5, 0.75, 1.0])
-        store_campaign_values(key, values)
+        result_store().put(key, values)
         np.testing.assert_array_equal(load_campaign_values(key), values)
         # Survives dropping the in-memory layer (disk hit).
         clear_memory_cache()
@@ -54,7 +51,7 @@ class TestCampaignValueCache:
 
     def test_loaded_values_are_copies(self, isolated_cache):
         key = self._key()
-        store_campaign_values(key, np.array([1.0, 2.0]))
+        result_store().put(key, np.array([1.0, 2.0]))
         loaded = load_campaign_values(key)
         loaded[0] = -99.0
         assert load_campaign_values(key)[0] == 1.0
@@ -68,10 +65,17 @@ class TestCampaignValueCache:
         assert self._key(spec=FaultSpec(kind="bitflip", level=0.2)) != base
         assert self._key(spec=FaultSpec(kind="additive", level=0.1)) != base
         assert self._key(method=proposed(p=0.5)) != base
+        # Closer than ``:g``'s six significant digits: still its own key.
+        assert self._key(spec=FaultSpec(kind="bitflip", level=0.1000001)) != base
+
+    def test_round_tripping_levels_keep_their_short_key(self, isolated_cache):
+        for level in (0.0, 0.1, 0.05, 1e-05, 0.123456):
+            spec = FaultSpec(kind="bitflip", level=level)
+            assert f"_l{level:g}_" in self._key(spec=spec)
 
     def test_corrupt_disk_entry_is_a_miss(self, isolated_cache):
         key = self._key()
-        store_campaign_values(key, np.array([1.0]))
+        result_store().put(key, np.array([1.0]))
         clear_memory_cache()
         path = result_store().address(key)
         path.write_bytes(b"not a numpy file")
@@ -169,33 +173,3 @@ class TestSweepCaching:
         self._sweep(second_cells, n_runs=3)
         assert second_cells  # different grid shape -> cache miss
 
-
-class TestSweepBackendEquivalence:
-    def test_campaign_seed_differs_from_task_seed(self, isolated_cache):
-        # Regression: TaskEvalHandle (the service's replica recipe) must
-        # rebuild the task with the seed the driver's datasets were
-        # synthesized with (Task.seed), not the campaign seed — otherwise
-        # service workers score a different test set than the local path.
-        task = build_task("audio", preset="tiny", seed=0)
-        specs = bitflip_sweep([0.0, 0.2])
-        local = run_robustness_sweep(
-            task,
-            [proposed()],
-            specs,
-            preset="tiny",
-            seed=5,  # campaign/model seed != task seed
-            n_runs=2,
-            samples=2,
-            use_cache=False,
-        )
-        clear_memory_cache()
-        handle = TaskEvalHandle(
-            "audio", "tiny", 5, proposed(), 2, campaign_eval_cap("tiny"),
-            task.seed,
-        )
-        rebuilt = MonteCarloCampaign(
-            *handle.build(), n_runs=2, base_seed=5
-        ).sweep(specs)
-        np.testing.assert_array_equal(
-            local.curves["proposed"].means, [r.mean for r in rebuilt]
-        )

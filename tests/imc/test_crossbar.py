@@ -41,7 +41,7 @@ class TestIdealCrossbar:
 
     def test_rejects_non_2d(self, rng):
         qw = QuantizedWeight(
-            codes=np.ones((2, 2, 2)), scale=np.asarray(1.0), bits=1
+            codes=np.ones(4), scale=np.asarray(1.0), bits=1
         )
         with pytest.raises(ValueError):
             CrossbarArray(qw, CrossbarConfig.ideal(), rng)
@@ -184,7 +184,6 @@ class TestChipBatchedCrossbar:
         batched = CrossbarArray(
             qw, cfg,
             rng=[np.random.default_rng(s) for s in seeds],
-            chip_batched=True,
         )
         x = rng.normal(size=(4, 40))
         out = batched.matvec(x)
@@ -198,17 +197,18 @@ class TestChipBatchedCrossbar:
 
     def test_single_chip_stack(self, rng):
         qw = self._stacked_qw(rng, n_chips=1)
-        arr = CrossbarArray(qw, CrossbarConfig.ideal(), rng, chip_batched=True)
+        arr = CrossbarArray(qw, CrossbarConfig.ideal(), rng)
         x = rng.normal(size=(2, 40))
         np.testing.assert_allclose(
             arr.matvec(x), arr.ideal_result(x), rtol=1e-9, atol=1e-12
         )
 
-    def test_chip_batched_rejects_2d(self, rng):
+    def test_rejects_4d_codes(self, rng):
+        qw = QuantizedWeight(
+            codes=np.ones((2, 2, 2, 2)), scale=np.asarray(1.0), bits=1
+        )
         with pytest.raises(ValueError):
-            CrossbarArray(
-                make_qw(rng), CrossbarConfig.ideal(), rng, chip_batched=True
-            )
+            CrossbarArray(qw, CrossbarConfig.ideal(), rng)
 
 
 class TestVectorizedTiling:

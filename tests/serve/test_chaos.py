@@ -161,7 +161,6 @@ class TestWorkerChaos:
                               max_trials=1)
         service, _ = _service(
             tmp_path, "hang", workers=1, unit_deadline=3.0,
-            watchdog_tick=0.05,
         )
         sweep, stats, _ = _chaos_sweep(service, chaos)
         _assert_matches(reference, sweep)

@@ -314,7 +314,9 @@ class TestServiceMisc:
                 )
         assert store.snapshot()["puts"] == 0
 
-    @pytest.mark.parametrize("host", ["0.0.0.0", "10.1.2.3", "example.org"])
+    @pytest.mark.parametrize(
+        "host", ["0.0.0.0", "10.1.2.3", "example.org", "::1"]
+    )
     def test_non_loopback_host_refused(self, tmp_path, host):
         # The daemon unpickles every frame: it must never be reachable
         # from another machine.

@@ -18,30 +18,32 @@ def _grid(n_runs=3, levels=(0.1, 0.2, 0.3), kind="bitflip"):
 
 class TestShardUnits:
     def test_kind_groups_become_units(self):
-        units = shard_units(_grid())
+        units = shard_units(_grid(), "proposed")
         assert [u.kind for u in units] == ["none", "bitflip"]
         assert [u.n_cells for u in units] == [1, 9]
-        assert units[1].ranges == ((1, 4), (4, 7), (7, 10))
+        assert [u.scenarios for u in units] == [(0,), (1, 2, 3)]
+        assert {u.method for u in units} == {"proposed"}
 
     def test_unit_indices_are_positional(self):
-        units = shard_units(_grid())
+        units = shard_units(_grid(), "proposed")
         assert [u.index for u in units] == [0, 1]
 
     def test_mixed_kinds_split_units(self):
         cells = _grid(levels=(0.1, 0.2), kind="bitflip")
         spec = FaultSpec(kind="additive", level=0.3)
         cells.extend(WorkCell(3, run, spec) for run in range(3))
-        units = shard_units(cells)
+        units = shard_units(cells, "proposed")
         assert [u.kind for u in units] == ["none", "bitflip", "additive"]
 
     def test_empty_grid(self):
-        assert shard_units([]) == []
+        assert shard_units([], "proposed") == []
 
 
 class TestAssignment:
     def _units(self, sizes):
         return [
-            ShardUnit(index=i, kind="bitflip", ranges=((0, n),), n_cells=n)
+            ShardUnit(index=i, method="proposed", kind="bitflip",
+                      scenarios=(i,), n_cells=n)
             for i, n in enumerate(sizes)
         ]
 
