@@ -14,4 +14,5 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     install_requires=["numpy"],
+    extras_require={"fig7": ["scipy"]},
 )

@@ -5,6 +5,9 @@ Two shift families, matching the paper's protocol (which follows [9]):
 * **rotation** — images gradually rotated in 7-degree increments over 12
   stages;
 * **uniform noise** — escalating random uniform noise added to the inputs.
+
+Rotation needs scipy, the ``repro[fig7]`` extra.  It is imported on the
+first non-zero rotation, so importing the package never loads it.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 import numpy as np
-from scipy import ndimage
 
 from ..tensor.random import get_rng
 
@@ -24,6 +26,13 @@ def rotate_images(images: np.ndarray, degrees: float) -> np.ndarray:
     """Rotate a batch of CHW images about their centre (zero-padded)."""
     if degrees == 0.0:
         return images.copy()
+    try:
+        from scipy import ndimage
+    except ImportError as exc:
+        raise ImportError(
+            "rotating images needs scipy: pip install -e .[fig7] "
+            "(the repro[fig7] extra)"
+        ) from exc
     return ndimage.rotate(
         images, degrees, axes=(-2, -1), reshape=False, order=1, mode="constant"
     )

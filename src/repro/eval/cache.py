@@ -110,11 +110,12 @@ def clear_memory_cache() -> None:
 RNG_CONTRACT = "mc2"
 
 
-def _level_text(level: float) -> str:
+def level_text(level: float) -> str:
     """``level`` as ``:g`` when that round-trips, else its full ``repr``.
 
     ``:g`` keeps six significant digits, so two close levels would share
-    a key; the fallback keeps every key that round-trips unchanged.
+    a key; the fallback keeps every key that round-trips unchanged.  The
+    store key and the printed sweep table both spell a level this way.
     """
     text = f"{level:g}"
     return text if float(text) == level else repr(float(level))
@@ -152,7 +153,7 @@ def campaign_key(
         f"ds{task.seed}",
         _method_key(method),
         spec.kind,
-        f"l{_level_text(spec.level)}",
+        f"l{level_text(spec.level)}",
         spec.stuck_to,
         f"r{n_runs}",
         f"s{samples}",

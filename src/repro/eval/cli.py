@@ -97,7 +97,8 @@ def cmd_table1(args) -> None:
     for task_name, topology, metric, precision in rows:
         task = build_task(task_name, preset=args.preset, seed=args.seed)
         values = baseline_metrics(
-            task, _methods_for(task_name), preset=args.preset, seed=args.seed
+            task, _methods_for(task_name), preset=args.preset, seed=args.seed,
+            use_cache=not args.no_cache,
         )
         print(format_table_row(topology, task_name, metric, precision, values))
 
@@ -287,6 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p1 = sub.add_parser("table1", help="Table I fault-free metrics")
     _add_common(p1, suppress=True)
+    p1.add_argument(
+        "--no-cache", action="store_true",
+        help="ignore cached fault-free results and re-evaluate every method",
+    )
 
     for name, help_text in (
         ("fig5", "Fig. 5 robustness panel (image/vessels)"),

@@ -8,6 +8,7 @@ from typing import Dict, Optional, Sequence, TextIO
 
 import numpy as np
 
+from .cache import level_text
 from .campaigns import RobustnessSweep
 
 
@@ -196,8 +197,13 @@ def table_header(
     return line + "\n" + "-" * len(line)
 
 
-def format_sweep(sweep: RobustnessSweep, level_format: str = "{:g}") -> str:
-    """Render one fault sweep as a levels-by-methods text table."""
+def format_sweep(sweep: RobustnessSweep) -> str:
+    """Render one fault sweep as a levels-by-methods text table.
+
+    Each level is spelled as its store key spells it
+    (:func:`~repro.eval.cache.level_text`), so two close levels never
+    print the same label.
+    """
     names = list(sweep.curves)
     header = f"{'level':>8} | " + " | ".join(
         f"{METHOD_LABELS.get(n, n):>22}" for n in names
@@ -210,7 +216,7 @@ def format_sweep(sweep: RobustnessSweep, level_format: str = "{:g}") -> str:
     ]
     levels = sweep.curves[names[0]].levels
     for i, level in enumerate(levels):
-        cells = [f"{level_format.format(level):>8}"]
+        cells = [f"{level_text(level):>8}"]
         for n in names:
             curve = sweep.curves[n]
             cells.append(f"{curve.means[i]:14.4f} ±{curve.stds[i]:5.4f}")

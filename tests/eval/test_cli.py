@@ -10,6 +10,11 @@ class TestParser:
         args = build_parser().parse_args(["table1"])
         assert args.command == "table1"
         assert args.preset == "small"
+        assert args.no_cache is False
+
+    def test_table1_no_cache_parses(self):
+        args = build_parser().parse_args(["table1", "--no-cache"])
+        assert args.no_cache is True
 
     def test_campaign_levels(self):
         args = build_parser().parse_args(
@@ -86,6 +91,27 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "audio / bitflip" in out
         assert "Proposed" in out
+
+    @pytest.mark.parametrize("argv, use_cache", [
+        (["table1"], True),
+        (["table1", "--no-cache"], False),
+    ])
+    def test_table1_no_cache_bypasses_store(
+        self, argv, use_cache, monkeypatch, capsys
+    ):
+        from repro.eval import cli
+
+        seen = []
+
+        def fake_baseline_metrics(task, methods, **kwargs):
+            seen.append(kwargs["use_cache"])
+            return {}
+
+        monkeypatch.setattr(cli, "build_task", lambda name, **kwargs: name)
+        monkeypatch.setattr(cli, "baseline_metrics", fake_baseline_metrics)
+        main(argv)
+        assert seen == [use_cache] * 4
+        assert "Topology" in capsys.readouterr().out
 
     @staticmethod
     def _profile_stage_labels(out: str) -> list:

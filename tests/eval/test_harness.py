@@ -18,6 +18,7 @@ from repro.eval import (
     table_header,
     trained_model,
 )
+from repro.eval.campaigns import MethodCurve, RobustnessSweep
 from repro.eval.tasks import active_preset
 from repro.faults import bitflip_sweep
 from repro.models import conventional, proposed
@@ -149,6 +150,23 @@ class TestReporting:
         )
         text = format_sweep(sweep)
         assert "audio" in text and "0.1" in text
+
+    @pytest.mark.parametrize("levels, labels", [
+        ([0.0, 0.1234561, 0.1234564], ["0", "0.1234561", "0.1234564"]),
+        ([0.0, 0.05, 0.1, 0.2], ["0", "0.05", "0.1", "0.2"]),
+    ])
+    def test_format_sweep_spells_levels_like_store_keys(self, levels, labels):
+        """Close levels get distinct labels; default levels print as ``:g``."""
+        curve = MethodCurve(
+            method=proposed(), levels=np.asarray(levels),
+            means=np.zeros(len(levels)), stds=np.zeros(len(levels)),
+        )
+        sweep = RobustnessSweep(
+            task_name="co2", metric_name="rmse", higher_is_better=False,
+            fault_kind="bitflip", curves={"proposed": curve},
+        )
+        rows = format_sweep(sweep).splitlines()[3:]
+        assert [row.split("|")[0].strip() for row in rows] == labels
 
 
 class TestProgressMeter:
