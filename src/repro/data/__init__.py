@@ -16,6 +16,7 @@ from .shifts import (
     add_uniform_noise,
     noise_stages,
     rotate_images,
+    rotation_backend,
     rotation_stages,
 )
 from .vessels import generate_vessel_sample, make_vessel_dataset, make_vessel_task
@@ -37,6 +38,7 @@ __all__ = [
     "make_vessel_task",
     "generate_vessel_sample",
     "rotate_images",
+    "rotation_backend",
     "add_uniform_noise",
     "rotation_stages",
     "noise_stages",

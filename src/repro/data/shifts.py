@@ -22,10 +22,8 @@ ROTATION_STEP_DEGREES = 7.0
 ROTATION_STAGES = 12
 
 
-def rotate_images(images: np.ndarray, degrees: float) -> np.ndarray:
-    """Rotate a batch of CHW images about their centre (zero-padded)."""
-    if degrees == 0.0:
-        return images.copy()
+def rotation_backend():
+    """``scipy.ndimage``, or an ImportError naming the ``repro[fig7]`` extra."""
     try:
         from scipy import ndimage
     except ImportError as exc:
@@ -33,7 +31,14 @@ def rotate_images(images: np.ndarray, degrees: float) -> np.ndarray:
             "rotating images needs scipy: pip install -e .[fig7] "
             "(the repro[fig7] extra)"
         ) from exc
-    return ndimage.rotate(
+    return ndimage
+
+
+def rotate_images(images: np.ndarray, degrees: float) -> np.ndarray:
+    """Rotate a batch of CHW images about their centre (zero-padded)."""
+    if degrees == 0.0:
+        return images.copy()
+    return rotation_backend().rotate(
         images, degrees, axes=(-2, -1), reshape=False, order=1, mode="constant"
     )
 

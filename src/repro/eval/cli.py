@@ -39,7 +39,7 @@ import contextlib
 from typing import List
 
 from ..core.bayesian import BayesianClassifier
-from ..data import noise_stages, rotation_stages
+from ..data import noise_stages, rotation_backend, rotation_stages
 from ..faults import (
     FaultSpec,
     additive_sweep,
@@ -225,6 +225,12 @@ def cmd_store_gc(args) -> None:
 
 
 def cmd_fig7(args) -> None:
+    if args.shift == "rotation":
+        # Fail before training and the unrotated stage, not after them.
+        try:
+            rotation_backend()
+        except ImportError as exc:
+            raise SystemExit(f"fig7 --shift rotation: {exc}") from None
     task = build_task("image", preset=args.preset, seed=args.seed)
     model = trained_model(task, proposed(), args.preset, seed=args.seed)
     clf = BayesianClassifier(model, num_samples=mc_samples(args.preset))

@@ -25,11 +25,27 @@ import numpy as np
 
 from ..tensor import Tensor, ops
 from ..tensor.chipbatch import chip_axes
+from ..tensor.grad_mode import is_grad_enabled
 from .module import Module, Parameter
 
 
 def normalize(x: Tensor, axes: Tuple[int, ...], eps: float) -> Tensor:
-    """``(x - mean) / sqrt(var + eps)`` over ``axes`` (differentiable)."""
+    """``(x - mean) / sqrt(var + eps)`` over ``axes`` (differentiable).
+
+    Without gradients the same operations run once each on plain arrays:
+    the graph path computes the mean twice and ``x - mean`` three times
+    (its own, plus the two inside :meth:`Tensor.var`), all equal.
+    """
+    if not is_grad_enabled():
+        data = x.data
+        scale = 1.0 / int(np.prod([data.shape[a] for a in axes]))
+        mu = data.sum(axis=axes, keepdims=True)
+        mu *= scale
+        centered = data - mu
+        var = np.multiply(centered, centered).sum(axis=axes, keepdims=True)
+        var *= scale
+        var += eps
+        return Tensor(np.divide(centered, np.sqrt(var, out=var), out=centered))
     mu = x.mean(axis=axes, keepdims=True)
     var = x.var(axis=axes, keepdims=True)
     return (x - mu) / ops.sqrt(var + eps)

@@ -67,10 +67,13 @@ class QuantizedWeight:
 
 
 def sign_with_zero_to_one(x: np.ndarray) -> np.ndarray:
-    """``sign`` mapping 0 to +1, as binarized hardware does."""
+    """``sign`` mapping 0 to +1, as binarized hardware does.
+
+    Adding the zero mask maps ±0 to 1 and leaves ±1 and NaN alone: the
+    bits of masked assignment without its boolean scatter.
+    """
     s = np.sign(x)
-    s[s == 0] = 1.0
-    return s
+    return np.add(s, s == 0, out=s)
 
 
 def binarize_weight_record(data: np.ndarray) -> QuantizedWeight:

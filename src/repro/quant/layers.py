@@ -41,6 +41,8 @@ legacy applied-every-forward semantics.
 from __future__ import annotations
 
 import contextlib
+import functools
+import threading
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -298,6 +300,81 @@ class QuantLinear(QuantizedComputeLayer):
         )
 
 
+class _StepScratch(threading.local):
+    """Two gate-sized buffers for gradient-free LSTM steps, per thread.
+
+    Service workers step models on several threads at once, so the
+    buffers belong to the thread running the step, never to the process
+    or to a module.  They are replaced only when the gate shape changes.
+    """
+
+    def __init__(self) -> None:
+        self.gates = np.empty(0)
+        self.work = np.empty(0)
+
+    def buffers(self, shape: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+        if self.gates.shape != shape:
+            self.gates = np.empty(shape)
+            self.work = np.empty(shape)
+        return self.gates, self.work
+
+
+_SCRATCH = _StepScratch()
+
+
+@functools.lru_cache(maxsize=64)
+def _step_layout(x_shape, w_ih_shape, h_shape, w_hh_shape):
+    """Gate shape of one LSTM step, and whether each of its two matrix
+    products has that shape (an unstacked operand beside a stacked one
+    only broadcasts to it)."""
+    x_out = np.broadcast_shapes(x_shape[:-2], w_ih_shape[:-2]) + (
+        x_shape[-2], w_ih_shape[-2],
+    )
+    h_out = np.broadcast_shapes(h_shape[:-2], w_hh_shape[:-2]) + (
+        h_shape[-2], w_hh_shape[-2],
+    )
+    shape = np.broadcast_shapes(x_out, h_out)
+    return shape, x_out == shape, h_out == shape
+
+
+def _lstm_step(x, h, c, w_ih, w_hh, b_ih, b_hh):
+    """One LSTM step on plain arrays; returns fresh ``(h', c')``.
+
+    The same operations in the same order as the graph path of
+    :meth:`QuantLSTMCell.forward`, so the same bits:
+    ``((x @ W_ihᵀ + b_ih) + h @ W_hhᵀ) + b_hh`` accumulated in a reused
+    gate buffer, the logistic over ``[i|f]`` in one call, then
+    ``c' = f * c + i * g`` and ``h' = o * tanh(c')``.  ``exp`` and
+    ``tanh`` write contiguous arrays, as in the graph path, so both paths
+    run the same (contiguous) numpy loops for them.
+    """
+    shape, x_fills, h_fills = _step_layout(x.shape, w_ih.shape, h.shape, w_hh.shape)
+    gates, work = _SCRATCH.buffers(shape)
+    x_proj = np.matmul(x, w_ih.swapaxes(-1, -2), out=gates if x_fills else None)
+    np.add(x_proj, b_ih, out=gates)
+    h_proj = np.matmul(h, w_hh.swapaxes(-1, -2), out=work if h_fills else None)
+    np.add(gates, h_proj, out=gates)
+    np.add(gates, b_hh, out=gates)
+    # ``work`` is free again: split it into contiguous activation outputs.
+    hs = shape[-1] // 4
+    lead = shape[:-1]
+    flat = work.reshape(-1)
+    quarter = flat.size // 4
+    i_f = ops._stable_sigmoid(
+        gates[..., : 2 * hs], out=flat[: 2 * quarter].reshape(lead + (2 * hs,))
+    )
+    g = np.tanh(
+        gates[..., 2 * hs : 3 * hs],
+        out=flat[2 * quarter : 3 * quarter].reshape(lead + (hs,)),
+    )
+    o = ops._stable_sigmoid(
+        gates[..., 3 * hs :], out=flat[3 * quarter :].reshape(lead + (hs,))
+    )
+    c_new = np.multiply(i_f[..., hs:], c)
+    np.add(c_new, np.multiply(i_f[..., :hs], g, out=g), out=c_new)
+    return np.multiply(o, np.tanh(c_new, out=g)), c_new
+
+
 class QuantLSTMCell(QuantizedComputeLayer):
     """LSTM cell whose input/hidden weight matrices are quantized.
 
@@ -305,7 +382,9 @@ class QuantLSTMCell(QuantizedComputeLayer):
     independently (they occupy separate crossbar tiles).  The deployment
     cache matters most here: a sequence of ``T`` timesteps makes ``2T``
     quantization calls per forward, all served from the two cached slots
-    once the chip is programmed.
+    once the chip is programmed.  Without gradients (every campaign cell)
+    the step runs on plain arrays (:func:`_lstm_step`), with the graph
+    path's bits.
     """
 
     def __init__(self, input_size: int, hidden_size: int, weight_bits: int = 8):
@@ -344,6 +423,12 @@ class QuantLSTMCell(QuantizedComputeLayer):
         w_hh = self._quantize_slot(
             self.weight_hh, self.weight_fault_hh, "weight_hh", "last_quantized_hh"
         )
+        if not is_grad_enabled():
+            h_new, c_new = _lstm_step(
+                x.data, h.data, c.data, w_ih.data, w_hh.data,
+                self.bias_ih.data, self.bias_hh.data,
+            )
+            return Tensor(h_new), Tensor(c_new)
         gates = (
             x @ w_ih.swapaxes(-1, -2)
             + self.bias_ih

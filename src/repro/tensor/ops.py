@@ -68,7 +68,9 @@ def tanh(x: Tensor) -> Tensor:
     return Tensor._make(data, [x], backward, "tanh")
 
 
-def _stable_sigmoid(values: np.ndarray) -> np.ndarray:
+def _stable_sigmoid(
+    values: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Numerically stable logistic of a plain array.
 
     Branch-free formulation of the classic two-tail-stable logistic: with
@@ -78,15 +80,21 @@ def _stable_sigmoid(values: np.ndarray) -> np.ndarray:
     without the boolean gather/scatter that dominated its runtime.
 
     ``e`` is computed in place through one scratch array (abs, negate,
-    exp, then reused for the denominator) — the same ufunc sequence as
-    the naive spelling, minus three full-size temporaries per call.
+    exp, then reused for the denominator and the result) — the same ufunc
+    sequence as the naive spelling, minus four full-size temporaries per
+    call.  The numerator ``max(e, x >= 0)`` is ``1`` on the positive tail
+    (``e <= 1``) and ``e`` elsewhere, NaN included: the same bits as
+    ``where(x >= 0, 1, e)`` at a fraction of its cost.  ``out`` (any
+    array of ``values``' shape, not overlapping it) receives ``e`` and
+    the result.
     """
-    e = np.abs(values)
+    positive = values >= 0
+    e = np.abs(values, out=out)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    num = np.where(values >= 0, 1.0, e)
+    num = np.maximum(e, positive)
     np.add(e, 1.0, out=e)
-    return np.divide(num, e)
+    return np.divide(num, e, out=e)
 
 
 def sigmoid(x: Tensor) -> Tensor:

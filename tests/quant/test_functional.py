@@ -22,6 +22,18 @@ class TestSign:
         out = sign_with_zero_to_one(np.array([-2.0, 0.0, 3.0]))
         np.testing.assert_array_equal(out, [-1.0, 1.0, 1.0])
 
+    def test_same_bits_as_masked_assignment(self, rng):
+        values = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+             2.2250738585072014e-308, -1e308],
+            rng.normal(size=64),
+        ]).reshape(2, 37)
+        expected = np.sign(values)
+        expected[expected == 0] = 1.0
+        out = sign_with_zero_to_one(values)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
 
 class TestBinarizeWeight:
     def test_codes_are_pm_one(self, rng):

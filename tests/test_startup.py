@@ -19,6 +19,8 @@ SRC = pathlib.Path(repro.__file__).resolve().parents[1]
 
 CHILD = textwrap.dedent(
     """
+    import os
+    import pathlib
     import sys
 
     sys.modules["scipy"] = None
@@ -42,13 +44,27 @@ CHILD = textwrap.dedent(
         assert "repro[fig7]" in str(exc), str(exc)
     else:
         raise AssertionError("rotate_images(x, 7.0) ran without scipy")
+
+    # fig7 --shift rotation stops before it builds or trains anything.
+    cache = pathlib.Path(os.environ["REPRO_CACHE_DIR"])
+    try:
+        repro.eval.cli.main(["--preset", "tiny", "fig7", "--shift", "rotation"])
+    except SystemExit as exc:
+        message = exc.code
+    else:
+        raise AssertionError("fig7 --shift rotation ran without scipy")
+    assert isinstance(message, str), message  # printed to stderr, exit 1
+    assert "repro[fig7]" in message and "\\n" not in message, message
+    written = sorted(p.name for p in cache.rglob("*")) if cache.exists() else []
+    assert not written, written
     print("ok")
     """
 )
 
 
-def test_cli_and_service_import_without_scipy():
+def test_cli_and_service_import_without_scipy(tmp_path):
     env = dict(os.environ)
+    env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
