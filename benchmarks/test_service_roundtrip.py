@@ -1,4 +1,4 @@
-"""Campaign-service benchmark: sharded daemon + content-addressed store (PR 8).
+"""Campaign-service benchmark: daemon + content-addressed result store.
 
 Runs a Monte Carlo bitflip severity sweep (tiny CO2/LSTM task, 8 severity
 levels) three ways:
@@ -7,8 +7,8 @@ levels) three ways:
   per-cell engine (``engine=PER_CELL``) with the cache disabled, i.e.
   what a cold client computed locally before PR 8;
 * **service-cold** — the same sweep through a freshly started campaign
-  service with an empty result store: every cell is computed by the
-  sharded workers and landed in the store;
+  service with an empty result store: every cell is computed on the
+  default (stacked) engine and landed in the store;
 * **service-warm** — the identical request repeated against the same
   daemon: every scenario must come back from the content-addressed store
   (``computed_cells == 0``) with nothing recomputed
@@ -18,15 +18,13 @@ Asserted: both service rounds bit-identical to the serial reference,
 zero-redundant accounting on the repeat, and a warm-round wall-clock win
 over the cold round.  The cross-round speedup holds on any core count
 (the warm round does no model work at all); the *cold-round vs serial*
-comparison only asserts a win when the host actually has cores to shard
-across (``os.cpu_count() >= 2``) — on a single-CPU container the sharded
-round pays thread-switching overhead for no parallel gain, so there it is
-only recorded, not asserted.
+comparison is asserted only with ``os.cpu_count() >= 2`` and merely
+recorded on a single-CPU container.
 
 Recorded to ``BENCH_pr8.json`` (schema v3): the serial reference row, the
-cold and warm service rounds (``ratio`` = speedup vs serial), and one row
-per worker with its individual cells/s (``worker``/``cells``/``seconds``
-extras — see ``docs/benchmarks.md``).
+cold and warm service rounds (``ratio`` = speedup vs serial), and the
+compute's row (``worker``/``cells``/``seconds`` extras — see
+``docs/benchmarks.md``).
 
 Run explicitly (benchmarks are excluded from tier-1)::
 
@@ -50,7 +48,6 @@ from recorder import bench_path, record_bench
 
 N_RUNS = 3
 LEVELS = [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4]
-WORKERS = 2
 MIN_WARM_SPEEDUP = 3.0  # warm round does no model work at all
 MIN_COLD_SPEEDUP = 1.1  # asserted only with >= 2 real cores
 
@@ -58,9 +55,8 @@ MIN_COLD_SPEEDUP = 1.1  # asserted only with >= 2 real cores
 @pytest.mark.paper_artifact("campaign-service")
 def test_service_round_trip_speedup(tmp_path):
     print_banner(
-        f"Campaign service: serial vs sharded daemon + result store "
-        f"(co2/LSTM, {len(LEVELS)} levels, n_runs={N_RUNS}, "
-        f"workers={WORKERS})"
+        f"Campaign service: serial vs daemon + result store "
+        f"(co2/LSTM, {len(LEVELS)} levels, n_runs={N_RUNS})"
     )
     methods = [proposed()]
     specs = bitflip_sweep(LEVELS)
@@ -81,7 +77,7 @@ def test_service_round_trip_speedup(tmp_path):
     serial_s = time.perf_counter() - t0
 
     store = ResultStore(root=tmp_path / "store")
-    service = CampaignService(workers=WORKERS, store=store)
+    service = CampaignService(store=store)
     with service, ServiceClient(service.address) as client:
         t0 = time.perf_counter()
         cold, cold_stats = client.sweep(
@@ -126,7 +122,7 @@ def test_service_round_trip_speedup(tmp_path):
     )
     if (os.cpu_count() or 1) >= 2:
         assert cold_speedup >= MIN_COLD_SPEEDUP, (
-            f"sharded cold round only {cold_speedup:.2f}x over serial "
+            f"cold service round only {cold_speedup:.2f}x over serial "
             f"with {os.cpu_count()} cores"
         )
 
@@ -135,7 +131,6 @@ def test_service_round_trip_speedup(tmp_path):
     record_bench(
         "co2", "service-cold", cells / cold_s, cold_speedup,
         bench_file=target,
-        extra={"workers": WORKERS, "rounds": cold_stats["rounds"]},
     )
     record_bench(
         "co2", "service-warm", cells / warm_s, serial_s / warm_s,

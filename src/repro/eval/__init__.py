@@ -7,8 +7,8 @@ each scenario's chip instances into byte-budgeted vectorized forwards
 returns a per-chip metric vector under an active chip batch).  Results
 are bit-identical for every engine budget and are cached per
 scenario by :func:`campaign_key` in the content-addressed
-:class:`ResultStore` shared across workers, sessions, and the campaign
-service (:mod:`repro.serve`).
+:class:`ResultStore` shared across processes, sessions, and the
+campaign service (:mod:`repro.serve`).
 """
 
 from .activations import (

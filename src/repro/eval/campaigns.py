@@ -115,17 +115,31 @@ def campaign_settings(
 ) -> Tuple[int, int, Optional[int]]:
     """Resolve ``(n_runs, samples, max_eval_samples)`` for ``preset``.
 
-    ``None`` (``-1`` for the cap) takes the preset's default; fewer than
-    one chip run or sample raises ``ValueError``.
+    ``None`` (``-1`` for the cap) takes the preset's default.  A count
+    that is not a positive integer (``bool`` included) raises
+    ``ValueError``, and so does a cap that is not ``None``, ``-1`` or a
+    positive integer.
     """
     n_runs = mc_runs(preset) if n_runs is None else n_runs
     samples = mc_samples(preset) if samples is None else samples
+    for name, value in (("n_runs", n_runs), ("samples", samples)):
+        if not _positive_int(value):
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
     if max_eval_samples == -1:
         max_eval_samples = campaign_eval_cap(preset)
-    for name, value in (("n_runs", n_runs), ("samples", samples)):
-        if not isinstance(value, numbers.Integral) or value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    elif max_eval_samples is not None and not _positive_int(max_eval_samples):
+        raise ValueError(
+            "max_eval_samples must be None, -1 or a positive integer, "
+            f"got {max_eval_samples!r}"
+        )
     return n_runs, samples, max_eval_samples
+
+
+def _positive_int(value) -> bool:
+    return (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        and value >= 1
+    )
 
 
 def split_stored(

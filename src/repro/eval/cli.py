@@ -23,13 +23,11 @@ Trained models and completed campaign scenarios are cached under
 ``.repro_cache`` exactly as the benchmarks do, so repeated and resumed
 invocations skip finished work (``--no-cache`` forces re-simulation).
 
-Campaign-family commands can also run through the long-lived campaign
-service (:mod:`repro.serve`): ``--serve N`` spins up an in-process
-service with N shard workers for this invocation, and ``--connect
-HOST:PORT`` talks to a daemon started with ``python -m repro.serve`` —
-either way the sweep is sharded across workers, already-computed cells
-are served from the content-addressed result store, and results stay
-bit-identical to the serial path.
+Campaign-family commands can also run through a long-lived campaign
+service daemon (:mod:`repro.serve`, started with ``python -m
+repro.serve``): ``--connect HOST:PORT`` sends the sweep there, the
+daemon serves already-computed cells from its content-addressed result
+store, and results stay bit-identical to the local path.
 """
 
 from __future__ import annotations
@@ -106,7 +104,7 @@ def cmd_table1(args) -> None:
 def cmd_sweep(args) -> None:
     levels = args.levels if args.levels else _DEFAULT_LEVELS[args.fault]
     specs = _SWEEP_BUILDERS[args.fault](levels)
-    if args.connect is not None or args.serve is not None:
+    if args.connect is not None:
         _cmd_sweep_service(args, specs)
         return
     _cmd_sweep_local(args, specs)
@@ -138,12 +136,11 @@ def _cmd_sweep_local(args, specs) -> None:
 
 
 def _cmd_sweep_service(args, specs) -> None:
-    """Route one sweep through the campaign service (tentpole path).
+    """Route one sweep through the campaign service daemon at ``--connect``.
 
-    ``--serve N`` hosts an in-process service for this invocation (shut
-    down on exit); ``--connect`` targets a running daemon.  Results are
-    bit-identical to the in-process driver; the service stats line below
-    the tables shows store/compute accounting and per-worker throughput.
+    Results are bit-identical to the in-process driver; the service
+    stats line below the tables shows store/compute accounting and the
+    compute's throughput.
 
     Client deadlines and retries come from ``--connect-timeout`` /
     ``--request-timeout`` / ``--retries``.  With ``--fallback-local``,
@@ -151,28 +148,18 @@ def _cmd_sweep_service(args, specs) -> None:
     in-process engine instead of failing the invocation — safe because
     both paths are bit-identical.
     """
-    from ..serve import CampaignService, ServiceClient, ServiceUnavailable
+    from ..serve import ServiceClient, ServiceUnavailable
 
     methods = _methods_for(args.task)
     try:
         with contextlib.ExitStack() as stack:
             stages = stack.enter_context(profiled()) if args.profile else None
-            client_options = {
-                "connect_timeout": args.connect_timeout,
-                "request_timeout": args.request_timeout,
-                "retries": args.retries,
-            }
-            if args.connect is not None:
-                client = stack.enter_context(
-                    ServiceClient(args.connect, **client_options)
-                )
-            else:
-                service = stack.enter_context(
-                    CampaignService(workers=args.serve, verbose=args.verbose)
-                )
-                client = stack.enter_context(
-                    ServiceClient(service.address, **client_options)
-                )
+            client = stack.enter_context(ServiceClient(
+                args.connect,
+                connect_timeout=args.connect_timeout,
+                request_timeout=args.request_timeout,
+                retries=args.retries,
+            ))
             on_partial = None
             if args.verbose:
                 def on_partial(frame):
@@ -324,21 +311,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--no-cache", action="store_true",
             help="ignore cached campaign results and re-simulate every cell "
-                 "(with --serve/--connect: bypass the result store entirely)",
-        )
-        p.add_argument(
-            "--serve", type=int, default=None, metavar="N",
-            help="run the sweep through an in-process campaign service "
-                 "with N shard workers (sharded by (task, fault-kind) "
-                 "group, already-computed cells served from the "
-                 "content-addressed result store; bit-identical to the "
-                 "serial path)",
+                 "(with --connect: bypass the daemon's result store entirely)",
         )
         p.add_argument(
             "--connect", default=None, metavar="HOST:PORT",
             help="run the sweep through a running campaign service "
-                 "daemon (python -m repro.serve); keeps models and their "
-                 "deployment caches warm across invocations",
+                 "daemon (python -m repro.serve); it keeps models and their "
+                 "deployment caches warm across invocations and serves "
+                 "already-computed cells from its result store "
+                 "(bit-identical to the local path)",
         )
         p.add_argument(
             "--connect-timeout", type=float, default=5.0, metavar="SECONDS",

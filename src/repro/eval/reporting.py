@@ -126,39 +126,20 @@ def format_profile(stages: Dict[str, float]) -> str:
 
 
 def format_service_stats(stats: Dict) -> str:
-    """Render a campaign-service reply's accounting block.
+    """Render a campaign-service reply's accounting line.
 
-    One summary line — cells served from the content-addressed store vs
-    freshly computed, redundant computations (cells whose store entry
-    already existed; zero on a healthy repeat), and scheduling counters —
-    then a recovery line when any fault-tolerance counter fired (worker
-    hangs, respawns, retried units/attempts, chaos-shimmed frames), and
-    one throughput row per shard worker.
+    Cells served from the content-addressed store vs freshly computed
+    (with the compute's throughput), redundant computations (cells whose
+    store entry already existed; zero on a healthy repeat), and prior
+    attempts of the request.
     """
-    lines = [
-        "service: "
-        f"{stats['served_cells']} cells served from store, "
-        f"{stats['computed_cells']} computed, "
-        f"{stats['redundant_cells']} redundant "
-        f"(rounds={stats['rounds']}, reshards={stats['reshards']}, "
-        f"deaths={stats['worker_deaths']})"
-    ]
-    recovery = {
-        key: int(stats.get(key, 0))
-        for key in ("hangs", "respawns", "retries", "frames_dropped",
-                    "frames_delayed", "frames_corrupted")
-    }
-    if any(recovery.values()):
-        lines.append(
-            "  recovery: "
-            + ", ".join(f"{key}={value}" for key, value in recovery.items())
-        )
-    for row in stats.get("workers", []):
-        lines.append(
-            f"  worker {row['worker']}: {row['cells']} cells in "
-            f"{row['seconds']:.2f}s ({row['cells_per_sec']:.1f} cells/s)"
-        )
-    return "\n".join(lines)
+    cells, seconds = stats["computed_cells"], stats["compute_seconds"]
+    rate = cells / seconds if seconds > 0 else 0.0
+    return (
+        f"service: {stats['served_cells']} cells served from store, "
+        f"{cells} computed in {seconds:.2f}s ({rate:.1f} cells/s), "
+        f"{stats['redundant_cells']} redundant (retries={stats['retries']})"
+    )
 
 
 #: Paper column labels for the four methods.

@@ -32,8 +32,8 @@ forwards one cell makes and the bytes of their input.  From that and
 the model's parameter bytes it estimates one stacked instance, and cuts
 each run of same-kind faulty cells into passes of at most
 :meth:`Footprint.cells_per_pass` cells.  A budget of 0 gives the plain
-per-cell loop.  Multi-worker execution lives in the campaign service
-(:mod:`repro.serve`), which runs this engine per shard worker.
+per-cell loop.  The campaign service (:mod:`repro.serve`) runs this
+same engine in its daemon.
 
 Determinism
 -----------
@@ -141,8 +141,8 @@ class Footprint:
 
 
 # Footprints already learned, per model, for the evaluator they were
-# learned with: a long-lived model (a service replica) pays the per-cell
-# sizing run once.
+# learned with: a long-lived model (one the service daemon keeps warm)
+# pays the per-cell sizing run once.
 _FOOTPRINTS: "weakref.WeakKeyDictionary[Module, Tuple[Evaluator, Footprint]]" = (
     weakref.WeakKeyDictionary()
 )
@@ -213,8 +213,8 @@ def _sizing_cell(
     """:func:`evaluate_cell` that also learns the :class:`Footprint`.
 
     The root module's ``forward`` is wrapped on this model instance only,
-    for this one cell, so other models (and other threads' replicas) are
-    untouched and no later forward pays for it.
+    for this one cell, so other models are untouched and no later
+    forward pays for it.
     """
     inputs: List[int] = []
     forward = model.forward

@@ -303,9 +303,10 @@ class QuantLinear(QuantizedComputeLayer):
 class _StepScratch(threading.local):
     """Two gate-sized buffers for gradient-free LSTM steps, per thread.
 
-    Service workers step models on several threads at once, so the
-    buffers belong to the thread running the step, never to the process
-    or to a module.  They are replaced only when the gate shape changes.
+    Models may be stepped from more than one thread (the campaign
+    service runs each sweep on its connection's thread), so the buffers
+    belong to the thread running the step, never to the process or to a
+    module.  They are replaced only when the gate shape changes.
     """
 
     def __init__(self) -> None:

@@ -2,10 +2,11 @@
 
 The daemon binds the loopback interface (``--port 0`` picks a free
 port, printed on startup so wrappers can parse it), keeps models and
-their deployment caches warm across requests, and serves sweeps until a client sends
-``shutdown`` or the process receives SIGINT.  A ``--host`` other than
-IPv4 loopback or ``localhost`` is refused: the daemon unpickles every
-frame it receives.
+their deployment caches warm across requests, and serves sweeps until a
+client sends ``shutdown`` or the process receives SIGINT.  A ``--host``
+other than IPv4 loopback or ``localhost`` is refused: the daemon
+unpickles every frame it receives.  ``--workers N`` still parses and is
+ignored: each sweep runs on its own connection thread.
 """
 
 from __future__ import annotations
@@ -19,30 +20,23 @@ from .daemon import CampaignService
 def main(argv: Optional[List[str]] = None) -> None:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve",
-        description="Long-lived sharded campaign service.",
+        description="Long-lived campaign service.",
     )
     parser.add_argument("--host", default="127.0.0.1",
                         help="IPv4 loopback address to bind (default "
                              "127.0.0.1; other addresses are refused)")
     parser.add_argument("--port", type=int, default=0,
                         help="TCP port (0 = pick a free one, printed below)")
-    parser.add_argument("--workers", type=int, default=2,
-                        help="shard workers per sweep request (default 2)")
-    parser.add_argument("--unit-deadline", type=float, default=300.0,
-                        help="per-unit watchdog deadline in seconds; a "
-                             "worker silent this long is declared dead "
-                             "(default 300)")
-    parser.add_argument("--max-respawns", type=int, default=1,
-                        help="respawn budget per dead worker per sweep "
-                             "before degrading to survivors (default 1)")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="ignored: each sweep runs on its connection "
+                             "thread (accepted so older launch scripts "
+                             "still start the daemon)")
     parser.add_argument("--verbose", action="store_true",
-                        help="log requests and worker events to stderr")
+                        help="log requests and connection errors to stderr")
     args = parser.parse_args(argv)
     try:
         service = CampaignService(
-            host=args.host, port=args.port, workers=args.workers,
-            verbose=args.verbose, unit_deadline=args.unit_deadline,
-            max_respawns=args.max_respawns,
+            host=args.host, port=args.port, verbose=args.verbose
         )
     except ValueError as exc:  # a --host that is not IPv4 loopback
         parser.error(str(exc))

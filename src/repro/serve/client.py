@@ -23,8 +23,7 @@ Fault tolerance lives at this layer:
   reproducible, yet de-synchronized across concurrent clients;
 * **idempotent request ids** — every logical sweep carries one
   ``request_id`` (re-sent verbatim on retry), so the daemon counts the
-  request once, accumulates its recovery counters across attempts, and
-  a retried sweep never double-counts;
+  request once and reports how many attempts came before;
 * application errors (an ``error`` frame from the daemon) are **not**
   retried — the request itself is bad, and re-sending it cannot help.
 
@@ -69,9 +68,8 @@ class ServiceUnavailable(ConnectionError):
 class IncompleteSweepError(ConnectionError):
     """A sweep reply completed but is missing scenario frames.
 
-    Happens when reply frames are lost in flight (or dropped by a chaos
-    ``frame_drop`` event): the ``done`` frame arrived, but some scenario
-    never did.  Retryable — the daemon landed every computed value in
+    Happens when reply frames are lost in flight: the ``done`` frame
+    arrived, but some scenario never did.  Retryable — the daemon landed every computed value in
     the result store, so the retried request streams the missing
     scenarios from the store without recomputing anything.
     """
@@ -201,7 +199,7 @@ class ServiceClient:
         return self._with_retries(request_id, attempt_once)
 
     def ping(self) -> dict:
-        """Liveness check; returns the daemon's worker count."""
+        """Liveness check; the reply carries ``pong=True``."""
         return self._roundtrip({"op": "ping"})
 
     def stats(self) -> dict:
@@ -239,20 +237,18 @@ class ServiceClient:
         max_eval_samples: Optional[int] = -1,
         use_store: bool = True,
         on_partial: Optional[Callable[[dict], None]] = None,
-        chaos=None,
     ) -> Tuple[RobustnessSweep, dict]:
         """Run one robustness sweep through the service.
 
         Returns ``(sweep, stats)`` where ``sweep`` matches
         :func:`repro.eval.campaigns.run_robustness_sweep` bit for bit and
         ``stats`` is the daemon's per-request accounting (store counter
-        deltas, ``redundant_cells``, recovery counters, per-worker
-        throughput rows, round assignments).  ``on_partial`` observes
-        every streamed frame as it arrives — each carries one scenario's
-        full value array and its source (``"store"`` or ``"computed"``).
-        ``chaos`` injects deterministic faults from a
-        :class:`~repro.serve.chaos.ChaosSchedule`; the daemon answers
-        anything else but ``None`` with an error frame.
+        deltas, ``redundant_cells``, ``retries``, the compute's
+        throughput row).  ``on_partial`` observes every streamed frame
+        as it arrives — each carries one scenario's full value array and
+        its source (``"store"`` or ``"computed"``).  A request the
+        daemon rejects, or whose compute fails, raises ``RuntimeError``
+        with the daemon's message.
 
         The whole sweep is one idempotent request: retried attempts
         re-send the same ``request_id`` with an incremented ``attempt``,
@@ -270,7 +266,6 @@ class ServiceClient:
             "methods": list(methods),
             "specs": list(specs),
             "use_store": use_store,
-            "chaos": chaos,
             "request_id": uuid.uuid4().hex,
         }
 

@@ -12,9 +12,8 @@ surfaces as a clean :class:`ProtocolError` instead of an OOM.
 The CRC classifies corruption instead of letting it poison unpickle: a
 frame whose payload does not match its checksum raises
 :class:`ChecksumError` *before* ``pickle.loads`` runs, and the error is
-**retryable** — the bytes were damaged in flight (or by an injected
-``frame_corrupt`` chaos event), so the same request can simply be sent
-again.  EOF cleanly between frames raises :class:`ConnectionClosed`
+**retryable** — the bytes were damaged in flight, so the same request
+can simply be sent again.  EOF cleanly between frames raises :class:`ConnectionClosed`
 (an orderly peer close, not an error); EOF *inside* a frame stays a
 plain :class:`ConnectionError`.
 
@@ -61,27 +60,16 @@ class ConnectionClosed(ConnectionError):
     """EOF cleanly between frames — an orderly peer close, not a fault."""
 
 
-def send_message(sock: socket.socket, message: Any, corrupt: bool = False) -> None:
-    """Frame and send one message (length + CRC-32 prefix, pickle payload).
-
-    ``corrupt=True`` is the chaos engine's protocol shim: the checksum
-    is computed over the *intact* payload and then one payload byte is
-    flipped, so the receiver's CRC check — not its unpickler — detects
-    the damage, exactly as with real in-flight corruption.
-    """
+def send_message(sock: socket.socket, message: Any) -> None:
+    """Frame and send one message (length + CRC-32 prefix, pickle payload)."""
     payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
     if len(payload) > MAX_MESSAGE_BYTES:
         raise ProtocolError(
             f"refusing to send {len(payload)} byte frame "
             f"(cap {MAX_MESSAGE_BYTES})"
         )
-    checksum = zlib.crc32(payload)
-    if corrupt and payload:
-        damaged = bytearray(payload)
-        damaged[len(damaged) // 2] ^= 0xFF
-        payload = bytes(damaged)
     with stage("transport"):
-        sock.sendall(_HEADER.pack(len(payload), checksum) + payload)
+        sock.sendall(_HEADER.pack(len(payload), zlib.crc32(payload)) + payload)
 
 
 def recv_message(sock: socket.socket) -> Any:

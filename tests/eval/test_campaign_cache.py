@@ -139,12 +139,27 @@ class TestSweepCaching:
             first.curves["proposed"].means, forced.curves["proposed"].means
         )
 
-    @pytest.mark.parametrize("field", ["n_runs", "samples"])
-    def test_empty_campaign_is_rejected(self, isolated_cache, field):
-        with pytest.raises(ValueError, match=f"{field} must be a positive"):
+    @pytest.mark.parametrize("field, value, message", [
+        pytest.param("n_runs", 0, "n_runs must be a positive", id="n_runs"),
+        pytest.param("samples", 0, "samples must be a positive", id="samples"),
+        # bool is an Integral: True must not pass as one chip run.
+        pytest.param("n_runs", True, "n_runs must be a positive",
+                     id="n_runs-bool"),
+        pytest.param("samples", True, "samples must be a positive",
+                     id="samples-bool"),
+        # A zero or negative cap would divide by zero inside the metric.
+        pytest.param("max_eval_samples", 0, "max_eval_samples must be",
+                     id="max_eval_samples-0"),
+        pytest.param("max_eval_samples", -5, "max_eval_samples must be",
+                     id="max_eval_samples-negative"),
+    ])
+    def test_empty_campaign_is_rejected(
+        self, isolated_cache, field, value, message
+    ):
+        with pytest.raises(ValueError, match=message):
             run_robustness_sweep(
                 build_task("audio", preset="tiny"), [proposed()],
-                bitflip_sweep([0.0, 0.2]), preset="tiny", **{field: 0},
+                bitflip_sweep([0.0, 0.2]), preset="tiny", **{field: value},
             )
         assert len(result_store()) == 0
 

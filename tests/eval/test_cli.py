@@ -54,7 +54,7 @@ class TestParser:
         assert "--runs: expected a positive integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [
-        "--workers=2", "--mc-batched", "--no-mc-batched",
+        "--workers=2", "--serve=2", "--mc-batched", "--no-mc-batched",
         "--scenario-batched", "--no-scenario-batched",
         "--attach-amortize", "--no-attach-amortize",
         "--executor=thread", "--executor=process",
@@ -258,19 +258,19 @@ class TestServiceFlags:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         from repro.eval import clear_memory_cache
 
+        from repro.eval.cache import ResultStore
+        from repro.serve import CampaignService
+
         clear_memory_cache()
         argv = ["fig6", "--task", "co2", "--preset", "tiny",
                 "--levels", "0", "0.05", "0.1", "--no-cache"]
         main(argv)
         local = capsys.readouterr().out
-        main(argv + ["--serve", "2"])
+        with CampaignService(store=ResultStore(root=tmp_path / "store")) as service:
+            main(argv + ["--connect", "%s:%d" % service.address])
         served = capsys.readouterr().out.splitlines()
-        assert any(line.startswith("service:") for line in served)
-        tables = [
-            line for line in served
-            if not line.startswith("service:")
-            and not line.lstrip().startswith("worker ")
-        ]
+        assert sum(line.startswith("service:") for line in served) == 1
+        tables = [line for line in served if not line.startswith("service:")]
         assert tables == local.splitlines()
 
     def test_unreachable_service_without_fallback_raises(self, monkeypatch):

@@ -138,16 +138,20 @@ class TestChecksum:
             recv_message(b)
 
     def test_corrupt_shim_triggers_checksum_error(self, pair):
-        """The chaos shim damages the payload after CRC — the receiver's
-        integrity check fires exactly as for real in-flight corruption."""
+        """A payload damaged after its CRC was taken — as in flight —
+        fails the receiver's integrity check."""
         a, b = pair
-        send_message(a, {"op": "ping", "n": 3}, corrupt=True)
+        payload = pickle.dumps({"op": "ping", "n": 3})
+        damaged = bytearray(payload)
+        damaged[len(damaged) // 2] ^= 0xFF
+        a.sendall(_frame(bytes(damaged), checksum=zlib.crc32(payload)))
         with pytest.raises(ChecksumError):
             recv_message(b)
 
     def test_clean_frame_after_corrupt_one_still_parses(self, pair):
         a, b = pair
-        send_message(a, {"seq": 0}, corrupt=True)
+        payload = pickle.dumps({"seq": 0})
+        a.sendall(_frame(payload, checksum=zlib.crc32(payload) ^ 1))
         send_message(a, {"seq": 1})
         with pytest.raises(ChecksumError):
             recv_message(b)

@@ -1,13 +1,19 @@
 """End-to-end campaign-service tests: bit-identity, zero-redundant
-accounting, worker-death re-sharding, and the daemon subprocess.
+accounting, request checking, fault recovery, and the daemon subprocess.
 
 The module-scoped cache directory keeps trained tiny-preset models warm
 across tests (exactly what a real daemon does); each test that needs an
 isolated result store roots one in its own tmp directory.
 """
 
+import pickle
+import socket
+import struct
 import subprocess
 import sys
+import threading
+import time
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +23,7 @@ from repro.eval import build_task, clear_memory_cache, run_robustness_sweep
 from repro.eval.cache import ResultStore
 from repro.faults import additive_sweep, bitflip_sweep, multiplicative_sweep
 from repro.models import all_methods, proposed
-from repro.serve import (
-    CampaignService,
-    ChaosSchedule,
-    ServiceClient,
-    ServiceUnavailable,
-)
+from repro.serve import CampaignService, ServiceClient, ServiceUnavailable
 
 
 @pytest.fixture(scope="module")
@@ -36,29 +37,9 @@ def shared_cache(tmp_path_factory):
     clear_memory_cache()
 
 
-def _kill_worker_zero() -> ChaosSchedule:
-    """The first ``kill`` schedule that kills worker 0 before its first
-    unit of round 0 and spares worker 1 there (a pure search: seed 2).
-
-    In these sweeps worker 1 holds one unit, so ``(1, 0, 0)`` is the only
-    point where it consults the schedule; rounds past the first are
-    quiet (``max_trials=1``).
-    """
-    seed = 0
-    while True:
-        chaos = ChaosSchedule(seed=seed, kinds=("kill",), p=0.5)
-        if (chaos.worker_event(0, 0, 0) == "kill"
-                and chaos.worker_event(1, 0, 0) is None):
-            return chaos
-        seed += 1
-
-
-KILL_WORKER_0 = _kill_worker_zero()
-
-
-def _service_pair(tmp_path, workers=2, **kwargs):
+def _service_pair(tmp_path, **kwargs):
     store = ResultStore(root=tmp_path / "store")
-    service = CampaignService(workers=workers, store=store, **kwargs)
+    service = CampaignService(store=store, **kwargs)
     return service, store
 
 
@@ -67,6 +48,96 @@ def _assert_sweeps_equal(a, b):
     for name in a.curves:
         np.testing.assert_array_equal(a.curves[name].means, b.curves[name].means)
         np.testing.assert_array_equal(a.curves[name].stds, b.curves[name].stds)
+
+
+#: ``_sweep_request`` override that removes a field.
+_MISSING = object()
+
+
+def _sweep_request(**overrides):
+    """A valid sweep request as ``ServiceClient.sweep`` sends it, with
+    ``overrides`` applied (``_MISSING`` removes a field)."""
+    request = {
+        "op": "sweep", "task": "audio", "preset": "tiny", "seed": 0,
+        "n_runs": 2, "samples": None, "max_eval_samples": -1,
+        "methods": [proposed()], "specs": bitflip_sweep([0.0, 0.1]),
+        "use_store": True,
+    }
+    request.update(overrides)
+    return {k: v for k, v in request.items() if v is not _MISSING}
+
+
+def _close(*socks):
+    for sock in socks:
+        try:
+            sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        sock.close()
+
+
+def _pipe(src, dst):
+    """Copy bytes from ``src`` to ``dst`` until either side closes."""
+    try:
+        while True:
+            chunk = src.recv(1 << 16)
+            if not chunk:
+                break
+            dst.sendall(chunk)
+    except OSError:
+        pass
+    finally:
+        _close(src, dst)
+
+
+class _OneShotProxy:
+    """Loopback proxy to a daemon that damages the first reply frame it
+    forwards — drops it, or breaks its CRC — and passes the rest through."""
+
+    def __init__(self, upstream, damage):
+        self.upstream, self.damage = upstream, damage
+        self.damaged = 0
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.address = self.listener.getsockname()
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        while True:
+            try:
+                client, _ = self.listener.accept()
+            except OSError:
+                return  # closed
+            server = socket.create_connection(self.upstream)
+            threading.Thread(
+                target=_pipe, args=(client, server), daemon=True
+            ).start()
+            threading.Thread(
+                target=self._replies, args=(server, client), daemon=True
+            ).start()
+
+    def _replies(self, server, client):
+        reader = server.makefile("rb")
+        try:
+            while True:
+                header = reader.read(12)
+                if len(header) < 12:
+                    return
+                length, crc = struct.unpack(">QI", header)
+                payload = reader.read(length)
+                if not self.damaged:
+                    self.damaged += 1
+                    if self.damage == "drop":
+                        continue
+                    crc ^= 1
+                client.sendall(struct.pack(">QI", length, crc) + payload)
+        except OSError:
+            pass
+        finally:
+            reader.close()
+            _close(server, client)
+
+    def close(self):
+        _close(self.listener)
 
 
 class TestServiceSweep:
@@ -102,7 +173,7 @@ class TestServiceSweep:
     def test_per_worker_throughput_rows(self, shared_cache, tmp_path):
         methods = [proposed()]
         specs = bitflip_sweep([0.0, 0.1, 0.2])
-        service, _ = _service_pair(tmp_path, workers=2)
+        service, _ = _service_pair(tmp_path)
         with service, ServiceClient(service.address) as client:
             _, stats = client.sweep(
                 "audio", methods, specs, preset="tiny", seed=0, n_runs=3
@@ -166,7 +237,6 @@ class TestServiceSweep:
                 preset="tiny", seed=0, n_runs=3,
             )
             after = store.snapshot()
-        assert stats["rounds"] == 1  # no re-issued unit may re-check
         assert after["hits"] - before["hits"] == 2
         assert after["misses"] - before["misses"] == 2
         assert after["puts"] - before["puts"] == 2
@@ -190,69 +260,16 @@ class TestServiceSweep:
 
 
 class TestWorkerDeath:
-    def test_chaos_death_reshards_deterministically(
-        self, shared_cache, tmp_path
-    ):
-        methods = [proposed()]
-        specs = bitflip_sweep([0.0, 0.1, 0.2, 0.4])
-        chaos = KILL_WORKER_0
-        runs = []
-        for attempt in range(2):
-            service, _ = _service_pair(
-                tmp_path / f"attempt{attempt}", workers=2
-            )
-            with service, ServiceClient(service.address) as client:
-                runs.append(client.sweep(
-                    "audio", methods, specs, preset="tiny", seed=0, n_runs=3,
-                    use_store=False, chaos=chaos,
-                ))
-        (sweep_a, stats_a), (sweep_b, stats_b) = runs
-        assert stats_a["worker_deaths"] == 1
-        assert stats_a["reshards"] >= 1
-        assert stats_a["rounds"] >= 2
-        assert stats_a["assignments"] == stats_b["assignments"]
-        _assert_sweeps_equal(sweep_a, sweep_b)
-
-    def test_death_result_bit_identical_to_clean_run(
-        self, shared_cache, tmp_path
-    ):
-        methods = [proposed()]
-        specs = bitflip_sweep([0.0, 0.1, 0.2, 0.4])
-        service, _ = _service_pair(tmp_path / "chaos", workers=2)
-        with service, ServiceClient(service.address) as client:
-            with_death, stats = client.sweep(
-                "audio", methods, specs, preset="tiny", seed=0, n_runs=3,
-                use_store=False, chaos=KILL_WORKER_0,
-            )
-        assert stats["worker_deaths"] == 1
-        service, _ = _service_pair(tmp_path / "clean", workers=2)
-        with service, ServiceClient(service.address) as client:
-            clean, _ = client.sweep(
-                "audio", methods, specs, preset="tiny", seed=0, n_runs=3,
-                use_store=False,
-            )
-        _assert_sweeps_equal(with_death, clean)
-
-    def test_all_workers_dead_is_an_error(self, shared_cache, tmp_path):
-        # max_respawns=0: with any respawn budget the lone worker would
-        # simply be revived and the sweep would succeed.
-        service, _ = _service_pair(tmp_path, workers=1, max_respawns=0)
-        with service, ServiceClient(service.address) as client:
-            with pytest.raises(RuntimeError, match="service error"):
-                client.sweep(
-                    "audio", [proposed()], bitflip_sweep([0.0, 0.1]),
-                    preset="tiny", seed=0, n_runs=3,
-                    use_store=False, chaos=KILL_WORKER_0,
-                )
+    """Work an earlier request landed is served, never recomputed."""
 
     def test_retry_after_partial_store_is_not_redundant(
         self, shared_cache, tmp_path
     ):
-        """A re-issued unit serves scenarios an earlier round landed."""
+        """A sweep serves the scenario an earlier request landed."""
         methods = [proposed()]
         specs = bitflip_sweep([0.0, 0.1, 0.2])
         store = ResultStore(root=tmp_path / "store")
-        service = CampaignService(workers=2, store=store)
+        service = CampaignService(store=store)
         with service, ServiceClient(service.address) as client:
             _, stats1 = client.sweep(
                 "audio", methods, [specs[1]], preset="tiny", seed=0, n_runs=3
@@ -266,9 +283,9 @@ class TestWorkerDeath:
 
 class TestServiceMisc:
     def test_ping_and_stats(self, shared_cache, tmp_path):
-        service, _ = _service_pair(tmp_path, workers=3)
+        service, _ = _service_pair(tmp_path)
         with service, ServiceClient(service.address) as client:
-            assert client.ping()["workers"] == 3
+            assert client.ping()["pong"]
             stats = client.stats()
             assert stats["requests"] == 0
             client.sweep("audio", [proposed()], bitflip_sweep([0.0, 0.1]),
@@ -293,14 +310,14 @@ class TestServiceMisc:
             assert client.ping()["pong"]
 
     def test_chaos_dict_is_an_error(self, shared_cache, tmp_path):
+        # The daemon injects no faults: a request asking for some is
+        # refused, not silently served without them.
         service, _ = _service_pair(tmp_path)
         with service, ServiceClient(service.address) as client:
             with pytest.raises(RuntimeError, match="service error.*chaos"):
-                client.sweep(
-                    "audio", [proposed()], bitflip_sweep([0.0, 0.1]),
-                    preset="tiny", seed=0, n_runs=3,
-                    chaos={"worker": 0, "after_units": 0},
-                )
+                client._roundtrip(_sweep_request(
+                    chaos={"worker": 0, "after_units": 0}
+                ))
             assert client.ping()["pong"]
 
     @pytest.mark.parametrize("field", ["n_runs", "samples"])
@@ -313,6 +330,53 @@ class TestServiceMisc:
                     preset="tiny", seed=0, **{field: 0},
                 )
         assert store.snapshot()["puts"] == 0
+
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("preset", _MISSING, id="preset-missing"),
+        pytest.param("preset", "huge", id="preset-unknown"),
+        pytest.param("task", "nonexistent", id="task-unknown"),
+        pytest.param("seed", "0", id="seed-str"),
+        pytest.param("specs", [{"kind": "bitflip", "level": 0.1}],
+                     id="specs-dict"),
+        pytest.param("methods", ["proposed"], id="methods-str"),
+        pytest.param("methods", [proposed(), proposed()],
+                     id="methods-repeated"),
+        pytest.param("use_store", "no", id="use_store-str"),
+        pytest.param("n_runs", True, id="n_runs-bool"),
+        pytest.param("max_eval_samples", 0, id="max_eval_samples-0"),
+    ])
+    def test_bad_field_is_named_before_any_work(
+        self, shared_cache, tmp_path, field, value
+    ):
+        service, store = _service_pair(tmp_path)
+        with service, ServiceClient(service.address) as client:
+            with pytest.raises(RuntimeError, match=f"service error.*{field}"):
+                client._roundtrip(_sweep_request(**{field: value}))
+            assert client.ping()["pong"]  # the daemon survives it
+            assert client.stats()["requests"] == 0
+        # Nothing was read from or written to the store.
+        assert not any(store.snapshot().values())
+
+    def test_compute_failure_reports_its_own_message(
+        self, shared_cache, tmp_path
+    ):
+        methods = [proposed()]
+        service, _ = _service_pair(tmp_path)
+        with service, ServiceClient(service.address) as client:
+            with pytest.raises(
+                RuntimeError, match=r"bit-flip rate must be in \[0, 1\]"
+            ):
+                client.sweep("audio", methods, bitflip_sweep([0.0, 3.0]),
+                             preset="tiny", seed=0, n_runs=2)
+            # The failed sweep left no fault hooks on the shared model.
+            sweep, _ = client.sweep("audio", methods, bitflip_sweep([0.0, 0.1]),
+                                    preset="tiny", seed=0, n_runs=2)
+        task = build_task("audio", preset="tiny", seed=0)
+        reference = run_robustness_sweep(
+            task, methods, bitflip_sweep([0.0, 0.1]), preset="tiny", seed=0,
+            n_runs=2, use_cache=False,
+        )
+        _assert_sweeps_equal(reference, sweep)
 
     @pytest.mark.parametrize(
         "host", ["0.0.0.0", "10.1.2.3", "example.org", "::1"]
@@ -349,14 +413,14 @@ class TestFaultRecovery:
     def test_shutdown_with_sweep_in_flight_fails_cleanly(
         self, shared_cache, tmp_path
     ):
-        """stop() mid-sweep closes the connection and winds workers down
-        instead of serving from a half-dead daemon."""
+        """stop() mid-sweep drops the connection instead of serving
+        from a half-dead daemon."""
         # Two methods: the stop lands while the first method's frames
         # stream, so the second method's are guaranteed still pending
         # (not yet computed, so they cannot sit in the socket buffer).
         methods = all_methods(conventional_norm="batch")[:2]
         specs = bitflip_sweep([0.0, 0.1, 0.2])
-        service, store = _service_pair(tmp_path, workers=2)
+        service, store = _service_pair(tmp_path)
         service.start()
         killed = []
 
@@ -374,8 +438,8 @@ class TestFaultRecovery:
         assert killed  # the sweep was genuinely in flight
         assert service._stopped.is_set()
         # A fresh daemon over the same store serves the re-issued sweep
-        # without recomputing anything a landed unit already stored.
-        service2 = CampaignService(workers=2, store=store)
+        # without recomputing anything the stopped one already stored.
+        service2 = CampaignService(store=store)
         with service2, ServiceClient(service2.address) as client:
             sweep, stats = client.sweep(
                 "audio", methods, specs, preset="tiny", seed=0, n_runs=3
@@ -397,7 +461,7 @@ class TestFaultRecovery:
         methods = [proposed()]
         specs = bitflip_sweep([0.0, 0.1, 0.2])
         store = ResultStore(root=tmp_path / "store")
-        service1 = CampaignService(workers=2, store=store).start()
+        service1 = CampaignService(store=store).start()
         port = service1.port
         client = ServiceClient(service1.address, retries=3, backoff=0.05)
         try:
@@ -407,7 +471,7 @@ class TestFaultRecovery:
             assert stats1["computed_cells"] > 0
             service1.stop()
             service2 = CampaignService(
-                port=port, workers=2, store=ResultStore(root=tmp_path / "store")
+                port=port, store=ResultStore(root=tmp_path / "store")
             ).start()
             try:
                 # The client still holds the dead socket; the retry loop
@@ -445,6 +509,92 @@ class TestFaultRecovery:
                 assert client.ping()["pong"]  # fresh dial, same client
 
 
+    @pytest.mark.parametrize("damage", ["drop", "corrupt"])
+    def test_damaged_reply_frame_is_retried(
+        self, shared_cache, tmp_path, damage
+    ):
+        """A reply frame lost or corrupted in flight costs one retry of
+        the same request, served from the store, with identical bits."""
+        methods = [proposed()]
+        specs = bitflip_sweep([0.0, 0.1, 0.2])
+        task = build_task("audio", preset="tiny", seed=0)
+        reference = run_robustness_sweep(
+            task, methods, specs, preset="tiny", seed=0, n_runs=3,
+            use_cache=False,
+        )
+        service, _ = _service_pair(tmp_path)
+        with service:
+            proxy = _OneShotProxy(service.address, damage)
+            try:
+                with ServiceClient(
+                    proxy.address, retries=2, backoff=0.01
+                ) as client:
+                    sweep, stats = client.sweep(
+                        "audio", methods, specs, preset="tiny", seed=0,
+                        n_runs=3,
+                    )
+            finally:
+                proxy.close()
+        assert proxy.damaged == 1
+        _assert_sweeps_equal(reference, sweep)
+        assert stats["retries"] == 1  # one earlier attempt of this request
+        assert stats["computed_cells"] == 0  # the retry read the store
+        assert stats["redundant_cells"] == 0
+
+
+class TestConnErrors:
+    def test_mid_frame_disconnect_is_counted(self, shared_cache, tmp_path):
+        service, _ = _service_pair(tmp_path)
+        with service:
+            # A peer that dies mid-frame: valid header, missing payload.
+            raw = socket.create_connection(service.address, timeout=5)
+            raw.sendall(struct.pack(">QI", 100, 0) + b"torn")
+            raw.close()
+            with ServiceClient(service.address) as client:
+                stats = _poll_conn_errors(client, minimum=1)
+            assert stats["conn_errors"] >= 1
+
+    def test_corrupt_request_frame_is_counted(self, shared_cache, tmp_path):
+        service, _ = _service_pair(tmp_path)
+        with service:
+            # A whole frame whose CRC does not match its payload.
+            payload = pickle.dumps({"op": "ping"})
+            raw = socket.create_connection(service.address, timeout=5)
+            raw.sendall(
+                struct.pack(">QI", len(payload), zlib.crc32(payload) ^ 1)
+                + payload
+            )
+            raw.close()
+            with ServiceClient(service.address) as client:
+                stats = _poll_conn_errors(client, minimum=1)
+            assert stats["conn_errors"] >= 1
+
+    def test_orderly_close_is_not_an_error(self, shared_cache, tmp_path):
+        service, _ = _service_pair(tmp_path)
+        with service:
+            with ServiceClient(service.address) as client:
+                assert client.ping()["pong"]
+            # Context exit closed the socket cleanly, between frames.
+            with ServiceClient(service.address) as client:
+                stats = _poll_conn_errors(client, minimum=0)
+            assert stats["conn_errors"] == 0
+
+
+def _poll_conn_errors(client, minimum, timeout=5.0):
+    """Poll daemon stats until ``conn_errors`` reaches ``minimum``.
+
+    The error is counted on the daemon's connection thread, which may
+    not have observed the broken socket yet when the stats request
+    lands.
+    """
+    deadline = time.monotonic() + timeout
+    stats = client.stats()
+    while stats["conn_errors"] < minimum and time.monotonic() < deadline:
+        time.sleep(0.05)
+        stats = client.stats()
+    return stats
+
+
 _FAULT_SWEEPS = {
     "bitflip": bitflip_sweep,
     "additive": additive_sweep,
@@ -472,7 +622,7 @@ class TestFullMatrix:
             task, methods, specs, preset="tiny", seed=0, n_runs=2,
             use_cache=False,
         )
-        service, _ = _service_pair(tmp_path, workers=2)
+        service, _ = _service_pair(tmp_path)
         with service, ServiceClient(service.address) as client:
             first, stats1 = client.sweep(
                 task_name, methods, specs, preset="tiny", seed=0, n_runs=2
@@ -495,6 +645,7 @@ class TestDaemonSubprocess:
             "PYTHONPATH": str(Path(__file__).resolve().parents[2] / "src"),
             "PATH": "/usr/bin:/bin",
         }
+        # --workers still parses (and is ignored) for older launchers.
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.serve", "--port", "0",
              "--workers", "2"],
