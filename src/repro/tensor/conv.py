@@ -130,22 +130,29 @@ def _col2im2d(
     oh: int,
     ow: int,
 ) -> np.ndarray:
-    """Scatter column gradients back to the (unpadded) input gradient."""
+    """Scatter column gradients back to the (unpadded) input gradient.
+
+    Accumulates channels-last: each kernel position adds one contiguous
+    ``(n, oh, ow, c)`` block into a zeroed ``(n, hp, wp, c)`` buffer, in
+    the same ``(ki, kj)`` order an NCHW scatter would, so every element
+    sees the same sums (bit-identical) while each ``+=`` runs over whole
+    channel vectors instead of ``ow``-long rows.  Returns an NCHW *view*
+    of that buffer (channels-last strides), un-padded.
+    """
     n, c, h, w = x_shape
     hp, wp = h + 2 * pad_h, w + 2 * pad_w
-    dxp = np.zeros((n, c, hp, wp), dtype=dcols.dtype)
-    dcols = dcols.reshape(n, oh, ow, c, kh, kw)
+    dxp = np.zeros((n, hp, wp, c), dtype=dcols.dtype)
+    blocks = np.ascontiguousarray(
+        dcols.reshape(n, oh, ow, c, kh * kw).transpose(4, 0, 1, 2, 3)
+    )
     for ki in range(kh):
         for kj in range(kw):
             dxp[
                 :,
-                :,
                 ki : ki + stride_h * oh : stride_h,
                 kj : kj + stride_w * ow : stride_w,
-            ] += dcols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
-    if pad_h or pad_w:
-        return dxp[:, :, pad_h : hp - pad_h, pad_w : wp - pad_w]
-    return dxp
+            ] += blocks[ki * kw + kj]
+    return dxp[:, pad_h : hp - pad_h, pad_w : wp - pad_w].transpose(0, 3, 1, 2)
 
 
 def _pad2d(data: np.ndarray, ph: int, pw: int) -> np.ndarray:
@@ -341,7 +348,11 @@ def conv_transpose2d(
     x_mat = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1)).reshape(-1, c_in)
     w_mat = weight.data.reshape(c_in, c_out * kh * kw)
     dcols = x_mat @ w_mat  # (n*h*w, c_out*kh*kw)
-    out = _col2im2d(dcols, (n, c_out, ho, wo), kh, kw, sh, sw, 0, 0, h, w)
+    # C-contiguous like every other forward output, so that reductions
+    # downstream see the layout they always did.
+    out = np.ascontiguousarray(
+        _col2im2d(dcols, (n, c_out, ho, wo), kh, kw, sh, sw, 0, 0, h, w)
+    )
     if bias is not None:
         out = out + bias.data.reshape(1, -1, 1, 1)
     parents = [x, weight] + ([bias] if bias is not None else [])

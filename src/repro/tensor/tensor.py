@@ -12,7 +12,16 @@ Implementation notes
   ``Tensor`` holding a closure (``_backward``) that, given the output
   gradient, accumulates gradients into its parents.
 * ``backward`` performs an iterative topological sort (no recursion, so deep
-  LSTM graphs do not hit the interpreter recursion limit).
+  LSTM graphs do not hit the interpreter recursion limit) and walks it in
+  one pass.  Gradients of interior nodes never touch ``.grad``: while a
+  closure runs, ``_accumulate`` stages them in a per-thread dict, and
+  ``backward`` merges that into its running sums when the closure
+  returns.  Only leaves (parameters, inputs) get a ``.grad``.
+* ``backward`` frees the graph as it consumes it: before a node's closure
+  runs, the node drops its parents and the closure, so saved arrays (im2col
+  columns, masks, temporaries) die during the pass.  A second ``backward``
+  that reaches a freed node raises ``RuntimeError``; build a new graph
+  instead.
 * Broadcasting is supported everywhere numpy broadcasts; gradients of
   broadcast operands are reduced back to the operand shape by
   :func:`unbroadcast`.
@@ -22,6 +31,7 @@ Implementation notes
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -31,6 +41,25 @@ from .grad_mode import is_grad_enabled
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
 DEFAULT_DTYPE = np.float64
+
+
+class _Staging(threading.local):
+    """Per-thread staging dict of the running :meth:`Tensor.backward`.
+
+    ``grads`` maps ``id(node)`` to the gradient the current closure has
+    sent to that interior node, and is ``None`` outside ``backward``.
+    Per thread, because forwards and backwards run on several threads.
+    """
+
+    grads: Optional[dict] = None
+
+
+_STAGING = _Staging()
+
+
+def _freed_backward(grad: np.ndarray) -> None:
+    """Stands in for a closure that :meth:`Tensor.backward` has run."""
+    raise RuntimeError("graph already freed by backward()")
 
 
 def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -104,10 +133,24 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into ``self.grad`` (allocating on first use)."""
+        """Add ``grad`` into ``self.grad`` (allocating on first use).
+
+        Inside :meth:`backward` an interior node's gradient goes to the
+        running closure's staging dict instead, with the same first-use
+        copy and ``+=``; :meth:`backward` merges it once the closure
+        returns.
+        """
         if not self.requires_grad:
             return
-        if self.grad is None:
+        staged = _STAGING.grads
+        if staged is not None and self._backward is not None:
+            # Interior node inside backward(): stage in the running pass.
+            key = id(self)
+            if key in staged:
+                staged[key] += grad
+            else:
+                staged[key] = np.add(grad, 0.0, out=np.empty_like(self.data))
+        elif self.grad is None:
             # One allocation instead of a zero fill plus ``+=``: adding
             # ``0.0`` gives the same bits (``-0.0`` becomes ``+0.0``), and
             # ``out=`` broadcasts and casts to ``self.data`` like ``+=``.
@@ -214,39 +257,36 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
 
-        # Seed and propagate in reverse topological order.
+        # Seed and propagate in reverse topological order.  Each closure's
+        # contributions to interior parents are staged (see _accumulate)
+        # and merged into ``grads`` once it returns: summing a closure's
+        # own contributions first keeps the engine's summation order.
         grads: dict[int, np.ndarray] = {id(self): grad}
-        for node in reversed(order):
-            node_grad = grads.pop(id(node), None)
-            if node_grad is None:
-                continue
-            if node.requires_grad and node._backward is None:
-                # Leaf tensor: accumulate into .grad.
-                node._accumulate(node_grad)
-            if node._backward is not None:
-                # Interior node: temporarily route parent accumulation
-                # through the grads dict via _accumulate monkey-free path.
-                node._run_backward(node_grad, grads)
-
-    def _run_backward(self, grad: np.ndarray, grads: dict) -> None:
-        """Invoke the backward closure, redirecting parent accumulation."""
-        # The closures call parent._accumulate; to keep them simple we let
-        # them write directly into parent.grad for leaves, but interior
-        # nodes need their gradient staged in `grads`.  We achieve this by
-        # having _accumulate write to .grad always, then sweeping interior
-        # parents' .grad into the dict.
-        assert self._backward is not None
-        interior = [p for p in self._parents if p._backward is not None]
-        saved = {id(p): p.grad for p in interior}
-        for p in interior:
-            p.grad = None
-            p.requires_grad = True  # ensure accumulation happens
-        self._backward(grad)
-        for p in interior:
-            if p.grad is not None:
-                existing = grads.get(id(p))
-                grads[id(p)] = p.grad if existing is None else existing + p.grad
-            p.grad = saved[id(p)]
+        staged: dict[int, np.ndarray] = {}
+        _STAGING.grads = staged
+        try:
+            while order:
+                node = order.pop()
+                closure = node._backward
+                if closure is not None:
+                    # Free as we go: once run, the closure and the arrays it
+                    # saved die here, not when the next forward replaces
+                    # the graph.
+                    node._parents = ()
+                    node._backward = _freed_backward
+                node_grad = grads.pop(id(node), None)
+                if node_grad is None:
+                    continue
+                if closure is None:
+                    # Leaf tensor: accumulate into .grad.
+                    node._accumulate(node_grad)
+                    continue
+                closure(node_grad)
+                for key, g in staged.items():
+                    grads[key] = g if key not in grads else grads[key] + g
+                staged.clear()
+        finally:
+            _STAGING.grads = None
 
     # ------------------------------------------------------------------
     # Arithmetic

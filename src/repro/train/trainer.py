@@ -111,6 +111,9 @@ class Trainer:
                     f", metric={history.metric[-1]:.4f}" if history.metric else ""
                 )
                 print(f"epoch {epoch + 1}/{epochs}: loss={mean_loss:.4f}{metric_note}")
+        # A trained model may stay cached for the whole process; do not let
+        # it pin the last step's gradients.
+        self.optimizer.zero_grad()
         return history
 
 

@@ -4,7 +4,9 @@ The flat gather index is a pure function of the convolution geometry and
 is cached across calls (campaigns hit the same shapes thousands of times).
 The gathered column matrix must be bit-identical to the strided window
 copy it replaced — pinned here against an inline as_strided reference —
-and convolution results must be unaffected by cache warmth.
+and convolution results must be unaffected by cache warmth.  The reverse
+scatter, ``_col2im2d``, accumulates channels-last and is pinned to the
+NCHW kernel-position loop it replaced.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from numpy.lib.stride_tricks import as_strided
 from repro.tensor import Tensor, conv2d
 from repro.tensor.conv import (
     _IM2COL_INDEX_CACHE,
+    _col2im2d,
     _im2col2d,
     _im2col2d_chips,
     _im2col_indices,
@@ -128,3 +131,45 @@ class TestIndexCache:
         cold = conv2d(x, w, stride=2, padding=1).data
         warm = conv2d(x, w, stride=2, padding=1).data
         np.testing.assert_array_equal(cold, warm)
+
+
+def _nchw_col2im_reference(dcols, x_shape, kh, kw, sh, sw, ph, pw, oh, ow):
+    """The NCHW scatter loop ``_col2im2d`` replaced, kept as the oracle."""
+    n, c, h, w = x_shape
+    hp, wp = h + 2 * ph, w + 2 * pw
+    dxp = np.zeros((n, c, hp, wp), dtype=dcols.dtype)
+    dcols = dcols.reshape(n, oh, ow, c, kh, kw)
+    for ki in range(kh):
+        for kj in range(kw):
+            dxp[:, :, ki : ki + sh * oh : sh, kj : kj + sw * ow : sw] += (
+                dcols[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
+            )
+    if ph or pw:
+        return dxp[:, :, ph : hp - ph, pw : wp - pw]
+    return dxp
+
+
+class TestCol2imMatchesNchwLoop:
+    @pytest.mark.parametrize("x_shape,kh,kw,sh,sw,ph,pw", [
+        ((2, 3, 8, 8), 3, 3, 1, 1, 1, 1),
+        ((2, 3, 8, 8), 3, 3, 2, 2, 1, 1),
+        ((3, 4, 5, 5), 1, 1, 1, 1, 0, 0),
+        ((3, 4, 6, 6), 1, 1, 2, 2, 0, 0),
+        ((1, 2, 7, 6), 3, 3, 2, 1, 0, 0),
+        ((16, 8, 2, 2), 3, 3, 1, 1, 1, 1),
+        ((2, 2, 1, 9), 1, 3, 1, 2, 0, 1),
+    ])
+    def test_scatter_identical(self, x_shape, kh, kw, sh, sw, ph, pw):
+        n, c, h, w = x_shape
+        oh = (h + 2 * ph - kh) // sh + 1
+        ow = (w + 2 * pw - kw) // sw + 1
+        rng = np.random.default_rng(0)
+        dcols = rng.normal(size=(n * oh * ow, c * kh * kw))
+        dcols *= 10.0 ** rng.integers(-8, 9, size=dcols.shape)
+        dcols[rng.random(dcols.shape) < 0.2] = -0.0
+        dcols[:, :2] = -0.0  # a window position where every term is -0.0
+        args = (dcols, x_shape, kh, kw, sh, sw, ph, pw, oh, ow)
+        got = _col2im2d(*args)
+        ref = _nchw_col2im_reference(*args)
+        assert got.shape == ref.shape == x_shape
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(ref).tobytes()

@@ -1,9 +1,12 @@
 """Unit tests for Tensor construction, introspection and graph mechanics."""
 
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, no_grad, zeros, ones
+from repro.tensor import Tensor, conv2d, no_grad, ones, tanh, zeros
 
 
 class TestConstruction:
@@ -199,6 +202,161 @@ class TestAccumulate:
         t._accumulate(grad)
         assert grad.tolist() == [1.0, 2.0]
         assert t.grad.tolist() == [2.0, 4.0]
+
+
+def _save_restore_backward(root):
+    """The engine before staging, kept as the bit-exact oracle.
+
+    Same topological sort; each closure writes interior parents' grads
+    into their ``.grad`` (saved, cleared and restored around the call),
+    which is then moved into the running ``grads`` dict.  Leaves the
+    graph intact.
+    """
+    order, visited, stack = [], set(), [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in visited:
+                stack.append((parent, False))
+    grads = {id(root): np.ones_like(root.data)}
+    for node in reversed(order):
+        node_grad = grads.pop(id(node), None)
+        if node_grad is None:
+            continue
+        if node.requires_grad and node._backward is None:
+            node._accumulate(node_grad)
+        if node._backward is not None:
+            interior = [p for p in node._parents if p._backward is not None]
+            saved = {id(p): p.grad for p in interior}
+            for p in interior:
+                p.grad = None
+            node._backward(node_grad)
+            for p in interior:
+                if p.grad is not None:
+                    existing = grads.get(id(p))
+                    grads[id(p)] = p.grad if existing is None else existing + p.grad
+                p.grad = saved[id(p)]
+
+
+def _square(h):
+    return h * h
+
+
+def _double(h):
+    return h + h
+
+
+def _shared(h):
+    # An interior node feeding several consumers, one of them twice.
+    a = h * h
+    b = (h + h) * a
+    return (a - b) * h + h / (a + 3.0)
+
+
+def _leaves(seed):
+    rng = np.random.default_rng(seed)
+    # Mixed magnitudes, so that regrouping a sum would move bits.
+    x = Tensor(rng.normal(size=(5, 7)) * 10.0 ** rng.integers(-6, 7, size=(5, 7)),
+               requires_grad=True)
+    w = Tensor(rng.normal(size=(7,)), requires_grad=True)
+    return x, w
+
+
+def _loss(build, x, w):
+    h = tanh(x * w) * 1.5 + x
+    return (build(h) * w).sum()
+
+
+class TestStagedBackwardIdentity:
+    @pytest.mark.parametrize("build", [_square, _double, _shared])
+    def test_grads_match_save_restore_engine(self, build):
+        x, w = _leaves(0)
+        _loss(build, x, w).backward()
+        rx, rw = _leaves(0)
+        _save_restore_backward(_loss(build, rx, rw))
+        assert x.grad.tobytes() == rx.grad.tobytes()
+        assert w.grad.tobytes() == rw.grad.tobytes()
+
+    def test_conv_grads_match_save_restore_engine(self):
+        def run(engine):
+            rng = np.random.default_rng(3)
+            x = Tensor(rng.normal(size=(2, 3, 6, 6)), requires_grad=True)
+            k = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+            y = conv2d(x, k, padding=1, stride=2)
+            engine(((y * y) + y).sum())
+            return x.grad.tobytes(), k.grad.tobytes()
+
+        assert run(Tensor.backward) == run(_save_restore_backward)
+
+    def test_two_threads_match_serial(self):
+        def grads(seed):
+            x, w = _leaves(seed)
+            _loss(_shared, x, w).backward()
+            return x.grad.tobytes(), w.grad.tobytes()
+
+        seeds = (1, 2)
+        serial = {seed: grads(seed) for seed in seeds}
+        barrier = threading.Barrier(len(seeds))
+        results = {seed: [] for seed in seeds}
+
+        def worker(seed):
+            barrier.wait()
+            for _ in range(50):
+                results[seed].append(grads(seed))
+
+        threads = [threading.Thread(target=worker, args=(s,)) for s in seeds]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for seed in seeds:
+            assert results[seed] == [serial[seed]] * 50
+
+
+class TestGraphFreeing:
+    def test_backward_frees_saved_arrays(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(2, 3, 5, 5)), requires_grad=True)
+        k = Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        y = conv2d(x, k, padding=1)
+        closure = y._backward
+        cols = closure.__closure__[closure.__code__.co_freevars.index("cols")]
+        cols_ref = weakref.ref(cols.cell_contents)
+        del closure, cols
+        loss = (y * y).sum()
+        loss.backward()
+        assert cols_ref() is None
+        assert loss._parents == () and y._parents == ()
+        assert x.grad is not None and k.grad is not None
+
+    def test_second_backward_through_freed_graph_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        mid = x * 2.0
+        loss = (mid * 3.0).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="graph already freed"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="graph already freed"):
+            (mid * 4.0).sum().backward()
+        np.testing.assert_allclose(x.grad, [6.0, 6.0])
+
+    def test_failed_backward_leaves_no_staging_behind(self):
+        x = Tensor([1.0], requires_grad=True)
+        mid = x * 2.0
+        (mid * 3.0).sum().backward()
+        with pytest.raises(RuntimeError):
+            (mid * 4.0).sum().backward()
+        # Outside backward, _accumulate on an interior node reaches .grad.
+        fresh = x * 5.0
+        fresh._accumulate(np.array([1.0]))
+        assert fresh.grad.tolist() == [1.0]
 
 
 class TestComparisons:
