@@ -6,7 +6,9 @@ Two caches live here, both persisted under ``REPRO_CACHE_DIR`` (default
 
 * the **trained-model cache** — ``.npz`` state dicts keyed by
   (task, method, preset, seed), because training a model for every
-  (task, method) pair in every benchmark would dominate runtime;
+  (task, method) pair in every benchmark would dominate runtime.
+  :func:`trained_model` is its only trainer; :func:`train_models` runs
+  it for the missing models of a command on a pool of worker processes;
 * the **content-addressed result store** (:class:`ResultStore`) —
   per-scenario Monte Carlo value arrays addressed by the SHA-256 of their
   hermetic cell key (:func:`campaign_key`, which embeds the engine's
@@ -26,14 +28,14 @@ import os
 import pathlib
 import threading
 import zipfile
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..faults import FaultSpec
 from ..models import MethodConfig
 from ..nn.module import Module
-from .tasks import Task
+from .tasks import Task, build_task
 
 _MEMORY: Dict[Tuple, Module] = {}
 
@@ -64,6 +66,14 @@ def _method_key(method: MethodConfig) -> str:
     return "-".join(parts)
 
 
+def _model_key(task: Task, method: MethodConfig, preset: str, seed: int) -> Tuple:
+    return (task.name, task.cache_tag, _method_key(method), preset, seed)
+
+
+def _checkpoint_path(key: Tuple) -> pathlib.Path:
+    return cache_dir() / ("_".join(str(k) for k in key) + ".npz")
+
+
 def trained_model(
     task: Task,
     method: MethodConfig,
@@ -71,23 +81,82 @@ def trained_model(
     seed: int = 0,
     verbose: bool = False,
 ) -> Module:
-    """Return a trained model, training and caching on first request."""
-    key = (task.name, task.cache_tag, _method_key(method), preset, seed)
+    """Return a trained model, training and caching on first request.
+
+    A checkpoint that no longer loads (an older layout, or a truncated
+    archive) is deleted and the model retrained.
+    """
+    key = _model_key(task, method, preset, seed)
     if key in _MEMORY:
         return _MEMORY[key]
-    path = cache_dir() / ("_".join(str(k) for k in key) + ".npz")
+    path = _checkpoint_path(key)
     model = task.build_model(method, seed=seed)
     if path.exists():
         try:
             model.load(str(path))
             _MEMORY[key] = model
             return model
-        except (KeyError, ValueError):
-            path.unlink()  # stale checkpoint from an older layout
+        except (KeyError, ValueError, EOFError, zipfile.BadZipFile):
+            path.unlink()  # stale layout or damaged archive
     model = task.train_model(method, seed=seed, verbose=verbose)
     model.save(str(path))
     _MEMORY[key] = model
     return model
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where supported)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _train_job(job: Tuple[str, int, MethodConfig, str, int]) -> None:
+    """Pool worker: train and save one checkpoint via :func:`trained_model`."""
+    name, task_seed, method, preset, seed = job
+    trained_model(build_task(name, preset=preset, seed=task_seed), method,
+                  preset, seed=seed)
+
+
+def train_models(
+    jobs: Sequence[Tuple[Task, MethodConfig]], preset: str, seed: int = 0
+) -> None:
+    """Train the missing checkpoints of ``jobs`` on every usable CPU.
+
+    A cache warmer for commands that need several models: the (task,
+    method) pairs with no model in memory or on disk are trained on a
+    pool of forked worker processes, each one calling
+    :func:`trained_model`, which writes the checkpoint that a later
+    :func:`trained_model` call in this process loads.  A model's weights
+    depend only on (task, method, preset, seed), so they do not depend
+    on which worker trained it.  Jobs are handed out in ``jobs`` order.
+
+    Fewer than two missing models, one usable CPU, or a platform
+    without ``fork`` starts no process and leaves the training to
+    :func:`trained_model`.  A worker's exception is raised here, and
+    every worker has exited on return.  Fork, because ``python -m
+    repro.eval`` runs its CLI at import: a spawned child would run the
+    command again.  Forking is only safe while the caller runs one
+    thread, as the CLI does here; library code trains lazily instead.
+    """
+    missing = {}
+    for task, method in jobs:
+        key = _model_key(task, method, preset, seed)
+        if key not in _MEMORY and not _checkpoint_path(key).exists():
+            missing[key] = (task.name, task.seed, method, preset, seed)
+    workers = min(len(missing), _usable_cpus())
+    if workers < 2:
+        return
+    import multiprocessing  # here: a warm command pays neither time nor memory
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        for _ in pool.imap_unordered(_train_job, missing.values(), chunksize=1):
+            pass
+        pool.close()
+        pool.join()
 
 
 def clear_memory_cache() -> None:

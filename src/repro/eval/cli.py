@@ -22,6 +22,8 @@ cells (stacked passes, instances per pass, per-cell cells by reason).
 Trained models and completed campaign scenarios are cached under
 ``.repro_cache`` exactly as the benchmarks do, so repeated and resumed
 invocations skip finished work (``--no-cache`` forces re-simulation).
+``table1`` and the sweep commands first train the models missing from
+that cache on every usable CPU (:func:`repro.eval.cache.train_models`).
 
 Campaign-family commands can also run through a long-lived campaign
 service daemon (:mod:`repro.serve`, started with ``python -m
@@ -50,7 +52,7 @@ from ..profiling import profiled
 from ..tensor import manual_seed
 from ..uncertainty import evaluate_shift_sweep
 from .campaigns import baseline_metrics, run_robustness_sweep
-from .cache import trained_model
+from .cache import train_models, trained_model
 from .reporting import (
     ProgressMeter,
     format_profile,
@@ -91,12 +93,18 @@ def cmd_table1(args) -> None:
         ("vessels", "U-Net", "mIoU", "1/4"),
         ("co2", "LSTM", "RMSE", "8/8"),
     ]
+    tasks = {name: build_task(name, preset=args.preset, seed=args.seed)
+             for name, *_ in rows}
+    train_models(
+        [(tasks[name], method) for name, *_ in rows
+         for method in _methods_for(name)],
+        args.preset, seed=args.seed,
+    )
     print(table_header())
     for task_name, topology, metric, precision in rows:
-        task = build_task(task_name, preset=args.preset, seed=args.seed)
         values = baseline_metrics(
-            task, _methods_for(task_name), preset=args.preset, seed=args.seed,
-            use_cache=not args.no_cache,
+            tasks[task_name], _methods_for(task_name), preset=args.preset,
+            seed=args.seed, use_cache=not args.no_cache,
         )
         print(format_table_row(topology, task_name, metric, precision, values))
 
@@ -113,12 +121,15 @@ def cmd_sweep(args) -> None:
 def _cmd_sweep_local(args, specs) -> None:
     """The in-process sweep path (also the --fallback-local target)."""
     task = build_task(args.task, preset=args.preset, seed=args.seed)
+    methods = _methods_for(args.task)
+    train_models([(task, method) for method in methods], args.preset,
+                 seed=args.seed)
     meter = ProgressMeter(label=f"{args.task}/{args.fault}")
     with contextlib.ExitStack() as stack:
         stages = stack.enter_context(profiled()) if args.profile else None
         sweep = run_robustness_sweep(
             task,
-            _methods_for(args.task),
+            methods,
             specs,
             preset=args.preset,
             seed=args.seed,

@@ -8,7 +8,10 @@ serialization (plain numpy arrays, so checkpoints are ``np.savez``-able).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import os
+import threading
 from collections import OrderedDict
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -189,8 +192,30 @@ class Module:
                 module._buffers[buf_name] = value.copy()
 
     def save(self, path: str) -> None:
-        """Persist the state dict with ``np.savez_compressed``."""
-        np.savez_compressed(path, **self.state_dict())
+        """Persist the state dict with ``np.savez``, atomically.
+
+        Trained float64 weights barely compress, so the archive is stored
+        uncompressed (:meth:`load` reads compressed checkpoints as well).
+        The arrays go to a uniquely named temp file beside ``path`` that
+        is renamed over it, so a writer killed mid-save leaves the old
+        file or none, never a truncated one.  Like ``np.savez``, a path
+        without the ``.npz`` suffix gets it appended.
+        """
+        path = os.fspath(path)
+        if not path.endswith(".npz"):
+            path += ".npz"
+        directory, name = os.path.split(path)
+        tmp = os.path.join(
+            directory, f".{name}.{os.getpid()}.{threading.get_ident()}.tmp"
+        )
+        try:
+            with open(tmp, "wb") as fh:
+                np.savez(fh, **self.state_dict())
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
 
     def load(self, path: str) -> None:
         """Load a checkpoint written by :meth:`save`."""

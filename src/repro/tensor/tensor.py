@@ -36,11 +36,12 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .grad_mode import is_grad_enabled
+from .grad_mode import _MODE
 
 ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 
 DEFAULT_DTYPE = np.float64
+_FLOAT64 = np.dtype(DEFAULT_DTYPE)
 
 
 class _Staging(threading.local):
@@ -123,13 +124,29 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
         op: str,
     ) -> "Tensor":
-        """Create an output tensor, recording history if grad mode is on."""
-        out = Tensor(data)
-        if is_grad_enabled() and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._backward = backward
-            out._parents = tuple(parents)
-            out._op = op
+        """Create an output tensor, recording history if grad mode is on.
+
+        Every recorded op ends here, so it skips ``__init__``: a float64
+        ndarray is kept as is, anything else goes through ``np.asarray``
+        exactly as ``__init__`` would.
+        """
+        out = object.__new__(Tensor)
+        if type(data) is not np.ndarray or data.dtype is not _FLOAT64:
+            data = np.asarray(data, dtype=DEFAULT_DTYPE)
+        out.data = data
+        out.grad = None
+        if _MODE.enabled:
+            for parent in parents:
+                if parent.requires_grad:
+                    out.requires_grad = True
+                    out._backward = backward
+                    out._parents = tuple(parents)
+                    out._op = op
+                    return out
+        out.requires_grad = False
+        out._backward = None
+        out._parents = ()
+        out._op = ""
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:

@@ -107,10 +107,15 @@ class TestExecution:
             seen.append(kwargs["use_cache"])
             return {}
 
+        warmed = []
         monkeypatch.setattr(cli, "build_task", lambda name, **kwargs: name)
         monkeypatch.setattr(cli, "baseline_metrics", fake_baseline_metrics)
+        monkeypatch.setattr(
+            cli, "train_models", lambda jobs, *a, **kw: warmed.extend(jobs)
+        )
         main(argv)
         assert seen == [use_cache] * 4
+        assert len(warmed) == 16  # one warm step, every model of the table
         assert "Topology" in capsys.readouterr().out
 
     @staticmethod

@@ -76,6 +76,25 @@ class TestModelCache:
             m1.state_dict()["classifier.weight"], m2.state_dict()["classifier.weight"]
         )
 
+    def test_damaged_checkpoint_is_retrained(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        clear_memory_cache()
+        task = build_task("audio", preset="tiny")
+        fresh = trained_model(task, proposed(), "tiny", seed=0).state_dict()
+        (path,) = tmp_path.glob("*.npz")
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])  # a writer killed mid-save
+        clear_memory_cache()
+        model = trained_model(task, proposed(), "tiny", seed=0)
+        state = model.state_dict()
+        assert state.keys() == fresh.keys()
+        for name in fresh:
+            np.testing.assert_array_equal(state[name], fresh[name])
+        clear_memory_cache()
+        reloaded = trained_model(task, proposed(), "tiny", seed=0).state_dict()
+        for name in fresh:
+            np.testing.assert_array_equal(reloaded[name], fresh[name])
+
     def test_different_methods_cached_separately(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         clear_memory_cache()

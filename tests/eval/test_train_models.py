@@ -1,0 +1,116 @@
+"""Tests for the parallel cache warmer ``repro.eval.cache.train_models``."""
+
+import multiprocessing
+import os
+
+import numpy as np
+import pytest
+
+from repro.eval import build_task, cache, clear_memory_cache, trained_model
+from repro.eval.tasks import Task
+from repro.models import conventional, proposed
+
+
+@pytest.fixture
+def isolated_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    clear_memory_cache()
+    yield tmp_path
+    clear_memory_cache()
+
+
+@pytest.fixture
+def no_processes(monkeypatch):
+    """Fail the test if the warmer asks for a process pool."""
+
+    def refuse(method):
+        raise AssertionError(f"a {method!r} pool was started")
+
+    monkeypatch.setattr(multiprocessing, "get_context", refuse)
+
+
+def _jobs():
+    tasks = [build_task(name, preset="tiny") for name in ("audio", "co2")]
+    return [(task, method) for task in tasks
+            for method in (conventional(), proposed())]
+
+
+def _checkpoints(root):
+    out = {}
+    for path in sorted(root.glob("*.npz")):
+        with np.load(path) as archive:
+            out[path.name] = {name: archive[name] for name in archive.files}
+    return out
+
+
+def test_pool_checkpoints_equal_sequential_ones(isolated_cache, monkeypatch):
+    monkeypatch.setattr(cache, "_usable_cpus", lambda: 2)
+    sequential, pooled = isolated_cache / "sequential", isolated_cache / "pooled"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(sequential))
+    clear_memory_cache()
+    for task, method in _jobs():
+        trained_model(task, method, "tiny")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(pooled))
+    clear_memory_cache()
+    cache.train_models(_jobs(), "tiny")
+    assert multiprocessing.active_children() == []
+    expected, got = _checkpoints(sequential), _checkpoints(pooled)
+    assert len(got) == 4 and got.keys() == expected.keys()
+    for name, arrays in expected.items():
+        assert got[name].keys() == arrays.keys()
+        for key, value in arrays.items():
+            np.testing.assert_array_equal(got[name][key], value)
+
+    # The parent now loads what the pool wrote instead of training.
+    def no_training(self, method, seed=0, verbose=False):
+        raise AssertionError("trained_model retrained a pooled checkpoint")
+
+    monkeypatch.setattr(Task, "train_model", no_training)
+    clear_memory_cache()
+    for task, method in _jobs():
+        trained_model(task, method, "tiny")
+
+
+def test_nothing_missing_starts_no_process(isolated_cache, monkeypatch,
+                                           no_processes):
+    monkeypatch.setattr(cache, "_usable_cpus", lambda: 2)
+    jobs = _jobs()[:2]
+    for task, method in jobs:
+        trained_model(task, method, "tiny")
+    cache.train_models(jobs, "tiny")  # every model is in memory
+    clear_memory_cache()
+    cache.train_models(jobs, "tiny")  # every checkpoint is on disk
+
+
+def test_one_usable_cpu_starts_no_process(isolated_cache, monkeypatch,
+                                          no_processes):
+    monkeypatch.setattr(cache, "_usable_cpus", lambda: 1)
+    cache.train_models(_jobs(), "tiny")
+    assert list(isolated_cache.glob("*.npz")) == []  # left to trained_model
+
+
+def test_one_missing_model_starts_no_process(isolated_cache, monkeypatch,
+                                             no_processes):
+    monkeypatch.setattr(cache, "_usable_cpus", lambda: 2)
+    jobs = _jobs()[:2]
+    trained_model(*jobs[0], "tiny")
+    cache.train_models(jobs, "tiny")
+    assert len(list(isolated_cache.glob("*.npz"))) == 1
+
+
+def test_usable_cpus_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert cache._usable_cpus() == (os.cpu_count() or 1)
+
+
+def test_failing_job_raises_in_caller(isolated_cache, monkeypatch):
+    monkeypatch.setattr(cache, "_usable_cpus", lambda: 2)
+
+    def broken(self, method, seed=0, verbose=False):
+        raise RuntimeError(f"cannot train {self.name}/{method.name}")
+
+    monkeypatch.setattr(Task, "train_model", broken)
+    with pytest.raises(RuntimeError, match=r"cannot train (audio|co2)/"):
+        cache.train_models(_jobs(), "tiny")
+    assert multiprocessing.active_children() == []
+    assert list(isolated_cache.glob("*.npz")) == []

@@ -127,6 +127,25 @@ class TestStateDict:
         m2.load(path)
         assert m2.scale.data[0] == 5.0
 
+    def test_save_is_uncompressed_and_leaves_no_temp_file(self, tmp_path):
+        import zipfile
+
+        m = Branch()
+        m.save(str(tmp_path / "ckpt"))  # np.savez appends the suffix
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
+        with zipfile.ZipFile(tmp_path / "ckpt.npz") as archive:
+            assert {i.compress_type for i in archive.infolist()} == {
+                zipfile.ZIP_STORED
+            }
+
+    def test_load_reads_compressed_checkpoints(self, tmp_path):
+        m1, m2 = Branch(), Branch()
+        m1.scale.data[:] = 7.0
+        path = str(tmp_path / "old.npz")
+        np.savez_compressed(path, **m1.state_dict())
+        m2.load(path)
+        assert m2.scale.data[0] == 7.0
+
 
 class TestContainers:
     def test_sequential_applies_in_order(self):

@@ -50,6 +50,44 @@ class TestConstruction:
         assert "requires_grad" not in repr(Tensor([1.0]))
 
 
+class TestMake:
+    """``Tensor._make`` builds every op output without ``__init__``."""
+
+    def test_non_float64_and_scalar_data_become_float64_arrays(self):
+        parent = Tensor([1.0], requires_grad=True)
+        for data in (np.array([1, 2], dtype=np.int32),
+                     np.array([1.5], dtype=np.float32),
+                     np.array([2.0]).astype(">f8"), 3.0, np.float64(4.0), 5):
+            out = Tensor._make(data, [parent], lambda g: None, "op")
+            assert type(out.data) is np.ndarray
+            assert out.data.dtype == np.float64 and out.data.dtype.isnative
+            np.testing.assert_array_equal(out.data, np.asarray(data, np.float64))
+
+    def test_float64_array_is_kept(self):
+        data = np.arange(3.0)
+        assert Tensor._make(data, [], lambda g: None, "op").data is data
+
+    def test_grad_off_output_has_no_parents_or_closure(self):
+        parent = Tensor([1.0], requires_grad=True)
+        with no_grad():
+            out = Tensor._make(np.ones(1), [parent], lambda g: None, "op")
+        assert not out.requires_grad
+        assert out.grad is None
+        assert out._parents == () and out._backward is None and out._op == ""
+
+    def test_untracked_parents_record_nothing(self):
+        out = Tensor._make(np.ones(1), [Tensor([1.0])], lambda g: None, "op")
+        assert not out.requires_grad and out._parents == ()
+
+    def test_grad_on_output_records_graph(self):
+        a, b = Tensor([1.0]), Tensor([2.0], requires_grad=True)
+        closure = lambda g: None  # noqa: E731
+        out = Tensor._make(np.ones(1), [a, b], closure, "op")
+        assert out.requires_grad and out.grad is None
+        assert out._parents == (a, b) and out._backward is closure
+        assert out._op == "op"
+
+
 class TestGraphMechanics:
     def test_backward_scalar_default_seed(self):
         x = Tensor([2.0, 3.0], requires_grad=True)
