@@ -20,10 +20,14 @@ Checks, over ``README.md``, ``ROADMAP.md`` and every ``docs/*.md``:
 4. documented CLI entry points parse: every ``python -m repro.eval ...``
    invocation found in the documents is validated against the real
    argument parser (no network, no training — parse only);
+5. test references ``tests/<module>.py::Name`` and
+   ``tests/<module>.py::Class::name`` name a class or function defined at
+   the top level of that module (and, for the second form, a method of
+   that class), so a moved or renamed test leaves no dangling pointer;
 
 and, over the public API:
 
-5. every public symbol exported from the ``repro.faults``, ``repro.eval``
+6. every public symbol exported from the ``repro.faults``, ``repro.eval``
    and ``repro.tensor`` package ``__init__`` (their ``__all__``) that is
    a class, function, or module carries a docstring — the docs suite
    links into these namespaces, so an undocumented export is a
@@ -37,6 +41,7 @@ a file moves, a flag is renamed, or an export loses its docstring.
 
 from __future__ import annotations
 
+import ast
 import inspect
 import pathlib
 import re
@@ -58,7 +63,9 @@ ABS_PATH_RE = re.compile(
 )
 CLI_RE = re.compile(r"python -m repro\.eval[^\n`|]*")
 
-#: Public namespaces whose exports must be documented (check 4).
+TEST_REF_RE = re.compile(r"\b(tests/[\w/]+\.py)::(\w+)(?:::(\w+))?")
+
+#: Public namespaces whose exports must be documented (check 6).
 AUDITED_MODULES = ("repro.faults", "repro.eval", "repro.tensor")
 
 
@@ -113,6 +120,35 @@ def _check_external_paths(doc: pathlib.Path, text: str) -> List[str]:
             errors.append(
                 f"{_rel(doc)}: dangling filesystem path -> {cleaned}"
             )
+    return errors
+
+
+def _check_test_refs(doc: pathlib.Path, text: str) -> List[str]:
+    """Flag ``tests/...py::Name[::name]`` that name nothing there (check 5).
+
+    A missing module is the path check's failure, not reported again.
+    """
+    errors = []
+    for path, name, member in sorted(set(TEST_REF_RE.findall(text))):
+        module = ROOT / path
+        if not module.exists():
+            continue
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        defined = {
+            node.name: node for node in tree.body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        }
+        node = defined.get(name)
+        found = node is not None and (
+            not member
+            or isinstance(node, ast.ClassDef) and any(
+                isinstance(item, ast.FunctionDef) and item.name == member
+                for item in node.body
+            )
+        )
+        if not found:
+            ref = f"{path}::{name}" + (f"::{member}" if member else "")
+            errors.append(f"{_rel(doc)}: test reference names nothing -> {ref}")
     return errors
 
 
@@ -191,6 +227,7 @@ def main() -> int:
         failures += _check_paths(doc, text)
         failures += _check_external_paths(doc, text)
         failures += _check_cli_commands(doc, text)
+        failures += _check_test_refs(doc, text)
     failures += _check_docstrings()
     if failures:
         print(f"check_docs: {len(failures)} failure(s)")

@@ -166,6 +166,40 @@ def split_stored(
     return served, pending
 
 
+def _scenario_keys(
+    task: Task, method: MethodConfig, specs: Sequence[FaultSpec], n_runs: int,
+    samples: int, seed: int, max_eval_samples: Optional[int],
+) -> List[str]:
+    """One method's result-store key per scenario (:func:`campaign_key`)."""
+    return [
+        campaign_key(task, method, spec, n_runs, samples, seed, max_eval_samples)
+        for spec in specs
+    ]
+
+
+def pending_scenarios(
+    task: Task,
+    method: MethodConfig,
+    specs: Sequence[FaultSpec],
+    preset: str = "small",
+    seed: int = 0,
+    n_runs: Optional[int] = None,
+    samples: Optional[int] = None,
+    max_eval_samples: Optional[int] = -1,
+    use_cache: bool = True,
+) -> List[int]:
+    """Indices of ``specs`` that :func:`run_robustness_sweep` with these
+    arguments would compute for ``method`` rather than serve from the
+    result store; empty means the sweep never loads the method's model."""
+    n_runs, samples, max_eval_samples = campaign_settings(
+        preset, n_runs, samples, max_eval_samples
+    )
+    keys = _scenario_keys(
+        task, method, specs, n_runs, samples, seed, max_eval_samples
+    )
+    return split_stored(keys, n_runs, result_store() if use_cache else None)[1]
+
+
 def assemble_sweep(
     task_name: str, metric_name: str, higher_is_better: bool,
     methods: Sequence[MethodConfig], specs: Sequence[FaultSpec],
@@ -232,10 +266,9 @@ def run_robustness_sweep(
     store = result_store()
     values: Dict[str, List[np.ndarray]] = {}
     for method in methods:
-        keys = [
-            campaign_key(task, method, spec, n_runs, samples, seed, max_eval_samples)
-            for spec in specs
-        ]
+        keys = _scenario_keys(
+            task, method, specs, n_runs, samples, seed, max_eval_samples
+        )
         served, pending = split_stored(keys, n_runs, store if use_cache else None)
         if pending:
             # Model and evaluator are only needed for uncached scenarios;
@@ -267,6 +300,13 @@ def run_robustness_sweep(
     )
 
 
+#: The sweep behind a Table I cell: one fault-free chip over the whole
+#: test set (:func:`baseline_metrics`).
+BASELINE_SWEEP = dict(
+    specs=(FaultSpec(kind="none", level=0.0),), n_runs=1, max_eval_samples=None
+)
+
+
 def baseline_metrics(
     task: Task,
     methods: Sequence[MethodConfig],
@@ -278,12 +318,12 @@ def baseline_metrics(
     """Fault-free metric per method (one Table I row).
 
     A one-chip fault-free :func:`run_robustness_sweep` over the whole
-    test set, so it shares the engine's hermetic per-cell seeding and the
-    campaign-result cache with the robustness sweeps.
+    test set (:data:`BASELINE_SWEEP`), so it shares the engine's hermetic
+    per-cell seeding and the campaign-result cache with the robustness
+    sweeps.
     """
     sweep = run_robustness_sweep(
-        task, methods, [FaultSpec(kind="none", level=0.0)], preset=preset,
-        seed=seed, n_runs=1, samples=samples, max_eval_samples=None,
-        use_cache=use_cache,
+        task, methods, preset=preset, seed=seed, samples=samples,
+        use_cache=use_cache, **BASELINE_SWEEP,
     )
     return {name: curve.clean for name, curve in sweep.curves.items()}

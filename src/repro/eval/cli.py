@@ -22,8 +22,9 @@ cells (stacked passes, instances per pass, per-cell cells by reason).
 Trained models and completed campaign scenarios are cached under
 ``.repro_cache`` exactly as the benchmarks do, so repeated and resumed
 invocations skip finished work (``--no-cache`` forces re-simulation).
-``table1`` and the sweep commands first train the models missing from
-that cache on every usable CPU (:func:`repro.eval.cache.train_models`).
+``table1`` and the sweep commands first train, on every usable CPU
+(:func:`repro.eval.cache.train_models`), the missing models of the
+methods that have a scenario the result store cannot serve.
 
 Campaign-family commands can also run through a long-lived campaign
 service daemon (:mod:`repro.serve`, started with ``python -m
@@ -51,7 +52,12 @@ from ..models import all_methods, proposed
 from ..profiling import profiled
 from ..tensor import manual_seed
 from ..uncertainty import evaluate_shift_sweep
-from .campaigns import baseline_metrics, run_robustness_sweep
+from .campaigns import (
+    BASELINE_SWEEP,
+    baseline_metrics,
+    pending_scenarios,
+    run_robustness_sweep,
+)
 from .cache import train_models, trained_model
 from .reporting import (
     ProgressMeter,
@@ -95,16 +101,20 @@ def cmd_table1(args) -> None:
     ]
     tasks = {name: build_task(name, preset=args.preset, seed=args.seed)
              for name, *_ in rows}
+    # One settings dict for the warmer's store lookups and the sweeps.
+    settings = dict(preset=args.preset, seed=args.seed,
+                    use_cache=not args.no_cache)
     train_models(
         [(tasks[name], method) for name, *_ in rows
-         for method in _methods_for(name)],
+         for method in _methods_for(name)
+         if pending_scenarios(tasks[name], method, **settings,
+                              **BASELINE_SWEEP)],
         args.preset, seed=args.seed,
     )
     print(table_header())
     for task_name, topology, metric, precision in rows:
         values = baseline_metrics(
-            tasks[task_name], _methods_for(task_name), preset=args.preset,
-            seed=args.seed, use_cache=not args.no_cache,
+            tasks[task_name], _methods_for(task_name), **settings
         )
         print(format_table_row(topology, task_name, metric, precision, values))
 
@@ -122,21 +132,23 @@ def _cmd_sweep_local(args, specs) -> None:
     """The in-process sweep path (also the --fallback-local target)."""
     task = build_task(args.task, preset=args.preset, seed=args.seed)
     methods = _methods_for(args.task)
-    train_models([(task, method) for method in methods], args.preset,
-                 seed=args.seed)
+    # One settings dict for the warmer's store lookups and the sweep.
+    sweep_args = dict(specs=specs, preset=args.preset, seed=args.seed,
+                      n_runs=args.runs, use_cache=not args.no_cache)
+    train_models(
+        [(task, method) for method in methods
+         if pending_scenarios(task, method, **sweep_args)],
+        args.preset, seed=args.seed,
+    )
     meter = ProgressMeter(label=f"{args.task}/{args.fault}")
     with contextlib.ExitStack() as stack:
         stages = stack.enter_context(profiled()) if args.profile else None
         sweep = run_robustness_sweep(
             task,
             methods,
-            specs,
-            preset=args.preset,
-            seed=args.seed,
-            n_runs=args.runs,
             progress=print if args.verbose else None,
-            use_cache=not args.no_cache,
             on_cell_done=meter,
+            **sweep_args,
         )
     if meter.total:
         meter.finish()

@@ -16,14 +16,6 @@ from repro.faults import FaultSpec, bitflip_sweep
 from repro.models import proposed
 
 
-@pytest.fixture
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    clear_memory_cache()
-    yield tmp_path
-    clear_memory_cache()
-
-
 class TestCampaignValueCache:
     def _key(self, **overrides):
         task = build_task("audio", preset="tiny")

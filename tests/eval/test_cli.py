@@ -61,28 +61,22 @@ class TestParser:
         "--plan", "--no-plan",
         "--executor=serial", "--executor=batched",
         "--chip-limit=2", "--scenario-limit=1",
+        "--plan-opt", "--no-plan-opt",
     ])
-    def test_removed_engine_options_rejected(self, flag):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["campaign", "--task", "co2", flag])
-
-    def test_plan_opt_flag_tristate(self, monkeypatch):
-        """Neither --plan-opt nor --no-plan-opt parse, whatever the env says."""
+    def test_removed_engine_options_rejected(self, flag, monkeypatch):
+        """A removed option neither parses nor leaves a default behind,
+        whatever the environment says."""
         monkeypatch.setenv("REPRO_PLAN_OPT", "1")
         parser = build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args(["campaign", "--task", "co2", flag])
+        name = flag.split("=")[0].removeprefix("--").removeprefix("no-")
         args = parser.parse_args(["campaign", "--task", "co2"])
-        assert not hasattr(args, "plan_opt") and not hasattr(args, "plan")
-        for flag in ("--plan-opt", "--no-plan-opt"):
-            with pytest.raises(SystemExit):
-                parser.parse_args(["campaign", "--task", "co2", flag])
+        assert not hasattr(args, name.replace("-", "_"))
 
 
 class TestExecution:
-    def test_campaign_runs_tiny(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.eval import clear_memory_cache
-
-        clear_memory_cache()
+    def test_campaign_runs_tiny(self, isolated_cache, capsys):
         main([
             "--preset", "tiny",
             "campaign", "--task", "audio", "--fault", "bitflip",
@@ -107,14 +101,21 @@ class TestExecution:
             seen.append(kwargs["use_cache"])
             return {}
 
-        warmed = []
+        warmed, asked = [], []
+
+        def all_pending(task, method, **kwargs):
+            asked.append(kwargs["use_cache"])
+            return [0]
+
         monkeypatch.setattr(cli, "build_task", lambda name, **kwargs: name)
         monkeypatch.setattr(cli, "baseline_metrics", fake_baseline_metrics)
+        monkeypatch.setattr(cli, "pending_scenarios", all_pending)
         monkeypatch.setattr(
             cli, "train_models", lambda jobs, *a, **kw: warmed.extend(jobs)
         )
         main(argv)
         assert seen == [use_cache] * 4
+        assert asked == [use_cache] * 16  # the warmer asks the same store
         assert len(warmed) == 16  # one warm step, every model of the table
         assert "Topology" in capsys.readouterr().out
 
@@ -130,73 +131,29 @@ class TestExecution:
             labels.append(label.strip())
         return labels
 
-    def test_profile_with_no_plan_degrades_gracefully(
-        self, tmp_path, monkeypatch, capsys
+    @pytest.mark.parametrize("argv", [
+        ["--preset", "tiny", "campaign"],
+        ["campaign", "--preset", "tiny", "--seed", "0"],
+    ], ids=["flags-before", "flags-after"])
+    def test_profile_rows_only_for_recorded_stages(
+        self, argv, isolated_cache, capsys
     ):
-        """--profile: only recorded stages get rows, and no plan rows.
-
-        Global flags before the subcommand.
-        """
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.eval import clear_memory_cache
-
-        clear_memory_cache()
-        main([
-            "--preset", "tiny",
-            "campaign", "--task", "audio", "--fault", "bitflip",
-            "--levels", "0", "0.2", "--runs", "2",
-            "--profile",
-        ])
-        out = capsys.readouterr().out
-        assert "per-stage wall time:" in out
-        labels = self._profile_stage_labels(out)
-        assert "attach" in labels and "metric" in labels
-        assert "trace" not in labels and "replay" not in labels
-        assert "transport" not in labels  # local run: no wire time
-        assert "plan optimizer:" not in out
-
-    def test_profile_with_no_plan_global_flags_after_subcommand(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.eval import clear_memory_cache
-
-        clear_memory_cache()
-        main([
-            "campaign", "--preset", "tiny", "--seed", "0",
+        """--profile wherever the global flags go: a row per recorded
+        stage, none for traced programs or the wire, no optimizer line."""
+        main(argv + [
             "--task", "audio", "--fault", "bitflip",
             "--levels", "0", "0.2", "--runs", "2",
             "--profile",
         ])
         out = capsys.readouterr().out
-        labels = self._profile_stage_labels(out)
-        assert "attach" in labels and "metric" in labels
-        assert "trace" not in labels and "replay" not in labels
+        assert "per-stage wall time:" in out
+        assert self._profile_stage_labels(out) == [
+            "attach", "metric", "store", "total"
+        ]
+        assert "plan optimizer:" not in out
 
-    def test_profile_without_amortization_has_no_program_stage(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.eval import clear_memory_cache
-
-        clear_memory_cache()
-        main([
-            "--preset", "tiny",
-            "campaign", "--task", "audio", "--fault", "bitflip",
-            "--levels", "0", "0.2", "--runs", "2",
-            "--profile",
-        ])
-        out = capsys.readouterr().out
-        labels = self._profile_stage_labels(out)
-        assert "program" not in labels and "attach" in labels
-        assert labels == ["attach", "metric", "store", "total"]
-
-    def test_profile_counts_how_cells_ran(self, tmp_path, monkeypatch, capsys):
+    def test_profile_counts_how_cells_ran(self, isolated_cache, capsys):
         """--profile: stacked passes and per-cell cells by reason."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.eval import clear_memory_cache
-
-        clear_memory_cache()
         main([
             "--preset", "tiny",
             "campaign", "--task", "co2", "--fault", "bitflip",
@@ -233,13 +190,7 @@ class TestServiceFlags:
         assert args.retries == 2
         assert args.fallback_local is False
 
-    def test_fallback_local_degrades_to_in_process(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.eval import clear_memory_cache
-
-        clear_memory_cache()
+    def test_fallback_local_degrades_to_in_process(self, isolated_cache, capsys):
         import socket
 
         with socket.socket() as probe:
@@ -257,21 +208,16 @@ class TestServiceFlags:
         assert "falling back to the in-process engine" in out
         assert "audio / bitflip" in out  # the sweep still ran
 
-    def test_serve_prints_the_local_tables(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.eval import clear_memory_cache
-
+    def test_serve_prints_the_local_tables(self, isolated_cache, capsys):
         from repro.eval.cache import ResultStore
         from repro.serve import CampaignService
 
-        clear_memory_cache()
         argv = ["fig6", "--task", "co2", "--preset", "tiny",
                 "--levels", "0", "0.05", "0.1", "--no-cache"]
         main(argv)
         local = capsys.readouterr().out
-        with CampaignService(store=ResultStore(root=tmp_path / "store")) as service:
+        store = ResultStore(root=isolated_cache / "store")
+        with CampaignService(store=store) as service:
             main(argv + ["--connect", "%s:%d" % service.address])
         served = capsys.readouterr().out.splitlines()
         assert sum(line.startswith("service:") for line in served) == 1
@@ -303,16 +249,11 @@ class TestStoreGC:
         assert args.max_entries == 100
         assert build_parser().parse_args(["store-gc"]).max_entries is None
 
-    def test_store_gc_reports_and_bounds_the_store(
-        self, tmp_path, monkeypatch, capsys
-    ):
+    def test_store_gc_reports_and_bounds_the_store(self, isolated_cache, capsys):
         import numpy as np
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.eval import clear_memory_cache
         from repro.eval.cache import result_store
 
-        clear_memory_cache()
         store = result_store()
         for i in range(4):
             store.put(f"gc-test-{i}", np.arange(3, dtype=np.float64) + i)
@@ -324,16 +265,11 @@ class TestStoreGC:
         assert "2 remaining" in out
         assert len(store) == 2
 
-    def test_store_gc_without_cap_only_retires(
-        self, tmp_path, monkeypatch, capsys
-    ):
+    def test_store_gc_without_cap_only_retires(self, isolated_cache, capsys):
         import numpy as np
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.eval import clear_memory_cache
         from repro.eval.cache import result_store
 
-        clear_memory_cache()
         result_store().put("gc-keep", np.ones(2))
         main(["store-gc"])
         out = capsys.readouterr().out

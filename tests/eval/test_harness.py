@@ -59,12 +59,10 @@ class TestTaskRegistry:
 
 
 class TestModelCache:
-    def test_cache_round_trip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_memory_cache()
+    def test_cache_round_trip(self, isolated_cache):
         task = build_task("audio", preset="tiny")
         m1 = trained_model(task, proposed(), "tiny", seed=0)
-        files = list(tmp_path.glob("*.npz"))
+        files = list(isolated_cache.glob("*.npz"))
         assert len(files) == 1
         # Second call: in-memory hit returns the same object.
         assert trained_model(task, proposed(), "tiny", seed=0) is m1
@@ -76,12 +74,10 @@ class TestModelCache:
             m1.state_dict()["classifier.weight"], m2.state_dict()["classifier.weight"]
         )
 
-    def test_damaged_checkpoint_is_retrained(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_memory_cache()
+    def test_damaged_checkpoint_is_retrained(self, isolated_cache):
         task = build_task("audio", preset="tiny")
         fresh = trained_model(task, proposed(), "tiny", seed=0).state_dict()
-        (path,) = tmp_path.glob("*.npz")
+        (path,) = isolated_cache.glob("*.npz")
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])  # a writer killed mid-save
         clear_memory_cache()
@@ -95,19 +91,15 @@ class TestModelCache:
         for name in fresh:
             np.testing.assert_array_equal(reloaded[name], fresh[name])
 
-    def test_different_methods_cached_separately(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_memory_cache()
+    def test_different_methods_cached_separately(self, isolated_cache):
         task = build_task("audio", preset="tiny")
         trained_model(task, proposed(), "tiny")
         trained_model(task, conventional(), "tiny")
-        assert len(list(tmp_path.glob("*.npz"))) == 2
+        assert len(list(isolated_cache.glob("*.npz"))) == 2
 
 
 class TestSweepAndMetrics:
-    def test_robustness_sweep_structure(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_memory_cache()
+    def test_robustness_sweep_structure(self, isolated_cache):
         task = build_task("audio", preset="tiny")
         methods = [conventional(), proposed()]
         sweep = run_robustness_sweep(
@@ -125,9 +117,7 @@ class TestSweepAndMetrics:
         assert curve.clean == curve.means[0]
         assert np.isfinite(sweep.improvement_over("conventional")).all()
 
-    def test_baseline_metrics_keys(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_memory_cache()
+    def test_baseline_metrics_keys(self, isolated_cache):
         task = build_task("co2", preset="tiny")
         row = baseline_metrics(task, [conventional(), proposed()], preset="tiny")
         assert set(row) == {"conventional", "proposed"}
@@ -155,9 +145,7 @@ class TestReporting:
 
         assert set(METHOD_NAMES) <= set(METHOD_LABELS)
 
-    def test_format_sweep_renders(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_memory_cache()
+    def test_format_sweep_renders(self, isolated_cache):
         task = build_task("audio", preset="tiny")
         sweep = run_robustness_sweep(
             task,

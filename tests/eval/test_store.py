@@ -192,15 +192,14 @@ class TestCrossSession:
 
 
 class TestStrayLegacyLayout:
-    def test_stray_campaigns_npy_is_ignored(self, tmp_path, monkeypatch):
+    def test_stray_campaigns_npy_is_ignored(self, isolated_cache):
         """Only content-addressed entries serve; ``campaigns/<key>.npy``
         files left beside the default store are never read."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        legacy = tmp_path / "campaigns"
+        legacy = isolated_cache / "campaigns"
         legacy.mkdir()
         np.save(legacy / f"{KEY}.npy", np.array([3.0, 4.0]))
         store = ResultStore()
-        assert store.root == tmp_path / "store"
+        assert store.root == isolated_cache / "store"
         assert store.get(KEY) is None
         assert store.misses == 1
         assert not store.address(KEY).exists()

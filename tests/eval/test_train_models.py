@@ -1,4 +1,6 @@
-"""Tests for the parallel cache warmer ``repro.eval.cache.train_models``."""
+"""Tests for the parallel cache warmer ``repro.eval.cache.train_models``
+and for how the CLI picks its jobs: only models the result store cannot
+stand in for."""
 
 import multiprocessing
 import os
@@ -6,17 +8,11 @@ import os
 import numpy as np
 import pytest
 
-from repro.eval import build_task, cache, clear_memory_cache, trained_model
-from repro.eval.tasks import Task
+from repro.eval import build_task, cache, clear_memory_cache, cli, trained_model
+from repro.eval.cache import campaign_key, result_store
+from repro.eval.tasks import Task, mc_samples
+from repro.faults import FaultSpec
 from repro.models import conventional, proposed
-
-
-@pytest.fixture
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    clear_memory_cache()
-    yield tmp_path
-    clear_memory_cache()
 
 
 @pytest.fixture
@@ -114,3 +110,45 @@ def test_failing_job_raises_in_caller(isolated_cache, monkeypatch):
         cache.train_models(_jobs(), "tiny")
     assert multiprocessing.active_children() == []
     assert list(isolated_cache.glob("*.npz")) == []
+
+
+def test_table1_warms_only_pairs_the_store_cannot_serve(isolated_cache,
+                                                       monkeypatch, capsys):
+    pairs = [(name, method) for name in ("image", "audio", "vessels", "co2")
+             for method in cli._methods_for(name)]
+    stored = pairs[1::3]
+    for name, method in stored:  # the store holds these Table I cells
+        key = campaign_key(build_task(name, preset="tiny"), method,
+                           FaultSpec("none", 0.0), 1, mc_samples("tiny"), 0)
+        result_store().put(key, np.array([0.5]))
+    warmed = []
+    monkeypatch.setattr(cli, "train_models",
+                        lambda jobs, *a, **kw: warmed.append(jobs))
+    monkeypatch.setattr(cli, "baseline_metrics",
+                        lambda task, methods, **kw: {})
+    cli.main(["--preset", "tiny", "table1"])
+    cli.main(["--preset", "tiny", "table1", "--no-cache"])
+    capsys.readouterr()
+    names = [[(task.name, method) for task, method in jobs] for jobs in warmed]
+    assert names == [[p for p in pairs if p not in stored], pairs]
+
+
+def test_warm_store_trains_and_writes_no_checkpoint(isolated_cache,
+                                                    monkeypatch, capsys):
+    monkeypatch.setattr(cache, "_usable_cpus", lambda: 2)
+    argv = ["--preset", "tiny", "campaign", "--task", "co2",
+            "--fault", "bitflip", "--levels", "0", "0.1", "--runs", "2"]
+    cli.main(argv)
+    first = capsys.readouterr().out
+    for path in isolated_cache.glob("*.npz"):
+        path.unlink()
+    clear_memory_cache()
+
+    def no_training(self, method, seed=0, verbose=False):
+        raise AssertionError(f"trained {self.name}/{method.name}")
+
+    monkeypatch.setattr(Task, "train_model", no_training)
+    cli.main(argv)
+    assert capsys.readouterr().out == first
+    assert list(isolated_cache.glob("*.npz")) == []
+    assert multiprocessing.active_children() == []

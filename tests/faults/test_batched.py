@@ -16,16 +16,11 @@ runs produce and consume the same keys as per-cell runs).
 import numpy as np
 import pytest
 
-from repro import nn
-from repro.core.bayesian import mc_forward
 from repro.eval import (
     build_task,
     campaign_key,
-    clear_memory_cache,
     load_campaign_values,
-    make_evaluator,
     run_robustness_sweep,
-    trained_model,
 )
 from repro.faults import (
     ChipBatchedActivationNoise,
@@ -40,37 +35,16 @@ from repro.faults import (
     uniform_sweep,
 )
 from repro.models import conventional, proposed, spindrop
-from repro.quant import QuantConv2d, QuantLinear, SignActivation
+from repro.quant import QuantLinear
 from repro.quant.functional import QuantizedWeight
 from repro.tensor import Tensor, chip_batch, manual_seed
 from repro.tensor.chipbatch import ChipBatchRng, active_chip_count
-from tests.faults.stacking import ENGINES, chip_engine
-
-
-def build_pair(seed=0):
-    """Small mixed binary/multi-bit model with a chip-aware evaluator."""
-    from repro.tensor.chipbatch import active_chip_count as chips
-
-    manual_seed(seed)
-    model = nn.Sequential(
-        QuantConv2d(1, 3, 3, padding=1, weight_bits=1),
-        SignActivation(),
-        nn.GlobalAvgPool2d(),
-        nn.Dropout(0.25),
-        QuantLinear(3, 2, weight_bits=8),
-    )
-    data_rng = np.random.default_rng(7)
-    x = data_rng.normal(size=(10, 1, 6, 6))
-    y = data_rng.integers(0, 2, 10)
-
-    def evaluator(m):
-        n_chips = chips()
-        inp = x if n_chips is None else np.broadcast_to(x[None], (n_chips,) + x.shape)
-        logits = mc_forward(m, Tensor(inp.copy()), num_samples=3)
-        pred = logits.mean(axis=0).argmax(axis=-1)
-        return (pred == y).mean(axis=-1)
-
-    return model, evaluator
+from tests.faults.stacking import (
+    ENGINES,
+    assert_stacked_identity,
+    build_pair,
+    chip_engine,
+)
 
 
 def _serial_reference(model, evaluator, cells, base_seed):
@@ -155,48 +129,32 @@ class TestBackendEquivalence:
 class TestTaskIdentity:
     """Batched == serial on the real tiny tasks (trained-model cache warm)."""
 
-    def _compare(self, task_name, method, specs, samples=3, n_runs=3):
-        task = build_task(task_name, preset="tiny")
-        model = trained_model(task, method, "tiny", seed=0)
-        evaluator = make_evaluator(task.name, task.test_set, method, mc_samples=samples)
-        results = {}
-        for executor, engine in ENGINES.items():
-            campaign = MonteCarloCampaign(
-                model, evaluator, n_runs=n_runs, base_seed=0, engine=engine
-            )
-            results[executor] = campaign.sweep(specs)
-        for s, b in zip(results["serial"], results["batched"]):
-            np.testing.assert_array_equal(s.values, b.values)
-
     def test_audio_conv_multibit_bitflip(self):
-        self._compare("audio", proposed(), bitflip_sweep([0.0, 0.1]))
+        assert_stacked_identity("audio", proposed(), bitflip_sweep([0.0, 0.1]))
 
     def test_audio_conv_additive_conventional(self):
-        self._compare("audio", conventional(), additive_sweep([0.0, 0.2]))
+        assert_stacked_identity("audio", conventional(), additive_sweep([0.0, 0.2]))
 
     def test_lstm_uniform_noise(self):
-        self._compare("co2", proposed(), uniform_sweep([0.0, 0.2]))
+        assert_stacked_identity("co2", proposed(), uniform_sweep([0.0, 0.2]))
 
     def test_lstm_bitflip_spindrop(self):
-        self._compare("co2", spindrop(), bitflip_sweep([0.0, 0.1]))
+        assert_stacked_identity("co2", spindrop(), bitflip_sweep([0.0, 0.1]))
 
     def test_binary_resnet_activation_variation(self):
         # Additive variation on a binary net routes to the pre-sign
         # activations; exercises ChipBatchedActivationNoise.
-        self._compare("image", proposed(), additive_sweep([0.0, 0.3]), n_runs=2)
+        assert_stacked_identity(
+            "image", proposed(), additive_sweep([0.0, 0.3]), n_runs=2
+        )
 
     def test_unet_groupwise_bitflip(self):
-        self._compare("vessels", proposed(), bitflip_sweep([0.0, 0.1]), n_runs=2)
+        assert_stacked_identity(
+            "vessels", proposed(), bitflip_sweep([0.0, 0.1]), n_runs=2
+        )
 
 
 class TestCacheEquivalence:
-    @pytest.fixture
-    def isolated_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        clear_memory_cache()
-        yield tmp_path
-        clear_memory_cache()
-
     def test_batched_hits_serial_cache_keys(self, isolated_cache):
         task = build_task("audio", preset="tiny")
         methods = [proposed()]

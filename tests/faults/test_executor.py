@@ -2,8 +2,8 @@
 
 The engine's contract is that campaign values are bit-identical across
 cell scheduling orders (per-cell vs stacked identity is pinned in
-``test_batched.py``).  The evaluator used here is not chip-aware, so its
-campaigns run on the per-cell engine.  The model includes a Dropout module
+``test_identity_matrix.py``).  Campaigns here run on the per-cell
+engine unless a test says otherwise.  The model includes a Dropout module
 evaluated with Monte Carlo sampling, so the tests exercise the scoped-RNG
 machinery that makes stochastic evaluation hermetic per cell — not just
 the frozen fault patterns.
@@ -12,8 +12,6 @@ the frozen fault patterns.
 import numpy as np
 import pytest
 
-from repro import nn
-from repro.core.bayesian import mc_forward
 from repro.faults import (
     PER_CELL,
     EngineConfig,
@@ -26,33 +24,8 @@ from repro.faults import (
     run_cells,
 )
 from repro.faults import executor as executor_mod
-from repro.quant import QuantConv2d, QuantLinear, SignActivation
-from repro.tensor import Tensor, manual_seed
 from repro.tensor.chipbatch import active_chip_count
-
-_DATA_RNG_SEED = 7
-
-
-def build_pair(seed=0):
-    """Small mixed binary/multi-bit model with an MC evaluator."""
-    manual_seed(seed)
-    model = nn.Sequential(
-        QuantConv2d(1, 3, 3, padding=1, weight_bits=1),
-        SignActivation(),
-        nn.GlobalAvgPool2d(),
-        nn.Dropout(0.25),
-        QuantLinear(3, 2, weight_bits=8),
-    )
-    data_rng = np.random.default_rng(_DATA_RNG_SEED)
-    x = Tensor(data_rng.normal(size=(10, 1, 6, 6)))
-    y = data_rng.integers(0, 2, 10)
-
-    def evaluator(m):
-        logits = mc_forward(m, x, num_samples=3)
-        pred = logits.mean(axis=0).argmax(axis=1)
-        return float((pred == y).mean())
-
-    return model, evaluator
+from tests.faults.stacking import build_pair
 
 
 def _campaign(**kwargs):

@@ -19,7 +19,6 @@ import pytest
 from repro import nn
 from repro.core import InvertedNorm
 from repro.core.bayesian import BayesianClassifier, mc_forward
-from repro.eval import build_task, make_evaluator, trained_model
 from repro.faults import (
     PER_CELL,
     FaultSpec,
@@ -33,7 +32,6 @@ from repro.faults import (
     uniform_sweep,
 )
 from repro.models import proposed, spatial_spindrop, spindrop
-from repro.quant import QuantConv2d, QuantLinear, SignActivation
 from repro.quant.layers import deploy_cache_disabled
 from repro.tensor import Tensor, manual_seed
 from repro.tensor.chipbatch import (
@@ -46,31 +44,7 @@ from repro.tensor.chipbatch import (
     spawn_sample_streams,
 )
 from repro.tensor.random import scoped_rng
-from tests.faults.stacking import ENGINES, chip_engine
-
-
-def build_pair(seed=0, mc_samples=3):
-    """Small mixed binary/multi-bit model with a chip-aware MC evaluator."""
-    manual_seed(seed)
-    model = nn.Sequential(
-        QuantConv2d(1, 3, 3, padding=1, weight_bits=1),
-        SignActivation(),
-        nn.GlobalAvgPool2d(),
-        nn.Dropout(0.25),
-        QuantLinear(3, 2, weight_bits=8),
-    )
-    data_rng = np.random.default_rng(7)
-    x = data_rng.normal(size=(10, 1, 6, 6))
-    y = data_rng.integers(0, 2, 10)
-
-    def evaluator(m):
-        n_chips = active_chip_count()
-        inp = x if n_chips is None else np.broadcast_to(x[None], (n_chips,) + x.shape)
-        logits = mc_forward(m, Tensor(inp.copy()), num_samples=mc_samples)
-        pred = logits.mean(axis=0).argmax(axis=-1)
-        return (pred == y).mean(axis=-1)
-
-    return model, evaluator
+from tests.faults.stacking import assert_stacked_identity, build_pair, chip_engine
 
 
 ALL_FAULT_KINDS = [
@@ -278,58 +252,51 @@ class TestEvaluateCellsMcBatched:
 class TestTaskTopologyIdentity:
     """Stacked engine == per-cell oracle on all four tiny-task topologies."""
 
-    def _compare(self, task_name, method, specs, samples=3, n_runs=3):
-        task = build_task(task_name, preset="tiny")
-        model = trained_model(task, method, "tiny", seed=0)
-        evaluator = make_evaluator(
-            task.name, task.test_set, method, mc_samples=samples
-        )
-        serial, batched = (
-            MonteCarloCampaign(
-                model, evaluator, n_runs=n_runs, base_seed=0, engine=engine
-            ).sweep(specs)
-            for engine in ENGINES.values()
-        )
-        for s, b in zip(serial, batched):
-            np.testing.assert_array_equal(s.values, b.values)
-
     # image / ResNet-18: binary weights, variation routes to activations
     def test_image_binary_bitflip_proposed(self):
-        self._compare("image", proposed(), bitflip_sweep([0.0, 0.1]), n_runs=2)
+        assert_stacked_identity(
+            "image", proposed(), bitflip_sweep([0.0, 0.1]), n_runs=2
+        )
 
     def test_image_activation_variation_spindrop(self):
-        self._compare("image", spindrop(), additive_sweep([0.0, 0.3]), n_runs=2)
+        assert_stacked_identity(
+            "image", spindrop(), additive_sweep([0.0, 0.3]), n_runs=2
+        )
 
     # audio / M5: 8-bit conv1d
     def test_audio_multibit_bitflip_proposed(self):
-        self._compare("audio", proposed(), bitflip_sweep([0.0, 0.1]))
+        assert_stacked_identity("audio", proposed(), bitflip_sweep([0.0, 0.1]))
 
     def test_audio_additive_spatial_spindrop(self):
-        self._compare("audio", spatial_spindrop(), additive_sweep([0.0, 0.2]))
+        assert_stacked_identity("audio", spatial_spindrop(), additive_sweep([0.0, 0.2]))
 
     def test_audio_stuck_at_proposed(self):
-        self._compare(
+        assert_stacked_identity(
             "audio", proposed(), [FaultSpec(kind="none", level=0.0),
                                   FaultSpec(kind="stuck", level=0.2)]
         )
 
     # co2 / LSTM: 8-bit recurrent cells, frozen (variational) masks
     def test_lstm_uniform_proposed(self):
-        self._compare("co2", proposed(), uniform_sweep([0.0, 0.2]))
+        assert_stacked_identity("co2", proposed(), uniform_sweep([0.0, 0.2]))
 
     def test_lstm_multiplicative_spindrop(self):
-        self._compare("co2", spindrop(), multiplicative_sweep([0.0, 0.4]))
+        assert_stacked_identity("co2", spindrop(), multiplicative_sweep([0.0, 0.4]))
 
     def test_lstm_drift_proposed(self):
-        self._compare(
+        assert_stacked_identity(
             "co2", proposed(), [FaultSpec(kind="none", level=0.0),
                                 FaultSpec(kind="drift", level=24.0)]
         )
 
     # vessels / U-Net: binary weights + PACT activations, group norm
     def test_unet_bitflip_proposed(self):
-        self._compare("vessels", proposed(), bitflip_sweep([0.0, 0.1]), n_runs=2)
+        assert_stacked_identity(
+            "vessels", proposed(), bitflip_sweep([0.0, 0.1]), n_runs=2
+        )
 
     def test_unet_additive_proposed(self):
-        self._compare("vessels", proposed(), additive_sweep([0.0, 0.3]), n_runs=2)
+        assert_stacked_identity(
+            "vessels", proposed(), additive_sweep([0.0, 0.3]), n_runs=2
+        )
 

@@ -18,87 +18,34 @@ that a cell's value depends **only** on ``(base_seed, cell)``:
 import numpy as np
 import pytest
 
-from repro import nn
-from repro.core.bayesian import mc_forward
-from repro.eval import build_task, make_evaluator, trained_model
 from repro.faults import (
     FaultSpec,
     MonteCarloCampaign,
     WorkCell,
     additive_sweep,
     bitflip_sweep,
-    evaluate_cell,
     evaluate_cells_stacked,
     multiplicative_sweep,
     uniform_sweep,
 )
 from repro.models import proposed, spatial_spindrop, spindrop
-from repro.quant import QuantConv2d, QuantLinear, SignActivation
 from repro.quant.layers import deploy_cache_disabled
-from repro.tensor import Tensor, manual_seed
-from repro.tensor.chipbatch import active_chip_count
+from repro.tensor import Tensor
 from repro.train import Adam, mse_loss
-from tests.faults.stacking import ENGINES
-
-DATA_RNG_SEED = 7
-
-
-def build_pair(seed=0, mc_samples=3):
-    """Small mixed binary/multi-bit model with a chip-aware MC evaluator."""
-    manual_seed(seed)
-    model = nn.Sequential(
-        QuantConv2d(1, 3, 3, padding=1, weight_bits=1),
-        SignActivation(),
-        nn.GlobalAvgPool2d(),
-        nn.Dropout(0.25),
-        QuantLinear(3, 2, weight_bits=8),
-    )
-    x, y = _data()
-
-    def evaluator(m):
-        n_chips = active_chip_count()
-        inp = x if n_chips is None else np.broadcast_to(x[None], (n_chips,) + x.shape)
-        logits = mc_forward(m, Tensor(inp.copy()), num_samples=mc_samples)
-        pred = logits.mean(axis=0).argmax(axis=-1)
-        return (pred == y).mean(axis=-1)
-
-    return model, evaluator
-
-
-def _data():
-    data_rng = np.random.default_rng(DATA_RNG_SEED)
-    x = data_rng.normal(size=(10, 1, 6, 6))
-    y = data_rng.integers(0, 2, 10)
-    return x, y
-
-
-SWEEPS_BY_KIND = {
-    "bitflip": [FaultSpec(kind="bitflip", level=l) for l in (0.05, 0.1, 0.2)],
-    "additive": [FaultSpec(kind="additive", level=l) for l in (0.1, 0.3)],
-    "multiplicative": [
-        FaultSpec(kind="multiplicative", level=l) for l in (0.2, 0.4)
-    ],
-    "uniform": [FaultSpec(kind="uniform", level=l) for l in (0.1, 0.2, 0.4)],
-    "stuck": [
-        FaultSpec(kind="stuck", level=0.1, stuck_to="zero"),
-        FaultSpec(kind="stuck", level=0.2, stuck_to="high"),
-    ],
-    "drift": [FaultSpec(kind="drift", level=l) for l in (24.0, 100.0)],
-}
-
-
-def serial_values(model, evaluator, cells, base_seed, order=None):
-    """Per-cell serial values, evaluated in ``order``, returned in cell order."""
-    order = range(len(cells)) if order is None else order
-    values = np.empty(len(cells))
-    for i in order:
-        values[i] = evaluate_cell(model, evaluator, cells[i], base_seed)
-    return values
+from tests.faults.stacking import (
+    ENGINES,
+    SWEEPS_BY_KIND,
+    build_pair,
+    micro_data,
+    serial_values,
+    sweep_values,
+    tiny_pair,
+)
 
 
 def train_step(model, lr=0.5):
     """One Adam step on the micro-model's data; bumps parameter versions."""
-    x, _ = _data()
+    x, _ = micro_data()
     model.train()
     optimizer = Adam(model.parameters(), lr=lr)
     pred = model(Tensor(x))
@@ -253,14 +200,8 @@ class TestTaskTopologyIdentity:
     """Stacked sweep == reverse-order uncached per-cell runs, all topologies."""
 
     def _compare(self, task_name, method, specs, samples=3, n_runs=3):
-        task = build_task(task_name, preset="tiny")
-        model = trained_model(task, method, "tiny", seed=0)
-        evaluator = make_evaluator(
-            task.name, task.test_set, method, mc_samples=samples
-        )
-        results = MonteCarloCampaign(
-            model, evaluator, n_runs=n_runs, base_seed=0, engine=ENGINES["batched"],
-        ).sweep(specs)
+        model, evaluator = tiny_pair(task_name, method, samples)
+        results = sweep_values(model, evaluator, specs, n_runs, ENGINES["batched"])
         with deploy_cache_disabled():
             for idx in reversed(range(len(specs))):
                 if specs[idx].kind == "none":
@@ -269,7 +210,7 @@ class TestTaskTopologyIdentity:
                 expected = serial_values(
                     model, evaluator, cells, 0, order=reversed(range(n_runs))
                 )
-                np.testing.assert_array_equal(results[idx].values, expected)
+                np.testing.assert_array_equal(results[idx], expected)
 
     # image / ResNet-18: binary weights, variation routes to activations
     def test_image_binary_bitflip_proposed(self):

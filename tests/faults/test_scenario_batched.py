@@ -17,9 +17,7 @@ logic.
 import numpy as np
 import pytest
 
-from repro import nn
-from repro.core.bayesian import mc_forward
-from repro.eval import build_task, make_evaluator, run_robustness_sweep, trained_model
+from repro.eval import build_task, run_robustness_sweep
 from repro.eval.cache import RNG_CONTRACT
 from repro.faults import (
     PER_CELL,
@@ -37,50 +35,15 @@ from repro.faults import (
 )
 from repro.faults.executor import _kind_groups
 from repro.models import proposed, spatial_spindrop, spindrop
-from repro.quant import QuantConv2d, QuantLinear, SignActivation
 from repro.quant.functional import fake_quantize_weight_record
-from repro.tensor import Tensor, manual_seed
-from repro.tensor.chipbatch import active_chip_count, mc_sample_axis
-from tests.faults.stacking import ENGINES, chip_engine
-
-
-def build_pair(seed=0, mc_samples=3):
-    """Small mixed binary/multi-bit model with a chip-aware MC evaluator."""
-    manual_seed(seed)
-    model = nn.Sequential(
-        QuantConv2d(1, 3, 3, padding=1, weight_bits=1),
-        SignActivation(),
-        nn.GlobalAvgPool2d(),
-        nn.Dropout(0.25),
-        QuantLinear(3, 2, weight_bits=8),
-    )
-    data_rng = np.random.default_rng(7)
-    x = data_rng.normal(size=(10, 1, 6, 6))
-    y = data_rng.integers(0, 2, 10)
-
-    def evaluator(m):
-        n_chips = active_chip_count()
-        inp = x if n_chips is None else np.broadcast_to(x[None], (n_chips,) + x.shape)
-        logits = mc_forward(m, Tensor(inp.copy()), num_samples=mc_samples)
-        pred = logits.mean(axis=0).argmax(axis=-1)
-        return (pred == y).mean(axis=-1)
-
-    return model, evaluator
-
-
-SWEEPS_BY_KIND = {
-    "bitflip": [FaultSpec(kind="bitflip", level=l) for l in (0.05, 0.1, 0.2)],
-    "additive": [FaultSpec(kind="additive", level=l) for l in (0.1, 0.3)],
-    "multiplicative": [
-        FaultSpec(kind="multiplicative", level=l) for l in (0.2, 0.4)
-    ],
-    "uniform": [FaultSpec(kind="uniform", level=l) for l in (0.1, 0.2, 0.4)],
-    "stuck": [
-        FaultSpec(kind="stuck", level=0.1, stuck_to="zero"),
-        FaultSpec(kind="stuck", level=0.2, stuck_to="high"),
-    ],
-    "drift": [FaultSpec(kind="drift", level=l) for l in (24.0, 100.0)],
-}
+from repro.tensor.chipbatch import mc_sample_axis
+from tests.faults.stacking import (
+    ENGINES,
+    SWEEPS_BY_KIND,
+    assert_stacked_identity,
+    build_pair,
+    chip_engine,
+)
 
 
 class TestStackedWeightFault:
@@ -339,39 +302,28 @@ class TestCampaignPlumbing:
 class TestTaskTopologyIdentity:
     """Scenario-batched == per-cell oracle on all four tiny-task topologies."""
 
-    def _compare(self, task_name, method, specs, samples=3, n_runs=3):
-        task = build_task(task_name, preset="tiny")
-        model = trained_model(task, method, "tiny", seed=0)
-        evaluator = make_evaluator(
-            task.name, task.test_set, method, mc_samples=samples
-        )
-        serial, batched = (
-            MonteCarloCampaign(
-                model, evaluator, n_runs=n_runs, base_seed=0, engine=engine
-            ).sweep(specs)
-            for engine in ENGINES.values()
-        )
-        for s, b in zip(serial, batched):
-            np.testing.assert_array_equal(s.values, b.values)
-
     # image / ResNet-18: binary weights, variation routes to activations
     def test_image_binary_bitflip_proposed(self):
-        self._compare("image", proposed(), bitflip_sweep([0.0, 0.05, 0.1]), n_runs=2)
+        assert_stacked_identity(
+            "image", proposed(), bitflip_sweep([0.0, 0.05, 0.1]), n_runs=2
+        )
 
     def test_image_activation_variation_spindrop(self):
-        self._compare("image", spindrop(), additive_sweep([0.0, 0.2, 0.4]), n_runs=2)
+        assert_stacked_identity(
+            "image", spindrop(), additive_sweep([0.0, 0.2, 0.4]), n_runs=2
+        )
 
     # audio / M5: 8-bit conv1d
     def test_audio_multibit_bitflip_proposed(self):
-        self._compare("audio", proposed(), bitflip_sweep([0.0, 0.05, 0.1]))
+        assert_stacked_identity("audio", proposed(), bitflip_sweep([0.0, 0.05, 0.1]))
 
     def test_audio_additive_spatial_spindrop(self):
-        self._compare(
+        assert_stacked_identity(
             "audio", spatial_spindrop(), additive_sweep([0.0, 0.1, 0.2])
         )
 
     def test_audio_stuck_at_proposed(self):
-        self._compare(
+        assert_stacked_identity(
             "audio",
             proposed(),
             [
@@ -383,13 +335,15 @@ class TestTaskTopologyIdentity:
 
     # co2 / LSTM: 8-bit recurrent cells, frozen (variational) masks
     def test_lstm_uniform_proposed(self):
-        self._compare("co2", proposed(), uniform_sweep([0.0, 0.1, 0.2, 0.4]))
+        assert_stacked_identity("co2", proposed(), uniform_sweep([0.0, 0.1, 0.2, 0.4]))
 
     def test_lstm_multiplicative_spindrop(self):
-        self._compare("co2", spindrop(), multiplicative_sweep([0.0, 0.2, 0.4]))
+        assert_stacked_identity(
+            "co2", spindrop(), multiplicative_sweep([0.0, 0.2, 0.4])
+        )
 
     def test_lstm_drift_proposed(self):
-        self._compare(
+        assert_stacked_identity(
             "co2",
             proposed(),
             [
@@ -401,10 +355,14 @@ class TestTaskTopologyIdentity:
 
     # vessels / U-Net: binary weights + PACT activations, group norm
     def test_unet_bitflip_proposed(self):
-        self._compare("vessels", proposed(), bitflip_sweep([0.0, 0.05, 0.1]), n_runs=2)
+        assert_stacked_identity(
+            "vessels", proposed(), bitflip_sweep([0.0, 0.05, 0.1]), n_runs=2
+        )
 
     def test_unet_additive_proposed(self):
-        self._compare("vessels", proposed(), additive_sweep([0.0, 0.2, 0.3]), n_runs=2)
+        assert_stacked_identity(
+            "vessels", proposed(), additive_sweep([0.0, 0.2, 0.3]), n_runs=2
+        )
 
 
 class TestCacheContract:
@@ -412,19 +370,15 @@ class TestCacheContract:
         """Scenario batching must not invalidate mc2-era campaign caches."""
         assert RNG_CONTRACT == "mc2"
 
-    def test_scenario_batched_served_from_serial_cache(self, tmp_path, monkeypatch):
+    def test_scenario_batched_served_from_serial_cache(self, isolated_cache):
         """A serial-written cache satisfies a scenario-batched sweep."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.eval import clear_memory_cache
-
-        clear_memory_cache()
         task = build_task("audio", preset="tiny")
         specs = bitflip_sweep([0.0, 0.05, 0.1])
         kwargs = dict(preset="tiny", n_runs=3)
         serial = run_robustness_sweep(
             task, [proposed()], specs, executor="serial", **kwargs
         )
-        campaign_files = sorted((tmp_path / "store").rglob("*.npz"))
+        campaign_files = sorted((isolated_cache / "store").rglob("*.npz"))
         assert campaign_files  # serial run populated the store
         scenario = run_robustness_sweep(
             task, [proposed()], specs, engine=ENGINES["batched"], **kwargs
@@ -433,16 +387,9 @@ class TestCacheContract:
             serial.curves["proposed"].means, scenario.curves["proposed"].means
         )
         # Same keys: the scenario-batched run wrote nothing new.
-        assert sorted((tmp_path / "store").rglob("*.npz")) == campaign_files
-        clear_memory_cache()
+        assert sorted((isolated_cache / "store").rglob("*.npz")) == campaign_files
 
-    def test_fresh_scenario_batched_matches_fresh_serial(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        from repro.eval import clear_memory_cache
-
-        clear_memory_cache()
+    def test_fresh_scenario_batched_matches_fresh_serial(self, isolated_cache):
         task = build_task("audio", preset="tiny")
         specs = bitflip_sweep([0.0, 0.05, 0.1])
         kwargs = dict(preset="tiny", n_runs=3, use_cache=False)
@@ -455,4 +402,3 @@ class TestCacheContract:
         np.testing.assert_array_equal(
             serial.curves["proposed"].means, scenario.curves["proposed"].means
         )
-        clear_memory_cache()

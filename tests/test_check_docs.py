@@ -2,9 +2,9 @@
 
 The checker gates CI's docs job, so its failure modes need pinning: a
 broken relative link, a mentioned-but-missing repo path, a CLI
-invocation that no longer parses, and a public export without a
-docstring must each produce exactly one targeted failure — and clean
-inputs none.
+invocation that no longer parses, a test reference that names nothing,
+and a public export without a docstring must each produce exactly one
+targeted failure — and clean inputs none.
 """
 
 import pathlib
@@ -139,6 +139,33 @@ class TestCliCheck:
         assert "--no-such-flag" in errors[0]
 
 
+class TestTestRefCheck:
+    def test_reference_to_nothing_fails(self, tmp_path):
+        doc = _doc(
+            tmp_path,
+            "Pinned by `tests/test_check_docs.py::TestGone` and "
+            "`tests/test_check_docs.py::TestLinkCheck::test_gone`; "
+            "`tests/faults/stacking.py::build_pair::x` is no class.",
+        )
+        errors = check_docs._check_test_refs(doc, doc.read_text())
+        assert len(errors) == 3
+        assert all("test reference names nothing" in e for e in errors)
+        assert any(e.endswith("::TestLinkCheck::test_gone") for e in errors)
+
+    def test_defined_references_pass(self, tmp_path):
+        doc = _doc(
+            tmp_path,
+            "See tests/test_check_docs.py::TestTestRefCheck, "
+            "tests/test_check_docs.py::TestLinkCheck::test_existing_link_passes "
+            "and tests/faults/stacking.py::build_pair.",
+        )
+        assert check_docs._check_test_refs(doc, doc.read_text()) == []
+
+    def test_missing_module_left_to_the_path_check(self, tmp_path):
+        doc = _doc(tmp_path, "`tests/no_such_module.py::TestX` is gone.")
+        assert check_docs._check_test_refs(doc, doc.read_text()) == []
+
+
 class TestDocstringAudit:
     def _module(self, name="fake.mod", **symbols):
         module = types.ModuleType(name)
@@ -222,6 +249,7 @@ class TestEndToEnd:
             assert check_docs._check_paths(doc, text) == []
             assert check_docs._check_external_paths(doc, text) == []
             assert check_docs._check_cli_commands(doc, text) == []
+            assert check_docs._check_test_refs(doc, text) == []
 
     def test_roadmap_is_audited(self):
         names = [doc.name for doc in check_docs._doc_files()]
