@@ -8,7 +8,9 @@ Two caches live here, both persisted under ``REPRO_CACHE_DIR`` (default
   (task, method, preset, seed), because training a model for every
   (task, method) pair in every benchmark would dominate runtime.
   :func:`trained_model` is its only trainer; :func:`train_models` runs
-  it for the missing models of a command on a pool of worker processes;
+  it for the missing models of a command on :func:`fork_map`'s pool of
+  forked workers, which also computes a command's missing campaign
+  cells (:func:`repro.eval.campaigns.compute_pending`);
 * the **content-addressed result store** (:class:`ResultStore`) —
   per-scenario Monte Carlo value arrays addressed by the SHA-256 of their
   hermetic cell key (:func:`campaign_key`, which embeds the engine's
@@ -28,14 +30,14 @@ import os
 import pathlib
 import threading
 import zipfile
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..faults import FaultSpec
 from ..models import MethodConfig
 from ..nn.module import Module
-from .tasks import Task, build_task
+from .tasks import Task
 
 _MEMORY: Dict[Tuple, Module] = {}
 
@@ -112,11 +114,109 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _train_job(job: Tuple[str, int, MethodConfig, str, int]) -> None:
-    """Pool worker: train and save one checkpoint via :func:`trained_model`."""
-    name, task_seed, method, preset, seed = job
-    trained_model(build_task(name, preset=preset, seed=task_seed), method,
-                  preset, seed=seed)
+#: OpenBLAS thread-count setters, newest naming first: numpy's bundled
+#: ``scipy_openblas`` builds suffix their symbols, older wheels do not.
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: run numpy's bundled OpenBLAS on one thread.
+
+    One worker per CPU already fills the CPUs, and OpenBLAS's default of
+    one thread per CPU in every worker oversubscribes them on the small
+    matrices these models multiply.  The library is the one numpy ships
+    in ``numpy.libs`` (``numpy/.dylibs`` on macOS); loading it again by
+    path returns the handle numpy already holds.  A numpy built against
+    another BLAS has no such library or setter, and its threads are left
+    alone.
+    """
+    import ctypes
+
+    root = pathlib.Path(np.__file__).resolve().parent
+    for path in sorted([*(root.parent / "numpy.libs").glob("*openblas*"),
+                        *(root / ".dylibs").glob("*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter(1)
+                return
+
+
+def fork_workers(n_jobs: int) -> int:
+    """Worker processes :func:`fork_map` starts for ``n_jobs`` jobs.
+
+    One per usable CPU, at most one per job; ``0`` (the jobs run in
+    this process) for fewer than two jobs, one usable CPU, or a
+    platform without ``fork``.
+    """
+    workers = min(n_jobs, _usable_cpus())
+    if workers < 2:
+        return 0
+    import multiprocessing  # here: a warm command pays neither time nor memory
+
+    return workers if "fork" in multiprocessing.get_all_start_methods() else 0
+
+
+#: ``(fn, jobs)`` of the running :func:`fork_map`, inherited by its workers.
+_FORKED: Optional[Tuple[Callable, Sequence]] = None
+
+
+def _forked_job(index: int):
+    fn, jobs = _FORKED
+    return index, fn(jobs[index])
+
+
+def fork_map(
+    fn: Callable, jobs: Sequence, on_result: Callable[[int, object], None]
+) -> None:
+    """Run ``fn(job)`` for every job on :func:`fork_workers` processes.
+
+    ``on_result(index, result)`` runs in this process as each job
+    finishes, in completion order; in job order when no process is
+    started and the jobs run here.  Workers are forked, so ``fn`` and
+    ``jobs`` reach them by inheritance and only job indices and results
+    cross a pipe; each worker runs numpy's OpenBLAS on one thread
+    (:func:`_one_blas_thread`; another BLAS keeps its threads).  Jobs
+    are handed out in ``jobs`` order.  A worker's exception is raised
+    here once the jobs already handed to workers have ended, the rest
+    never start, and every worker has exited on return.  Fork, because ``python -m repro.eval`` runs its CLI at
+    import: a spawned child would run the command again.  Forking is
+    only safe while the caller runs one thread, as the CLI does.
+    """
+    workers = fork_workers(len(jobs))
+    if not workers:
+        for index, job in enumerate(jobs):
+            on_result(index, fn(job))
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    global _FORKED
+    _FORKED = (fn, jobs)
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_one_blas_thread,
+    )
+    try:
+        for done in as_completed(
+            [pool.submit(_forked_job, index) for index in range(len(jobs))]
+        ):
+            on_result(*done.result())
+    finally:
+        # After a failure, drop the jobs not yet started and let the
+        # running ones end: killing a worker mid-write can leave a
+        # queue lock held, and then the pool never shuts down.
+        pool.shutdown(cancel_futures=True)
+        _FORKED = None
 
 
 def train_models(
@@ -125,38 +225,24 @@ def train_models(
     """Train the missing checkpoints of ``jobs`` on every usable CPU.
 
     A cache warmer for commands that need several models: the (task,
-    method) pairs with no model in memory or on disk are trained on a
-    pool of forked worker processes, each one calling
-    :func:`trained_model`, which writes the checkpoint that a later
-    :func:`trained_model` call in this process loads.  A model's weights
-    depend only on (task, method, preset, seed), so they do not depend
-    on which worker trained it.  Jobs are handed out in ``jobs`` order.
-
-    Fewer than two missing models, one usable CPU, or a platform
-    without ``fork`` starts no process and leaves the training to
-    :func:`trained_model`.  A worker's exception is raised here, and
-    every worker has exited on return.  Fork, because ``python -m
-    repro.eval`` runs its CLI at import: a spawned child would run the
-    command again.  Forking is only safe while the caller runs one
-    thread, as the CLI does here; library code trains lazily instead.
+    method) pairs with no model in memory or on disk are trained through
+    :func:`fork_map`, each job calling :func:`trained_model`, which
+    writes the checkpoint that a later :func:`trained_model` call in
+    this process loads.  A model's weights depend only on (task, method,
+    preset, seed), so they do not depend on which worker trained it.
+    When :func:`fork_map` starts no process the models are trained here
+    and stay in memory.
     """
     missing = {}
     for task, method in jobs:
         key = _model_key(task, method, preset, seed)
         if key not in _MEMORY and not _checkpoint_path(key).exists():
-            missing[key] = (task.name, task.seed, method, preset, seed)
-    workers = min(len(missing), _usable_cpus())
-    if workers < 2:
-        return
-    import multiprocessing  # here: a warm command pays neither time nor memory
+            missing[key] = (task, method)
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        for _ in pool.imap_unordered(_train_job, missing.values(), chunksize=1):
-            pass
-        pool.close()
-        pool.join()
+    def train(job: Tuple[Task, MethodConfig]) -> None:
+        trained_model(*job, preset, seed=seed)
+
+    fork_map(train, list(missing.values()), lambda index, result: None)
 
 
 def clear_memory_cache() -> None:

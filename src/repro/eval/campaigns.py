@@ -11,17 +11,22 @@ Execution architecture
 fault-free sweep, and the campaign service (:mod:`repro.serve`) shares
 each step:
 
-1. :func:`split_stored` serves completed scenarios from the result store;
+1. :func:`split_sweep` (:func:`split_stored` per method) serves
+   completed scenarios from the result store, reading each key once;
 2. per method with pending scenarios, :func:`model_and_evaluator`
    fetches the trained model and binds its chip-aware metric;
 3. the pending scenarios — with their *original* scenario indices, so
    per-cell seeds are unaffected by what was cached — run as one
-   :class:`~repro.faults.campaign.MonteCarloCampaign` grid, stacked into
-   vectorized forwards as far as the engine's byte budget allows;
-4. fresh results are written back, and :func:`assemble_sweep` builds
-   the curves.
+   :class:`~repro.faults.campaign.MonteCarloCampaign` grid
+   (:meth:`SplitSweep.compute`), stacked into vectorized forwards as far
+   as the engine's byte budget allows;
+4. fresh results are written back (:meth:`SplitSweep.record`), and
+   :func:`assemble_sweep` builds the curves.
 
-Results are bit-identical for every engine budget and cache state.
+The CLI runs step 3 for every pending (method, scenario) of a command
+on every usable CPU (:func:`compute_pending`); step 4 stays in its own
+process.  Results are bit-identical for every engine budget, cache
+state and worker count.
 """
 
 from __future__ import annotations
@@ -36,8 +41,16 @@ from ..faults import CampaignResult, FaultSpec, MonteCarloCampaign
 from ..faults.executor import PER_CELL, EngineConfig, Evaluator
 from ..models import MethodConfig
 from ..nn.module import Module
-from ..profiling import stage
-from .cache import ResultStore, campaign_key, result_store, trained_model
+from ..profiling import add as add_profile
+from ..profiling import profiled, stage
+from .cache import (
+    ResultStore,
+    campaign_key,
+    fork_map,
+    fork_workers,
+    result_store,
+    trained_model,
+)
 from .evaluators import make_evaluator
 from .tasks import Task, mc_runs, mc_samples
 
@@ -166,40 +179,6 @@ def split_stored(
     return served, pending
 
 
-def _scenario_keys(
-    task: Task, method: MethodConfig, specs: Sequence[FaultSpec], n_runs: int,
-    samples: int, seed: int, max_eval_samples: Optional[int],
-) -> List[str]:
-    """One method's result-store key per scenario (:func:`campaign_key`)."""
-    return [
-        campaign_key(task, method, spec, n_runs, samples, seed, max_eval_samples)
-        for spec in specs
-    ]
-
-
-def pending_scenarios(
-    task: Task,
-    method: MethodConfig,
-    specs: Sequence[FaultSpec],
-    preset: str = "small",
-    seed: int = 0,
-    n_runs: Optional[int] = None,
-    samples: Optional[int] = None,
-    max_eval_samples: Optional[int] = -1,
-    use_cache: bool = True,
-) -> List[int]:
-    """Indices of ``specs`` that :func:`run_robustness_sweep` with these
-    arguments would compute for ``method`` rather than serve from the
-    result store; empty means the sweep never loads the method's model."""
-    n_runs, samples, max_eval_samples = campaign_settings(
-        preset, n_runs, samples, max_eval_samples
-    )
-    keys = _scenario_keys(
-        task, method, specs, n_runs, samples, seed, max_eval_samples
-    )
-    return split_stored(keys, n_runs, result_store() if use_cache else None)[1]
-
-
 def assemble_sweep(
     task_name: str, metric_name: str, higher_is_better: bool,
     methods: Sequence[MethodConfig], specs: Sequence[FaultSpec],
@@ -227,6 +206,192 @@ def assemble_sweep(
     return sweep
 
 
+@dataclass
+class SplitSweep:
+    """One sweep's scenarios split against the result store.
+
+    Built by :func:`split_sweep`.  ``values[m]`` maps a scenario index
+    to the per-chip values of ``methods[m]`` there: the stored ones, and
+    each computed one once :meth:`record` has stored it.  ``pending``
+    maps a method index to its scenarios still to compute; a method
+    with none is absent, and its model is never needed.
+    """
+
+    task: Task
+    methods: Sequence[MethodConfig]
+    specs: Sequence[FaultSpec]
+    preset: str
+    seed: int
+    n_runs: int
+    samples: int
+    max_eval_samples: Optional[int]
+    keys: List[List[str]]
+    values: List[Dict[int, np.ndarray]]
+    pending: Dict[int, List[int]]
+
+    def cells(self, idx: int) -> int:
+        """Work cells of scenario ``idx``: one if fault-free, else ``n_runs``."""
+        return 1 if self.specs[idx].is_fault_free else self.n_runs
+
+    def compute(
+        self, m: int, indices: Sequence[int],
+        engine: EngineConfig = EngineConfig(),
+        on_cell_done: Optional[Callable[[int, int], None]] = None,
+    ) -> List[np.ndarray]:
+        """Per-chip values of ``methods[m]`` at scenarios ``indices``.
+
+        One :class:`~repro.faults.campaign.MonteCarloCampaign` grid at
+        the scenarios' own indices, so each value is the same whichever
+        scenarios share the grid.  Reads and writes no store.
+        """
+        model, evaluator = model_and_evaluator(
+            self.task, self.methods[m], self.preset, self.seed,
+            self.samples, self.max_eval_samples,
+        )
+        campaign = MonteCarloCampaign(
+            model, evaluator, n_runs=self.n_runs, base_seed=self.seed,
+            engine=engine,
+        )
+        results = campaign.sweep(
+            [self.specs[i] for i in indices], scenario_indices=indices,
+            on_cell_done=on_cell_done,
+        )
+        return [result.values for result in results]
+
+    def record(self, m: int, idx: int, values: np.ndarray) -> None:
+        """Store one computed scenario (written under ``use_cache=False``
+        too) and keep its values for :meth:`assemble`."""
+        with stage("store"):
+            result_store().put(self.keys[m][idx], values)
+        self.values[m][idx] = values
+
+    def assemble(self, progress=None) -> RobustnessSweep:
+        """The sweep's curves once every scenario has values;
+        ``progress(line)`` sees one line per (method, scenario)."""
+        values = {
+            method.name: [self.values[m][i] for i in range(len(self.specs))]
+            for m, method in enumerate(self.methods)
+        }
+        if progress is not None:
+            for method in self.methods:
+                for spec, v in zip(self.specs, values[method.name]):
+                    progress(
+                        f"[{self.task.name}/{method.name}] {spec.describe()}: "
+                        f"{v.mean():.4f} ± {v.std():.4f}"
+                    )
+        return assemble_sweep(
+            self.task.name, self.task.metric_name, self.task.higher_is_better,
+            self.methods, self.specs, values,
+        )
+
+
+def split_sweep(
+    task: Task,
+    methods: Sequence[MethodConfig],
+    specs: Sequence[FaultSpec],
+    preset: str = "small",
+    seed: int = 0,
+    n_runs: Optional[int] = None,
+    samples: Optional[int] = None,
+    max_eval_samples: Optional[int] = -1,
+    use_cache: bool = True,
+) -> SplitSweep:
+    """Read each (method, scenario) of a sweep from the result store once.
+
+    Settings as :func:`campaign_settings` resolves them; ``use_cache=False``
+    reads nothing, so every scenario is pending.
+    """
+    n_runs, samples, max_eval_samples = campaign_settings(
+        preset, n_runs, samples, max_eval_samples
+    )
+    store = result_store() if use_cache else None
+    keys, values, pending = [], [], {}
+    for m, method in enumerate(methods):
+        keys.append([
+            campaign_key(task, method, spec, n_runs, samples, seed,
+                         max_eval_samples)
+            for spec in specs
+        ])
+        served, todo = split_stored(keys[-1], n_runs, store)
+        values.append(served)
+        if todo:
+            pending[m] = todo
+    return SplitSweep(
+        task, methods, specs, preset, seed, n_runs, samples, max_eval_samples,
+        keys, values, pending,
+    )
+
+
+def compute_pending(
+    works: Sequence[SplitSweep],
+    on_cell_done: Optional[Callable[[int, int], None]] = None,
+) -> None:
+    """Compute and :meth:`~SplitSweep.record` every pending scenario of
+    ``works`` on every usable CPU.
+
+    The CLI's compute step; it needs every pending method's model
+    trained first (:func:`~repro.eval.cache.train_models`), since a
+    worker loads it with :func:`~repro.eval.cache.trained_model`.  One
+    :func:`~repro.eval.cache.fork_map` job per pending (method,
+    scenario), the unit the store keys on, handed out longest first by
+    cells × forwards per cell (``samples`` for a Bayesian method, else
+    one).  Workers only compute: this process records every value, so
+    the store has one writer, and adds each job's ``--profile`` totals
+    (:func:`repro.profiling.add`), so they depend on the command and
+    not on which worker ran what.  ``on_cell_done(done, total)`` sees
+    ``done=0`` as the pool starts, then the running cell count as each
+    job finishes.
+
+    When :func:`~repro.eval.cache.fork_workers` starts no process, each
+    method's pending scenarios run here as one job, one grid as
+    :func:`run_robustness_sweep` runs them, and ``on_cell_done`` sees
+    every cell.
+    """
+    scenarios = [(w, m, i) for w, work in enumerate(works)
+                 for m, indices in work.pending.items() for i in indices]
+    total = sum(works[w].cells(i) for w, _, i in scenarios)
+    in_process = not fork_workers(len(scenarios))
+    if in_process:
+        jobs = [(w, m, indices) for w, work in enumerate(works)
+                for m, indices in work.pending.items()]
+    else:
+        def forwards(job) -> int:
+            w, m, (i,) = job
+            work = works[w]
+            per_cell = work.samples if work.methods[m].is_bayesian else 1
+            return work.cells(i) * per_cell
+
+        jobs = sorted(((w, m, [i]) for w, m, i in scenarios), key=forwards,
+                      reverse=True)
+    done = 0
+    per_job = None if in_process else on_cell_done
+    per_cell = None
+    if in_process and on_cell_done is not None:
+        def per_cell(job_done: int, _job_total: int) -> None:
+            on_cell_done(done + job_done, total)
+
+    def run(job):
+        w, m, indices = job
+        with profiled() as stages:
+            values = works[w].compute(m, indices, on_cell_done=per_cell)
+        return values, stages
+
+    def finished(index: int, result) -> None:
+        nonlocal done
+        w, m, indices = jobs[index]
+        values, stages = result
+        add_profile(stages)
+        for idx, v in zip(indices, values):
+            works[w].record(m, idx, v)
+        done += sum(works[w].cells(i) for i in indices)
+        if per_job is not None:
+            per_job(done, total)
+
+    if per_job is not None:
+        per_job(0, total)  # starts a throughput clock with the pool
+    fork_map(run, jobs, finished)
+
+
 def run_robustness_sweep(
     task: Task,
     methods: Sequence[MethodConfig],
@@ -252,7 +417,8 @@ def run_robustness_sweep(
     ``engine=PER_CELL``, the per-cell oracle.  ``use_cache=False``
     bypasses the campaign-result cache (it is still written);
     ``on_cell_done(done, total)`` observes per-method cell completion for
-    throughput reporting.
+    throughput reporting.  Everything runs in this process, one method
+    at a time.
     """
     if executor is not None:
         if executor != "serial":
@@ -260,44 +426,16 @@ def run_robustness_sweep(
                 f"executor={executor!r} is gone; pass engine=EngineConfig(...)"
             )
         engine = PER_CELL
-    n_runs, samples, max_eval_samples = campaign_settings(
-        preset, n_runs, samples, max_eval_samples
+    work = split_sweep(
+        task, methods, specs, preset=preset, seed=seed, n_runs=n_runs,
+        samples=samples, max_eval_samples=max_eval_samples,
+        use_cache=use_cache,
     )
-    store = result_store()
-    values: Dict[str, List[np.ndarray]] = {}
-    for method in methods:
-        keys = _scenario_keys(
-            task, method, specs, n_runs, samples, seed, max_eval_samples
-        )
-        served, pending = split_stored(keys, n_runs, store if use_cache else None)
-        if pending:
-            # Model and evaluator are only needed for uncached scenarios;
-            # a fully cache-served method skips training/loading entirely.
-            model, evaluator = model_and_evaluator(
-                task, method, preset, seed, samples, max_eval_samples
-            )
-            campaign = MonteCarloCampaign(
-                model, evaluator, n_runs=n_runs, base_seed=seed, engine=engine
-            )
-            fresh = campaign.sweep(
-                [specs[i] for i in pending], scenario_indices=pending,
-                on_cell_done=on_cell_done,
-            )
-            for idx, result in zip(pending, fresh):
-                served[idx] = result.values
-                with stage("store"):
-                    store.put(keys[idx], result.values)
-        values[method.name] = [served[i] for i in range(len(specs))]
-        if progress is not None:
-            for spec, v in zip(specs, values[method.name]):
-                progress(
-                    f"[{task.name}/{method.name}] {spec.describe()}: "
-                    f"{v.mean():.4f} ± {v.std():.4f}"
-                )
-    return assemble_sweep(
-        task.name, task.metric_name, task.higher_is_better, methods, specs,
-        values,
-    )
+    for m, pending in work.pending.items():
+        fresh = work.compute(m, pending, engine=engine, on_cell_done=on_cell_done)
+        for idx, values in zip(pending, fresh):
+            work.record(m, idx, values)
+    return work.assemble(progress)
 
 
 #: The sweep behind a Table I cell: one fault-free chip over the whole
@@ -322,8 +460,12 @@ def baseline_metrics(
     per-cell seeding and the campaign-result cache with the robustness
     sweeps.
     """
-    sweep = run_robustness_sweep(
+    return clean_metrics(run_robustness_sweep(
         task, methods, preset=preset, seed=seed, samples=samples,
         use_cache=use_cache, **BASELINE_SWEEP,
-    )
+    ))
+
+
+def clean_metrics(sweep: RobustnessSweep) -> Dict[str, float]:
+    """Each method's metric at the sweep's first (fault-free) level."""
     return {name: curve.clean for name, curve in sweep.curves.items()}

@@ -22,9 +22,12 @@ cells (stacked passes, instances per pass, per-cell cells by reason).
 Trained models and completed campaign scenarios are cached under
 ``.repro_cache`` exactly as the benchmarks do, so repeated and resumed
 invocations skip finished work (``--no-cache`` forces re-simulation).
-``table1`` and the sweep commands first train, on every usable CPU
-(:func:`repro.eval.cache.train_models`), the missing models of the
-methods that have a scenario the result store cannot serve.
+A cold ``table1`` or local sweep command reads the result store once,
+trains the missing models of the methods that have a scenario the store
+cannot serve (:func:`repro.eval.cache.train_models`), then computes its
+missing cells (:func:`repro.eval.campaigns.compute_pending`); both run
+on every usable CPU, one forked worker per CPU and one BLAS thread per
+worker, and give the same bytes as one CPU does.
 
 Campaign-family commands can also run through a long-lived campaign
 service daemon (:mod:`repro.serve`, started with ``python -m
@@ -54,9 +57,9 @@ from ..tensor import manual_seed
 from ..uncertainty import evaluate_shift_sweep
 from .campaigns import (
     BASELINE_SWEEP,
-    baseline_metrics,
-    pending_scenarios,
-    run_robustness_sweep,
+    clean_metrics,
+    compute_pending,
+    split_sweep,
 )
 from .cache import train_models, trained_model
 from .reporting import (
@@ -99,24 +102,27 @@ def cmd_table1(args) -> None:
         ("vessels", "U-Net", "mIoU", "1/4"),
         ("co2", "LSTM", "RMSE", "8/8"),
     ]
-    tasks = {name: build_task(name, preset=args.preset, seed=args.seed)
-             for name, *_ in rows}
-    # One settings dict for the warmer's store lookups and the sweeps.
-    settings = dict(preset=args.preset, seed=args.seed,
-                    use_cache=not args.no_cache)
+    works = [
+        split_sweep(build_task(name, preset=args.preset, seed=args.seed),
+                    _methods_for(name), preset=args.preset, seed=args.seed,
+                    use_cache=not args.no_cache, **BASELINE_SWEEP)
+        for name, *_ in rows
+    ]
+    _train_and_compute(works, args)
+    print(table_header())
+    for (task_name, topology, metric, precision), work in zip(rows, works):
+        values = clean_metrics(work.assemble())
+        print(format_table_row(topology, task_name, metric, precision, values))
+
+
+def _train_and_compute(works, args, on_cell_done=None) -> None:
+    """Train the models of the pending methods of ``works``, then
+    compute their pending scenarios; both on every usable CPU."""
     train_models(
-        [(tasks[name], method) for name, *_ in rows
-         for method in _methods_for(name)
-         if pending_scenarios(tasks[name], method, **settings,
-                              **BASELINE_SWEEP)],
+        [(work.task, work.methods[m]) for work in works for m in work.pending],
         args.preset, seed=args.seed,
     )
-    print(table_header())
-    for task_name, topology, metric, precision in rows:
-        values = baseline_metrics(
-            tasks[task_name], _methods_for(task_name), **settings
-        )
-        print(format_table_row(topology, task_name, metric, precision, values))
+    compute_pending(works, on_cell_done=on_cell_done)
 
 
 def cmd_sweep(args) -> None:
@@ -129,29 +135,19 @@ def cmd_sweep(args) -> None:
 
 
 def _cmd_sweep_local(args, specs) -> None:
-    """The in-process sweep path (also the --fallback-local target)."""
+    """The local sweep path (also the --fallback-local target)."""
     task = build_task(args.task, preset=args.preset, seed=args.seed)
-    methods = _methods_for(args.task)
-    # One settings dict for the warmer's store lookups and the sweep.
-    sweep_args = dict(specs=specs, preset=args.preset, seed=args.seed,
-                      n_runs=args.runs, use_cache=not args.no_cache)
-    train_models(
-        [(task, method) for method in methods
-         if pending_scenarios(task, method, **sweep_args)],
-        args.preset, seed=args.seed,
-    )
     meter = ProgressMeter(label=f"{args.task}/{args.fault}")
     with contextlib.ExitStack() as stack:
         stages = stack.enter_context(profiled()) if args.profile else None
-        sweep = run_robustness_sweep(
-            task,
-            methods,
-            progress=print if args.verbose else None,
-            on_cell_done=meter,
-            **sweep_args,
+        work = split_sweep(
+            task, _methods_for(args.task), specs, preset=args.preset,
+            seed=args.seed, n_runs=args.runs, use_cache=not args.no_cache,
         )
+        _train_and_compute([work], args, on_cell_done=meter)
     if meter.total:
         meter.finish()
+    sweep = work.assemble(progress=print if args.verbose else None)
     print(format_sweep(sweep))
     print(summarize_improvements(sweep))
     if stages is not None:

@@ -5,7 +5,9 @@
 metric pass, result-store reads and writes, service transport) add their
 wall time to it, and :func:`count` adds event counts (the campaign
 engine's stacked passes and per-cell fallbacks) to the same dict.
-Outside a :func:`profiled` block both are no-ops that allocate nothing,
+:func:`add` folds in a whole dict collected elsewhere, such as by a
+:func:`profiled` block in a worker process.
+Outside a :func:`profiled` block all three are no-ops that allocate nothing,
 so the hot path pays one thread-local read.  Rendering lives in
 :func:`repro.eval.reporting.format_profile`.
 """
@@ -17,7 +19,7 @@ import threading
 import time
 from typing import Dict, Iterator, Optional
 
-__all__ = ["count", "profiled", "stage"]
+__all__ = ["add", "count", "profiled", "stage"]
 
 
 class _ProfileState(threading.local):
@@ -68,3 +70,11 @@ def count(label: str, n: float = 1) -> None:
     stages = _STATE.stages
     if stages is not None:
         stages[label] = stages.get(label, 0) + n
+
+
+def add(stages: Dict[str, float]) -> None:
+    """Add every total of ``stages`` when profiling; else a no-op."""
+    current = _STATE.stages
+    if current is not None:
+        for label, value in stages.items():
+            current[label] = current.get(label, 0) + value

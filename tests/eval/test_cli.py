@@ -95,28 +95,33 @@ class TestExecution:
     ):
         from repro.eval import cli
 
-        seen = []
+        asked, warmed, computed = [], [], []
 
-        def fake_baseline_metrics(task, methods, **kwargs):
-            seen.append(kwargs["use_cache"])
-            return {}
+        class AllPending:
+            """A stand-in split: every method pending, no curves."""
 
-        warmed, asked = [], []
+            curves = {}
 
-        def all_pending(task, method, **kwargs):
-            asked.append(kwargs["use_cache"])
-            return [0]
+            def __init__(self, task, methods, **kwargs):
+                asked.append(kwargs["use_cache"])
+                self.task, self.methods = task, methods
+                self.pending = {m: [0] for m in range(len(methods))}
+
+            def assemble(self):
+                return self
 
         monkeypatch.setattr(cli, "build_task", lambda name, **kwargs: name)
-        monkeypatch.setattr(cli, "baseline_metrics", fake_baseline_metrics)
-        monkeypatch.setattr(cli, "pending_scenarios", all_pending)
+        monkeypatch.setattr(cli, "split_sweep", AllPending)
         monkeypatch.setattr(
             cli, "train_models", lambda jobs, *a, **kw: warmed.extend(jobs)
         )
+        monkeypatch.setattr(
+            cli, "compute_pending", lambda works, **kw: computed.extend(works)
+        )
         main(argv)
-        assert seen == [use_cache] * 4
-        assert asked == [use_cache] * 16  # the warmer asks the same store
+        assert asked == [use_cache] * 4  # one store split per table row
         assert len(warmed) == 16  # one warm step, every model of the table
+        assert len(computed) == 4  # one compute step, every row's cells
         assert "Topology" in capsys.readouterr().out
 
     @staticmethod
@@ -152,23 +157,53 @@ class TestExecution:
         ]
         assert "plan optimizer:" not in out
 
-    def test_profile_counts_how_cells_ran(self, isolated_cache, capsys):
-        """--profile: stacked passes and per-cell cells by reason."""
-        main([
-            "--preset", "tiny",
-            "campaign", "--task", "co2", "--fault", "bitflip",
-            "--levels", "0", "0.1", "0.2", "--runs", "3",
-            "--profile",
-        ])
+    @staticmethod
+    def _engine_line(capsys) -> str:
         engine = [
             line for line in capsys.readouterr().out.splitlines()
             if line.startswith("engine: ")
         ]
         assert len(engine) == 1
+        return engine[0]
+
+    _CO2_PROFILE = [
+        "--preset", "tiny",
+        "campaign", "--task", "co2", "--fault", "bitflip",
+        "--levels", "0", "0.1", "0.2", "--runs", "3",
+        "--profile",
+    ]
+
+    def test_profile_counts_how_cells_ran(self, isolated_cache, monkeypatch,
+                                          capsys):
+        """--profile: stacked passes and per-cell cells by reason."""
+        from repro.eval import cache
+
+        monkeypatch.setattr(cache, "_usable_cpus", lambda: 1)  # in process
+        main(self._CO2_PROFILE)
+        engine = self._engine_line(capsys)
         # Per method: the fault-free level runs per cell and sizes the
         # engine; both faulty levels' chips stack into one pass.
-        assert engine[0].startswith("engine: 4 stacked passes")
-        assert engine[0].endswith("4 cells run one by one (4 fault-free)")
+        assert engine.startswith("engine: 4 stacked passes")
+        assert engine.endswith("4 cells run one by one (4 fault-free)")
+
+    def test_pooled_profile_counts_every_job(self, isolated_cache,
+                                            monkeypatch, capsys):
+        """--profile on the compute pool: each (method, scenario) job
+        sizes the engine itself, so the counts do not depend on which
+        worker ran which job."""
+        from repro.eval import cache
+
+        monkeypatch.setattr(cache, "_usable_cpus", lambda: 2)
+        lines = []
+        for _ in range(2):
+            main(self._CO2_PROFILE + ["--no-cache"])
+            lines.append(self._engine_line(capsys))
+        # Per method: the fault-free job runs its one cell; each faulty
+        # job sizes the engine with one chip and stacks the other two.
+        assert lines[0] == lines[1] == (
+            "engine: 8 stacked passes (6.5 instances/pass), "
+            "12 cells run one by one (4 fault-free, 8 sizing)"
+        )
 
 
 class TestServiceFlags:
