@@ -25,13 +25,10 @@ from repro.eval import build_task, clear_memory_cache, make_evaluator, trained_m
 from repro.faults import (
     PER_CELL,
     EngineConfig,
-    FaultSpec,
     MonteCarloCampaign,
-    WorkCell,
-    run_cells,
     uniform_sweep,
 )
-from repro.faults.executor import learned_footprint
+from repro.faults.executor import Footprint
 from repro.models import proposed
 
 from conftest import print_banner
@@ -55,14 +52,9 @@ def _one_scenario_engine() -> EngineConfig:
 
     One scenario per pass: this benchmark measures the chip-stacking win
     in isolation (its sweep would otherwise stack the two nonzero levels
-    and inflate the ratio).  The footprint is learned on a throwaway
-    model copy, so the timed run still pays its own sizing cell.
+    and inflate the ratio).
     """
-    model, evaluator = _pair()
-    spec = FaultSpec(kind="uniform", level=0.1)
-    run_cells([WorkCell(0, run, spec) for run in range(2)], 0,
-              model=model, evaluator=evaluator)
-    footprint = learned_footprint(model, evaluator)
+    footprint = Footprint.of(*_pair())
     return EngineConfig(N_RUNS * footprint.samples * footprint.instance_bytes)
 
 

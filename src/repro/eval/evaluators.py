@@ -31,6 +31,7 @@ from ..models import MethodConfig
 from ..nn.module import Module
 from ..tensor import Tensor, no_grad
 from ..tensor.chipbatch import active_chip_count
+from ..tensor.tensor import DEFAULT_DTYPE
 from ..train.metrics import accuracy, binary_miou_stack, rmse
 
 
@@ -146,12 +147,52 @@ def regression_rmse(
     return rmse(np.concatenate(preds, axis=-1), np.concatenate(targets))
 
 
-EVALUATORS: dict[str, Callable] = {
-    "image": classification_accuracy,
-    "audio": classification_accuracy,
-    "co2": regression_rmse,
-    "vessels": segmentation_miou,
+#: Each task's metric and the test-batch size it evaluates with.
+EVALUATORS: dict[str, tuple[Callable, int]] = {
+    "image": (classification_accuracy, 256),
+    "audio": (classification_accuracy, 256),
+    "co2": (regression_rmse, 256),
+    "vessels": (segmentation_miou, 8),
 }
+
+
+class TaskEvaluator:
+    """A task's metric bound to its test set: ``evaluator(model)``.
+
+    Chip-aware (see the module docstring).  It also states what one
+    per-cell evaluation puts through the model, which the campaign
+    engine sizes its stacked passes from
+    (:meth:`repro.faults.executor.Footprint.of`):
+
+    * ``forwards_per_cell`` — model forwards: one per test batch, times
+      ``mc_samples`` for a Bayesian method;
+    * ``input_bytes`` — the bytes of the largest forward input, the
+      first test batch.
+    """
+
+    def __init__(
+        self,
+        task_name: str,
+        test_set: ArrayDataset,
+        method: MethodConfig,
+        mc_samples: int,
+    ):
+        self.metric, self.batch_size = EVALUATORS[task_name]
+        self.test_set = test_set
+        self.method = method
+        self.mc_samples = mc_samples
+        batches = -(-len(test_set) // self.batch_size)
+        self.forwards_per_cell = batches * (
+            mc_samples if method.is_bayesian else 1
+        )
+        first, _ = test_set[np.s_[: self.batch_size]]
+        self.input_bytes = first.size * np.dtype(DEFAULT_DTYPE).itemsize
+
+    def __call__(self, model: Module) -> float | np.ndarray:
+        return self.metric(
+            model, self.test_set, self.method,
+            mc_samples=self.mc_samples, batch_size=self.batch_size,
+        )
 
 
 def make_evaluator(
@@ -160,17 +201,17 @@ def make_evaluator(
     method: MethodConfig,
     mc_samples: int = 8,
     max_samples: int | None = None,
-) -> Callable[[Module], float]:
+) -> TaskEvaluator:
     """Bind a task's metric to its test set → ``model -> float``.
 
     This is the ``evaluator`` consumed by
     :class:`~repro.faults.campaign.MonteCarloCampaign`.  ``max_samples``
     caps the evaluation set (deterministic prefix) so Monte Carlo fault
-    campaigns stay affordable on CPU.  The returned callable is chip-aware:
-    under an active chip batch it returns a per-chip metric vector, which
-    is what the campaign engine's stacked passes require.
+    campaigns stay affordable on CPU.  The returned
+    :class:`TaskEvaluator` is chip-aware: under an active chip batch it
+    returns a per-chip metric vector, which is what the campaign
+    engine's stacked passes require.
     """
-    fn = EVALUATORS[task_name]
     if max_samples is not None and len(test_set) > max_samples:
         test_set = test_set.subset(np.arange(max_samples))
-    return lambda model: fn(model, test_set, method, mc_samples=mc_samples)
+    return TaskEvaluator(task_name, test_set, method, mc_samples)

@@ -33,8 +33,10 @@ class ProgressMeter:
         self.min_interval = min_interval
         # Clock starts on the first completed cell, so setup work before
         # the grid (model training, dataset synthesis) does not deflate
-        # the reported throughput.
+        # the reported throughput; the cells that callback reports took
+        # unmeasured time, so the rate counts only the cells after them.
         self.started: Optional[float] = None
+        self._done_at_start = 0
         self.done = 0
         self.total = 0
         self._base_done = 0
@@ -44,8 +46,6 @@ class ProgressMeter:
         self._last_render = 0.0
 
     def __call__(self, done: int, total: int) -> None:
-        if self.started is None:
-            self.started = time.monotonic()
         # ``done`` strictly increases within one cell grid, so a
         # non-increasing value means a new grid (next method) started:
         # fold the finished segment into the running totals.
@@ -56,11 +56,12 @@ class ProgressMeter:
         self.done = self._base_done + done
         self.total = self._base_total + total
         now = time.monotonic()
+        if self.started is None:
+            self.started, self._done_at_start = now, self.done
         if done < total and now - self._last_render < self.min_interval:
             return
         self._last_render = now
-        elapsed = max(now - self.started, 1e-9)
-        rate = self.done / elapsed
+        rate = self._rate(now)
         eta = (self.total - self.done) / rate if rate > 0 else float("inf")
         self.stream.write(
             f"\r{self.label}: {self.done}/{self.total} cells · "
@@ -68,13 +69,19 @@ class ProgressMeter:
         )
         self.stream.flush()
 
+    def _rate(self, now: float) -> float:
+        """Cells per second finished since the clock started (0 before)."""
+        elapsed = now - self.started if self.started is not None else 0.0
+        timed = self.done - self._done_at_start
+        return timed / elapsed if elapsed > 0 else 0.0
+
     def finish(self) -> str:
         """Clear the live line and return/emit the final summary."""
-        started = self.started if self.started is not None else time.monotonic()
-        elapsed = max(time.monotonic() - started, 1e-9)
+        now = time.monotonic()
+        elapsed = now - self.started if self.started is not None else 0.0
         summary = (
             f"{self.label}: {self.done} cells in {elapsed:.1f}s "
-            f"({self.done / elapsed:.2f} cells/s)"
+            f"({self._rate(now):.2f} cells/s)"
         )
         self.stream.write("\r" + summary + " " * 16 + "\n")
         self.stream.flush()

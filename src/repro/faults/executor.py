@@ -26,14 +26,14 @@ evaluation of the model under one frozen fault realization.
   fit the budget.
 
 :class:`EngineConfig` holds the engine's one knob, ``max_batch_bytes``.
-The engine learns a :class:`Footprint` from the first cell it evaluates
-for a ``(model, evaluator)`` pair, which it runs per cell: how many
-forwards one cell makes and the bytes of their input.  From that and
-the model's parameter bytes it estimates one stacked instance, and cuts
-each run of same-kind faulty cells into passes of at most
-:meth:`Footprint.cells_per_pass` cells.  A budget of 0 gives the plain
-per-cell loop.  The campaign service (:mod:`repro.serve`) runs this
-same engine in its daemon.
+The evaluator states what one cell puts through the model: how many
+forwards it makes and the bytes of their largest input (see
+:func:`repro.eval.evaluators.make_evaluator`).  From that and the
+model's parameter bytes the engine estimates one stacked instance
+(:class:`Footprint`), and cuts each run of same-kind faulty cells into
+passes of at most :meth:`Footprint.cells_per_pass` cells.  A budget of
+0 gives the plain per-cell loop.  The campaign service
+(:mod:`repro.serve`) runs this same engine in its daemon.
 
 Determinism
 -----------
@@ -54,7 +54,6 @@ Cell values are written back by submission index.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -115,7 +114,7 @@ PER_CELL = EngineConfig(max_batch_bytes=0)
 
 @dataclass(frozen=True)
 class Footprint:
-    """What one cell puts through the model, learned from a per-cell run.
+    """What one cell puts through the model, as its evaluator states it.
 
     ``samples`` counts the model forwards one cell makes (MC samples
     times evaluation batches).  A stacked pass carries that many
@@ -139,19 +138,30 @@ class Footprint:
             return None
         return max_batch_bytes // max(self.samples * self.instance_bytes, 1)
 
+    @classmethod
+    def of(cls, model: Module, evaluator: Evaluator) -> "Footprint":
+        """The footprint ``evaluator`` declares for one cell on ``model``.
 
-# Footprints already learned, per model, for the evaluator they were
-# learned with: a long-lived model (one the service daemon keeps warm)
-# pays the per-cell sizing run once.
-_FOOTPRINTS: "weakref.WeakKeyDictionary[Module, Tuple[Evaluator, Footprint]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def learned_footprint(model: Module, evaluator: Evaluator) -> Optional[Footprint]:
-    """The footprint a run of ``evaluator`` on ``model`` taught the engine."""
-    entry = _FOOTPRINTS.get(model)
-    return entry[1] if entry is not None and entry[0] is evaluator else None
+        The evaluator states ``forwards_per_cell`` and ``input_bytes``;
+        one that does not raises ``TypeError``, since the engine cannot
+        size a stacked pass for it (run it with :data:`PER_CELL`).
+        """
+        try:
+            forwards = evaluator.forwards_per_cell
+            input_bytes = evaluator.input_bytes
+        except AttributeError:
+            raise TypeError(
+                f"evaluator {evaluator!r} does not state forwards_per_cell "
+                "and input_bytes, which a nonzero engine budget needs to "
+                "size its stacked passes (see "
+                "repro.eval.evaluators.make_evaluator), or use "
+                "engine=PER_CELL"
+            ) from None
+        params = sum(p.data.nbytes for p in model.parameters())
+        return cls(
+            samples=max(forwards, 1),
+            instance_bytes=WEIGHT_COPIES * params + ACTIVATION_FACTOR * input_bytes,
+        )
 
 
 @dataclass(frozen=True)
@@ -205,36 +215,6 @@ def evaluate_cell(
                 return float(evaluator(model))
         finally:
             injector.detach()
-
-
-def _sizing_cell(
-    model: Module, evaluator: Evaluator, cell: WorkCell, base_seed: int
-) -> float:
-    """:func:`evaluate_cell` that also learns the :class:`Footprint`.
-
-    The root module's ``forward`` is wrapped on this model instance only,
-    for this one cell, so other models are untouched and no later
-    forward pays for it.
-    """
-    inputs: List[int] = []
-    forward = model.forward
-
-    def sized_forward(x, *args, **kwargs):
-        inputs.append(np.asarray(getattr(x, "data", x)).nbytes)
-        return forward(x, *args, **kwargs)
-
-    model.forward = sized_forward
-    try:
-        value = evaluate_cell(model, evaluator, cell, base_seed)
-    finally:
-        del model.forward
-    params = sum(p.data.nbytes for p in model.parameters())
-    _FOOTPRINTS[model] = (evaluator, Footprint(
-        samples=max(len(inputs), 1),
-        instance_bytes=WEIGHT_COPIES * params
-        + ACTIVATION_FACTOR * max(inputs, default=0),
-    ))
-    return value
 
 
 def evaluate_cells_stacked(
@@ -296,15 +276,6 @@ def _scenario_groups(cells: Sequence[WorkCell]) -> List[Tuple[int, int]]:
     return groups
 
 
-def _sizing_index(cells: Sequence[WorkCell]) -> int:
-    """The cell the engine learns a new :class:`Footprint` on.
-
-    The first fault-free cell, which runs per cell anyway; otherwise the
-    first cell.  Either way the sizing run is the cell's real run.
-    """
-    return next((i for i, c in enumerate(cells) if c.spec.is_fault_free), 0)
-
-
 def _kind_groups(cells: Sequence[WorkCell]) -> List[List[Tuple[int, int]]]:
     """Coalesce consecutive same-kind scenario ranges of ``cells``.
 
@@ -339,18 +310,16 @@ def run_cells(
     passes of at most :meth:`Footprint.cells_per_pass` cells, across
     scenario boundaries (see :class:`EngineConfig`); fault-free cells,
     and every cell when not even one fits the budget, run per cell.
-    When the engine has not yet sized this ``(model, evaluator)`` pair,
-    one cell first runs per cell to learn its :class:`Footprint` (see
-    :func:`_sizing_index`); that run is the cell's value.
     ``model``/``evaluator`` are the deployed network and its
-    (chip-aware) metric.  ``on_cell_done(done, total)`` fires after every
-    per-cell cell and every stacked pass.
+    (chip-aware) metric; under a nonzero budget the evaluator must state
+    its :class:`Footprint` (:meth:`Footprint.of`).
+    ``on_cell_done(done, total)`` fires after every per-cell cell and
+    every stacked pass.
 
     Under :func:`~repro.profiling.profiled` the engine counts its stacked
     passes (``engine.passes``), the instances they carried
     (``engine.instances``) and every per-cell cell by reason
-    (``engine.per-cell.<reason>``: ``fault-free``, ``over-budget``, or
-    ``sizing`` for a faulty cell that sized the engine).
+    (``engine.per-cell.<reason>``: ``fault-free`` or ``over-budget``).
     """
     total = len(cells)
     values = np.empty(total)
@@ -362,37 +331,23 @@ def run_cells(
         if on_cell_done is not None:
             on_cell_done(done, total)
 
-    def ran_per_cell(reason: str) -> None:
-        count("engine.per-cell." + reason)
-        report(1)
-
     budget = engine.max_batch_bytes
-    footprint = None
-    sized = None  # the cell that sized the engine in this call
-    if budget != 0 and total:
-        footprint = learned_footprint(model, evaluator)
-        if footprint is None:
-            sized = _sizing_index(cells)
-            values[sized] = _sizing_cell(model, evaluator, cells[sized], base_seed)
-            footprint = learned_footprint(model, evaluator)
-            ran_per_cell(
-                "fault-free" if cells[sized].spec.is_fault_free else "sizing"
-            )
+    footprint = Footprint.of(model, evaluator) if budget != 0 else None
     limit = 0 if footprint is None else footprint.cells_per_pass(budget)
     if limit is None:  # unbounded: one pass per kind group
         limit = total
 
     for ranges in _kind_groups(cells):
-        group = [
-            i for start, stop in ranges for i in range(start, stop) if i != sized
-        ]
+        group = [i for start, stop in ranges for i in range(start, stop)]
         fault_free = cells[ranges[0][0]].spec.is_fault_free
         if fault_free or limit == 0:
+            reason = "fault-free" if fault_free else "over-budget"
             for index in group:
                 values[index] = evaluate_cell(
                     model, evaluator, cells[index], base_seed
                 )
-                ran_per_cell("fault-free" if fault_free else "over-budget")
+                count("engine.per-cell." + reason)
+                report(1)
             continue
         for first in range(0, len(group), limit):
             chunk = group[first : first + limit]

@@ -17,7 +17,9 @@ import numpy as np
 from ..nn import Module, ModuleList
 from ..nn.dropout import resample_masks, set_mask_scope
 from ..quant import QuantLinear, QuantLSTMCell
-from ..tensor import Tensor, stack_tensors
+from ..tensor import Tensor
+from ..tensor.chipbatch import active_sample_count, sample_axis_hidden
+from ..tensor.grad_mode import is_grad_enabled
 from .methods import MethodConfig
 
 
@@ -36,6 +38,15 @@ class LSTMForecaster(Module):
         Recurrent depth (paper: 2).
     bits:
         Weight bit width (Table I: 8).
+
+    Under an MC-sample axis of ``S`` (one stacked Bayesian forward of
+    ``chips x S`` instances, :func:`repro.core.bayesian.mc_forward`),
+    the first layer's recurrence runs once per chip and is repeated to
+    the ``S`` samples.  That gives the stacked pass's bits because
+    nothing stochastic precedes the first layer's output: the samples of
+    a chip share its input window and its frozen weight faults, the
+    model has no activation-noise site, and its only stochastic sites
+    (norms, dropout) follow each layer.
     """
 
     def __init__(
@@ -82,12 +93,22 @@ class LSTMForecaster(Module):
             )
             for _ in range(self.num_layers)
         ]
+        samples = active_sample_count() or 1
+        per_chip = samples > 1 and not is_grad_enabled()
+        # Instances are chip-major, so every S-th one is a chip's window.
+        first = Tensor(x.data[::samples]) if per_chip else x
         last_hidden = None
         for step in range(t):
-            inp = x[..., step, :]
+            inp = first[..., step, :]
             for layer in range(self.num_layers):
-                h, c = self.cells[layer](inp, states[layer])
-                states[layer] = (h, c)
+                if layer == 0 and per_chip:
+                    with sample_axis_hidden():
+                        h, c = self.cells[0](inp, states[0])
+                    states[0] = (h, c)
+                    h = Tensor(np.repeat(h.data, samples, axis=0))
+                else:
+                    h, c = self.cells[layer](inp, states[layer])
+                    states[layer] = (h, c)
                 # Normalize the hidden features feeding the next layer /
                 # the head (the method's stochastic site for this model).
                 inp = self.drops[layer](self.norms[layer](h))

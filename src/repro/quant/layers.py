@@ -351,8 +351,13 @@ def _lstm_step(x, h, c, w_ih, w_hh, b_ih, b_hh):
     """
     shape, x_fills, h_fills = _step_layout(x.shape, w_ih.shape, h.shape, w_hh.shape)
     gates, work = _SCRATCH.buffers(shape)
-    x_proj = np.matmul(x, w_ih.swapaxes(-1, -2), out=gates if x_fills else None)
-    np.add(x_proj, b_ih, out=gates)
+    # With one input feature the product is a multiply.  A matmul's sums
+    # start from +0.0, so it never returns the -0.0 a multiply can; with
+    # ``b_ih + 0.0``, never -0.0 either, every gate sum has the bits of
+    # the graph path's ``x @ W_ihᵀ + b_ih``.
+    product = np.multiply if x.shape[-1] == 1 else np.matmul
+    x_proj = product(x, w_ih.swapaxes(-1, -2), out=gates if x_fills else None)
+    np.add(x_proj, b_ih + 0.0, out=gates)
     h_proj = np.matmul(h, w_hh.swapaxes(-1, -2), out=work if h_fills else None)
     np.add(gates, h_proj, out=gates)
     np.add(gates, b_hh, out=gates)

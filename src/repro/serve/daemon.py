@@ -48,13 +48,11 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 from ..faults import FaultSpec, MonteCarloCampaign
 from ..faults.campaign import scenario_cells
-from ..faults.executor import Evaluator
 from ..models import MethodConfig
-from ..nn.module import Module
 from ..eval.cache import ResultStore, campaign_key, result_store
 from ..eval.campaigns import campaign_settings, model_and_evaluator
 from ..eval.campaigns import split_stored
@@ -206,11 +204,6 @@ class CampaignService:
         self._sweep_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._conns: Set[socket.socket] = set()
-        # (task, preset, seed, method, samples, cap) → (model, evaluator).
-        # The engine sizes its stacked passes once per (model, evaluator)
-        # pair, by running one cell alone; a fresh evaluator per request
-        # would pay that sizing run on every request.
-        self._pairs: Dict[Tuple[Hashable, ...], Tuple[Module, Evaluator]] = {}
         self.requests = 0
         self.retried_requests = 0
         self.conn_errors = 0
@@ -485,14 +478,10 @@ class CampaignService:
         if not pending:
             return
 
-        key = (sweep.task_name, sweep.preset, sweep.seed, method,
-               sweep.samples, sweep.max_eval_samples)
-        if key not in self._pairs:
-            self._pairs[key] = model_and_evaluator(
-                task, method, sweep.preset, sweep.seed, sweep.samples,
-                sweep.max_eval_samples,
-            )
-        model, evaluator = self._pairs[key]
+        model, evaluator = model_and_evaluator(
+            task, method, sweep.preset, sweep.seed, sweep.samples,
+            sweep.max_eval_samples,
+        )
         campaign = MonteCarloCampaign(
             model, evaluator, n_runs=sweep.n_runs, base_seed=sweep.seed
         )

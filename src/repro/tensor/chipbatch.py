@@ -25,10 +25,12 @@ This module provides the thread-local state that makes a batched pass
 *bit-identical per instance* to the serial reference:
 
 * :func:`chip_batch` / :func:`mc_sample_axis` — context managers
-  announcing the instance-axis layout.  Layers with shape-dependent
-  logic (normalization feature axes, spatial-dropout mask shapes, the
-  inverted norm's affine reshape) consult :func:`active_chip_count` to
-  shift their channel axis from 1 to 2.  The invariant maintained by the batched
+  announcing the instance-axis layout (:func:`sample_axis_hidden`
+  suspends the sample sub-axis for work all samples share).  Layers
+  with shape-dependent logic (normalization feature axes,
+  spatial-dropout mask shapes, the inverted norm's affine reshape)
+  consult :func:`active_chip_count` to shift their channel axis from 1
+  to 2.  The invariant maintained by the batched
   evaluators is that **every activation inside the context has a leading
   instance axis** (inputs are broadcast up front), so a single flag
   suffices — no per-tensor rank guessing.
@@ -128,6 +130,24 @@ def mc_sample_axis(n_samples: int) -> Iterator[int]:
     _STATE.n_samples = n_samples
     try:
         yield n_samples
+    finally:
+        _STATE.n_samples = previous
+
+
+@contextlib.contextmanager
+def sample_axis_hidden() -> Iterator[None]:
+    """Hide the MC-sample sub-axis: the instance axis is the chips alone.
+
+    For work every MC sample of a chip shares (a layer that no
+    stochastic site precedes), run on one instance per chip: inside,
+    :func:`active_sample_count` is ``None`` and :func:`active_chip_count`
+    the chip count, so stacked fault hooks return one pattern per chip.
+    Nestable and exception-safe.
+    """
+    previous = getattr(_STATE, "n_samples", None)
+    _STATE.n_samples = None
+    try:
+        yield
     finally:
         _STATE.n_samples = previous
 

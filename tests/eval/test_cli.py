@@ -181,16 +181,15 @@ class TestExecution:
         monkeypatch.setattr(cache, "_usable_cpus", lambda: 1)  # in process
         main(self._CO2_PROFILE)
         engine = self._engine_line(capsys)
-        # Per method: the fault-free level runs per cell and sizes the
-        # engine; both faulty levels' chips stack into one pass.
+        # Per method: the fault-free level runs per cell; both faulty
+        # levels' chips stack into one pass.
         assert engine.startswith("engine: 4 stacked passes")
         assert engine.endswith("4 cells run one by one (4 fault-free)")
 
     def test_pooled_profile_counts_every_job(self, isolated_cache,
                                             monkeypatch, capsys):
-        """--profile on the compute pool: each (method, scenario) job
-        sizes the engine itself, so the counts do not depend on which
-        worker ran which job."""
+        """--profile on the compute pool: the counts do not depend on
+        which worker ran which job."""
         from repro.eval import cache
 
         monkeypatch.setattr(cache, "_usable_cpus", lambda: 2)
@@ -199,10 +198,11 @@ class TestExecution:
             main(self._CO2_PROFILE + ["--no-cache"])
             lines.append(self._engine_line(capsys))
         # Per method: the fault-free job runs its one cell; each faulty
-        # job sizes the engine with one chip and stacks the other two.
+        # job stacks its three chips in one pass (4 MC samples per chip
+        # for the three Bayesian methods).
         assert lines[0] == lines[1] == (
-            "engine: 8 stacked passes (6.5 instances/pass), "
-            "12 cells run one by one (4 fault-free, 8 sizing)"
+            "engine: 8 stacked passes (9.8 instances/pass), "
+            "4 cells run one by one (4 fault-free)"
         )
 
 

@@ -193,6 +193,22 @@ class TestProgressMeter:
         assert "bench: 4/4 cells" in out
         assert "cells/s" in out and "ETA" in out
 
+    def test_rate_counts_only_cells_after_the_clock_starts(self, monkeypatch):
+        """The first callback starts the clock; the cells it reports took
+        unmeasured time, so they count in ``done`` but not in the rate."""
+        from repro.eval import reporting
+
+        clock = iter([100.0, 102.0, 104.0])
+        monkeypatch.setattr(reporting.time, "monotonic", lambda: next(clock))
+        meter, stream = self._meter()
+        meter(3, 12)  # a 3-chip pass finishes: the clock starts
+        assert "0.00 cells/s" in stream.getvalue()
+        meter(7, 12)  # 4 more cells in 2 s
+        assert stream.getvalue().endswith(
+            "bench: 7/12 cells · 2.00 cells/s · ETA    2s"
+        )
+        assert meter.finish().endswith("(1.00 cells/s)")  # 4 cells in 4 s
+
     def test_accumulates_across_method_grids(self):
         meter, stream = self._meter()
         for done in (1, 2, 3):  # first method's grid

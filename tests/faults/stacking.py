@@ -10,11 +10,9 @@ from repro.faults import (
     EngineConfig,
     FaultSpec,
     MonteCarloCampaign,
-    WorkCell,
     evaluate_cell,
-    run_cells,
 )
-from repro.faults.executor import learned_footprint
+from repro.faults.executor import Footprint
 from repro.quant import QuantConv2d, QuantLinear, SignActivation
 from repro.tensor import Tensor, manual_seed
 from repro.tensor.chipbatch import active_chip_count
@@ -73,12 +71,15 @@ def build_pair(seed=0, mc_samples=3):
         pred = logits.mean(axis=0).argmax(axis=-1)
         return (pred == y).mean(axis=-1)
 
+    # One batch, one MC forward per sample: what the engine sizes from.
+    evaluator.forwards_per_cell = mc_samples
+    evaluator.input_bytes = x.nbytes
     return model, evaluator
 
 
 def tiny_pair(task_name, method, samples=3, max_samples=None):
-    """The cached ``tiny`` model of ``(task_name, method)`` and a fresh
-    evaluator over its test set (so the engine sizes the pair afresh)."""
+    """The cached ``tiny`` model of ``(task_name, method)`` and an
+    evaluator over its test set."""
     task = build_task(task_name, preset="tiny")
     model = trained_model(task, method, "tiny", seed=0)
     evaluator = make_evaluator(
@@ -109,19 +110,8 @@ def assert_stacked_identity(task_name, method, specs, samples=3, n_runs=3):
 
 def chip_engine(model, evaluator, chips):
     """An :class:`EngineConfig` whose budget fits exactly ``chips`` cells
-    of ``(model, evaluator)`` per stacked pass.
-
-    The pair's footprint is learned first (a two-chip run) when the engine
-    has not sized it yet.
-    """
-    footprint = learned_footprint(model, evaluator)
-    if footprint is None:
-        spec = FaultSpec(kind="bitflip", level=0.1)
-        run_cells(
-            [WorkCell(0, run, spec) for run in range(2)], 0,
-            model=model, evaluator=evaluator,
-        )
-        footprint = learned_footprint(model, evaluator)
+    of ``(model, evaluator)`` per stacked pass."""
+    footprint = Footprint.of(model, evaluator)
     return EngineConfig(chips * footprint.samples * footprint.instance_bytes)
 
 

@@ -6,9 +6,12 @@ topologies, methods and fault kinds is pinned in
 budget by its own estimate, cut flat lists of cells across scenario
 boundaries, evaluate every cell exactly once, keep the binarized
 ResNet-18 per cell at the default budget while stacking the LSTM, and
-the estimate must track what one cell really allocates.
+the estimate must track what one cell really allocates.  The footprint
+an evaluator declares must be what one per-cell run of it puts through
+the model.
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -28,8 +31,8 @@ from repro.faults import (
     run_cells,
 )
 from repro.faults import executor as executor_mod
-from repro.faults.executor import Footprint, learned_footprint
-from repro.models import proposed
+from repro.faults.executor import Footprint
+from repro.models import conventional, proposed
 from repro.profiling import profiled
 from repro.tensor.chipbatch import active_chip_count
 from tests.faults.stacking import chip_engine
@@ -79,10 +82,8 @@ class TestPassShapes:
     def test_chosen_passes_fit_the_budget(self, passes, chips):
         model, evaluator = _pair("co2", proposed())
         specs = bitflip_sweep([0.0, 0.05, 0.1, 0.2])
-        MonteCarloCampaign(model, evaluator, n_runs=3).sweep(specs)
-        footprint = learned_footprint(model, evaluator)
+        footprint = Footprint.of(model, evaluator)
         budget = int(chips * footprint.samples * footprint.instance_bytes)
-        passes.clear()
         MonteCarloCampaign(
             model, evaluator, n_runs=3, engine=EngineConfig(budget)
         ).sweep(specs)
@@ -111,9 +112,48 @@ class TestPassShapes:
         ]
         with profiled() as stages:
             run_cells(cells, 0, model=model, evaluator=evaluator)
-        assert stages["engine.per-cell.sizing"] == 1
+        assert not any(key.startswith("engine.per-cell") for key in stages)
         assert passes and max(len(cells) for cells in passes) >= 2
-        assert learned_footprint(model, evaluator).samples == mc_samples("small")
+        assert sum(len(cells) for cells in passes) == len(cells)
+        assert Footprint.of(model, evaluator).samples == mc_samples("small")
+
+    def test_unbounded_budget_makes_one_pass_per_kind_run(self, passes):
+        """Same-kind scenarios share a pass; a fault-free cell runs per
+        cell and ends the run."""
+        model, evaluator = _pair("co2", proposed())
+        cells = (
+            [WorkCell(scenario, run, FaultSpec("bitflip", level))
+             for scenario, level in ((1, 0.1), (2, 0.2)) for run in range(3)]
+            + [WorkCell(0, 0, FaultSpec("none", 0.0))]
+            + [WorkCell(3, run, FaultSpec("additive", 0.1)) for run in range(3)]
+        )
+        with profiled() as stages:
+            values = run_cells(cells, 0, model=model, evaluator=evaluator,
+                               engine=EngineConfig(None))
+        assert passes == [cells[:6], cells[7:]]
+        assert stages["engine.per-cell.fault-free"] == 1
+        np.testing.assert_array_equal(values, run_cells(
+            cells, 0, model=model, evaluator=evaluator, engine=PER_CELL
+        ))
+
+
+def _forward_inputs(model, evaluator, cell):
+    """The input bytes of every root ``forward`` one per-cell run of
+    ``cell`` makes; the model instance's ``forward`` is wrapped for that
+    run only."""
+    inputs = []
+    forward = model.forward
+
+    def recording(x, *args, **kwargs):
+        inputs.append(np.asarray(getattr(x, "data", x)).nbytes)
+        return forward(x, *args, **kwargs)
+
+    model.forward = recording
+    try:
+        evaluate_cell(model, evaluator, cell, 0)
+    finally:
+        del model.forward
+    return inputs
 
 
 class TestFootprint:
@@ -129,75 +169,36 @@ class TestFootprint:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        run_cells([WorkCell(0, run, spec) for run in range(2)], 0,
-                  model=model, evaluator=evaluator)
-        estimate = learned_footprint(model, evaluator).instance_bytes
+        estimate = Footprint.of(model, evaluator).instance_bytes
         assert peak / 2 <= estimate <= 2 * peak
 
-    def test_footprint_is_learned_once_per_pair(self):
-        model, evaluator = _pair("co2", proposed())
-        spec = FaultSpec("bitflip", 0.1)
-        cells = [WorkCell(0, run, spec) for run in range(3)]
-        with profiled() as first:
-            run_cells(cells, 0, model=model, evaluator=evaluator)
-        with profiled() as second:
-            run_cells(cells, 0, model=model, evaluator=evaluator)
-        assert first["engine.per-cell.sizing"] == 1
-        assert "engine.per-cell.sizing" not in second
-        assert second["engine.passes"] == 1
-        # Another evaluator on the same model is sized afresh.
-        other = make_evaluator("co2", build_task("co2", "tiny").test_set,
-                               proposed(), mc_samples=2)
-        with profiled() as third:
-            run_cells(cells, 0, model=model, evaluator=other)
-        assert third["engine.per-cell.sizing"] == 1
-
-    def test_sizing_keeps_same_kind_scenarios_stacked(self, passes):
-        """With no fault-free cell (a service unit), the sizing cell's
-        run is final and the rest of both scenarios stack in one pass."""
-        model, evaluator = _pair("co2", proposed())
-        cells = [
-            WorkCell(scenario, run, FaultSpec("bitflip", level))
-            for scenario, level in ((1, 0.1), (2, 0.2))
-            for run in range(3)
-        ]
-        with profiled() as stages:
-            values = run_cells(cells, 0, model=model, evaluator=evaluator,
-                               engine=EngineConfig(None))
-        assert passes == [cells[1:]]
-        assert stages["engine.per-cell.sizing"] == 1
-        np.testing.assert_array_equal(values, run_cells(
-            cells, 0, model=model, evaluator=evaluator, engine=PER_CELL
-        ))
-
-    def test_sizing_prefers_a_fault_free_cell(self, passes):
-        model, evaluator = _pair("co2", proposed())
-        cells = (
-            [WorkCell(1, run, FaultSpec("bitflip", 0.1)) for run in range(3)]
-            + [WorkCell(0, 0, FaultSpec("none", 0.0))]
-            + [WorkCell(2, run, FaultSpec("additive", 0.1)) for run in range(3)]
+    @pytest.mark.parametrize("task_name, method, preset", [
+        *((task_name, method, "tiny") for task_name in TASKS
+          for method in (conventional(), proposed())),
+        ("co2", proposed(), "small"),
+    ], ids=lambda value: getattr(value, "name", value))
+    def test_declared_footprint_is_what_a_cell_runs(
+        self, task_name, method, preset
+    ):
+        """The evaluator's forwards per cell and largest input are what
+        one per-cell run puts through the model's root ``forward``."""
+        task = build_task(task_name, preset=preset)
+        model = task.build_model(method, seed=0)  # weights do not matter
+        evaluator = make_evaluator(
+            task.name, task.test_set, method, mc_samples=mc_samples(preset),
+            max_samples=campaign_eval_cap(preset),
         )
-        with profiled() as stages:
-            values = run_cells(cells, 0, model=model, evaluator=evaluator,
-                               engine=EngineConfig(None))
-        assert passes == [cells[:3], cells[4:]]
-        assert stages["engine.per-cell.fault-free"] == 1
-        assert "engine.per-cell.sizing" not in stages
-        np.testing.assert_array_equal(values, run_cells(
-            cells, 0, model=model, evaluator=evaluator, engine=PER_CELL
-        ))
-
-    def test_sizing_leaves_the_model_unwrapped(self):
-        model, evaluator = _pair("co2", proposed())
-        spec = FaultSpec("bitflip", 0.1)
-        run_cells([WorkCell(0, run, spec) for run in range(2)], 0,
-                  model=model, evaluator=evaluator)
-        assert "forward" not in vars(model)
+        inputs = _forward_inputs(
+            model, evaluator, WorkCell(0, 0, FaultSpec("bitflip", 0.1))
+        )
+        assert evaluator.forwards_per_cell == len(inputs)
+        assert evaluator.input_bytes == max(inputs)
 
 
 def _cells_evaluated(evaluator, calls):
     """``evaluator``, recording how many cells each of its calls scores."""
 
+    @functools.wraps(evaluator)  # keeps its declared footprint
     def counting(model):
         calls.append(active_chip_count() or 1)
         return evaluator(model)
@@ -206,7 +207,7 @@ def _cells_evaluated(evaluator, calls):
 
 
 class TestFlatPasses:
-    def test_fresh_pair_evaluates_every_faulty_cell_once(self):
+    def test_unbounded_pass_evaluates_every_faulty_cell_once(self):
         model, evaluator = _pair("co2", proposed())
         calls = []
         counting = _cells_evaluated(evaluator, calls)

@@ -9,6 +9,8 @@ machinery that makes stochastic evaluation hermetic per cell — not just
 the frozen fault patterns.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,20 @@ class TestValidation:
                 run_cells([WorkCell(0, 0, FaultSpec("none", 0.0))], 0,
                           model=model, evaluator=evaluator, executor=removed)
 
+    def test_budget_needs_a_declared_footprint(self):
+        """A stacked pass is sized from what the evaluator states; one
+        that states nothing runs only on the per-cell oracle."""
+        model, evaluator = build_pair()
+        cells = [WorkCell(0, run, FaultSpec("bitflip", 0.1)) for run in range(2)]
+        undeclared = lambda m: evaluator(m)  # noqa: E731
+        with pytest.raises(TypeError, match="forwards_per_cell"):
+            run_cells(cells, 0, model=model, evaluator=undeclared)
+        np.testing.assert_array_equal(
+            run_cells(cells, 0, model=model, evaluator=undeclared,
+                      engine=PER_CELL),
+            run_cells(cells, 0, model=model, evaluator=evaluator),
+        )
+
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="max_batch_bytes"):
             EngineConfig(max_batch_bytes=-1)
@@ -94,8 +110,9 @@ class TestValidation:
         model, evaluator = build_pair()
         chips_at_raise = []
 
+        @functools.wraps(evaluator)  # keeps its declared footprint
         def broken(m):
-            # The fault-free cell (the stacked engine's sizing cell) passes.
+            # The fault-free cell passes.
             if any(getattr(site, "weight_fault", None) is not None
                    for site in m.modules()):
                 chips_at_raise.append(active_chip_count())

@@ -4,6 +4,17 @@ import numpy as np
 import pytest
 
 from repro.core import InvertedNorm
+from repro.eval import build_task, make_evaluator
+from repro.eval.campaigns import campaign_eval_cap
+from repro.eval.tasks import mc_samples
+from repro.faults import (
+    PER_CELL,
+    EngineConfig,
+    FaultSpec,
+    WorkCell,
+    evaluate_cells_stacked,
+    run_cells,
+)
 from repro.models import (
     M5,
     LSTMForecaster,
@@ -167,6 +178,53 @@ class TestLSTMForecaster:
             m for m in model.modules() if isinstance(m, InvertedNorm)
         ]
         assert all(m.mask_scope == "frozen" for m in stochastic)
+
+
+class TestLSTMFirstLayerPerChip:
+    """Under an MC-sample axis the first layer steps once per chip."""
+
+    def _co2(self, method, preset):
+        task = build_task("co2", preset=preset)
+        model = task.build_model(method, seed=0)  # untrained: bits only
+        evaluator = make_evaluator(
+            "co2", task.test_set, method, mc_samples=mc_samples(preset),
+            max_samples=campaign_eval_cap(preset),
+        )
+        return model, evaluator
+
+    def test_stacked_pass_steps_layer_zero_per_chip(self):
+        model, evaluator = self._co2(proposed(), "tiny")
+        seen = {0: set(), 1: set()}
+        for layer, cell in enumerate(model.cells):
+            def recording(x, state, forward=cell.forward, layer=layer):
+                seen[layer].add(x.shape[0])
+                return forward(x, state)
+            cell.forward = recording
+        chips = 3
+        try:
+            evaluate_cells_stacked(model, evaluator, [
+                WorkCell(0, run, FaultSpec("bitflip", 0.1))
+                for run in range(chips)
+            ], 0)
+        finally:
+            for cell in model.cells:
+                del cell.forward
+        assert seen == {0: {chips}, 1: {chips * mc_samples("tiny")}}
+
+    @pytest.mark.parametrize("method", [proposed(), spindrop()],
+                             ids=lambda m: m.name)
+    def test_small_shapes_match_the_per_cell_oracle(self, method):
+        model, evaluator = self._co2(method, "small")
+        assert mc_samples("small") == 6 and len(evaluator.test_set) == 72
+        cells = [
+            WorkCell(scenario, run, FaultSpec("bitflip", level))
+            for scenario, level in ((1, 0.05), (2, 0.2)) for run in range(2)
+        ]
+        stacked = run_cells(cells, 0, model=model, evaluator=evaluator,
+                            engine=EngineConfig(None))
+        oracle = run_cells(cells, 0, model=model, evaluator=evaluator,
+                           engine=PER_CELL)
+        assert stacked.tobytes() == oracle.tobytes()
 
 
 class TestUNet:

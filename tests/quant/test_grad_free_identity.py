@@ -8,6 +8,7 @@ bits as under :func:`no_grad`, for every method, unstacked and stacked,
 with fault hooks attached, and on threads running at once.
 """
 
+import contextlib
 import sys
 import threading
 
@@ -151,6 +152,34 @@ class TestCellOperandLayouts:
         rng = np.random.default_rng(1)
         x, h, c = rng.normal(size=(5, 2)), rng.normal(size=(3, 5, 4)), rng.normal(size=(3, 5, 4))
         free, graph = self._step(cell, x, h, c)
+        for a, b in zip(free, graph):
+            assert _bits(a) == _bits(b)
+
+    @pytest.mark.parametrize("chips", [None, 3])
+    def test_one_input_feature_with_signed_zeros(self, chips):
+        """A one-feature input takes the multiply branch; with ±0.0
+        planted in the inputs, the codes and the bias it keeps the matmul's
+        bits."""
+        manual_seed(4)
+        cell = QuantLSTMCell(1, 4)
+        cell.weight_ih.data[::3] = 1e-6  # quantizes to +0.0 codes
+        cell.weight_ih.data[1::3] = -1e-6  # ... and to -0.0 codes
+        cell.bias_ih.data[::2] = -0.0
+        rng = np.random.default_rng(5)
+        lead = (5,) if chips is None else (chips, 5)
+        x, h, c = (rng.normal(size=lead + (n,)) for n in (1, 4, 4))
+        x[..., ::2, :] = -0.0
+        x[..., 1::4, :] = 0.0
+        if chips is not None:
+            spec = FaultSpec(kind="bitflip", level=0.1)
+            cell.weight_fault = StackedWeightFault([
+                spec.build_weight_model(np.random.default_rng(s))
+                for s in range(chips)
+            ])
+        with contextlib.ExitStack() as stack:
+            if chips is not None:
+                stack.enter_context(chip_batch(chips))
+            free, graph = self._step(cell, x, h, c)
         for a, b in zip(free, graph):
             assert _bits(a) == _bits(b)
 

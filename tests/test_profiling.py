@@ -99,10 +99,10 @@ class TestProfiling:
         text = format_profile({
             "attach": 0.01, "metric": 0.06,
             "engine.passes": 4, "engine.instances": 48,
-            "engine.per-cell.fault-free": 1, "engine.per-cell.sizing": 1,
+            "engine.per-cell.fault-free": 1, "engine.per-cell.over-budget": 2,
         })
         assert text.splitlines()[-1] == (
             "engine: 4 stacked passes (12.0 instances/pass), "
-            "2 cells run one by one (1 fault-free, 1 sizing)"
+            "3 cells run one by one (1 fault-free, 2 over-budget)"
         )
         assert "engine:" not in format_profile({"attach": 0.01})
