@@ -59,6 +59,7 @@ from .tasks import (
     image_task,
     mc_runs,
     mc_samples,
+    network_method,
     vessel_task,
 )
 
@@ -72,6 +73,7 @@ __all__ = [
     "active_preset",
     "mc_runs",
     "mc_samples",
+    "network_method",
     "PRESETS",
     "trained_model",
     "cache_dir",

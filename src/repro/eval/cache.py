@@ -5,8 +5,10 @@ Two caches live here, both persisted under ``REPRO_CACHE_DIR`` (default
 ``<repo>/.repro_cache``):
 
 * the **trained-model cache** — ``.npz`` state dicts keyed by
-  (task, method, preset, seed), because training a model for every
-  (task, method) pair in every benchmark would dominate runtime.
+  (task, network, preset, seed), because training a model for every
+  (task, method) pair in every benchmark would dominate runtime.  The
+  network is :func:`~repro.eval.tasks.network_method`'s, so two methods
+  that build one network share one checkpoint.
   :func:`trained_model` is its only trainer; :func:`train_models` runs
   it for the missing models of a command on :func:`fork_map`'s pool of
   forked workers, which also computes a command's missing campaign
@@ -36,8 +38,9 @@ import numpy as np
 
 from ..faults import FaultSpec
 from ..models import MethodConfig
+from ..models.methods import FACTORY_EPOCHS_MULTIPLIER
 from ..nn.module import Module
-from .tasks import Task
+from .tasks import Task, network_method
 
 _MEMORY: Dict[Tuple, Module] = {}
 
@@ -65,11 +68,16 @@ def _method_key(method: MethodConfig) -> str:
         ]
     else:
         parts.append(method.conventional_norm)
+    # Only where it is not the factory's, so the factories' keys stay put.
+    if method.epochs_multiplier != FACTORY_EPOCHS_MULTIPLIER.get(method.name, 1.0):
+        parts.append(f"e{method.epochs_multiplier}")
     return "-".join(parts)
 
 
 def _model_key(task: Task, method: MethodConfig, preset: str, seed: int) -> Tuple:
-    return (task.name, task.cache_tag, _method_key(method), preset, seed)
+    """Cache key of the network ``method`` builds on ``task``."""
+    network = network_method(task, method)
+    return (task.name, task.cache_tag, _method_key(network), preset, seed)
 
 
 def _checkpoint_path(key: Tuple) -> pathlib.Path:
@@ -85,13 +93,17 @@ def trained_model(
 ) -> Module:
     """Return a trained model, training and caching on first request.
 
-    A checkpoint that no longer loads (an older layout, or a truncated
-    archive) is deleted and the model retrained.
+    The model is that of ``method``'s network
+    (:func:`~repro.eval.tasks.network_method`), one object and one
+    checkpoint for every method that builds it.  A checkpoint that no
+    longer loads (an older layout, or a truncated archive) is deleted
+    and the model retrained.
     """
     key = _model_key(task, method, preset, seed)
     if key in _MEMORY:
         return _MEMORY[key]
     path = _checkpoint_path(key)
+    method = network_method(task, method)
     model = task.build_model(method, seed=seed)
     if path.exists():
         try:

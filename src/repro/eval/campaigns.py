@@ -12,18 +12,22 @@ fault-free sweep, and the campaign service (:mod:`repro.serve`) shares
 each step:
 
 1. :func:`split_sweep` (:func:`split_stored` per method) serves
-   completed scenarios from the result store, reading each key once;
-2. per method with pending scenarios, :func:`model_and_evaluator`
+   completed scenarios from the result store, reading each key once,
+   and groups the methods by the network they build
+   (:func:`~repro.eval.tasks.network_method`): a scenario is pending for
+   a network when none of its methods has it stored;
+2. per network with pending scenarios, :func:`model_and_evaluator`
    fetches the trained model and binds its chip-aware metric;
 3. the pending scenarios — with their *original* scenario indices, so
    per-cell seeds are unaffected by what was cached — run as one
    :class:`~repro.faults.campaign.MonteCarloCampaign` grid
    (:meth:`SplitSweep.compute`), stacked into vectorized forwards as far
    as the engine's byte budget allows;
-4. fresh results are written back (:meth:`SplitSweep.record`), and
-   :func:`assemble_sweep` builds the curves.
+4. fresh results are written back under every method of the network
+   (:meth:`SplitSweep.record`), and :func:`assemble_sweep` builds the
+   curves.
 
-The CLI runs step 3 for every pending (method, scenario) of a command
+The CLI runs step 3 for every pending (network, scenario) of a command
 on every usable CPU (:func:`compute_pending`); step 4 stays in its own
 process.  Results are bit-identical for every engine budget, cache
 state and worker count.
@@ -42,9 +46,10 @@ from ..faults.executor import PER_CELL, EngineConfig, Evaluator
 from ..models import MethodConfig
 from ..nn.module import Module
 from ..profiling import add as add_profile
-from ..profiling import profiled, stage
+from ..profiling import count, profiled, stage
 from .cache import (
     ResultStore,
+    _model_key,
     campaign_key,
     fork_map,
     fork_workers,
@@ -212,9 +217,12 @@ class SplitSweep:
 
     Built by :func:`split_sweep`.  ``values[m]`` maps a scenario index
     to the per-chip values of ``methods[m]`` there: the stored ones, and
-    each computed one once :meth:`record` has stored it.  ``pending``
-    maps a method index to its scenarios still to compute; a method
-    with none is absent, and its model is never needed.
+    each computed one once :meth:`record` has stored it.  ``networks``
+    maps the first method index of each distinct network
+    (:func:`~repro.eval.tasks.network_method`) to every method index
+    that builds it, that one first.  ``pending`` maps such a first index
+    to the scenarios none of its network's methods has values for; a
+    network with none is absent, and its model is never needed.
     """
 
     task: Task
@@ -228,6 +236,7 @@ class SplitSweep:
     keys: List[List[str]]
     values: List[Dict[int, np.ndarray]]
     pending: Dict[int, List[int]]
+    networks: Dict[int, List[int]]
 
     def cells(self, idx: int) -> int:
         """Work cells of scenario ``idx``: one if fault-free, else ``n_runs``."""
@@ -238,7 +247,8 @@ class SplitSweep:
         engine: EngineConfig = EngineConfig(),
         on_cell_done: Optional[Callable[[int, int], None]] = None,
     ) -> List[np.ndarray]:
-        """Per-chip values of ``methods[m]`` at scenarios ``indices``.
+        """Per-chip values of ``methods[m]``, and so of its whole
+        network, at scenarios ``indices``.
 
         One :class:`~repro.faults.campaign.MonteCarloCampaign` grid at
         the scenarios' own indices, so each value is the same whichever
@@ -259,11 +269,25 @@ class SplitSweep:
         return [result.values for result in results]
 
     def record(self, m: int, idx: int, values: np.ndarray) -> None:
-        """Store one computed scenario (written under ``use_cache=False``
-        too) and keep its values for :meth:`assemble`."""
+        """Store one computed scenario of network ``m`` under each of its
+        methods' keys (written under ``use_cache=False`` too) and keep
+        the values for :meth:`assemble`."""
+        for k in self.networks[m]:
+            self._keep(k, idx, values, source=m)
+
+    def _keep(self, k: int, idx: int, values: np.ndarray, source: int) -> None:
+        """Store ``methods[source]``'s values at scenario ``idx`` as
+        ``methods[k]``'s, unless ``k`` has values there.  ``--profile``
+        counts a ``k`` other than ``source`` as ``shared.<k> = <source>``
+        cells."""
+        if idx in self.values[k]:
+            return
         with stage("store"):
-            result_store().put(self.keys[m][idx], values)
-        self.values[m][idx] = values
+            result_store().put(self.keys[k][idx], values)
+        self.values[k][idx] = values
+        if k != source:
+            count(f"shared.{self.methods[k].name} = "
+                  f"{self.methods[source].name}", self.cells(idx))
 
     def assemble(self, progress=None) -> RobustnessSweep:
         """The sweep's curves once every scenario has values;
@@ -299,27 +323,40 @@ def split_sweep(
     """Read each (method, scenario) of a sweep from the result store once.
 
     Settings as :func:`campaign_settings` resolves them; ``use_cache=False``
-    reads nothing, so every scenario is pending.
+    reads nothing, so every scenario is pending.  A method the store
+    cannot serve at a scenario takes, and stores, the entry another
+    method of its network has there.
     """
     n_runs, samples, max_eval_samples = campaign_settings(
         preset, n_runs, samples, max_eval_samples
     )
     store = result_store() if use_cache else None
-    keys, values, pending = [], [], {}
+    keys, values, networks = [], [], {}
     for m, method in enumerate(methods):
         keys.append([
             campaign_key(task, method, spec, n_runs, samples, seed,
                          max_eval_samples)
             for spec in specs
         ])
-        served, todo = split_stored(keys[-1], n_runs, store)
-        values.append(served)
-        if todo:
-            pending[m] = todo
-    return SplitSweep(
+        values.append(split_stored(keys[-1], n_runs, store)[0])
+        network = _model_key(task, method, preset, seed)
+        networks.setdefault(network, []).append(m)
+    work = SplitSweep(
         task, methods, specs, preset, seed, n_runs, samples, max_eval_samples,
-        keys, values, pending,
+        keys, values, {}, {group[0]: group for group in networks.values()},
     )
+    for m, group in work.networks.items():
+        todo = []
+        for idx in range(len(specs)):
+            source = next((k for k in group if idx in values[k]), None)
+            if source is None:
+                todo.append(idx)
+                continue
+            for k in group:
+                work._keep(k, idx, values[source][idx], source)
+        if todo:
+            work.pending[m] = todo
+    return work
 
 
 def compute_pending(
@@ -329,27 +366,33 @@ def compute_pending(
     """Compute and :meth:`~SplitSweep.record` every pending scenario of
     ``works`` on every usable CPU.
 
-    The CLI's compute step; it needs every pending method's model
+    The CLI's compute step; it needs every pending network's model
     trained first (:func:`~repro.eval.cache.train_models`), since a
     worker loads it with :func:`~repro.eval.cache.trained_model`.  One
-    :func:`~repro.eval.cache.fork_map` job per pending (method,
-    scenario), the unit the store keys on, handed out longest first by
+    :func:`~repro.eval.cache.fork_map` job per pending (network,
+    scenario), whose values :meth:`~SplitSweep.record` stores under the
+    key of every method of the network, handed out longest first by
     cells × forwards per cell (``samples`` for a Bayesian method, else
     one).  Workers only compute: this process records every value, so
     the store has one writer, and adds each job's ``--profile`` totals
     (:func:`repro.profiling.add`), so they depend on the command and
     not on which worker ran what.  ``on_cell_done(done, total)`` sees
     ``done=0`` as the pool starts, then the running cell count as each
-    job finishes.
+    job finishes; a network's cells count once per method.
 
     When :func:`~repro.eval.cache.fork_workers` starts no process, each
-    method's pending scenarios run here as one job, one grid as
+    network's pending scenarios run here as one job, one grid as
     :func:`run_robustness_sweep` runs them, and ``on_cell_done`` sees
-    every cell.
+    every computed cell, then the shared ones as the job ends.
     """
     scenarios = [(w, m, i) for w, work in enumerate(works)
                  for m, indices in work.pending.items() for i in indices]
-    total = sum(works[w].cells(i) for w, _, i in scenarios)
+
+    def cells(w: int, m: int, indices: Sequence[int]) -> int:
+        work = works[w]
+        return len(work.networks[m]) * sum(work.cells(i) for i in indices)
+
+    total = sum(cells(w, m, [i]) for w, m, i in scenarios)
     in_process = not fork_workers(len(scenarios))
     if in_process:
         jobs = [(w, m, indices) for w, work in enumerate(works)
@@ -363,12 +406,18 @@ def compute_pending(
 
         jobs = sorted(((w, m, [i]) for w, m, i in scenarios), key=forwards,
                       reverse=True)
-    done = 0
-    per_job = None if in_process else on_cell_done
+    done = reported = 0
+
+    def report(n: int) -> None:
+        nonlocal reported
+        if on_cell_done is not None and n > reported:
+            reported = n
+            on_cell_done(n, total)
+
     per_cell = None
     if in_process and on_cell_done is not None:
         def per_cell(job_done: int, _job_total: int) -> None:
-            on_cell_done(done + job_done, total)
+            report(done + job_done)
 
     def run(job):
         w, m, indices = job
@@ -383,12 +432,11 @@ def compute_pending(
         add_profile(stages)
         for idx, v in zip(indices, values):
             works[w].record(m, idx, v)
-        done += sum(works[w].cells(i) for i in indices)
-        if per_job is not None:
-            per_job(done, total)
+        done += cells(w, m, indices)
+        report(done)
 
-    if per_job is not None:
-        per_job(0, total)  # starts a throughput clock with the pool
+    if on_cell_done is not None and not in_process:
+        on_cell_done(0, total)  # starts a throughput clock with the pool
     fork_map(run, jobs, finished)
 
 
@@ -407,7 +455,7 @@ def run_robustness_sweep(
     on_cell_done: Optional[Callable[[int, int], None]] = None,
     engine: EngineConfig = EngineConfig(),
 ) -> RobustnessSweep:
-    """Train/fetch each method's model and sweep the fault levels.
+    """Train/fetch each network's model and sweep the fault levels.
 
     Returns mean ± std of the task metric per method per level — the data
     behind one panel of Fig. 5 or Fig. 6 (settings: :func:`campaign_settings`).
@@ -416,9 +464,10 @@ def run_robustness_sweep(
     bit-identical values); ``executor="serial"`` is the older spelling of
     ``engine=PER_CELL``, the per-cell oracle.  ``use_cache=False``
     bypasses the campaign-result cache (it is still written);
-    ``on_cell_done(done, total)`` observes per-method cell completion for
-    throughput reporting.  Everything runs in this process, one method
-    at a time.
+    ``on_cell_done(done, total)`` observes per-network cell completion
+    for throughput reporting.  Everything runs in this process, one
+    network at a time (:func:`split_sweep`), each computed once for all
+    of its methods.
     """
     if executor is not None:
         if executor != "serial":

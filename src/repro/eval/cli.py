@@ -17,17 +17,21 @@ bit-identical either way.  A live throughput line (cells/s, ETA) is
 printed to stderr while a sweep is running, and ``--profile`` prints
 where the sweep's wall time went (fault attach, metric evaluation,
 result-store and service-transport time) and how the engine ran the
-cells (stacked passes, instances per pass, per-cell cells by reason).
+cells (stacked passes, instances per pass, per-cell cells by reason,
+cells shared between methods that build one network).
 
 Trained models and completed campaign scenarios are cached under
 ``.repro_cache`` exactly as the benchmarks do, so repeated and resumed
 invocations skip finished work (``--no-cache`` forces re-simulation).
 A cold ``table1`` or local sweep command reads the result store once,
-trains the missing models of the methods that have a scenario the store
+trains the missing models of the networks that have a scenario the store
 cannot serve (:func:`repro.eval.cache.train_models`), then computes its
 missing cells (:func:`repro.eval.campaigns.compute_pending`); both run
 on every usable CPU, one forked worker per CPU and one BLAS thread per
-worker, and give the same bytes as one CPU does.
+worker, and give the same bytes as one CPU does.  Methods that build
+one network (:func:`repro.eval.tasks.network_method`: SpatialSpinDrop
+is SpinDrop on the co2 LSTM) share its checkpoint and its computed
+cells, and each still gets its own store entries and table column.
 
 Campaign-family commands can also run through a long-lived campaign
 service daemon (:mod:`repro.serve`, started with ``python -m
@@ -116,7 +120,7 @@ def cmd_table1(args) -> None:
 
 
 def _train_and_compute(works, args, on_cell_done=None) -> None:
-    """Train the models of the pending methods of ``works``, then
+    """Train the models of the pending networks of ``works``, then
     compute their pending scenarios; both on every usable CPU."""
     train_models(
         [(work.task, work.methods[m]) for work in works for m in work.pending],

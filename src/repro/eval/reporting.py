@@ -103,7 +103,10 @@ def format_profile(stages: Dict[str, float]) -> str:
     prints no ``transport`` zero.  When the campaign engine ran cells in
     this process, an ``engine:`` line follows: its stacked passes, the
     mean instances per pass, and the cells it ran per cell, by reason
-    (the ``engine.*`` counters of :func:`repro.faults.executor.run_cells`).
+    (the ``engine.*`` counters of :func:`repro.faults.executor.run_cells`),
+    then the cells a method took from another method that builds the same
+    network, by pair (the ``shared.*`` counters of
+    :class:`~repro.eval.campaigns.SplitSweep`).
     """
     labels = ("attach", "metric", "store", "transport")
     present = [(label, stages[label]) for label in labels if label in stages]
@@ -121,13 +124,19 @@ def format_profile(stages: Dict[str, float]) -> str:
         for label, n in sorted(stages.items())
         if label.startswith("engine.per-cell.")
     }
-    if passes or per_cell:
+    shared = {
+        label.removeprefix("shared."): int(n)
+        for label, n in sorted(stages.items()) if label.startswith("shared.")
+    }
+    if passes or per_cell or shared:
         instances = stages.get("engine.instances", 0) / passes if passes else 0.0
         reasons = ", ".join(f"{n} {reason}" for reason, n in per_cell.items())
         lines.append(
             f"engine: {passes} stacked passes ({instances:.1f} instances/pass), "
             f"{sum(per_cell.values())} cells run one by one"
             + (f" ({reasons})" if reasons else "")
+            + "".join(f", {n} cells shared ({pair})"
+                      for pair, n in shared.items())
         )
     return "\n".join(lines)
 

@@ -84,6 +84,8 @@ class Task:
     #: Seed the datasets were synthesized with; campaign handles rebuild
     #: the task from it so workers evaluate the exact same test set.
     seed: int = 0
+    #: The model's ``dropout_dims``: what its dropout sites see.
+    dropout_dims: str = "2d"
 
     def build_model(self, method: MethodConfig, seed: int = 0) -> Module:
         """Construct the model deterministically for (method, seed)."""
@@ -144,6 +146,7 @@ def image_task(preset: str = "small", seed: int = 0) -> Task:
         lr=3e-3,
         cache_tag=_tag(sizes),
         seed=seed,
+        dropout_dims=ResNet18.dropout_dims,
     )
 
 
@@ -175,6 +178,7 @@ def audio_task(preset: str = "small", seed: int = 0) -> Task:
         lr=3e-3,
         cache_tag=_tag(sizes),
         seed=seed,
+        dropout_dims=M5.dropout_dims,
     )
 
 
@@ -204,6 +208,7 @@ def co2_task(preset: str = "small", seed: int = 0) -> Task:
         weight_decay=1e-5,
         cache_tag=_tag(sizes),
         seed=seed,
+        dropout_dims=LSTMForecaster.dropout_dims,
     )
 
 
@@ -233,7 +238,21 @@ def vessel_task(preset: str = "small", seed: int = 0) -> Task:
         lr=3e-3,
         cache_tag=_tag(sizes),
         seed=seed,
+        dropout_dims=UNet.dropout_dims,
     )
+
+
+def network_method(task: Task, method: MethodConfig) -> MethodConfig:
+    """The method whose network ``method`` builds on ``task``.
+
+    :meth:`~repro.models.methods.MethodConfig.network` at the task
+    model's ``dropout_dims``, the value its dropout sites pass to
+    :meth:`~repro.models.methods.MethodConfig.make_dropout`: on the co2
+    LSTM, ``spatial-spindrop`` is ``spindrop``; everywhere else a method
+    is its own network.  Two methods with one network train to the same
+    weights and give the same campaign values.
+    """
+    return method.network(task.dropout_dims)
 
 
 TASK_BUILDERS: Dict[str, Callable[..., Task]] = {

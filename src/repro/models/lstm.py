@@ -5,7 +5,10 @@ paper's "NN with two LSTM layers and a classifier layer" for the atmospheric
 CO2 forecast.  The method's normalization (inverted norm for the proposed
 method) is applied to the hidden features between recurrent layers and
 before the head; SpinDrop-style baselines insert dropout at the same sites,
-the standard placement for recurrent dropout.
+the standard placement for recurrent dropout.  A site sees the ``(n,
+hidden)`` vector, which has no spatial axis, so SpatialSpinDrop's spatial
+dropout there is SpinDrop's unit dropout and the two build one network
+(:meth:`~repro.models.methods.MethodConfig.network`).
 """
 
 from __future__ import annotations
@@ -49,6 +52,10 @@ class LSTMForecaster(Module):
     (norms, dropout) follow each layer.
     """
 
+    #: Dropout sees the ``(n, hidden)`` vector between layers, which has
+    #: no spatial axis (:data:`~repro.models.methods.SPATIAL_DROPOUT`).
+    dropout_dims = "features"
+
     def __init__(
         self,
         method: MethodConfig,
@@ -68,7 +75,7 @@ class LSTMForecaster(Module):
             in_size = input_size if layer == 0 else hidden_size
             cells.append(QuantLSTMCell(in_size, hidden_size, weight_bits=bits))
             norms.append(method.make_norm(hidden_size, dims="1d", mode="instance"))
-            drops.append(method.make_dropout(dims="1d"))
+            drops.append(method.make_dropout(dims=self.dropout_dims))
         self.cells = ModuleList(cells)
         self.norms = ModuleList(norms)
         self.drops = ModuleList(drops)

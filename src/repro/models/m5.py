@@ -38,7 +38,7 @@ class _ConvUnit(Module):
             weight_bits=bits,
         )
         self.norm = method.make_norm(out_channels, dims="1d", mode="instance")
-        self.drop = method.make_dropout(dims="1d")
+        self.drop = method.make_dropout(dims=M5.dropout_dims)
         self.act = QuantReLU(bits=bits)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -62,6 +62,9 @@ class M5(Module):
     bits:
         Weight/activation bit width (Table I: 8).
     """
+
+    #: What every dropout site sees (:data:`~repro.models.methods.SPATIAL_DROPOUT`).
+    dropout_dims = "1d"
 
     def __init__(
         self,

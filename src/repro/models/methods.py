@@ -138,13 +138,50 @@ class MethodConfig:
             return Identity()
         raise ValueError(f"unknown conventional norm {self.conventional_norm!r}")
 
+    def network(self, dims: str) -> "MethodConfig":
+        """The method whose network this one builds at dropout sites of
+        ``dims`` (:data:`SPATIAL_DROPOUT`).
+
+        Spatial dropout on ``"features"`` vectors is unit dropout, so
+        there ``spatial-spindrop`` builds the ``spindrop`` network with
+        the same ``p``, norm and ``epochs_multiplier``; every other
+        method, and every other ``dims``, builds its own.
+        """
+        if dims not in SPATIAL_DROPOUT:
+            raise ValueError(
+                f"unknown dropout dims {dims!r}; expected one of "
+                f"{tuple(SPATIAL_DROPOUT)}"
+            )
+        if self.name == "spatial-spindrop" and SPATIAL_DROPOUT[dims] is Dropout:
+            return self.with_(name="spindrop")
+        return self
+
     def make_dropout(self, dims: str = "2d") -> Module:
-        """Block-level dropout for the SpinDrop-family baselines."""
-        if self.name == "spindrop":
+        """Block-level dropout for the SpinDrop-family baselines: the
+        dropout of :meth:`network`, so the two cannot disagree."""
+        name = self.network(dims).name
+        if name == "spindrop":
             return Dropout(self.p)
-        if self.name == "spatial-spindrop":
-            return SpatialDropout2d(self.p) if dims == "2d" else SpatialDropout1d(self.p)
+        if name == "spatial-spindrop":
+            return SPATIAL_DROPOUT[dims](self.p)
         return Identity()
+
+
+#: Spatial dropout by the ``dims`` of the tensor a dropout site sees:
+#: ``"2d"`` feature maps ``(n, C, H, W)``, ``"1d"`` sequences
+#: ``(n, C, L)``, ``"features"`` vectors ``(n, F)`` (leading chip axes
+#: aside).  A vector has no spatial axis, so dropping a whole channel
+#: there is dropping one unit: spatial dropout is unit dropout, the same
+#: mask shape drawn from the same stream.
+SPATIAL_DROPOUT = {
+    "2d": SpatialDropout2d,
+    "1d": SpatialDropout1d,
+    "features": Dropout,
+}
+
+#: ``epochs_multiplier`` of each method's factory where it is not the
+#: :class:`MethodConfig` default of 1.0.
+FACTORY_EPOCHS_MULTIPLIER = {"spindrop": 2.0, "spatial-spindrop": 2.0}
 
 
 def conventional(**kwargs) -> MethodConfig:
@@ -154,13 +191,15 @@ def conventional(**kwargs) -> MethodConfig:
 
 def spindrop(**kwargs) -> MethodConfig:
     """SpinDrop [8]: Bernoulli-dropout Bayesian NN."""
-    kwargs.setdefault("epochs_multiplier", 2.0)
+    kwargs.setdefault("epochs_multiplier", FACTORY_EPOCHS_MULTIPLIER["spindrop"])
     return MethodConfig(name="spindrop", **kwargs)
 
 
 def spatial_spindrop(**kwargs) -> MethodConfig:
     """SpatialSpinDrop [7]: spatial-dropout Bayesian NN."""
-    kwargs.setdefault("epochs_multiplier", 2.0)
+    kwargs.setdefault(
+        "epochs_multiplier", FACTORY_EPOCHS_MULTIPLIER["spatial-spindrop"]
+    )
     return MethodConfig(name="spatial-spindrop", **kwargs)
 
 

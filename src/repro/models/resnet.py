@@ -56,7 +56,7 @@ class BasicBlock(Module):
         # SpinDrop-family baselines sample one dropout per residual block,
         # placed inside the first branch so the skip path keeps a clean
         # signal (binarized networks do not train otherwise at this scale).
-        self.drop = method.make_dropout(dims="2d")
+        self.drop = method.make_dropout(dims=ResNet18.dropout_dims)
         if stride != 1 or in_channels != out_channels:
             # Full-precision 1x1 projection shortcut (negligible footprint).
             self.shortcut = Conv2d(
@@ -89,6 +89,8 @@ class ResNet18(Module):
     """
 
     STAGE_BLOCKS = (2, 2, 2, 2)
+    #: What every dropout site sees (:data:`~repro.models.methods.SPATIAL_DROPOUT`).
+    dropout_dims = "2d"
 
     def __init__(
         self,

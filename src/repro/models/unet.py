@@ -37,13 +37,13 @@ class _UNetConvBlock(Module):
         self.norm1 = method.make_norm(
             out_channels, dims="2d", mode="group", num_groups=num_groups
         )
-        self.drop1 = method.make_dropout(dims="2d")
+        self.drop1 = method.make_dropout(dims=UNet.dropout_dims)
         self.act1 = PACT(bits=act_bits)
         self.conv2 = QuantConv2d(out_channels, out_channels, 3, padding=1, weight_bits=1)
         self.norm2 = method.make_norm(
             out_channels, dims="2d", mode="group", num_groups=num_groups
         )
-        self.drop2 = method.make_dropout(dims="2d")
+        self.drop2 = method.make_dropout(dims=UNet.dropout_dims)
         self.act2 = PACT(bits=act_bits)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -66,6 +66,9 @@ class UNet(Module):
     act_bits:
         PACT activation bit width (Table I: 4).
     """
+
+    #: What every dropout site sees (:data:`~repro.models.methods.SPATIAL_DROPOUT`).
+    dropout_dims = "2d"
 
     def __init__(
         self,

@@ -180,11 +180,14 @@ class TestExecution:
 
         monkeypatch.setattr(cache, "_usable_cpus", lambda: 1)  # in process
         main(self._CO2_PROFILE)
-        engine = self._engine_line(capsys)
-        # Per method: the fault-free level runs per cell; both faulty
-        # levels' chips stack into one pass.
-        assert engine.startswith("engine: 4 stacked passes")
-        assert engine.endswith("4 cells run one by one (4 fault-free)")
+        # Per network: the fault-free level runs per cell; both faulty
+        # levels' chips stack into one pass.  SpatialSpinDrop's LSTM is
+        # SpinDrop's, so its 1 + 3 + 3 cells are shared, not run.
+        assert self._engine_line(capsys) == (
+            "engine: 3 stacked passes (18.0 instances/pass), "
+            "3 cells run one by one (3 fault-free), "
+            "7 cells shared (spatial-spindrop = spindrop)"
+        )
 
     def test_pooled_profile_counts_every_job(self, isolated_cache,
                                             monkeypatch, capsys):
@@ -197,12 +200,13 @@ class TestExecution:
         for _ in range(2):
             main(self._CO2_PROFILE + ["--no-cache"])
             lines.append(self._engine_line(capsys))
-        # Per method: the fault-free job runs its one cell; each faulty
+        # Per network: the fault-free job runs its one cell; each faulty
         # job stacks its three chips in one pass (4 MC samples per chip
-        # for the three Bayesian methods).
+        # for the two Bayesian networks).
         assert lines[0] == lines[1] == (
-            "engine: 8 stacked passes (9.8 instances/pass), "
-            "4 cells run one by one (4 fault-free)"
+            "engine: 6 stacked passes (9.0 instances/pass), "
+            "3 cells run one by one (3 fault-free), "
+            "7 cells shared (spatial-spindrop = spindrop)"
         )
 
 

@@ -40,6 +40,8 @@ def co2_models(tmp_path_factory):
         for method in cli._methods_for("co2"):
             cache.trained_model(task, method, "tiny")
     cache.clear_memory_cache()
+    # SpatialSpinDrop's LSTM is SpinDrop's: one checkpoint serves both.
+    assert len(list(root.glob("*.npz"))) == 3
     return root
 
 

@@ -117,6 +117,11 @@ def test_table1_warms_only_pairs_the_store_cannot_serve(isolated_cache,
     pairs = [(name, method) for name in ("image", "audio", "vessels", "co2")
              for method in cli._methods_for(name)]
     stored = pairs[1::3]
+    # co2's SpatialSpinDrop builds SpinDrop's network: its cells come with
+    # SpinDrop's (here from the store), and it is never warmed itself.
+    co2_spatial = pairs[14]
+    assert co2_spatial[1].name == "spatial-spindrop"
+    assert ("co2", co2_spatial[1].with_(name="spindrop")) in stored
     for name, method in stored:  # the store holds these Table I cells
         key = campaign_key(build_task(name, preset="tiny"), method,
                            FaultSpec("none", 0.0), 1, mc_samples("tiny"), 0)
@@ -125,18 +130,19 @@ def test_table1_warms_only_pairs_the_store_cannot_serve(isolated_cache,
     monkeypatch.setattr(cli, "train_models",
                         lambda jobs, *a, **kw: warmed.append(jobs))
 
-
     def fake_compute(works, **kwargs):
         for work in works:
             for m, indices in work.pending.items():
-                work.values[m].update((i, np.array([0.5])) for i in indices)
+                for i in indices:
+                    work.record(m, i, np.array([0.5]))
 
     monkeypatch.setattr(cli, "compute_pending", fake_compute)
     cli.main(["--preset", "tiny", "table1"])
     cli.main(["--preset", "tiny", "table1", "--no-cache"])
     capsys.readouterr()
     names = [[(task.name, method) for task, method in jobs] for jobs in warmed]
-    assert names == [[p for p in pairs if p not in stored], pairs]
+    assert names == [[p for p in pairs if p not in stored + [co2_spatial]],
+                     [p for p in pairs if p != co2_spatial]]
 
 
 def test_warm_store_trains_and_writes_no_checkpoint(isolated_cache,

@@ -54,6 +54,15 @@ class TestMethodConfig:
         assert isinstance(spindrop().make_dropout(), Dropout)
         assert isinstance(spatial_spindrop().make_dropout(), SpatialDropout2d)
 
+    def test_spatial_dropout_on_features_is_unit_dropout(self):
+        assert type(spatial_spindrop().make_dropout(dims="features")) is Dropout
+        assert spatial_spindrop().network("features") == spindrop()
+        assert spatial_spindrop().network("1d") == spatial_spindrop()
+
+    def test_unknown_dropout_dims_rejected(self):
+        with pytest.raises(ValueError, match="unknown dropout dims"):
+            conventional().make_dropout(dims="3d")
+
     def test_proposed_has_no_block_dropout(self):
         from repro.nn import Identity
 

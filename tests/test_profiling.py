@@ -106,3 +106,13 @@ class TestProfiling:
             "3 cells run one by one (1 fault-free, 2 over-budget)"
         )
         assert "engine:" not in format_profile({"attach": 0.01})
+
+    def test_format_profile_renders_shared_cells(self):
+        text = format_profile({
+            "store": 0.01, "engine.passes": 2, "engine.instances": 24,
+            "shared.spatial-spindrop = spindrop": 7,
+        })
+        assert text.splitlines()[-1] == (
+            "engine: 2 stacked passes (12.0 instances/pass), "
+            "0 cells run one by one, 7 cells shared (spatial-spindrop = spindrop)"
+        )
