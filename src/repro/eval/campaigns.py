@@ -49,6 +49,7 @@ from ..profiling import add as add_profile
 from ..profiling import count, profiled, stage
 from .cache import (
     ResultStore,
+    _method_key,
     _model_key,
     campaign_key,
     fork_map,
@@ -68,10 +69,6 @@ class MethodCurve:
     levels: np.ndarray
     means: np.ndarray
     stds: np.ndarray
-
-    def value_at(self, level: float) -> float:
-        idx = int(np.argmin(np.abs(self.levels - level)))
-        return float(self.means[idx])
 
     @property
     def clean(self) -> float:
@@ -325,8 +322,18 @@ def split_sweep(
     Settings as :func:`campaign_settings` resolves them; ``use_cache=False``
     reads nothing, so every scenario is pending.  A method the store
     cannot serve at a scenario takes, and stores, the entry another
-    method of its network has there.
+    method of its network has there.  The curves are keyed by method
+    name, so two methods of one name raise ``ValueError``.
     """
+    named: Dict[str, MethodConfig] = {}
+    for method in methods:
+        if method.name in named:
+            raise ValueError(
+                f"methods {_method_key(named[method.name])} and "
+                f"{_method_key(method)} share the name {method.name!r}; a "
+                "sweep keys its curves by name"
+            )
+        named[method.name] = method
     n_runs, samples, max_eval_samples = campaign_settings(
         preset, n_runs, samples, max_eval_samples
     )

@@ -6,7 +6,7 @@ and record autograd history when gradient mode is enabled.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -249,22 +249,3 @@ def add_noise(x: Tensor, noise: np.ndarray) -> Tensor:
         x._accumulate(grad)
 
     return Tensor._make(data, [x], backward, "add_noise")
-
-
-def mean_pool_global(x: Tensor, axes: Union[int, Tuple[int, ...]]) -> Tensor:
-    """Global average over the given axes (keeps batch/channel dims)."""
-    return x.mean(axis=axes, keepdims=False)
-
-
-def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
-    """Row gather used by embedding-style layers."""
-    weight = as_tensor(weight)
-    idx = np.asarray(indices, dtype=np.int64)
-    data = weight.data[idx]
-
-    def backward(grad: np.ndarray) -> None:
-        full = np.zeros_like(weight.data)
-        np.add.at(full, idx, grad)
-        weight._accumulate(full)
-
-    return Tensor._make(data, [weight], backward, "embedding")

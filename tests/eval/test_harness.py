@@ -18,10 +18,11 @@ from repro.eval import (
     table_header,
     trained_model,
 )
+from repro.eval.cache import _method_key
 from repro.eval.campaigns import MethodCurve, RobustnessSweep
 from repro.eval.tasks import active_preset
 from repro.faults import bitflip_sweep
-from repro.models import conventional, proposed
+from repro.models import conventional, proposed, spindrop
 from repro.tensor import Tensor, manual_seed
 
 
@@ -116,6 +117,24 @@ class TestSweepAndMetrics:
         assert len(curve.means) == 2
         assert curve.clean == curve.means[0]
         assert np.isfinite(sweep.improvement_over("conventional")).all()
+
+    def test_methods_sharing_a_name_are_rejected(self, isolated_cache):
+        """Curves are keyed by name: two spindrop configurations would
+        collapse into one curve, so the sweep refuses them up front."""
+        task = build_task("co2", preset="tiny")
+        methods = [spindrop(), spindrop(epochs_multiplier=1.0)]
+        with pytest.raises(ValueError) as excinfo:
+            run_robustness_sweep(
+                task, methods, bitflip_sweep([0.0, 0.1]), preset="tiny",
+                n_runs=2,
+            )
+        keys = [_method_key(method) for method in methods]
+        assert keys[0] != keys[1]
+        assert (
+            f"methods {keys[0]} and {keys[1]} share the name 'spindrop'"
+            in str(excinfo.value)
+        )
+        assert not list(isolated_cache.rglob("*.npz"))  # nothing trained
 
     def test_baseline_metrics_keys(self, isolated_cache):
         task = build_task("co2", preset="tiny")

@@ -173,6 +173,76 @@ class TestEviction:
         assert store.evict(max_entries=10) == 0
 
 
+class TestEvictionBoundary:
+    """Exact behaviour of a bounded result store at its capacity edge."""
+
+    CAP = 4
+
+    @classmethod
+    def _put(cls, store, i):
+        """Store entry ``i``, pin its recency to a distinct old mtime, and
+        bound the store to ``CAP`` entries."""
+        key = f"cell-{i}"
+        store.put(key, np.full(3, float(i)))
+        stamp = 1_000_000 + i
+        os.utime(store.address(key), (stamp, stamp))
+        store.evict(cls.CAP)
+
+    @staticmethod
+    def _resident(store, count):
+        return [i for i in range(count) if store.address(f"cell-{i}").exists()]
+
+    def test_capacity_exactly_reached_keeps_every_entry(self, tmp_path):
+        store = ResultStore(tmp_path)
+        for i in range(self.CAP):
+            self._put(store, i)
+        assert len(store) == self.CAP and store.evicted == 0
+        reader = ResultStore(tmp_path)  # fresh session: served from disk
+        for i in range(self.CAP):
+            np.testing.assert_array_equal(reader.get(f"cell-{i}"), np.full(3, i))
+        assert reader.hits == self.CAP and reader.misses == 0
+
+    def test_one_past_capacity_evicts_exactly_the_oldest(self, tmp_path):
+        store = ResultStore(tmp_path)
+        for i in range(self.CAP):
+            self._put(store, i)
+        store.put("cell-new", np.zeros(3))
+        store.evict(self.CAP)  # newest mtime: now
+        assert store.evicted == 1 and len(store) == self.CAP
+        assert self._resident(store, self.CAP) == list(range(1, self.CAP))
+        reader = ResultStore(tmp_path)
+        assert reader.get("cell-0") is None  # the evicted key misses
+        assert reader.get("cell-new") is not None
+
+    def test_served_entry_refreshes_recency(self, tmp_path):
+        """A served entry becomes most recent and survives the next eviction."""
+        store = ResultStore(tmp_path)
+        for i in range(self.CAP):
+            self._put(store, i)
+        assert ResultStore(tmp_path).get("cell-0") is not None  # touch LRU
+        store.put("cell-new", np.zeros(3))
+        store.evict(self.CAP)
+        assert self._resident(store, self.CAP) == [0] + list(range(2, self.CAP))
+        assert store.evicted == 1
+
+    def test_counters_accumulate_across_eviction(self, tmp_path):
+        """Store counters are monotone totals, never reset by eviction."""
+        store = ResultStore(tmp_path)
+        for i in range(self.CAP + 3):
+            self._put(store, i)
+        first = store.snapshot()
+        assert first["puts"] == self.CAP + 3 and first["evicted"] == 3
+        store.get("cell-0")  # evicted: a miss
+        for i in range(self.CAP + 3, self.CAP + 5):
+            self._put(store, i)
+        second = store.snapshot()
+        for name, value in first.items():
+            assert second[name] >= value
+        assert second["puts"] == first["puts"] + 2
+        assert second["evicted"] == first["evicted"] + 2
+        assert second["misses"] == first["misses"] + 1
+
+
 class TestCrossSession:
     def test_two_stores_same_root_merge(self, tmp_path):
         root = tmp_path / "store"

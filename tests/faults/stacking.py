@@ -1,4 +1,4 @@
-"""Shared pairs, engine settings and oracle checks for the stacking tests."""
+"""Shared pairs, sweeps, engine budgets and per-cell values for the stacking tests."""
 
 import numpy as np
 
@@ -6,7 +6,6 @@ from repro import nn
 from repro.core.bayesian import mc_forward
 from repro.eval import build_task, make_evaluator, trained_model
 from repro.faults import (
-    PER_CELL,
     EngineConfig,
     FaultSpec,
     MonteCarloCampaign,
@@ -16,10 +15,6 @@ from repro.faults.executor import Footprint
 from repro.quant import QuantConv2d, QuantLinear, SignActivation
 from repro.tensor import Tensor, manual_seed
 from repro.tensor.chipbatch import active_chip_count
-
-#: Campaign engines by the names the tests grew up with: the per-cell
-#: oracle and the unbounded stacked engine.
-ENGINES = {"serial": PER_CELL, "batched": EngineConfig(max_batch_bytes=None)}
 
 #: Micro-model sweeps of two or three faulty levels, one per fault kind.
 SWEEPS_BY_KIND = {
@@ -95,17 +90,6 @@ def sweep_values(model, evaluator, specs, n_runs, engine, base_seed=0):
         model, evaluator, n_runs=n_runs, base_seed=base_seed, engine=engine
     )
     return [result.values for result in campaign.sweep(specs)]
-
-
-def assert_stacked_identity(task_name, method, specs, samples=3, n_runs=3):
-    """An unbounded stacked sweep of a tiny task equals the per-cell oracle."""
-    model, evaluator = tiny_pair(task_name, method, samples)
-    serial, batched = (
-        sweep_values(model, evaluator, specs, n_runs, engine)
-        for engine in ENGINES.values()
-    )
-    for s, b in zip(serial, batched):
-        np.testing.assert_array_equal(s, b)
 
 
 def chip_engine(model, evaluator, chips):

@@ -1,81 +1,93 @@
-"""Tests for the campaign engine's single-scenario stacked passes.
+"""Tests for the campaign engine's stacked passes.
 
-The engine's contract is the per-cell contract plus one word: stacking a
-scenario's chip instances along a leading chip axis and evaluating them
+The engine's contract is the per-cell contract plus one word: stacking
+cells' chip instances along a leading instance axis and evaluating them
 in one vectorized pass
 (:func:`~repro.faults.executor.evaluate_cells_stacked`) must produce
 **bit-identical per-chip metrics** to evaluating the cells one at a
-time.  These tests check that contract across fault models
-(multi-bit bit flips, binary bit flips, additive/uniform variation),
-topologies (conv nets, the LSTM forecaster, a binary net with
-sign-activation injection sites), chip-axis edge cases (C=1, budgets
-that split a scenario's chips), and the campaign-result cache (stacked
-runs produce and consume the same keys as per-cell runs).
+time.  All four topologies × methods × fault kinds are pinned in
+``test_identity_matrix.py``; here the micro-model of
+``tests/faults/stacking.py`` checks every fault kind for each shape a
+pass can take (one chip, several chips of one scenario, several
+scenarios at their own severities, each with an MC-sample axis), plus
+the stacked fault hooks, the stacked attach's validation, the chip-batch
+primitives, and campaign sweeps on the stacked engine.
 """
 
 import numpy as np
 import pytest
 
-from repro.eval import (
-    build_task,
-    campaign_key,
-    load_campaign_values,
-    run_robustness_sweep,
-)
 from repro.faults import (
+    PER_CELL,
     ChipBatchedActivationNoise,
+    EngineConfig,
+    FaultInjector,
     FaultSpec,
     MonteCarloCampaign,
     StackedWeightFault,
     WorkCell,
     additive_sweep,
     bitflip_sweep,
-    evaluate_cell,
     evaluate_cells_stacked,
-    uniform_sweep,
 )
-from repro.models import conventional, proposed, spindrop
 from repro.quant import QuantLinear
-from repro.quant.functional import QuantizedWeight
+from repro.quant.functional import fake_quantize_weight_record
+from repro.quant.layers import deploy_cache_disabled
 from repro.tensor import Tensor, chip_batch, manual_seed
-from repro.tensor.chipbatch import ChipBatchRng, active_chip_count
-from tests.faults.stacking import (
-    ENGINES,
-    assert_stacked_identity,
-    build_pair,
-    chip_engine,
-)
+from repro.tensor.chipbatch import ChipBatchRng, active_chip_count, mc_sample_axis
+from tests.faults.stacking import SWEEPS_BY_KIND, build_pair, serial_values
 
 
-def _serial_reference(model, evaluator, cells, base_seed):
-    return np.array(
-        [evaluate_cell(model, evaluator, cell, base_seed) for cell in cells]
-    )
-
-
-class TestEvaluateCellsBatched:
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            FaultSpec(kind="bitflip", level=0.1),  # binary + 8-bit sites
-            FaultSpec(kind="additive", level=0.3),  # routed to activations
-            FaultSpec(kind="stuck", level=0.2, stuck_to="high"),
-            FaultSpec(kind="drift", level=24.0),
-        ],
-    )
-    def test_bit_identical_to_serial(self, spec):
+class TestStackedCells:
+    @pytest.mark.parametrize("kind", sorted(SWEEPS_BY_KIND), ids=str)
+    def test_every_pass_shape_gives_the_per_cell_bits(self, kind):
+        """One chip, the four chips of one scenario and every scenario of
+        the kind at once, cached and with the deployment cache off; the
+        micro-model's three MC samples put a sample axis in each pass.
+        The per-cell cells in reverse order, uncached, agree too."""
         model, evaluator = build_pair()
-        cells = [WorkCell(2, run, spec) for run in range(6)]
-        serial = _serial_reference(model, evaluator, cells, base_seed=5)
-        batched = evaluate_cells_stacked(model, evaluator, cells, base_seed=5)
-        np.testing.assert_array_equal(serial, batched)
+        specs = SWEEPS_BY_KIND[kind]
+        cells = [
+            WorkCell(idx, run, spec)
+            for idx, spec in enumerate(specs)
+            for run in range(4)
+        ]
+        oracle = serial_values(model, evaluator, cells, 5)
+        with deploy_cache_disabled():
+            reverse = serial_values(
+                model, evaluator, cells, 5, order=reversed(range(len(cells)))
+            )
+            uncached = evaluate_cells_stacked(model, evaluator, cells, 5)
+        np.testing.assert_array_equal(reverse, oracle, "reversed, uncached")
+        np.testing.assert_array_equal(uncached, oracle, "stacked, uncached")
+        for label, n in (
+            ("one chip", 1), ("one scenario", 4), ("across scenarios", len(cells))
+        ):
+            stacked = evaluate_cells_stacked(model, evaluator, cells[:n], 5)
+            np.testing.assert_array_equal(stacked, oracle[:n], label)
 
-    def test_single_chip_batch(self):
+    def test_matches_per_scenario_passes(self):
         model, evaluator = build_pair()
-        cells = [WorkCell(0, 3, FaultSpec(kind="bitflip", level=0.2))]
-        serial = _serial_reference(model, evaluator, cells, base_seed=1)
-        batched = evaluate_cells_stacked(model, evaluator, cells, base_seed=1)
-        np.testing.assert_array_equal(serial, batched)
+        specs = SWEEPS_BY_KIND["additive"]
+        cell_groups = [
+            [WorkCell(idx, run, spec) for run in range(3)]
+            for idx, spec in enumerate(specs)
+        ]
+        per_scenario = np.concatenate(
+            [
+                evaluate_cells_stacked(model, evaluator, group, base_seed=2)
+                for group in cell_groups
+            ]
+        )
+        stacked = evaluate_cells_stacked(
+            model, evaluator, [c for group in cell_groups for c in group],
+            base_seed=2,
+        )
+        np.testing.assert_array_equal(per_scenario, stacked)
+
+    def test_empty_pass(self):
+        model, evaluator = build_pair()
+        assert evaluate_cells_stacked(model, evaluator, [], 0).size == 0
 
     def test_rejects_mixed_kinds(self):
         model, evaluator = build_pair()
@@ -98,103 +110,97 @@ class TestEvaluateCellsBatched:
         )
 
 
-class TestBackendEquivalence:
-    def _campaign(self, executor, chips=None):
-        model, evaluator = build_pair()
-        engine = ENGINES[executor]
-        if chips is not None:
-            engine = chip_engine(model, evaluator, chips)
-        return MonteCarloCampaign(
-            model, evaluator, n_runs=5, base_seed=3, engine=engine
-        )
+class TestStackedWeightFault:
+    @staticmethod
+    def _record(shape=(4, 5), bits=8, seed=0):
+        weights = np.random.default_rng(seed).normal(size=shape)
+        return fake_quantize_weight_record(weights, bits)
 
+    @staticmethod
+    def _hook(specs, seed_groups):
+        """One stacked hook over every (spec, seed) cell, spec-major."""
+        return StackedWeightFault([
+            spec.build_weight_model(np.random.default_rng(seed))
+            for spec, seeds in zip(specs, seed_groups)
+            for seed in seeds
+        ])
+
+    @pytest.mark.parametrize("kind, levels, bits", [
+        ("additive", (0.1, 0.4), 8),
+        ("bitflip", (0.1, 0.3), 4),
+        ("bitflip", (0.25,), 8),
+    ], ids=["additive-8bit", "bitflip-4bit", "bitflip-8bit"])
+    def test_slices_match_per_cell_models(self, kind, levels, bits):
+        """Each instance's slice is its own per-cell model's output."""
+        qw = self._record(bits=bits)
+        specs = [FaultSpec(kind=kind, level=level) for level in levels]
+        seed_groups = [[11 * k + 1, 11 * k + 2, 11 * k + 3] for k in range(len(specs))]
+        stacked = self._hook(specs, seed_groups)(qw)
+        assert stacked.shape == (3 * len(specs),) + qw.codes.shape
+        for k, (spec, seeds) in enumerate(zip(specs, seed_groups)):
+            for c, seed in enumerate(seeds):
+                model = spec.build_weight_model(np.random.default_rng(seed))
+                np.testing.assert_array_equal(stacked[3 * k + c], model(qw))
+
+    def test_heterogeneous_severities_vary_along_axis(self):
+        qw = self._record()
+        specs = [
+            FaultSpec(kind="uniform", level=0.05),
+            FaultSpec(kind="uniform", level=0.5),
+        ]
+        stacked = self._hook(specs, [[1], [1]])(qw)
+        # Same seed, different severity: same pattern, different magnitude.
+        low = np.abs(stacked[0] - qw.codes)
+        high = np.abs(stacked[1] - qw.codes)
+        assert high.max() > low.max() * 2
+
+    def test_repeats_along_sample_axis(self):
+        qw = self._record()
+        hook = self._hook([FaultSpec(kind="additive", level=0.2)], [[7, 8]])
+        flat = hook(qw)
+        with mc_sample_axis(3):
+            expanded = hook(qw)
+        assert expanded.shape == (6,) + qw.codes.shape
+        np.testing.assert_array_equal(expanded, np.repeat(flat, 3, axis=0))
+
+
+class TestAttachScenarioBatched:
+    """A rejected stacked attach leaves no weight-fault hook and draws no seed."""
+
+    @pytest.mark.parametrize("specs, n_rngs, match", [
+        ([FaultSpec(kind="additive", level=0.1),
+          FaultSpec(kind="uniform", level=0.1)], 2, "one fault kind"),
+        ([FaultSpec(kind="bitflip", level=0.1),
+          FaultSpec(kind="bitflip", level=0.0)], 2, "non-degenerate"),
+        ([FaultSpec(kind="none", level=0.0)], 1, "non-degenerate"),
+        ([FaultSpec(kind="additive", level=0.1)], 2, "one rng per spec"),
+    ], ids=["mixed-kinds", "zero-level", "fault-free", "mismatched-groups"])
+    def test_rejected_cleanly(self, specs, n_rngs, match):
+        model, _ = build_pair()
+        injector = FaultInjector(model)
+        injector.attach(FaultSpec(kind="bitflip", level=0.1), np.random.default_rng(9))
+        assert any(layer.weight_fault is not None for layer in injector._weight_sites())
+        rngs = [np.random.default_rng(seed) for seed in range(1, n_rngs + 1)]
+        states = [rng.bit_generator.state for rng in rngs]
+        with pytest.raises(ValueError, match=match):
+            injector.attach_scenario_batched(specs, rngs)
+        assert all(layer.weight_fault is None for layer in injector._weight_sites())
+        assert [rng.bit_generator.state for rng in rngs] == states
+
+
+class TestStackedSweeps:
     @pytest.mark.parametrize("sweep_builder", [bitflip_sweep, additive_sweep])
-    def test_batched_matches_serial_sweep(self, sweep_builder):
+    def test_stacked_sweep_matches_per_cell_sweep(self, sweep_builder):
+        model, evaluator = build_pair()
         specs = sweep_builder([0.0, 0.1, 0.2])
-        serial = self._campaign("serial").sweep(specs)
-        batched = self._campaign("batched").sweep(specs)
+        serial, batched = (
+            MonteCarloCampaign(
+                model, evaluator, n_runs=5, base_seed=3, engine=engine
+            ).sweep(specs)
+            for engine in (PER_CELL, EngineConfig(None))
+        )
         for s, b in zip(serial, batched):
             np.testing.assert_array_equal(s.values, b.values)
-
-    @pytest.mark.parametrize("chip_limit", [1, 2, 4])
-    def test_chip_limit_subbatching_is_invisible(self, chip_limit):
-        """A budget of ``chip_limit`` chips splits each scenario's passes."""
-        specs = bitflip_sweep([0.0, 0.15])
-        serial = self._campaign("serial").sweep(specs)
-        limited = self._campaign("batched", chips=chip_limit).sweep(specs)
-        for s, b in zip(serial, limited):
-            np.testing.assert_array_equal(s.values, b.values)
-
-
-class TestTaskIdentity:
-    """Batched == serial on the real tiny tasks (trained-model cache warm)."""
-
-    def test_audio_conv_multibit_bitflip(self):
-        assert_stacked_identity("audio", proposed(), bitflip_sweep([0.0, 0.1]))
-
-    def test_audio_conv_additive_conventional(self):
-        assert_stacked_identity("audio", conventional(), additive_sweep([0.0, 0.2]))
-
-    def test_lstm_uniform_noise(self):
-        assert_stacked_identity("co2", proposed(), uniform_sweep([0.0, 0.2]))
-
-    def test_lstm_bitflip_spindrop(self):
-        assert_stacked_identity("co2", spindrop(), bitflip_sweep([0.0, 0.1]))
-
-    def test_binary_resnet_activation_variation(self):
-        # Additive variation on a binary net routes to the pre-sign
-        # activations; exercises ChipBatchedActivationNoise.
-        assert_stacked_identity(
-            "image", proposed(), additive_sweep([0.0, 0.3]), n_runs=2
-        )
-
-    def test_unet_groupwise_bitflip(self):
-        assert_stacked_identity(
-            "vessels", proposed(), bitflip_sweep([0.0, 0.1]), n_runs=2
-        )
-
-
-class TestCacheEquivalence:
-    def test_batched_hits_serial_cache_keys(self, isolated_cache):
-        task = build_task("audio", preset="tiny")
-        methods = [proposed()]
-        specs = bitflip_sweep([0.0, 0.1])
-        serial = run_robustness_sweep(
-            task, methods, specs, preset="tiny", n_runs=3, executor="serial"
-        )
-        keys = [
-            campaign_key(task, methods[0], spec, 3, 4, 0, None) for spec in specs
-        ]
-        cached = [load_campaign_values(key) for key in keys]
-        assert all(values is not None for values in cached)
-        # A batched re-run is served entirely from the serial run's store
-        # entries (same keys), and reproduces the same curves.
-        store_dir = isolated_cache / "store"
-        files_before = sorted(p.name for p in store_dir.rglob("*.npz"))
-        batched = run_robustness_sweep(
-            task, methods, specs, preset="tiny", n_runs=3,
-            engine=ENGINES["batched"],
-        )
-        files_after = sorted(p.name for p in store_dir.rglob("*.npz"))
-        assert files_before == files_after
-        np.testing.assert_array_equal(
-            serial.curves["proposed"].means, batched.curves["proposed"].means
-        )
-
-    def test_batched_populates_cache_for_serial(self, isolated_cache):
-        task = build_task("audio", preset="tiny")
-        methods = [proposed()]
-        specs = bitflip_sweep([0.0, 0.1])
-        batched = run_robustness_sweep(
-            task, methods, specs, preset="tiny", n_runs=3,
-            engine=ENGINES["batched"],
-        )
-        serial = run_robustness_sweep(
-            task, methods, specs, preset="tiny", n_runs=3, executor="serial"
-        )
-        np.testing.assert_array_equal(
-            batched.curves["proposed"].means, serial.curves["proposed"].means
-        )
 
 
 class TestChipBatchPrimitives:
@@ -220,23 +226,6 @@ class TestChipBatchPrimitives:
                 assert active_chip_count() == 2
             assert active_chip_count() == 4
         assert active_chip_count() is None
-
-    def test_stacked_hook_matches_per_chip_models(self):
-        spec = FaultSpec(kind="bitflip", level=0.25)
-        rng = np.random.default_rng(0)
-        qw = QuantizedWeight(
-            codes=rng.integers(-127, 128, size=(6, 5)).astype(np.float64),
-            scale=np.asarray(0.01),
-            bits=8,
-        )
-        seeds = [101, 202, 303]
-        fault = StackedWeightFault(
-            [spec.build_weight_model(np.random.default_rng(s)) for s in seeds]
-        )
-        stacked = fault(qw)
-        for i, seed in enumerate(seeds):
-            serial_model = spec.build_weight_model(np.random.default_rng(seed))
-            np.testing.assert_array_equal(stacked[i], serial_model(qw))
 
     def test_activation_noise_rejects_a_mismatched_instance_axis(self):
         spec = FaultSpec(kind="additive", level=0.2)

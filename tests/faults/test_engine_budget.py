@@ -8,7 +8,9 @@ boundaries, evaluate every cell exactly once, keep the binarized
 ResNet-18 per cell at the default budget while stacking the LSTM, and
 the estimate must track what one cell really allocates.  The footprint
 an evaluator declares must be what one per-cell run of it puts through
-the model.
+the model.  Same-kind faulty scenarios group into one run of cells
+(:func:`~repro.faults.executor._kind_groups`), and no budget's cut of
+that run moves a value.
 """
 
 import functools
@@ -31,11 +33,11 @@ from repro.faults import (
     run_cells,
 )
 from repro.faults import executor as executor_mod
-from repro.faults.executor import Footprint
+from repro.faults.executor import Footprint, _kind_groups
 from repro.models import conventional, proposed
 from repro.profiling import profiled
 from repro.tensor.chipbatch import active_chip_count
-from tests.faults.stacking import chip_engine
+from tests.faults.stacking import build_pair, chip_engine
 
 TASKS = ("co2", "audio", "image", "vessels")
 
@@ -243,3 +245,69 @@ class TestFlatPasses:
         np.testing.assert_array_equal(values, run_cells(
             cells, 0, model=model, evaluator=evaluator, engine=PER_CELL
         ))
+
+
+class TestKindGrouping:
+    def test_same_kind_scenarios_merge(self):
+        specs = bitflip_sweep([0.0, 0.05, 0.1, 0.2])
+        cells = [
+            WorkCell(idx, run, spec)
+            for idx, spec in enumerate(specs)
+            for run in range(1 if spec.kind == "none" else 3)
+        ]
+        groups = _kind_groups(cells)
+        # fault-free singleton + one merged group of three severity levels
+        assert [len(g) for g in groups] == [1, 3]
+
+    def test_kind_change_splits(self):
+        specs = [
+            FaultSpec(kind="bitflip", level=0.1),
+            FaultSpec(kind="bitflip", level=0.2),
+            FaultSpec(kind="additive", level=0.1),
+            FaultSpec(kind="additive", level=0.2),
+        ]
+        cells = [
+            WorkCell(idx, run, spec)
+            for idx, spec in enumerate(specs)
+            for run in range(2)
+        ]
+        groups = _kind_groups(cells)
+        assert [len(g) for g in groups] == [2, 2]
+
+    def test_unequal_chip_counts_merge(self):
+        spec_a = FaultSpec(kind="bitflip", level=0.1)
+        spec_b = FaultSpec(kind="bitflip", level=0.2)
+        cells = [WorkCell(0, run, spec_a) for run in range(3)]
+        cells += [WorkCell(1, run, spec_b) for run in range(2)]
+        assert _kind_groups(cells) == [[(0, 3), (3, 5)]]
+
+    def test_single_cell_scenarios_merge(self):
+        spec = FaultSpec(kind="bitflip", level=0.1)
+        cells = [WorkCell(0, 0, spec), WorkCell(1, 0, spec)]
+        assert _kind_groups(cells) == [[(0, 1), (1, 2)]]
+
+    def test_fault_free_levels_stay_alone(self):
+        cells = [
+            WorkCell(0, 0, FaultSpec(kind="bitflip", level=0.0)),
+            WorkCell(1, 0, FaultSpec(kind="none", level=0.0)),
+            WorkCell(2, 0, FaultSpec(kind="bitflip", level=0.1)),
+        ]
+        assert _kind_groups(cells) == [[(0, 1)], [(1, 2)], [(2, 3)]]
+
+
+class TestPassCutting:
+    @pytest.mark.parametrize("chips", [1, 2, 3, 4, 6, 8, 12])
+    def test_every_cut_gives_the_per_cell_values(self, chips):
+        """A budget of ``chips`` cells cuts the run of 15 faulty cells
+        (three levels x five chips) within and across scenarios; the
+        micro-model's values never move."""
+        model, evaluator = build_pair()
+        specs = bitflip_sweep([0.0, 0.05, 0.1, 0.2])
+        serial, limited = (
+            MonteCarloCampaign(
+                model, evaluator, n_runs=5, base_seed=3, engine=engine
+            ).sweep(specs)
+            for engine in (PER_CELL, chip_engine(model, evaluator, chips))
+        )
+        for s, b in zip(serial, limited):
+            np.testing.assert_array_equal(s.values, b.values)

@@ -152,3 +152,12 @@ class TestProgressCallback:
         assert len(seen) == 9
         assert seen[-1] == (9, 9)
         assert [d for d, _ in seen] == sorted(d for d, _ in seen)
+
+    def test_stacked_passes_count_every_cell(self):
+        seen = []
+        specs = bitflip_sweep([0.0, 0.1, 0.2])
+        _campaign(engine=EngineConfig(None), n_runs=3).sweep(
+            specs, on_cell_done=lambda done, total: seen.append((done, total))
+        )
+        assert seen[-1] == (7, 7)  # 1 fault-free + 2 x 3 chips
+        assert [d for d, _ in seen] == sorted(d for d, _ in seen)

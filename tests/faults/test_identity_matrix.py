@@ -8,7 +8,9 @@ only on ``(base_seed, scenario, run)``.  One case per trained ``tiny``
 model (image ResNet-18, audio M5, co2 LSTM, vessels U-Net) × Bayesian
 method × fault kind sweeps a fault-free level and two faulty levels of
 that kind (two chips each) at a nonzero base seed, and checks against the
-oracle:
+oracle, in two tests:
+
+``test_every_engine_path_equals_the_per_cell_oracle`` runs the engine at
 
 * the default byte budget (``EngineConfig()``, which sizes the pair on
   its first cell);
@@ -16,10 +18,14 @@ oracle:
   holds both chips of both faulty levels, each cell at its own severity
   and on its own stream;
 * a budget of one cell per stacked pass, and (bitflip cases) one a
-  byte short of a cell, which runs every faulty cell on its own;
-* a per-cell run in reverse cell order with the deployment cache off
-  (:func:`~repro.quant.layers.deploy_cache_disabled`), so neither
-  evaluation order nor cached weight codes can change a value.
+  byte short of a cell, which runs every faulty cell on its own.
+
+``test_per_cell_values_ignore_order_and_deploy_cache`` runs the cells
+one at a time in reverse order with the deployment cache off
+(:func:`~repro.quant.layers.deploy_cache_disabled`), so neither
+evaluation order nor cached weight codes can change a value.
+
+Each case's oracle is swept once and shared by its two tests.
 """
 
 import numpy as np
@@ -70,22 +76,44 @@ SAMPLES = 2
 EVAL_SAMPLES = {"image": 8, "audio": None, "co2": None, "vessels": None}
 
 
-@pytest.mark.parametrize("kind", sorted(SWEEPS))
-@pytest.mark.parametrize("method", all_methods(), ids=lambda m: m.name)
-@pytest.mark.parametrize("topology", TOPOLOGIES)
-def test_every_engine_path_equals_the_per_cell_oracle(topology, method, kind):
-    specs = SWEEPS[kind]
+_ORACLES = {}
+
+
+def _case(topology, method, kind):
+    """The model, evaluator and ``PER_CELL`` values of one matrix case."""
     model, evaluator = tiny_pair(
         topology, method, samples=SAMPLES, max_samples=EVAL_SAMPLES[topology]
     )
+    key = (topology, method.name, kind)
+    if key not in _ORACLES:
+        specs = SWEEPS[kind]
+        oracle = sweep_values(model, evaluator, specs, N_RUNS, PER_CELL, BASE_SEED)
+        # Faults that left every value at the fault-free one would make
+        # the identities below hold trivially.
+        assert np.any(np.concatenate(oracle[1:]) != oracle[0][0])
+        _ORACLES[key] = oracle
+    return model, evaluator, _ORACLES[key]
+
+
+matrix = pytest.mark.parametrize(
+    "topology, method, kind",
+    [
+        (topology, method, kind)
+        for topology in TOPOLOGIES
+        for method in all_methods()
+        for kind in sorted(SWEEPS)
+    ],
+    ids=lambda value: getattr(value, "name", value),
+)
+
+
+@matrix
+def test_every_engine_path_equals_the_per_cell_oracle(topology, method, kind):
+    specs = SWEEPS[kind]
+    model, evaluator, oracle = _case(topology, method, kind)
 
     def sweep(engine):
         return sweep_values(model, evaluator, specs, N_RUNS, engine, BASE_SEED)
-
-    oracle = sweep(PER_CELL)
-    # Faults that left every value at the fault-free one would make the
-    # identity below hold trivially.
-    assert np.any(np.concatenate(oracle[1:]) != oracle[0][0])
 
     np.testing.assert_array_equal(sweep(EngineConfig()), oracle, "default")
     faulty_cells = N_RUNS * (len(specs) - 1)
@@ -104,8 +132,12 @@ def test_every_engine_path_equals_the_per_cell_oracle(topology, method, kind):
         assert "engine.passes" not in stages
         assert stages["engine.per-cell.over-budget"] == faulty_cells
 
+
+@matrix
+def test_per_cell_values_ignore_order_and_deploy_cache(topology, method, kind):
+    model, evaluator, oracle = _case(topology, method, kind)
     cells = [
-        cell for idx, spec in enumerate(specs)
+        cell for idx, spec in enumerate(SWEEPS[kind])
         for cell in scenario_cells(spec, idx, N_RUNS)
     ]
     with deploy_cache_disabled():

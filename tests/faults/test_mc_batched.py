@@ -4,13 +4,11 @@ Under an active chip batch, ``mc_forward`` stacks the Monte Carlo sample
 loop of a Bayesian evaluator into the chip-batched pass, so one forward
 carries a ``chips x mc_samples`` instance axis; outside a chip batch it
 loops the samples.  The contract is the chip-batched contract extended
-one axis: per-chip metrics of the stacked engine must be
-**bit-identical** to the per-cell oracle, which loops the samples (same
-``SeedSequence``-derived per-sample streams, drawn in the serial order).
-These tests pin that contract across all four task topologies, the
-Bayesian methods, and every fault kind, plus the instance-axis
-primitives and edge cases (budgets that split a scenario's chips, single
-sample).
+one axis: a stacked forward must give, chip by chip, the bits of the
+looped samples (same ``SeedSequence``-derived per-sample streams, drawn
+in the serial order).  These tests pin the instance-axis primitives and
+``mc_forward`` on both paths; whole stacked cells with a sample axis
+are checked in ``test_batched.py`` and ``test_identity_matrix.py``.
 """
 
 import numpy as np
@@ -19,20 +17,6 @@ import pytest
 from repro import nn
 from repro.core import InvertedNorm
 from repro.core.bayesian import BayesianClassifier, mc_forward
-from repro.faults import (
-    PER_CELL,
-    FaultSpec,
-    MonteCarloCampaign,
-    WorkCell,
-    additive_sweep,
-    bitflip_sweep,
-    evaluate_cell,
-    evaluate_cells_stacked,
-    multiplicative_sweep,
-    uniform_sweep,
-)
-from repro.models import proposed, spatial_spindrop, spindrop
-from repro.quant.layers import deploy_cache_disabled
 from repro.tensor import Tensor, manual_seed
 from repro.tensor.chipbatch import (
     ChipBatchRng,
@@ -44,17 +28,6 @@ from repro.tensor.chipbatch import (
     spawn_sample_streams,
 )
 from repro.tensor.random import scoped_rng
-from tests.faults.stacking import assert_stacked_identity, build_pair, chip_engine
-
-
-ALL_FAULT_KINDS = [
-    FaultSpec(kind="bitflip", level=0.1),
-    FaultSpec(kind="additive", level=0.3),
-    FaultSpec(kind="multiplicative", level=0.4),
-    FaultSpec(kind="uniform", level=0.2),
-    FaultSpec(kind="stuck", level=0.2, stuck_to="high"),
-    FaultSpec(kind="drift", level=24.0),
-]
 
 
 class TestInstanceAxisPrimitives:
@@ -206,97 +179,3 @@ class TestMcForwardBatched:
             mc_forward(model, Tensor(np.zeros((2, 2, 6))), 3)
             assert active_chip_count() == 2
             assert active_sample_count() is None
-
-
-class TestEvaluateCellsMcBatched:
-    @pytest.mark.parametrize("spec", ALL_FAULT_KINDS, ids=lambda s: s.describe())
-    def test_bit_identical_to_serial_looped(self, spec):
-        model, evaluator = build_pair()
-        cells = [WorkCell(2, run, spec) for run in range(5)]
-        serial = np.array(
-            [evaluate_cell(model, evaluator, cell, base_seed=5) for cell in cells]
-        )
-        batched = evaluate_cells_stacked(model, evaluator, cells, base_seed=5)
-        np.testing.assert_array_equal(serial, batched)
-
-    def test_identical_with_cache_disabled(self):
-        # Cached-code forwards must be bit-identical to recomputation.
-        spec = FaultSpec(kind="bitflip", level=0.15)
-        model, evaluator = build_pair()
-        cells = [WorkCell(1, run, spec) for run in range(4)]
-        cached = evaluate_cells_stacked(model, evaluator, cells, base_seed=3)
-        with deploy_cache_disabled():
-            recomputed = evaluate_cells_stacked(
-                model, evaluator, cells, base_seed=3
-            )
-        np.testing.assert_array_equal(cached, recomputed)
-
-    @pytest.mark.parametrize("chip_limit", [1, 2, 3])
-    def test_chip_limit_subbatching_is_invisible(self, chip_limit):
-        model, evaluator = build_pair()
-        specs = bitflip_sweep([0.0, 0.15])
-        serial = MonteCarloCampaign(
-            model, evaluator, n_runs=5, base_seed=3, engine=PER_CELL
-        ).sweep(specs)
-        limited = MonteCarloCampaign(
-            model,
-            evaluator,
-            n_runs=5,
-            base_seed=3,
-            engine=chip_engine(model, evaluator, chip_limit),
-        ).sweep(specs)
-        for s, b in zip(serial, limited):
-            np.testing.assert_array_equal(s.values, b.values)
-
-
-class TestTaskTopologyIdentity:
-    """Stacked engine == per-cell oracle on all four tiny-task topologies."""
-
-    # image / ResNet-18: binary weights, variation routes to activations
-    def test_image_binary_bitflip_proposed(self):
-        assert_stacked_identity(
-            "image", proposed(), bitflip_sweep([0.0, 0.1]), n_runs=2
-        )
-
-    def test_image_activation_variation_spindrop(self):
-        assert_stacked_identity(
-            "image", spindrop(), additive_sweep([0.0, 0.3]), n_runs=2
-        )
-
-    # audio / M5: 8-bit conv1d
-    def test_audio_multibit_bitflip_proposed(self):
-        assert_stacked_identity("audio", proposed(), bitflip_sweep([0.0, 0.1]))
-
-    def test_audio_additive_spatial_spindrop(self):
-        assert_stacked_identity("audio", spatial_spindrop(), additive_sweep([0.0, 0.2]))
-
-    def test_audio_stuck_at_proposed(self):
-        assert_stacked_identity(
-            "audio", proposed(), [FaultSpec(kind="none", level=0.0),
-                                  FaultSpec(kind="stuck", level=0.2)]
-        )
-
-    # co2 / LSTM: 8-bit recurrent cells, frozen (variational) masks
-    def test_lstm_uniform_proposed(self):
-        assert_stacked_identity("co2", proposed(), uniform_sweep([0.0, 0.2]))
-
-    def test_lstm_multiplicative_spindrop(self):
-        assert_stacked_identity("co2", spindrop(), multiplicative_sweep([0.0, 0.4]))
-
-    def test_lstm_drift_proposed(self):
-        assert_stacked_identity(
-            "co2", proposed(), [FaultSpec(kind="none", level=0.0),
-                                FaultSpec(kind="drift", level=24.0)]
-        )
-
-    # vessels / U-Net: binary weights + PACT activations, group norm
-    def test_unet_bitflip_proposed(self):
-        assert_stacked_identity(
-            "vessels", proposed(), bitflip_sweep([0.0, 0.1]), n_runs=2
-        )
-
-    def test_unet_additive_proposed(self):
-        assert_stacked_identity(
-            "vessels", proposed(), additive_sweep([0.0, 0.3]), n_runs=2
-        )
-

@@ -16,7 +16,10 @@ that
   several, consumes each cell's stream identically to a serial attach of
   that cell, and
 * :func:`~repro.faults.executor.evaluate_cell` hands the attach exactly
-  the cell's fault stream, once.
+  the cell's fault stream, once,
+
+and that the result store keeps the ``mc2`` contract: a stacked run is
+served from, and feeds, the same entries as a per-cell run.
 
 A transcript mismatch here means cached campaign results under the mc2
 contract would silently change — treat any edit that moves these
@@ -26,8 +29,24 @@ transcripts as a cache-contract bump, not a test fix.
 import numpy as np
 
 from repro import nn
-from repro.faults import FaultInjector, FaultSpec, WorkCell, cell_rngs, evaluate_cell
+from repro.eval import (
+    build_task,
+    campaign_key,
+    load_campaign_values,
+    run_robustness_sweep,
+)
+from repro.eval.cache import RNG_CONTRACT
+from repro.faults import (
+    EngineConfig,
+    FaultInjector,
+    FaultSpec,
+    WorkCell,
+    bitflip_sweep,
+    cell_rngs,
+    evaluate_cell,
+)
 from repro.faults import executor as executor_mod
+from repro.models import proposed
 from repro.quant import (
     QuantConv2d,
     QuantLinear,
@@ -229,3 +248,49 @@ class TestCellTranscript:
             assert coords == (13, 2, 1)
             golden = golden_transcript(model, spec, cell_rngs(13, 2, 1)[0])
             assert transcript.draws == golden, f"kind={kind}"
+
+
+def _audio_means(**kwargs):
+    """``proposed``'s means over a tiny audio bitflip sweep."""
+    task = build_task("audio", preset="tiny")
+    sweep = run_robustness_sweep(
+        task, [proposed()], bitflip_sweep([0.0, 0.05, 0.1]), preset="tiny",
+        n_runs=3, **kwargs,
+    )
+    return sweep.curves["proposed"].means
+
+
+def _entries(cache):
+    return sorted((cache / "store").rglob("*.npz"))
+
+
+class TestCacheContract:
+    """Stacked passes keep every draw, so they keep the ``mc2`` contract
+    (``executor="serial"`` is the per-cell oracle's older spelling)."""
+
+    def test_rng_contract_not_bumped(self):
+        """Stacking must not invalidate mc2-era campaign caches."""
+        assert RNG_CONTRACT == "mc2"
+
+    def test_stacked_run_served_from_per_cell_entries(self, isolated_cache):
+        per_cell = _audio_means(executor="serial")
+        task = build_task("audio", preset="tiny")
+        for spec in bitflip_sweep([0.0, 0.05, 0.1]):
+            key = campaign_key(task, proposed(), spec, 3, 4, 0, None)
+            assert load_campaign_values(key) is not None
+        entries = _entries(isolated_cache)
+        stacked = _audio_means(engine=EngineConfig(None))
+        np.testing.assert_array_equal(per_cell, stacked)
+        assert _entries(isolated_cache) == entries  # same keys: nothing new
+
+    def test_per_cell_run_served_from_stacked_entries(self, isolated_cache):
+        stacked = _audio_means(engine=EngineConfig(None))
+        entries = _entries(isolated_cache)
+        np.testing.assert_array_equal(stacked, _audio_means(executor="serial"))
+        assert _entries(isolated_cache) == entries
+
+    def test_fresh_stacked_run_matches_fresh_per_cell_run(self, isolated_cache):
+        np.testing.assert_array_equal(
+            _audio_means(executor="serial", use_cache=False),
+            _audio_means(engine=EngineConfig(None), use_cache=False),
+        )

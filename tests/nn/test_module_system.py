@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.tensor import Tensor
+from repro.tensor import Tensor, no_grad
 
 
 class Leaf(nn.Module):
@@ -175,6 +175,20 @@ class TestContainers:
     def test_identity_passthrough(self):
         x = Tensor(np.arange(3.0))
         assert nn.Identity()(x) is x
+
+    def test_non_tensor_outputs_pass_through(self):
+        """Module calls hand non-Tensor outputs back untouched."""
+
+        class TupleOut(nn.Module):
+            def forward(self, x):
+                return x, x
+
+        model = TupleOut()
+        model.eval()
+        x = Tensor(np.ones(3))
+        with no_grad():
+            out = model(x)
+        assert isinstance(out, tuple) and out[0] is x and out[1] is x
 
     def test_repr_contains_children(self):
         text = repr(nn.Sequential(nn.Linear(2, 3)))

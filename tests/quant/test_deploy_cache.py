@@ -8,16 +8,33 @@ caching codes + scale per weight slot, keyed by the parameter's
 * a training step (optimizer bump / ``load_state_dict``) after deployment
   invalidates transparently — verified via ``last_quantized``,
 * gradient-recording forwards never cache (STE training unchanged),
-* ad-hoc callable hooks without a ``fault_token`` keep the legacy
-  applied-every-forward semantics.
+* every fault hook carries its own ``fault_token``, so a fresh hook
+  requantizes and an attached one is served from the cache; ad-hoc
+  callable hooks without a token keep the legacy applied-every-forward
+  semantics,
+* the cache holds weights only: dropout masks and the stochastic
+  inference switch act on every forward as before,
+* campaign cells after a training step equal a fresh model loaded with
+  the stepped weights, per cell and stacked, for every fault kind.
+
+Model-level misses are counted by wrapping the two quantizers a slot
+miss calls; a hit calls neither.
 """
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.faults import FaultSpec
+from repro.core.bayesian import enable_stochastic_inference
+from repro.faults import (
+    FaultInjector,
+    FaultSpec,
+    StackedWeightFault,
+    WorkCell,
+    evaluate_cells_stacked,
+)
 from repro.models import LSTMForecaster, proposed
+from repro.nn.dropout import set_mask_scope
 from repro.quant import (
     QuantConv2d,
     QuantLinear,
@@ -27,9 +44,12 @@ from repro.quant import (
     quantized_layers,
     warm_quantization,
 )
+from repro.quant import layers as quant_layers
 from repro.quant.layers import deploy_cache_disabled
-from repro.tensor import Tensor, manual_seed, no_grad
-from repro.train import SGD
+from repro.tensor import Tensor, chip_batch, manual_seed, no_grad
+from repro.tensor.random import scoped_rng
+from repro.train import SGD, Adam, mse_loss
+from tests.faults.stacking import SWEEPS_BY_KIND, build_pair, micro_data, serial_values
 
 
 def _loss_step(layer, x):
@@ -39,6 +59,58 @@ def _loss_step(layer, x):
     layer.zero_grad()
     loss.backward()
     SGD(layer.parameters(), lr=0.05).step()
+
+
+SLOTS = 2  # quantized weight slots in _model()
+X = np.random.default_rng(3).normal(size=(4, 6))
+
+
+def _model(seed=0):
+    manual_seed(seed)
+    model = nn.Sequential(
+        QuantLinear(6, 5, weight_bits=8),
+        nn.Dropout(0.2),
+        QuantLinear(5, 2, weight_bits=8),
+    )
+    model.eval()
+    return model
+
+
+def _forward(model, x, rng_seed=0):
+    with no_grad(), scoped_rng(np.random.default_rng(rng_seed)):
+        return model(Tensor(x)).data
+
+
+def _uncached(model, x, rng_seed=0):
+    """The same forward with every weight slot requantized from scratch."""
+    with deploy_cache_disabled():
+        return _forward(model, x, rng_seed)
+
+
+def _stacked_hook(spec, seeds):
+    """A stacked weight-fault hook over one chip per seed."""
+    return StackedWeightFault(
+        [spec.build_weight_model(np.random.default_rng(s)) for s in seeds]
+    )
+
+
+@pytest.fixture
+def misses(monkeypatch):
+    """Counts deployment-cache misses (slot quantizations) per test."""
+    count = {"n": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            count["n"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fake_quantize_weight", "binarize_weight"):
+        monkeypatch.setattr(
+            quant_layers, name, counted(getattr(quant_layers, name))
+        )
+    return count
 
 
 class TestCachedForwardIdentity:
@@ -93,6 +165,61 @@ class TestCachedForwardIdentity:
             clean = layer(x).data
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, clean)
+
+
+class TestModelCache:
+    def test_second_forward_is_served_from_cache(self, misses):
+        model = _model()
+        _forward(model, X)
+        assert misses["n"] == SLOTS  # first forward programs every slot
+        _forward(model, X)
+        assert misses["n"] == SLOTS  # second forward is served from cache
+
+    def test_new_input_shape_reuses_codes(self, misses):
+        """Codes are keyed by weights, not inputs: a new shape reuses them."""
+        model = _model()
+        _forward(model, X)
+        small = _forward(model, X[:2])
+        assert misses["n"] == SLOTS
+        np.testing.assert_array_equal(small, _uncached(model, X[:2]))
+
+    def test_disabled_cache_requantizes_every_forward(self, misses):
+        model = _model()
+        with deploy_cache_disabled():
+            _forward(model, X)
+            _forward(model, X)
+        assert misses["n"] == 2 * SLOTS
+        for layer in (model[0], model[2]):
+            assert not layer._deploy_cache and not layer._record_cache
+
+    def test_outputs_survive_later_forwards(self):
+        """Held outputs survive later forwards that reuse cached codes."""
+        model = _model()
+        _forward(model, X)
+        first = _forward(model, X, rng_seed=7)
+        kept = first.copy()
+        _forward(model, X * 3.0, rng_seed=8)
+        np.testing.assert_array_equal(first, kept)
+
+    def test_one_entry_per_slot_across_hooks(self):
+        """One resident entry per slot, however many hooks come and go."""
+        model = _model()
+        injector = FaultInjector(model)
+        spec = FaultSpec(kind="additive", level=0.2)
+        for seed in range(12):
+            injector.attach(spec, np.random.default_rng(seed))
+            _forward(model, X)
+            injector.detach()
+        for layer in (model[0], model[2]):
+            assert list(layer._deploy_cache) == ["weight"]
+
+    def test_recording_forward_leaves_the_cache_empty(self):
+        """Gradient-recording forwards never touch the deployment cache."""
+        model = _model()
+        model.train()
+        model(Tensor(X))
+        for layer in (model[0], model[2]):
+            assert not layer._deploy_cache and not layer._record_cache
 
 
 class TestTrainingInvalidation:
@@ -159,6 +286,135 @@ class TestTrainingInvalidation:
         assert cell.last_quantized_hh is rec_hh  # untouched slot stays warm
 
 
+    def test_optimizer_step_requantizes_each_slot_once(self, misses):
+        model = _model()
+        _forward(model, X)
+        assert misses["n"] == SLOTS
+        # One training step: backward + Adam.step() bumps every parameter's
+        # version counter.
+        model.train()
+        optimizer = Adam(model.parameters(), lr=1e-2)
+        pred = model(Tensor(X))
+        loss = mse_loss(pred, np.zeros(pred.shape))
+        model.zero_grad()
+        loss.backward()
+        optimizer.step()
+        model.eval()
+        after_training = misses["n"]
+        stepped = _forward(model, X)
+        assert misses["n"] == after_training + SLOTS  # new versions: re-quantize
+        np.testing.assert_array_equal(stepped, _forward(model, X))
+        assert misses["n"] == after_training + SLOTS
+        np.testing.assert_array_equal(stepped, _uncached(model, X))
+
+    def test_load_state_dict_requantizes_unchanged_weights(self, misses):
+        model = _model()
+        _forward(model, X)
+        model.load_state_dict(model.state_dict())  # bumps versions
+        _forward(model, X)
+        assert misses["n"] == 2 * SLOTS
+
+    def test_mark_updated_serves_the_new_weights(self):
+        model = _model()
+        _forward(model, X)
+        reference = _forward(model, X, rng_seed=1)
+        layer = model[0]
+        layer.weight.data[...] += 0.5
+        layer.weight.mark_updated()
+        changed = _forward(model, X, rng_seed=1)
+        assert not np.array_equal(reference, changed)
+        np.testing.assert_array_equal(changed, _uncached(model, X, rng_seed=1))
+
+    @pytest.mark.parametrize("kind", sorted(SWEEPS_BY_KIND), ids=str)
+    def test_cells_after_a_step_equal_a_fresh_model(self, kind):
+        """Per-cell and stacked cells after a training step equal a
+        freshly built model holding the stepped weights.  A fault-free
+        cell reads the clean cache entry, which no fault hook re-keys:
+        only the parameter versions can invalidate it."""
+        model, evaluator = build_pair()
+        cells = [
+            WorkCell(idx, run, spec)
+            for idx, spec in enumerate(SWEEPS_BY_KIND[kind])
+            for run in range(2)
+        ]
+        clean = [WorkCell(len(cells), 0, FaultSpec(kind="none", level=0.0))]
+        serial_values(model, evaluator, cells + clean, 5)  # warm the caches
+        evaluate_cells_stacked(model, evaluator, cells, 5)
+        before = [p.data.copy() for p in model.parameters()]
+        x, _ = micro_data()
+        model.train()
+        pred = model(Tensor(x))
+        loss = mse_loss(pred, np.ones(pred.shape))
+        model.zero_grad()
+        loss.backward()
+        Adam(model.parameters(), lr=0.5).step()
+        model.eval()
+        assert any(
+            not np.array_equal(b, p.data)
+            for b, p in zip(before, model.parameters())
+        )
+        fresh, fresh_evaluator = build_pair(seed=1)
+        fresh.load_state_dict(model.state_dict())
+        fresh.eval()
+        np.testing.assert_array_equal(
+            serial_values(model, evaluator, cells + clean, 5),
+            serial_values(fresh, fresh_evaluator, cells + clean, 5),
+        )
+        np.testing.assert_array_equal(
+            evaluate_cells_stacked(model, evaluator, cells, 5),
+            evaluate_cells_stacked(fresh, fresh_evaluator, cells, 5),
+        )
+
+
+class TestFaultHookKeying:
+    def test_fresh_hook_with_equal_patterns_requantizes(self, misses):
+        """Each freshly attached hook re-quantizes (token keying)."""
+        model = _model()
+        injector = FaultInjector(model)
+        spec = FaultSpec(kind="bitflip", level=0.2)
+        values = []
+        for _ in range(2):
+            injector.attach(spec, np.random.default_rng(99))
+            values.append(_forward(model, X, rng_seed=1))
+            injector.detach()
+        # Same attach rng => same fault patterns => same values, but the
+        # hooks carry fresh fault tokens, so each attach quantized anew.
+        np.testing.assert_array_equal(values[0], values[1])
+        assert misses["n"] == 2 * SLOTS
+
+    def test_attached_stacked_hook_is_served_from_cache(self, misses):
+        """Forwards under one attached stacked hook reuse its faulty codes."""
+        model = _model()
+        spec = FaultSpec(kind="additive", level=0.3)
+        for layer in (model[0], model[2]):
+            layer.weight_fault = _stacked_hook(spec, [11, 22])
+        stacked = np.broadcast_to(X[None], (2,) + X.shape).copy()
+        with chip_batch(2):
+            first = _forward(model, stacked)
+            second = _forward(model, stacked)
+            recomputed = _uncached(model, stacked)
+        for layer in (model[0], model[2]):
+            layer.weight_fault = None
+        assert misses["n"] == 2 * SLOTS  # first and uncached pass; second hit
+        np.testing.assert_array_equal(first, second)
+        np.testing.assert_array_equal(first, recomputed)
+
+    def test_stacked_hooks_with_other_seeds_requantize(self, misses):
+        model = _model()
+        spec = FaultSpec(kind="additive", level=0.3)
+        stacked = np.broadcast_to(X[None], (2,) + X.shape).copy()
+        outputs = []
+        for seeds in ([11, 22], [33, 44]):
+            for layer in (model[0], model[2]):
+                layer.weight_fault = _stacked_hook(spec, seeds)
+            with chip_batch(2):
+                outputs.append(_forward(model, stacked))
+            for layer in (model[0], model[2]):
+                layer.weight_fault = None
+        assert misses["n"] == 2 * SLOTS
+        assert not np.array_equal(outputs[0], outputs[1])
+
+
 class TestAdHocHooks:
     def test_callable_hook_applied_every_forward(self):
         manual_seed(0)
@@ -176,6 +432,66 @@ class TestAdHocHooks:
             layer(x)
             layer(x)
         assert len(calls) == 3  # no fault_token → never value-cached
+
+
+    def test_hooked_slot_is_never_cached(self, misses):
+        model = _model()
+        calls = []
+
+        def hook(qw):  # no fault_token: never value-cached
+            calls.append(1)
+            return qw.codes
+
+        model[0].weight_fault = hook
+        _forward(model, X)
+        _forward(model, X)
+        model[0].weight_fault = None
+        assert len(calls) == 2  # applied on every forward
+        assert misses["n"] == 2 + 1  # hooked slot twice, clean slot once
+        assert "weight" not in model[0]._deploy_cache
+
+
+class TestSamplingState:
+    """The cache holds weights only; sampling state acts on every forward."""
+
+    def test_mask_scope_change_resamples(self):
+        """Frozen scope holds one mask; setting the scope again resamples it."""
+        model = _model()
+        enable_stochastic_inference(model, True)
+        with no_grad(), scoped_rng(np.random.default_rng(0)):
+            per_call = [model(Tensor(X)).data for _ in range(2)]
+            set_mask_scope(model, "frozen")
+            frozen = [model(Tensor(X)).data for _ in range(2)]
+            set_mask_scope(model, "frozen")  # resamples the held mask
+            refrozen = model(Tensor(X)).data
+        enable_stochastic_inference(model, False)
+        assert not np.array_equal(per_call[0], per_call[1])
+        np.testing.assert_array_equal(frozen[0], frozen[1])
+        assert not np.array_equal(frozen[0], refrozen)
+
+    def test_stochastic_inference_toggle(self):
+        model = _model()
+        deterministic = _forward(model, X)
+        enable_stochastic_inference(model, True)
+        sampled = _forward(model, X)
+        enable_stochastic_inference(model, False)
+        assert not np.array_equal(deterministic, sampled)
+        np.testing.assert_array_equal(deterministic, _forward(model, X))
+
+    def test_mask_frozen_before_the_cache_fills_is_kept(self):
+        manual_seed(0)
+        model = nn.Sequential(nn.Dropout(0.3), QuantLinear(6, 2, weight_bits=8))
+        model.eval()
+        enable_stochastic_inference(model, True)
+        set_mask_scope(model, "frozen")
+        with no_grad(), scoped_rng(np.random.default_rng(0)):
+            with deploy_cache_disabled():
+                uncached = model(Tensor(X)).data  # freezes the mask
+            cached = model(Tensor(X)).data  # programs the cache
+            again = model(Tensor(X)).data
+        np.testing.assert_array_equal(uncached, cached)
+        np.testing.assert_array_equal(cached, again)
+        assert invalidate_quantization(model) == 1
 
 
 class TestDeployHelpers:
@@ -204,3 +520,14 @@ class TestDeployHelpers:
         assert invalidate_quantization(model) == 2
         for layer in quantized_layers(model):
             assert not layer._record_cache and not layer._deploy_cache
+
+    def test_forward_after_invalidate_gives_the_same_values(self):
+        manual_seed(0)
+        model = nn.Sequential(QuantLinear(3, 3, weight_bits=8), nn.Tanh())
+        model.eval()
+        x = np.random.default_rng(0).normal(size=(2, 3))
+        first = _forward(model, x)
+        assert model[0]._deploy_cache
+        assert invalidate_quantization(model) == 1
+        assert not model[0]._deploy_cache and not model[0]._record_cache
+        np.testing.assert_array_equal(_forward(model, x), first)

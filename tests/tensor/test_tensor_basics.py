@@ -406,3 +406,52 @@ class TestComparisons:
         np.testing.assert_array_equal(a >= 2.0, [False, True, True])
         np.testing.assert_array_equal(a < 2.0, [True, False, False])
         np.testing.assert_array_equal(a <= 1.0, [True, False, False])
+
+
+class TestValueSemantics:
+    """Eager ops keep exact values: equal ops, signed zeros, views."""
+
+    def test_equal_ops_give_separate_results_and_both_gradients(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        ones = Tensor(np.ones(3))
+        y1 = x + ones
+        y2 = x + ones
+        np.testing.assert_array_equal(y1.data, y2.data)
+        assert not np.shares_memory(y1.data, y2.data)
+        (y1 * y2).sum().backward()
+        np.testing.assert_array_equal(x.grad, 2.0 * (np.arange(3.0) + 1.0))
+
+    def test_signed_zero_constants_keep_their_bits(self):
+        """Scaling by 2.0, -0.0 and 0.0 keeps every bit pattern apart."""
+        x = Tensor(np.array([1.0, -1.0, 0.0]))
+        by_neg_zero = (x * -0.0).data
+        by_zero = (x * 0.0).data
+        np.testing.assert_array_equal(np.signbit(by_neg_zero), [True, False, True])
+        np.testing.assert_array_equal(np.signbit(by_zero), [False, True, False])
+        total = (x * 2.0 + x * -0.0 + x * 0.0).data
+        np.testing.assert_array_equal(total, np.array([2.0, -2.0, 0.0]))
+
+    def test_tanh_of_a_strided_slice(self):
+        """tanh of a gap-strided column slice: exact values, scattered grads."""
+        data = np.random.default_rng(5).normal(size=(32, 32))
+        x = Tensor(data, requires_grad=True)
+        gate = x[:, :16]
+        assert np.shares_memory(gate.data, data)  # slicing is a view
+        y = tanh(gate)
+        np.testing.assert_array_equal(y.data, np.tanh(data[:, :16]))
+        y.sum().backward()
+        np.testing.assert_array_equal(
+            x.grad[:, :16], 1.0 - np.tanh(data[:, :16]) ** 2
+        )
+        assert not x.grad[:, 16:].any()
+
+    def test_reshape_and_transpose_are_views(self):
+        """Reshape and transpose of a Tensor share its buffer, copying nothing."""
+        data = np.arange(12.0).reshape(3, 4)
+        t = Tensor(data)
+        flat = t.reshape(-1)
+        swapped = t.transpose()
+        assert np.shares_memory(flat.data, data)
+        assert np.shares_memory(swapped.data, data)
+        np.testing.assert_array_equal(flat.data, data.ravel())
+        np.testing.assert_array_equal(swapped.data, data.T)
