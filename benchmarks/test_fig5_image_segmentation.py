@@ -59,9 +59,9 @@ def test_fig5_panel(benchmark, preset, task_name, conv_norm, kind, levels):
 
     # Tolerance bands: the paper reports large wins for image
     # classification but only a "marginal improvement" for segmentation —
-    # and our scaled U-Net lands marginally *below* the group-norm NN
-    # (EXPERIMENTS.md, honest-deviation #1) — so the segmentation band is
-    # wider.
+    # and our scaled U-Net lands *below* the group-norm NN
+    # (docs/reproducing-figures.md, "Known deviations") — so the
+    # segmentation band is wider.
     tolerance = 0.10 if task_name == "image" else 0.20
     # Degradation sanity: faults never help.
     assert proposed.means[-1] <= proposed.clean + 0.05

@@ -11,40 +11,38 @@ Execution architecture
 fault-free sweep, and the campaign service (:mod:`repro.serve`) shares
 each step:
 
-1. :func:`split_sweep` (:func:`split_stored` per method) serves
-   completed scenarios from the result store, reading each key once,
-   and groups the methods by the network they build
-   (:func:`~repro.eval.tasks.network_method`): a scenario is pending for
-   a network when none of its methods has it stored;
-2. per network with pending scenarios, :func:`model_and_evaluator`
-   fetches the trained model and binds its chip-aware metric;
-3. the pending scenarios — with their *original* scenario indices, so
-   per-cell seeds are unaffected by what was cached — run as one
-   :class:`~repro.faults.campaign.MonteCarloCampaign` grid
-   (:meth:`SplitSweep.compute`), stacked into vectorized forwards as far
-   as the engine's byte budget allows;
-4. fresh results are written back under every method of the network
+1. :func:`split_sweep` serves completed scenarios from the result
+   store, reading each key once, and groups the methods by the network
+   they build (:func:`~repro.eval.tasks.network_method`): a scenario is
+   pending for a network when none of its methods has it stored;
+2. per network with pending scenarios, :meth:`SplitSweep.compute`
+   fetches the trained model, binds its chip-aware metric and runs the
+   pending scenarios — with their *original* scenario indices, so
+   per-cell seeds are unaffected by what was cached — as one
+   :class:`~repro.faults.campaign.MonteCarloCampaign` grid, stacked into
+   vectorized forwards as far as the engine's byte budget allows;
+3. fresh results are written back under every method of the network
    (:meth:`SplitSweep.record`), and :func:`assemble_sweep` builds the
    curves.
 
-The CLI runs step 3 for every pending (network, scenario) of a command
-on every usable CPU (:func:`compute_pending`); step 4 stays in its own
-process.  Results are bit-identical for every engine budget, cache
-state and worker count.
+The CLI runs step 2 for every pending (network, scenario) of a command
+on every usable CPU (:func:`compute_pending`); step 3 stays in its own
+process.  The campaign service runs both on a request's connection
+thread.  Results are bit-identical for every engine budget, cache state
+and worker count.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..faults import CampaignResult, FaultSpec, MonteCarloCampaign
-from ..faults.executor import PER_CELL, EngineConfig, Evaluator
+from ..faults.executor import PER_CELL, EngineConfig
 from ..models import MethodConfig
-from ..nn.module import Module
 from ..profiling import add as add_profile
 from ..profiling import count, profiled, stage
 from .cache import (
@@ -99,22 +97,14 @@ class RobustnessSweep:
                 rel = 100.0 * (base - out) / np.abs(base)
         return np.nan_to_num(rel)
 
-    def max_improvement_over(self, baseline: str, ours: str = "proposed") -> float:
-        return float(self.improvement_over(baseline, ours).max())
-
-
-def model_and_evaluator(
-    task: Task, method: MethodConfig, preset: str, seed: int, samples: int,
-    max_eval_samples: Optional[int],
-) -> Tuple[Module, Evaluator]:
-    """The trained (cached) model of ``method`` on ``task`` and its
-    chip-aware campaign metric."""
-    model = trained_model(task, method, preset, seed=seed)
-    evaluator = make_evaluator(
-        task.name, task.test_set, method, mc_samples=samples,
-        max_samples=max_eval_samples,
-    )
-    return model, evaluator
+    def faulty_improvements(
+        self, baseline: str, ours: str = "proposed"
+    ) -> np.ndarray:
+        """:meth:`improvement_over` at the levels whose spec is not
+        fault-free (empty when the sweep has none)."""
+        faulty = [not FaultSpec(self.fault_kind, float(level)).is_fault_free
+                  for level in self.curves[ours].levels]
+        return self.improvement_over(baseline, ours)[np.array(faulty, bool)]
 
 
 def campaign_eval_cap(preset: str) -> Optional[int]:
@@ -157,30 +147,6 @@ def _positive_int(value) -> bool:
     )
 
 
-def split_stored(
-    keys: Sequence[str], n_runs: int, store: Optional[ResultStore],
-    indices: Optional[Iterable[int]] = None,
-) -> Tuple[Dict[int, np.ndarray], List[int]]:
-    """``({i: stored values}, [pending i])`` over ``indices`` (default: all).
-
-    An entry serves only when it holds ``n_runs`` values; ``store=None``
-    reads nothing, so every scenario is pending.
-    """
-    indices = range(len(keys)) if indices is None else indices
-    served: Dict[int, np.ndarray] = {}
-    pending: List[int] = []
-    for idx in indices:
-        values = None
-        if store is not None:
-            with stage("store"):
-                values = store.get(keys[idx])
-        if values is not None and len(values) == n_runs:
-            served[idx] = values
-        else:
-            pending.append(idx)
-    return served, pending
-
-
 def assemble_sweep(
     task_name: str, metric_name: str, higher_is_better: bool,
     methods: Sequence[MethodConfig], specs: Sequence[FaultSpec],
@@ -214,8 +180,9 @@ class SplitSweep:
 
     Built by :func:`split_sweep`.  ``values[m]`` maps a scenario index
     to the per-chip values of ``methods[m]`` there: the stored ones, and
-    each computed one once :meth:`record` has stored it.  ``networks``
-    maps the first method index of each distinct network
+    each computed one once :meth:`record` has stored it in ``store``
+    (``None``: nowhere).  ``networks`` maps the first method index of
+    each distinct network
     (:func:`~repro.eval.tasks.network_method`) to every method index
     that builds it, that one first.  ``pending`` maps such a first index
     to the scenarios none of its network's methods has values for; a
@@ -230,6 +197,7 @@ class SplitSweep:
     n_runs: int
     samples: int
     max_eval_samples: Optional[int]
+    store: Optional[ResultStore]
     keys: List[List[str]]
     values: List[Dict[int, np.ndarray]]
     pending: Dict[int, List[int]]
@@ -247,17 +215,19 @@ class SplitSweep:
         """Per-chip values of ``methods[m]``, and so of its whole
         network, at scenarios ``indices``.
 
-        One :class:`~repro.faults.campaign.MonteCarloCampaign` grid at
-        the scenarios' own indices, so each value is the same whichever
+        One :class:`~repro.faults.campaign.MonteCarloCampaign` grid on
+        the trained (cached) model and its chip-aware metric, at the
+        scenarios' own indices, so each value is the same whichever
         scenarios share the grid.  Reads and writes no store.
         """
-        model, evaluator = model_and_evaluator(
-            self.task, self.methods[m], self.preset, self.seed,
-            self.samples, self.max_eval_samples,
+        method = self.methods[m]
+        evaluator = make_evaluator(
+            self.task.name, self.task.test_set, method,
+            mc_samples=self.samples, max_samples=self.max_eval_samples,
         )
         campaign = MonteCarloCampaign(
-            model, evaluator, n_runs=self.n_runs, base_seed=self.seed,
-            engine=engine,
+            trained_model(self.task, method, self.preset, seed=self.seed),
+            evaluator, n_runs=self.n_runs, base_seed=self.seed, engine=engine,
         )
         results = campaign.sweep(
             [self.specs[i] for i in indices], scenario_indices=indices,
@@ -265,26 +235,30 @@ class SplitSweep:
         )
         return [result.values for result in results]
 
-    def record(self, m: int, idx: int, values: np.ndarray) -> None:
+    def record(self, m: int, idx: int, values: np.ndarray) -> int:
         """Store one computed scenario of network ``m`` under each of its
         methods' keys (written under ``use_cache=False`` too) and keep
-        the values for :meth:`assemble`."""
-        for k in self.networks[m]:
-            self._keep(k, idx, values, source=m)
+        the values for :meth:`assemble`; returns how many of those store
+        entries already existed."""
+        return sum(not self._keep(k, idx, values, source=m)
+                   for k in self.networks[m])
 
-    def _keep(self, k: int, idx: int, values: np.ndarray, source: int) -> None:
+    def _keep(self, k: int, idx: int, values: np.ndarray, source: int) -> bool:
         """Store ``methods[source]``'s values at scenario ``idx`` as
-        ``methods[k]``'s, unless ``k`` has values there.  ``--profile``
-        counts a ``k`` other than ``source`` as ``shared.<k> = <source>``
-        cells."""
+        ``methods[k]``'s, unless ``k`` has values there; ``False`` when
+        the store already held the entry.  ``--profile`` counts a ``k``
+        other than ``source`` as ``shared.<k> = <source>`` cells."""
         if idx in self.values[k]:
-            return
-        with stage("store"):
-            result_store().put(self.keys[k][idx], values)
+            return True
+        stored = True
+        if self.store is not None:
+            with stage("store"):
+                stored = self.store.put(self.keys[k][idx], values)
         self.values[k][idx] = values
         if k != source:
             count(f"shared.{self.methods[k].name} = "
                   f"{self.methods[source].name}", self.cells(idx))
+        return stored
 
     def assemble(self, progress=None) -> RobustnessSweep:
         """The sweep's curves once every scenario has values;
@@ -316,11 +290,16 @@ def split_sweep(
     samples: Optional[int] = None,
     max_eval_samples: Optional[int] = -1,
     use_cache: bool = True,
+    store: Optional[ResultStore] = result_store(),
 ) -> SplitSweep:
-    """Read each (method, scenario) of a sweep from the result store once.
+    """Read each (method, scenario) of a sweep from ``store`` once.
 
-    Settings as :func:`campaign_settings` resolves them; ``use_cache=False``
-    reads nothing, so every scenario is pending.  A method the store
+    Settings as :func:`campaign_settings` resolves them.  ``store`` is
+    the process-wide :func:`~repro.eval.cache.result_store` by default;
+    the sweep reads it unless ``use_cache=False``, and
+    :meth:`~SplitSweep.record` writes it either way.  ``store=None``
+    reads and writes nothing, so every scenario is pending.  An entry
+    serves only when it holds ``n_runs`` values.  A method the store
     cannot serve at a scenario takes, and stores, the entry another
     method of its network has there.  The curves are keyed by method
     name, so two methods of one name raise ``ValueError``.
@@ -337,7 +316,6 @@ def split_sweep(
     n_runs, samples, max_eval_samples = campaign_settings(
         preset, n_runs, samples, max_eval_samples
     )
-    store = result_store() if use_cache else None
     keys, values, networks = [], [], {}
     for m, method in enumerate(methods):
         keys.append([
@@ -345,12 +323,19 @@ def split_sweep(
                          max_eval_samples)
             for spec in specs
         ])
-        values.append(split_stored(keys[-1], n_runs, store)[0])
+        values.append({})
+        if store is not None and use_cache:
+            for idx, key in enumerate(keys[-1]):
+                with stage("store"):
+                    stored = store.get(key)
+                if stored is not None and len(stored) == n_runs:
+                    values[-1][idx] = stored
         network = _model_key(task, method, preset, seed)
         networks.setdefault(network, []).append(m)
     work = SplitSweep(
         task, methods, specs, preset, seed, n_runs, samples, max_eval_samples,
-        keys, values, {}, {group[0]: group for group in networks.values()},
+        store, keys, values, {},
+        {group[0]: group for group in networks.values()},
     )
     for m, group in work.networks.items():
         todo = []

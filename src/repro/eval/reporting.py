@@ -144,16 +144,20 @@ def format_profile(stages: Dict[str, float]) -> str:
 def format_service_stats(stats: Dict) -> str:
     """Render a campaign-service reply's accounting line.
 
-    Cells served from the content-addressed store vs freshly computed
-    (with the compute's throughput), redundant computations (cells whose
-    store entry already existed; zero on a healthy repeat), and prior
-    attempts of the request.
+    Cells served from the content-addressed store vs computed (with the
+    compute's throughput), both counted per method, so they sum to the
+    request's cells; the computed cells a method took from another
+    method that builds the same network (SpatialSpinDrop from SpinDrop
+    on the co2 LSTM); redundant computations (cells whose store entry
+    already existed; zero on a healthy repeat); and prior attempts of
+    the request.
     """
     cells, seconds = stats["computed_cells"], stats["compute_seconds"]
     rate = cells / seconds if seconds > 0 else 0.0
     return (
         f"service: {stats['served_cells']} cells served from store, "
         f"{cells} computed in {seconds:.2f}s ({rate:.1f} cells/s), "
+        f"{stats['shared_cells']} shared, "
         f"{stats['redundant_cells']} redundant (retries={stats['retries']})"
     )
 
@@ -222,14 +226,21 @@ def format_sweep(sweep: RobustnessSweep) -> str:
 
 
 def summarize_improvements(sweep: RobustnessSweep) -> str:
-    """The paper's headline numbers: max improvement vs each baseline."""
+    """The paper's headline numbers: the largest and the smallest
+    improvement of Proposed over each baseline across the faulty levels
+    (:meth:`~repro.eval.campaigns.RobustnessSweep.faulty_improvements`)."""
     lines = []
     for baseline in sweep.curves:
         if baseline == "proposed":
             continue
-        value = sweep.max_improvement_over(baseline)
+        label = METHOD_LABELS.get(baseline, baseline)
+        values = sweep.faulty_improvements(baseline)
+        if values.size == 0:
+            lines.append(f"improvement of Proposed over {label}: "
+                         "no faulty level")
+            continue
         lines.append(
-            f"max improvement of Proposed over {METHOD_LABELS.get(baseline, baseline)}: "
-            f"{value:+.2f}%"
+            f"improvement of Proposed over {label} at faulty levels: "
+            f"largest {values.max():+.2f}%, smallest {values.min():+.2f}%"
         )
     return "\n".join(lines)

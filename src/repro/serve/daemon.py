@@ -10,21 +10,19 @@ it receives, so any other ``host`` is refused at construction.
 
 A sweep request is checked field by field before any work
 (:func:`sweep_request`); a bad field is answered with an error frame
-that names it.  The request then runs on its connection thread, one
-method at a time, through the steps
-:func:`~repro.eval.campaigns.run_robustness_sweep` takes:
-
-1. scenarios already in the content-addressed result store stream back
-   immediately (``source="store"``) — the store pre-check is what makes
-   a repeated or overlapping sweep compute **zero** redundant cells;
-2. the remaining scenarios run, with their original scenario indices
-   (so values are bit-identical to a local run), as one
-   :class:`~repro.faults.campaign.MonteCarloCampaign` sweep on the
-   memory-cached model and its metric (the pair is kept across
-   requests, so the engine sizes its stacked passes once);
-3. fresh values land in the store (unless the request set
-   ``use_store=False``);
-4. one frame per computed scenario streams back (``source="computed"``).
+that names it.  The request then runs on its connection thread through
+the CLI's own path (:mod:`repro.eval.campaigns`):
+:func:`~repro.eval.campaigns.split_sweep` reads each (method, scenario)
+from the daemon's store once, and the stored ones stream back at once
+(``source="store"``), so a repeated or overlapping sweep computes
+**zero** redundant cells.  Then each network with pending scenarios
+(SpinDrop and SpatialSpinDrop build one co2 LSTM) is computed once at
+the scenarios' own indices, so values are bit-identical to a local run,
+recorded under each of its methods (nowhere if the request set
+``use_store=False``), and streamed back (``source="computed"``) before
+the next network is computed.  The compute never forks
+(:func:`~repro.eval.campaigns.compute_pending` does): forking is only
+safe in a single-threaded process.
 
 Sweeps are serialized by a lock, so the shared models' fault hooks are
 never touched by two sweeps at once.  A compute failure (a bad fault
@@ -32,10 +30,13 @@ level, say) reaches the client as an error frame carrying the failure's
 own message.
 
 The reply's ``stats`` carry per-request store-counter deltas
-(hit/miss/put/merge), ``redundant_cells`` (cells computed whose store
-entry already existed — zero on a healthy service), ``retries`` (prior
-attempts of the same idempotent ``request_id``), and one
-``cells``/``seconds``/``cells_per_sec`` row for the compute.
+(hit/miss/put/merge), ``served_cells`` and ``computed_cells`` (together
+the request's cells, counted per method), ``shared_cells`` (the computed
+cells a method took from another method of its network),
+``redundant_cells`` (cells computed whose store entry already existed —
+zero on a healthy service), ``retries`` (prior attempts of the same
+idempotent ``request_id``), and one ``cells``/``seconds``/``cells_per_sec``
+row for the compute.
 """
 
 from __future__ import annotations
@@ -50,13 +51,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence, Set, Tuple
 
-from ..faults import FaultSpec, MonteCarloCampaign
-from ..faults.campaign import scenario_cells
+from ..faults import FaultSpec
 from ..models import MethodConfig
-from ..eval.cache import ResultStore, campaign_key, result_store
-from ..eval.campaigns import campaign_settings, model_and_evaluator
-from ..eval.campaigns import split_stored
-from ..eval.tasks import PRESETS, TASK_BUILDERS, Task, build_task
+from ..eval.cache import ResultStore, result_store, trained_model
+from ..eval.campaigns import campaign_settings, split_sweep
+from ..eval.tasks import PRESETS, TASK_BUILDERS, build_task
 from .protocol import ConnectionClosed, recv_message, send_message
 
 #: Remembered request ids (FIFO-bounded).
@@ -65,7 +64,7 @@ MAX_REMEMBERED_REQUESTS = 256
 
 @dataclass
 class _Sweep:
-    """One checked sweep request, read by every step of its sweep path."""
+    """One checked sweep request."""
 
     task_name: str
     methods: Sequence[MethodConfig]
@@ -77,10 +76,6 @@ class _Sweep:
     max_eval_samples: Optional[int]
     use_store: bool
     request_id: Optional[str]
-
-    def cells(self, scenario: int) -> int:
-        """Work cells of one scenario (one if it is fault-free)."""
-        return len(scenario_cells(self.specs[scenario], scenario, self.n_runs))
 
 
 def _is_int(value) -> bool:
@@ -234,7 +229,7 @@ class CampaignService:
     def stop(self) -> None:
         """Stop accepting, wait for an in-flight sweep, close connections.
 
-        An in-flight sweep notices the stop flag before its next method
+        An in-flight sweep notices the stop flag before its next network
         or frame and drops its connection, so a stop with a sweep in
         flight winds down promptly instead of serving from a half-dead
         daemon.
@@ -420,14 +415,57 @@ class CampaignService:
                 "metric_name": task.metric_name,
                 "higher_is_better": task.higher_is_better,
             },
-            "served_cells": 0, "computed_cells": 0, "redundant_cells": 0,
+            "served_cells": 0, "computed_cells": 0, "shared_cells": 0,
+            "redundant_cells": 0,
             "retries": self._register_attempt(sweep.request_id),
             "store_seconds": 0.0, "compute_seconds": 0.0,
         }
-        for method in sweep.methods:
+
+        def send(m: int, scenario: int, source: str) -> None:
             if self._stopped.is_set():
                 raise ConnectionError("service stopping")
-            self._sweep_method(conn, sweep, task, method, stats)
+            send_message(conn, {
+                "kind": "partial", "method": work.methods[m].name,
+                "scenario": scenario, "values": work.values[m][scenario],
+                "source": source,
+            })
+
+        t0 = time.perf_counter()
+        work = split_sweep(
+            task, sweep.methods, sweep.specs, preset=sweep.preset,
+            seed=sweep.seed, n_runs=sweep.n_runs, samples=sweep.samples,
+            max_eval_samples=sweep.max_eval_samples,
+            store=self.store if sweep.use_store else None,
+        )
+        stats["store_seconds"] += time.perf_counter() - t0
+        for m in range(len(work.methods)):
+            for idx in sorted(work.values[m]):
+                stats["served_cells"] += work.cells(idx)
+                send(m, idx, "store")
+
+        # One network at a time, its frames before the next compute: a
+        # stop lands before the later networks are computed.
+        for m, pending in work.pending.items():
+            if self._stopped.is_set():
+                raise ConnectionError("service stopping")
+            # Load (or train) the model off the compute clock.
+            trained_model(task, work.methods[m], sweep.preset, seed=sweep.seed)
+            t0 = time.perf_counter()
+            fresh = work.compute(m, pending)
+            stats["compute_seconds"] += time.perf_counter() - t0
+            t0 = time.perf_counter()
+            for idx, values in zip(pending, fresh):
+                stats["redundant_cells"] += (
+                    work.cells(idx) * work.record(m, idx, values)
+                )
+            stats["store_seconds"] += time.perf_counter() - t0
+            network = work.networks[m]
+            cells = sum(work.cells(idx) for idx in pending)
+            stats["computed_cells"] += cells * len(network)
+            stats["shared_cells"] += cells * (len(network) - 1)
+            for k in network:
+                for idx in pending:
+                    send(k, idx, "computed")
 
         store_after = self.store.snapshot()
         stats["store"] = {
@@ -444,58 +482,7 @@ class CampaignService:
         self._log(
             f"sweep done: served={stats['served_cells']} "
             f"computed={stats['computed_cells']} "
+            f"shared={stats['shared_cells']} "
             f"redundant={stats['redundant_cells']}"
         )
         return stats
-
-    def _sweep_method(
-        self, conn: socket.socket, sweep: _Sweep, task: Task,
-        method: MethodConfig, stats: dict,
-    ) -> None:
-        """Serve one method's scenarios: stored ones first, then the rest."""
-
-        def send(scenario: int, values, source: str) -> None:
-            if self._stopped.is_set():
-                raise ConnectionError("service stopping")
-            send_message(conn, {
-                "kind": "partial", "method": method.name,
-                "scenario": scenario, "values": values, "source": source,
-            })
-
-        keys = [
-            campaign_key(task, method, spec, sweep.n_runs, sweep.samples,
-                         sweep.seed, sweep.max_eval_samples)
-            for spec in sweep.specs
-        ]
-        t0 = time.perf_counter()
-        served, pending = split_stored(
-            keys, sweep.n_runs, self.store if sweep.use_store else None
-        )
-        stats["store_seconds"] += time.perf_counter() - t0
-        for idx, values in served.items():
-            stats["served_cells"] += sweep.cells(idx)
-            send(idx, values, "store")
-        if not pending:
-            return
-
-        model, evaluator = model_and_evaluator(
-            task, method, sweep.preset, sweep.seed, sweep.samples,
-            sweep.max_eval_samples,
-        )
-        campaign = MonteCarloCampaign(
-            model, evaluator, n_runs=sweep.n_runs, base_seed=sweep.seed
-        )
-        t0 = time.perf_counter()
-        results = campaign.sweep(
-            [sweep.specs[i] for i in pending], scenario_indices=pending
-        )
-        stats["compute_seconds"] += time.perf_counter() - t0
-        stats["computed_cells"] += sum(sweep.cells(i) for i in pending)
-        if sweep.use_store:
-            t0 = time.perf_counter()
-            for idx, result in zip(pending, results):
-                if not self.store.put(keys[idx], result.values):
-                    stats["redundant_cells"] += sweep.cells(idx)
-            stats["store_seconds"] += time.perf_counter() - t0
-        for idx, result in zip(pending, results):
-            send(idx, result.values, "computed")

@@ -15,6 +15,7 @@ from repro.eval import (
     mc_runs,
     mc_samples,
     run_robustness_sweep,
+    summarize_improvements,
     table_header,
     trained_model,
 )
@@ -193,6 +194,45 @@ class TestReporting:
         )
         rows = format_sweep(sweep).splitlines()[3:]
         assert [row.split("|")[0].strip() for row in rows] == labels
+
+    def test_improvements_ignore_the_fault_free_level(self):
+        """Proposed wins only fault-free: the summary prints a negative
+        largest improvement, not the fault-free gap."""
+        levels = np.array([0.0, 0.1, 0.2])
+
+        def curve(method, means):
+            return MethodCurve(method=method, levels=levels,
+                               means=np.array(means), stds=np.zeros(3))
+
+        sweep = RobustnessSweep(
+            task_name="audio", metric_name="accuracy", higher_is_better=True,
+            fault_kind="bitflip", curves={
+                "conventional": curve(conventional(), [0.50, 0.40, 0.20]),
+                "proposed": curve(proposed(), [0.60, 0.36, 0.19]),
+            },
+        )
+        np.testing.assert_allclose(
+            sweep.faulty_improvements("conventional"), [-10.0, -5.0]
+        )
+        assert summarize_improvements(sweep) == (
+            "improvement of Proposed over NN at faulty levels: "
+            "largest -5.00%, smallest -10.00%"
+        )
+
+    def test_improvements_without_a_faulty_level(self):
+        curves = {
+            name: MethodCurve(method=method, levels=np.array([0.0]),
+                              means=np.array([0.5]), stds=np.zeros(1))
+            for name, method in (("conventional", conventional()),
+                                 ("proposed", proposed()))
+        }
+        sweep = RobustnessSweep(
+            task_name="audio", metric_name="accuracy", higher_is_better=True,
+            fault_kind="none", curves=curves,
+        )
+        assert summarize_improvements(sweep) == (
+            "improvement of Proposed over NN: no faulty level"
+        )
 
 
 class TestProgressMeter:

@@ -259,6 +259,75 @@ class TestServiceSweep:
         assert stats["store_seconds"] >= 0
 
 
+class TestSharedNetwork:
+    """SpatialSpinDrop builds SpinDrop's co2 LSTM: the daemon computes
+    that network once and serves its values under both methods."""
+
+    def test_co2_computes_each_network_once(
+        self, shared_cache, tmp_path, monkeypatch
+    ):
+        from repro.eval.cache import campaign_key
+        from repro.eval.campaigns import campaign_settings
+        from repro.faults import MonteCarloCampaign
+
+        calls = []
+        sweep = MonteCarloCampaign.sweep
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.model.method)
+            return sweep(self, *args, **kwargs)
+
+        monkeypatch.setattr(MonteCarloCampaign, "sweep", counted)
+        methods = all_methods(conventional_norm="batch")
+        specs = bitflip_sweep([0.0, 0.1])
+        frames = {}
+
+        def collect(frame):
+            frames[frame["method"], frame["scenario"]] = frame["values"]
+
+        service, store = _service_pair(tmp_path)
+        with service, ServiceClient(service.address) as client:
+            first, stats1 = client.sweep(
+                "co2", methods, specs, preset="tiny", seed=0, n_runs=2,
+                on_partial=collect,
+            )
+            second, stats2 = client.sweep(
+                "co2", methods, specs, preset="tiny", seed=0, n_runs=2
+            )
+        # One campaign per network; the repeat runs none.
+        assert len(calls) == 3
+        # Per method: (1 fault-free + 2 faulty cells) x 4 methods, of
+        # which SpatialSpinDrop's 3 are SpinDrop's.
+        assert stats1["computed_cells"] == 12
+        assert stats1["shared_cells"] == 3
+        assert stats1["served_cells"] == 0
+        for scenario in range(len(specs)):
+            np.testing.assert_array_equal(
+                frames["spatial-spindrop", scenario],
+                frames["spindrop", scenario],
+            )
+        task = build_task("co2", preset="tiny", seed=0)
+        reference = run_robustness_sweep(
+            task, methods, specs, preset="tiny", seed=0, n_runs=2,
+            use_cache=False,
+        )
+        _assert_sweeps_equal(reference, first)
+        _assert_sweeps_equal(reference, second)
+        n_runs, samples, cap = campaign_settings("tiny", 2)
+        for name in ("spindrop", "spatial-spindrop"):
+            method = next(m for m in methods if m.name == name)
+            for scenario, spec in enumerate(specs):
+                stored = store.get(campaign_key(
+                    task, method, spec, n_runs, samples, 0, cap
+                ))
+                np.testing.assert_array_equal(
+                    stored, frames[name, scenario]
+                )
+        assert stats2["computed_cells"] == 0
+        assert stats2["shared_cells"] == 0
+        assert stats2["served_cells"] == 12
+
+
 class TestWorkerDeath:
     """Work an earlier request landed is served, never recomputed."""
 
