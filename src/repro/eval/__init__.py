@@ -22,7 +22,6 @@ from .cache import (
     campaign_key,
     clear_memory_cache,
     content_hash,
-    load_campaign_values,
     result_store,
     trained_model,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "clear_memory_cache",
     "campaign_key",
     "content_hash",
-    "load_campaign_values",
     "ResultStore",
     "result_store",
     "ProgressMeter",

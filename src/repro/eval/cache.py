@@ -243,18 +243,24 @@ def train_models(
     this process loads.  A model's weights depend only on (task, method,
     preset, seed), so they do not depend on which worker trained it.
     When :func:`fork_map` starts no process the models are trained here
-    and stay in memory.
+    and stay in memory.  A worker forgets each model once its checkpoint
+    is written: the compute pool forks again from this process, so
+    nothing would read it.
     """
     missing = {}
     for task, method in jobs:
         key = _model_key(task, method, preset, seed)
         if key not in _MEMORY and not _checkpoint_path(key).exists():
             missing[key] = (task, method)
+    parent = os.getpid()
 
-    def train(job: Tuple[Task, MethodConfig]) -> None:
-        trained_model(*job, preset, seed=seed)
+    def train(job: Tuple[Tuple, Tuple[Task, MethodConfig]]) -> None:
+        key, (task, method) = job
+        trained_model(task, method, preset, seed=seed)
+        if os.getpid() != parent:
+            del _MEMORY[key]
 
-    fork_map(train, list(missing.values()), lambda index, result: None)
+    fork_map(train, list(missing.items()), lambda index, result: None)
 
 
 def clear_memory_cache() -> None:
@@ -586,5 +592,9 @@ def result_store() -> ResultStore:
 
 
 def load_campaign_values(key: str) -> Optional[np.ndarray]:
-    """Stored per-chip metric values for ``key``, or ``None`` on a miss."""
+    """Stored per-chip metric values for ``key``, or ``None`` on a miss.
+
+    ``result_store().get(key)``; ``perfbench/build.py`` imports it from
+    here.
+    """
     return _DEFAULT_STORE.get(key)

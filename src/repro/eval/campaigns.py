@@ -43,8 +43,10 @@ import numpy as np
 from ..faults import CampaignResult, FaultSpec, MonteCarloCampaign
 from ..faults.executor import PER_CELL, EngineConfig
 from ..models import MethodConfig
+from ..nn.module import Module
 from ..profiling import add as add_profile
 from ..profiling import count, profiled, stage
+from ..quant.deploy import invalidate_quantization
 from .cache import (
     ResultStore,
     _method_key,
@@ -207,6 +209,11 @@ class SplitSweep:
         """Work cells of scenario ``idx``: one if fault-free, else ``n_runs``."""
         return 1 if self.specs[idx].is_fault_free else self.n_runs
 
+    def model(self, m: int) -> Module:
+        """The trained (cached) model of ``methods[m]``'s network."""
+        return trained_model(self.task, self.methods[m], self.preset,
+                             seed=self.seed)
+
     def compute(
         self, m: int, indices: Sequence[int],
         engine: EngineConfig = EngineConfig(),
@@ -226,8 +233,8 @@ class SplitSweep:
             mc_samples=self.samples, max_samples=self.max_eval_samples,
         )
         campaign = MonteCarloCampaign(
-            trained_model(self.task, method, self.preset, seed=self.seed),
-            evaluator, n_runs=self.n_runs, base_seed=self.seed, engine=engine,
+            self.model(m), evaluator, n_runs=self.n_runs, base_seed=self.seed,
+            engine=engine,
         )
         results = campaign.sweep(
             [self.specs[i] for i in indices], scenario_indices=indices,
@@ -376,6 +383,11 @@ def compute_pending(
     network's pending scenarios run here as one job, one grid as
     :func:`run_robustness_sweep` runs them, and ``on_cell_done`` sees
     every computed cell, then the shared ones as the job ends.
+
+    A job leaves its model no deployment state: it drops every quantized
+    layer's programmed codes and records as it ends
+    (:func:`~repro.quant.deploy.invalidate_quantization`), so a worker
+    holds only the parameters of the networks it has visited.
     """
     scenarios = [(w, m, i) for w, work in enumerate(works)
                  for m, indices in work.pending.items() for i in indices]
@@ -415,6 +427,7 @@ def compute_pending(
         w, m, indices = job
         with profiled() as stages:
             values = works[w].compute(m, indices, on_cell_done=per_cell)
+        invalidate_quantization(works[w].model(m))
         return values, stages
 
     def finished(index: int, result) -> None:

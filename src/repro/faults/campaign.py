@@ -167,11 +167,11 @@ class FaultInjector:
                 setattr(*slot, stacked)
 
     def detach(self) -> None:
-        """Remove all fault hooks (restore the ideal chip)."""
+        """Remove all fault hooks (restore the ideal chip), and the
+        faulty deploy entries keyed on them
+        (:meth:`~repro.quant.layers.QuantizedComputeLayer.detach_faults`)."""
         for layer in self._weight_sites():
-            layer.weight_fault = None
-            if isinstance(layer, QuantLSTMCell):
-                layer.weight_fault_hh = None
+            layer.detach_faults()
         for act in self._activation_sites():
             act.pre_fault = None
 

@@ -13,10 +13,11 @@ conveniences around that cache:
   before a campaign;
 * :func:`warm_quantization` — warm the record caches without touching
   train/eval mode;
-* :func:`invalidate_quantization` — drop all cached codes, forcing the
-  next forward to requantize (useful after mutating weights in place
-  without going through an optimizer / ``load_state_dict``, which bump
-  version counters automatically);
+* :func:`invalidate_quantization` — drop all cached codes and the
+  ``last_quantized`` records, forcing the next forward to requantize
+  (useful after mutating weights in place without going through an
+  optimizer / ``load_state_dict``, which bump version counters
+  automatically, and how a campaign compute job releases its model);
 * :func:`quantized_layers` — iterate a model's NVM-mapped layers.
 
 Freezing is never *required* for correctness: the version-counter keys
@@ -67,7 +68,8 @@ def freeze_deployment(model: Module) -> Module:
 
 
 def invalidate_quantization(model: Module) -> int:
-    """Drop every quantized layer's cached codes; returns layers cleared."""
+    """Drop every quantized layer's cached codes and last records;
+    returns layers cleared."""
     cleared = 0
     for layer in quantized_layers(model):
         layer.invalidate_quant_cache()

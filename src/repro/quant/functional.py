@@ -46,12 +46,19 @@ class QuantizedWeight:
     codes:
         Integer codes; for ``bits == 1`` the codes are in ``{-1, +1}``, for
         ``bits >= 2`` they are signed integers in
-        ``[-(2**(bits-1) - 1), 2**(bits-1) - 1]``.
+        ``[-(2**(bits-1) - 1), 2**(bits-1) - 1]``.  Held as float64, except
+        in the cached 1-bit record of a deployed layer, which holds
+        ``int8`` (the dequantized weight has the same bits).
     scale:
         Dequantization scale (broadcastable to ``codes``); the effective
         weight is ``codes * scale``.
     bits:
         Bit width per weight.
+
+    A deployed layer keeps its clean record until its weights change or
+    its cache is invalidated, which every campaign compute job does to
+    its model as it ends; ``last_quantized`` refers to the record too and
+    is cleared with it (see :mod:`repro.quant.layers`).
     """
 
     codes: np.ndarray
@@ -76,14 +83,17 @@ def sign_with_zero_to_one(x: np.ndarray) -> np.ndarray:
     return np.add(s, s == 0, out=s)
 
 
-def binarize_weight_record(data: np.ndarray) -> QuantizedWeight:
+def binarize_weight_record(
+    data: np.ndarray, codes_dtype: type = np.float64
+) -> QuantizedWeight:
     """Pure-numpy IR-Net binarization snapshot: ``sign(w)`` codes + alpha.
 
     ``alpha = mean(|w|)`` over each output filter.  This is the
     deployment-frozen part of :func:`binarize_weight` — for weights that do
     not change between forwards (an inference campaign) the record can be
     computed once and cached (see
-    :class:`repro.quant.layers.QuantizedComputeLayer`).
+    :class:`repro.quant.layers.QuantizedComputeLayer`), with ``int8``
+    codes: ``codes * alpha`` has the same bits either way.
     """
     data = np.asarray(data)
     axes = tuple(range(1, data.ndim))
@@ -92,7 +102,8 @@ def binarize_weight_record(data: np.ndarray) -> QuantizedWeight:
         if axes
         else np.abs(data).mean(keepdims=True)
     )
-    return QuantizedWeight(codes=sign_with_zero_to_one(data), scale=alpha, bits=1)
+    codes = sign_with_zero_to_one(data).astype(codes_dtype, copy=False)
+    return QuantizedWeight(codes=codes, scale=alpha, bits=1)
 
 
 def binarize_weight(

@@ -36,6 +36,24 @@ backward needs the live weight), and optimizer steps bump the version
 counter so the next deployed forward reprograms.  Hooks without a
 ``fault_token`` (ad-hoc callables) are never value-cached and keep the
 legacy applied-every-forward semantics.
+
+A cached 1-bit record stores its ±1 codes as ``int8``: ``codes * alpha``
+has the bits of float64 codes, and a bit flip's ``np.where`` moves an
+eighth of the bytes.  Gradient-recording records and multi-bit codes stay
+float64.
+
+What a layer holds, and for how long:
+
+* the clean record of each slot lives until the weight's version changes
+  or :meth:`~QuantizedComputeLayer.invalidate_quant_cache` drops it;
+* a faulty deploy entry lives while its hook is attached:
+  :meth:`~QuantizedComputeLayer.detach_faults` drops it, because fault
+  tokens are never reissued and it could never hit again.  The clean
+  entry stays;
+* a campaign compute job (:func:`repro.eval.campaigns.compute_pending`)
+  invalidates every layer of its model when it ends, so a worker keeps
+  no programmed codes of the networks it has computed, only their
+  parameters.
 """
 
 from __future__ import annotations
@@ -100,9 +118,23 @@ class QuantizedComputeLayer(Module):
         self._deploy_cache: Dict[str, Tuple[tuple, np.ndarray, QuantizedWeight]] = {}
 
     def invalidate_quant_cache(self) -> None:
-        """Drop all deployment-frozen state (force requantization)."""
+        """Drop all deployment-frozen state (force requantization) and
+        the records the last forward left behind."""
         self._record_cache.clear()
         self._deploy_cache.clear()
+        self.last_quantized = None
+
+    def detach_faults(self) -> None:
+        """Remove the weight-fault hooks and every faulty deploy entry.
+
+        An entry is keyed on its hook's ``fault_token``, and tokens are
+        never reissued, so once the hook is gone the entry could never
+        hit again.  The clean entry stays.
+        """
+        self.weight_fault = None
+        for slot in [slot for slot, (key, _, _) in self._deploy_cache.items()
+                     if key[1] != _CLEAN]:
+            del self._deploy_cache[slot]
 
     def weight_slots(self) -> Tuple[Tuple[str, Parameter], ...]:
         """The (slot, parameter) pairs this layer quantizes at forward time.
@@ -127,7 +159,7 @@ class QuantizedComputeLayer(Module):
         hit = self._record_cache.get(slot)
         if hit is None or hit[0] != key:
             record = (
-                binarize_weight_record(weight.data)
+                binarize_weight_record(weight.data, codes_dtype=np.int8)
                 if self.weight_bits == 1
                 else fake_quantize_weight_record(weight.data, self.weight_bits)
             )
@@ -420,6 +452,14 @@ class QuantLSTMCell(QuantizedComputeLayer):
 
     def weight_slots(self) -> Tuple[Tuple[str, Parameter], ...]:
         return (("weight_ih", self.weight_ih), ("weight_hh", self.weight_hh))
+
+    def invalidate_quant_cache(self) -> None:
+        super().invalidate_quant_cache()
+        self.last_quantized_hh = None
+
+    def detach_faults(self) -> None:
+        self.weight_fault_hh = None
+        super().detach_faults()
 
     def forward(self, x: Tensor, state):
         h, c = state

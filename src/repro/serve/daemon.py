@@ -53,7 +53,7 @@ from typing import Optional, Sequence, Set, Tuple
 
 from ..faults import FaultSpec
 from ..models import MethodConfig
-from ..eval.cache import ResultStore, result_store, trained_model
+from ..eval.cache import ResultStore, result_store
 from ..eval.campaigns import campaign_settings, split_sweep
 from ..eval.tasks import PRESETS, TASK_BUILDERS, build_task
 from .protocol import ConnectionClosed, recv_message, send_message
@@ -449,7 +449,7 @@ class CampaignService:
             if self._stopped.is_set():
                 raise ConnectionError("service stopping")
             # Load (or train) the model off the compute clock.
-            trained_model(task, work.methods[m], sweep.preset, seed=sweep.seed)
+            work.model(m)
             t0 = time.perf_counter()
             fresh = work.compute(m, pending)
             stats["compute_seconds"] += time.perf_counter() - t0

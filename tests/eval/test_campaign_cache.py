@@ -8,7 +8,6 @@ from repro.eval import (
     build_task,
     campaign_key,
     clear_memory_cache,
-    load_campaign_values,
     result_store,
     run_robustness_sweep,
 )
@@ -33,20 +32,20 @@ class TestCampaignValueCache:
 
     def test_round_trip(self, isolated_cache):
         key = self._key()
-        assert load_campaign_values(key) is None
+        assert result_store().get(key) is None
         values = np.array([0.25, 0.5, 0.75, 1.0])
         result_store().put(key, values)
-        np.testing.assert_array_equal(load_campaign_values(key), values)
+        np.testing.assert_array_equal(result_store().get(key), values)
         # Survives dropping the in-memory layer (disk hit).
         clear_memory_cache()
-        np.testing.assert_array_equal(load_campaign_values(key), values)
+        np.testing.assert_array_equal(result_store().get(key), values)
 
     def test_loaded_values_are_copies(self, isolated_cache):
         key = self._key()
         result_store().put(key, np.array([1.0, 2.0]))
-        loaded = load_campaign_values(key)
+        loaded = result_store().get(key)
         loaded[0] = -99.0
-        assert load_campaign_values(key)[0] == 1.0
+        assert result_store().get(key)[0] == 1.0
 
     def test_key_distinguishes_every_campaign_knob(self, isolated_cache):
         base = self._key()
@@ -71,7 +70,7 @@ class TestCampaignValueCache:
         clear_memory_cache()
         path = result_store().address(key)
         path.write_bytes(b"not a numpy file")
-        assert load_campaign_values(key) is None
+        assert result_store().get(key) is None
         assert not path.exists()  # corrupt entry evicted
 
     def test_stray_legacy_campaign_file_is_ignored(self, isolated_cache):
@@ -81,7 +80,7 @@ class TestCampaignValueCache:
         legacy.mkdir()
         np.save(legacy / f"{key}.npy", np.array([2.5]))
         clear_memory_cache()
-        assert load_campaign_values(key) is None
+        assert result_store().get(key) is None
         assert not result_store().address(key).exists()
 
 

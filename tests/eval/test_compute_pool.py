@@ -12,6 +12,7 @@ import pytest
 
 from repro.eval import build_task, cache, campaigns, cli
 from repro.eval.cache import ResultStore, fork_map, result_store
+from repro.quant import quantized_layers
 
 CO2 = ["--preset", "tiny", "campaign", "--task", "co2", "--fault", "bitflip",
        "--levels", "0", "0.1", "0.2", "--runs", "2"]
@@ -135,6 +136,46 @@ def test_progress_meter_ends_at_the_cell_count(cpus, isolated_cache,
     monkeypatch.setattr(cli, "ProgressMeter", Recorded)
     _run(CO2, isolated_cache, cpus, monkeypatch, capsys, co2_models)
     assert [(m.done, m.total) for m in meters] == [(CO2_CELLS, CO2_CELLS)]
+
+
+def _deployment_state():
+    """``(models, layers holding deployment state)`` of this process's
+    memory-cached models."""
+    held = [
+        type(layer).__name__ for model in cache._MEMORY.values()
+        for layer in quantized_layers(model)
+        if layer._record_cache or layer._deploy_cache
+        or layer.last_quantized is not None
+        or getattr(layer, "last_quantized_hh", None) is not None
+    ]
+    return len(cache._MEMORY), held
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_job_leaves_its_model_no_deployment_state(cpus, isolated_cache,
+                                                    co2_models, monkeypatch,
+                                                    capsys):
+    """Each compute job, forked or here, ends with no programmed codes,
+    deploy entry or last record on any layer of the models it loaded."""
+    fork_map = campaigns.fork_map
+    states = []
+
+    def checked(fn, jobs, on_result):
+        def job(j):
+            return fn(j), _deployment_state()
+
+        def finished(index, result):
+            states.append(result[1])
+            on_result(index, result[0])
+
+        fork_map(job, jobs, finished)
+
+    monkeypatch.setattr(campaigns, "fork_map", checked)
+    _run(CO2 + ["--no-cache"], isolated_cache, cpus, monkeypatch, capsys,
+         co2_models)
+    assert len(states) == (3 if cpus == 1 else 9)
+    for models, held in states:
+        assert models >= 1 and held == []
 
 
 def _square(job):

@@ -32,7 +32,7 @@ from repro import nn
 from repro.eval import (
     build_task,
     campaign_key,
-    load_campaign_values,
+    result_store,
     run_robustness_sweep,
 )
 from repro.eval.cache import RNG_CONTRACT
@@ -277,7 +277,7 @@ class TestCacheContract:
         task = build_task("audio", preset="tiny")
         for spec in bitflip_sweep([0.0, 0.05, 0.1]):
             key = campaign_key(task, proposed(), spec, 3, 4, 0, None)
-            assert load_campaign_values(key) is not None
+            assert result_store().get(key) is not None
         entries = _entries(isolated_cache)
         stacked = _audio_means(engine=EngineConfig(None))
         np.testing.assert_array_equal(per_cell, stacked)

@@ -37,6 +37,7 @@ from repro.models import LSTMForecaster, proposed
 from repro.nn.dropout import set_mask_scope
 from repro.quant import (
     QuantConv2d,
+    QuantizedWeight,
     QuantLinear,
     QuantLSTMCell,
     freeze_deployment,
@@ -202,16 +203,28 @@ class TestModelCache:
         np.testing.assert_array_equal(first, kept)
 
     def test_one_entry_per_slot_across_hooks(self):
-        """One resident entry per slot, however many hooks come and go."""
+        """At most one resident entry per slot, however many hooks come
+        and go; ``detach`` drops each faulty entry and keeps the clean
+        one."""
         model = _model()
+        layers = (model[0], model[2])
         injector = FaultInjector(model)
         spec = FaultSpec(kind="additive", level=0.2)
         for seed in range(12):
             injector.attach(spec, np.random.default_rng(seed))
             _forward(model, X)
+            for layer in layers:
+                (key, _, _), = layer._deploy_cache.values()
+                assert key[1] == layer.weight_fault.fault_token
             injector.detach()
-        for layer in (model[0], model[2]):
-            assert list(layer._deploy_cache) == ["weight"]
+            for layer in layers:
+                assert not layer._deploy_cache
+                assert list(layer._record_cache) == ["weight"]
+        _forward(model, X)
+        injector.detach()
+        for layer in layers:
+            (key, _, _), = layer._deploy_cache.values()
+            assert key[1] == quant_layers._CLEAN
 
     def test_recording_forward_leaves_the_cache_empty(self):
         """Gradient-recording forwards never touch the deployment cache."""
@@ -220,6 +233,66 @@ class TestModelCache:
         model(Tensor(X))
         for layer in (model[0], model[2]):
             assert not layer._deploy_cache and not layer._record_cache
+
+
+class TestBinaryCodes:
+    """A cached 1-bit record holds ``int8`` codes; every fault hook and
+    the dequantizing multiply give the bits of float64 codes."""
+
+    def _binary_net(self):
+        # Binary weights and no sign activation: variation falls back to
+        # the weight codes, as on the PACT-activated U-Net.
+        manual_seed(0)
+        model = nn.Sequential(
+            QuantConv2d(2, 4, 3, weight_bits=1), nn.ReLU(),
+            QuantConv2d(4, 3, 3, weight_bits=1),
+        )
+        model.eval()
+        return model
+
+    def test_only_the_cached_binary_record_is_int8(self):
+        manual_seed(0)
+        binary, wide = QuantLinear(6, 4, weight_bits=1), QuantLinear(6, 4)
+        x = Tensor(np.random.default_rng(1).normal(size=(5, 6)))
+        with no_grad():
+            binary(x)
+            wide(x)
+        assert binary.last_quantized.codes.dtype == np.int8
+        assert wide.last_quantized.codes.dtype == np.float64
+        binary(x)  # gradient-recording: a fresh float64 record
+        assert binary.last_quantized.codes.dtype == np.float64
+
+    @pytest.mark.parametrize("spec", [
+        FaultSpec(kind="bitflip", level=0.3),
+        FaultSpec(kind="stuck", level=0.3, stuck_to="low"),
+        FaultSpec(kind="stuck", level=0.3, stuck_to="high"),
+        FaultSpec(kind="stuck", level=0.3, stuck_to="zero"),
+        FaultSpec(kind="additive", level=0.5),
+    ], ids=lambda spec: f"{spec.kind}-{spec.stuck_to}")
+    def test_int8_codes_give_the_float64_bits(self, spec):
+        model = self._binary_net()
+        x = np.random.default_rng(2).normal(size=(2, 2, 7, 7))
+        clean = _forward(model, x)
+        assert clean.tobytes() == _uncached(model, x).tobytes()
+        injector = FaultInjector(model)
+        injector.attach(spec, np.random.default_rng(3))
+        for layer in (model[0], model[2]):
+            assert layer.weight_fault is not None
+        faulty = _forward(model, x)
+        # Uncached forwards requantize with float64 codes; the hooks keep
+        # their frozen patterns.
+        assert faulty.tobytes() == _uncached(model, x).tobytes()
+        for layer in (model[0], model[2]):
+            record = layer._record_cache["weight"][1]
+            assert record.codes.dtype == np.int8
+            wide = QuantizedWeight(record.codes.astype(np.float64),
+                                   record.scale, 1)
+            narrow = layer.weight_fault(record) * record.scale
+            assert narrow.dtype == np.float64
+            assert narrow.tobytes() == (
+                layer.weight_fault(wide) * wide.scale).tobytes()
+        injector.detach()
+        assert not np.array_equal(faulty, clean)
 
 
 class TestTrainingInvalidation:
